@@ -1,6 +1,6 @@
 // E7o (protocol v2): the ordered mixed workload — predecessor/successor/
 // range-count queries interleaved with the classic point mix, across every
-// ordered-capable backend.
+// backend.
 //
 // Panels:
 //   A: bulk run() in 4096-op chunks. Ordered kinds slice the batch into
@@ -110,17 +110,6 @@ int main(int argc, char** argv) {
   if (cli.driver.workers == 0) cli.driver.workers = 4;
   if (!cli.mix_given) {
     cli.mix = {0.55, 0.15, 0.10, 0.10, 0.05, 0.05, cli.mix.range_span};
-  }
-  // The default panel is all ordered-capable; a user-selected backend
-  // without ordered support fails the registry check up front.
-  for (const auto& name : cli.backends) {
-    try {
-      pwss::driver::BackendRegistry<std::uint64_t, std::uint64_t>::instance()
-          .require_ordered(name);
-    } catch (const std::invalid_argument& e) {
-      std::fprintf(stderr, "%s: %s\n", argv[0], e.what());
-      return 2;
-    }
   }
   auto& json = pwss::bench::BenchJson::instance();
 

@@ -60,8 +60,8 @@ int main(int argc, char** argv) {
               static_cast<int>(results[10002].success()));
   std::printf("%s: %zu items\n", chosen.c_str(), map->size());
 
-  // ---- 3. Ordered queries: the maps are ordered, and the API shows it ---
-  if (map->supports_ordered()) {
+  // ---- 3. Ordered queries: every map is ordered, and the API shows it --
+  {
     const auto pred = map->predecessor(64);   // greatest key < 64
     const auto succ = map->successor(64);     // least key > 64
     const auto in_range = map->range_count(0, 127);

@@ -11,7 +11,6 @@
 #include <cstdint>
 #include <optional>
 #include <span>
-#include <stdexcept>
 #include <type_traits>
 #include <utility>
 #include <vector>
@@ -28,12 +27,9 @@ namespace pwss::baseline {
 /// PointMap must provide insert(K, V) -> bool (true iff newly inserted),
 /// erase(K) -> optional<V> (the removed value), and search(K) returning
 /// either an optional<V>-convertible value or a pointer to V (IaconoMap's
-/// stable-pointer style). Protocol-v2 ordered kinds dispatch to the point
-/// map's predecessor/successor/range_count surface when it has one
-/// (core::HasOrderedPointOps); a point map without it (the splay tree has
-/// no bound-search or order-statistic surface) makes the adapter throw —
-/// the driver layer refuses such operations before they ever reach a
-/// batch, so the throw is a backstop, not an API.
+/// stable-pointer style), plus the ordered surface: predecessor(K) and
+/// successor(K) -> optional<pair<K, V>> (the matched entry), and
+/// range_count(K lo, K hi) -> the size of [lo, hi].
 template <typename K, typename V, typename PointMap>
 class Batched {
  public:
@@ -112,33 +108,14 @@ class Batched {
   }
   std::optional<V> erase(const K& key) { return map_.erase(key); }
 
-  // Ordered passthroughs; throwing fallbacks for point maps without the
-  // surface (reached only if a caller bypasses the driver's capability
-  // check).
-  std::optional<std::pair<K, V>> predecessor(const K& key) const {
-    if constexpr (core::HasOrderedPointOps<PointMap, K>) {
-      return map_.predecessor(key);
-    } else {
-      (void)key;
-      throw std::logic_error("backend does not support ordered queries");
-    }
+  std::optional<std::pair<K, V>> predecessor(const K& key) {
+    return map_.predecessor(key);
   }
-  std::optional<std::pair<K, V>> successor(const K& key) const {
-    if constexpr (core::HasOrderedPointOps<PointMap, K>) {
-      return map_.successor(key);
-    } else {
-      (void)key;
-      throw std::logic_error("backend does not support ordered queries");
-    }
+  std::optional<std::pair<K, V>> successor(const K& key) {
+    return map_.successor(key);
   }
-  std::uint64_t range_count(const K& lo, const K& hi) const {
-    if constexpr (core::HasOrderedPointOps<PointMap, K>) {
-      return map_.range_count(lo, hi);
-    } else {
-      (void)lo;
-      (void)hi;
-      throw std::logic_error("backend does not support ordered queries");
-    }
+  std::uint64_t range_count(const K& lo, const K& hi) {
+    return map_.range_count(lo, hi);
   }
 
   /// Recency depth passthrough for working-set point maps (Iacono).
@@ -193,19 +170,6 @@ static_assert(core::MapBackend<BatchedLocked<int, int>, int, int>);
 
 namespace pwss::core {
 
-/// Batched adapters inherit ordered support from their point map: the
-/// splay baseline has no bound-search/order-statistic surface, so it is
-/// the library's one !supports_ordered backend (and the path that
-/// exercises the registry/driver refusal).
-template <typename K, typename V, typename PM>
-struct backend_traits<baseline::Batched<K, V, PM>> {
-  static constexpr bool needs_scheduler = false;
-  static constexpr bool native_async = false;
-  static constexpr bool supports_async = true;
-  static constexpr bool point_thread_safe = false;
-  static constexpr bool supports_ordered = HasOrderedPointOps<PM, K>;
-};
-
 /// The locked baseline serializes internally, so its per-op path is safe
 /// from any thread without an async front end — and putting one in front
 /// of it would hide exactly the contention E5/E8 measure.
@@ -215,7 +179,6 @@ struct backend_traits<baseline::BatchedLocked<K, V>> {
   static constexpr bool native_async = false;
   static constexpr bool supports_async = false;
   static constexpr bool point_thread_safe = true;
-  static constexpr bool supports_ordered = true;
 };
 
 }  // namespace pwss::core

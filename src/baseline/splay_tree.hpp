@@ -1,9 +1,17 @@
 #pragma once
-// Bottom-up splay tree (Sleator–Tarjan [37]) — the classical self-adjusting
+// Top-down splay tree (Sleator–Tarjan [37]) — the classical self-adjusting
 // baseline. Satisfies the working-set bound amortized, so E8 compares it
-// head-to-head with M0/M1/M2 under skewed access.
+// head-to-head with M0/M1/M2 under skew.
+//
+// Every node carries its subtree size, so the tree answers the ordered
+// kinds too: predecessor/successor return the neighbouring entry and
+// range_count is a difference of two ranks. Like every splay access they
+// splay the nodes they touch — that is what keeps them amortized
+// O(log n) — but they never change the key set or a stored value.
 
+#include <algorithm>
 #include <cstddef>
+#include <cstdint>
 #include <optional>
 #include <utility>
 
@@ -16,20 +24,18 @@ class SplayTree {
   SplayTree(const SplayTree&) = delete;
   SplayTree& operator=(const SplayTree&) = delete;
   SplayTree(SplayTree&& other) noexcept
-      : root_(std::exchange(other.root_, nullptr)),
-        size_(std::exchange(other.size_, 0)) {}
+      : root_(std::exchange(other.root_, nullptr)) {}
   SplayTree& operator=(SplayTree&& other) noexcept {
     if (this != &other) {
       destroy(root_);
       root_ = std::exchange(other.root_, nullptr);
-      size_ = std::exchange(other.size_, 0);
     }
     return *this;
   }
   ~SplayTree() { destroy(root_); }
 
-  std::size_t size() const noexcept { return size_; }
-  bool empty() const noexcept { return size_ == 0; }
+  std::size_t size() const noexcept { return size_of(root_); }
+  bool empty() const noexcept { return root_ == nullptr; }
 
   /// Self-adjusting search: splays the accessed (or closest) node to the
   /// root. Returns the value if found.
@@ -43,7 +49,6 @@ class SplayTree {
   bool insert(const K& key, V value) {
     if (!root_) {
       root_ = new Node(key, std::move(value));
-      size_ = 1;
       return true;
     }
     root_ = splay(root_, key);
@@ -61,8 +66,9 @@ class SplayTree {
       n->left = root_;
       root_->right = nullptr;
     }
+    pull(root_);
+    pull(n);
     root_ = n;
-    ++size_;
     return true;
   }
 
@@ -78,11 +84,45 @@ class SplayTree {
     } else {
       Node* left = splay(root_->left, key);  // max of left subtree to root
       left->right = root_->right;
+      pull(left);
       root_ = left;
     }
     delete old;
-    --size_;
     return out;
+  }
+
+  // ---- ordered queries (protocol v2) --------------------------------------
+  // After splay(key) every key in the root's left subtree is below `key`
+  // unless the root itself is, and symmetrically on the right; the second
+  // splay raises the answer from that subtree (its max or its min).
+
+  /// Entry with the greatest key strictly below `key`.
+  std::optional<std::pair<K, V>> predecessor(const K& key) {
+    if (!root_) return std::nullopt;
+    root_ = splay(root_, key);
+    if (root_->key < key) return entry(root_);
+    if (!root_->left) return std::nullopt;
+    root_->left = splay(root_->left, key);
+    return entry(root_->left);
+  }
+
+  /// Entry with the least key strictly above `key`.
+  std::optional<std::pair<K, V>> successor(const K& key) {
+    if (!root_) return std::nullopt;
+    root_ = splay(root_, key);
+    if (key < root_->key) return entry(root_);
+    if (!root_->right) return std::nullopt;
+    root_->right = splay(root_->right, key);
+    return entry(root_->right);
+  }
+
+  /// Number of keys in the inclusive range [lo, hi] (0 when hi < lo).
+  std::uint64_t range_count(const K& lo, const K& hi) {
+    if (hi < lo) return 0;
+    const std::size_t below_lo = rank(lo);
+    std::size_t upto_hi = rank(hi);  // splays hi to the root when present
+    if (root_ && root_->key == hi) ++upto_hi;
+    return upto_hi - below_lo;
   }
 
   /// Height of the tree (for tests demonstrating that splay trees do not
@@ -96,6 +136,10 @@ class SplayTree {
     for_each_rec(root_, fn);
   }
 
+  /// Structural check without splaying: keys strictly increase in order
+  /// and every node's size counts its subtree.
+  bool check_invariants() const { return sound(root_, nullptr, nullptr); }
+
  private:
   struct Node {
     Node(const K& k, V v) : key(k), value(std::move(v)) {}
@@ -103,14 +147,35 @@ class SplayTree {
     V value;
     Node* left = nullptr;
     Node* right = nullptr;
+    std::size_t size = 1;  // nodes in this subtree
   };
 
-  /// Top-down splay (Sleator–Tarjan's simplified version).
+  static std::size_t size_of(const Node* t) noexcept {
+    return t ? t->size : 0;
+  }
+  static void pull(Node* t) noexcept {
+    t->size = 1 + size_of(t->left) + size_of(t->right);
+  }
+  static std::pair<K, V> entry(const Node* t) { return {t->key, t->value}; }
+
+  /// Keys strictly below `key`; splays `key` (or its neighbour) to the
+  /// root.
+  std::size_t rank(const K& key) {
+    if (!root_) return 0;
+    root_ = splay(root_, key);
+    return size_of(root_->left) + (root_->key < key ? 1 : 0);
+  }
+
+  /// Top-down splay (Sleator–Tarjan's simplified version) with subtree
+  /// sizes: nodes linked into the left/right trees get their sizes fixed
+  /// in one pass down each spine once the middle node is known.
   static Node* splay(Node* t, const K& key) {
     if (!t) return nullptr;
     Node header{key, V{}};
     Node* left_max = &header;
     Node* right_min = &header;
+    std::size_t left_size = 0;  // nodes in the left tree so far
+    std::size_t right_size = 0;
     for (;;) {
       if (key < t->key) {
         if (!t->left) break;
@@ -118,27 +183,44 @@ class SplayTree {
           Node* l = t->left;
           t->left = l->right;
           l->right = t;
+          pull(t);
           t = l;
           if (!t->left) break;
         }
         right_min->left = t;  // link right
         right_min = t;
         t = t->left;
+        right_size += 1 + size_of(right_min->right);
       } else if (t->key < key) {
         if (!t->right) break;
         if (t->right->key < key) {  // zag-zag: rotate left
           Node* r = t->right;
           t->right = r->left;
           r->left = t;
+          pull(t);
           t = r;
           if (!t->right) break;
         }
         left_max->right = t;  // link left
         left_max = t;
         t = t->right;
+        left_size += 1 + size_of(left_max->left);
       } else {
         break;
       }
+    }
+    left_size += size_of(t->left);
+    right_size += size_of(t->right);
+    t->size = left_size + right_size + 1;
+    left_max->right = nullptr;
+    right_min->left = nullptr;
+    for (Node* y = header.right; y; y = y->right) {
+      y->size = left_size;
+      left_size -= 1 + size_of(y->left);
+    }
+    for (Node* y = header.left; y; y = y->left) {
+      y->size = right_size;
+      right_size -= 1 + size_of(y->right);
     }
     left_max->right = t->left;
     right_min->left = t->right;
@@ -167,8 +249,15 @@ class SplayTree {
     return 1 + std::max(height_rec(t->left), height_rec(t->right));
   }
 
+  /// `t` lies strictly between *lo and *hi (null = unbounded).
+  static bool sound(const Node* t, const K* lo, const K* hi) {
+    if (!t) return true;
+    if ((lo && !(*lo < t->key)) || (hi && !(t->key < *hi))) return false;
+    if (t->size != 1 + size_of(t->left) + size_of(t->right)) return false;
+    return sound(t->left, lo, &t->key) && sound(t->right, &t->key, hi);
+  }
+
   Node* root_ = nullptr;
-  std::size_t size_ = 0;
 };
 
 }  // namespace pwss::baseline

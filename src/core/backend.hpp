@@ -18,16 +18,12 @@
 //     single-owner batched map; false only for natively-async backends,
 //     which already provide the same service;
 //   * point_thread_safe — the backend's per-op path may be called from
-//     many threads without an async front end (the locked baseline);
-//   * supports_ordered — the backend executes protocol-v2 ordered kinds
-//     (kPredecessor / kSuccessor / kRangeCount). The driver layer and the
-//     registry refuse ordered operations for backends without it instead
-//     of letting them misbehave (the splay baseline has no order-statistic
-//     or bound-search surface).
+//     many threads without an async front end (the locked baseline).
+//
+// Every backend executes the full protocol, ordered kinds included.
 
 #include <concepts>
 #include <cstddef>
-#include <cstdint>
 #include <optional>
 #include <span>
 #include <string>
@@ -40,8 +36,8 @@ namespace pwss::core {
 
 /// The unified batched-map concept. `execute_batch` must realize a legal
 /// linearization of the batch: per-key program order preserved, results in
-/// submission order (Definition 8). Ordered kinds, when supported, observe
-/// every earlier point operation of the batch and none of the later ones
+/// submission order (Definition 8). Ordered kinds observe every earlier
+/// point operation of the batch and none of the later ones
 /// (phase slicing — see M1Map::execute_batch).
 template <typename B, typename K, typename V>
 concept MapBackend = requires(B b, std::span<const Op<K, V>> ops) {
@@ -57,7 +53,6 @@ struct backend_traits {
   static constexpr bool native_async = false;
   static constexpr bool supports_async = true;
   static constexpr bool point_thread_safe = false;
-  static constexpr bool supports_ordered = true;
 };
 
 /// True when the backend can also deliver batch results into a
@@ -123,17 +118,5 @@ concept HasPointOps = requires(B b, const K& k, V v) {
 template <typename B, typename K, typename V>
 concept HasExportEntries =
     requires(B b, std::vector<std::pair<K, V>>& out) { b.export_entries(out); };
-
-/// True when a point map answers the ordered kinds directly:
-/// predecessor/successor return the matched (key, value) pair (by value,
-/// normalized shape for adapters) and range_count the inclusive-range
-/// cardinality. The batched baseline adapter dispatches ordered batch
-/// entries through this surface and refuses them when it is absent.
-template <typename M, typename K>
-concept HasOrderedPointOps = requires(const M m, const K& k) {
-  { m.predecessor(k).has_value() } -> std::convertible_to<bool>;
-  { m.successor(k).has_value() } -> std::convertible_to<bool>;
-  { m.range_count(k, k) } -> std::convertible_to<std::uint64_t>;
-};
 
 }  // namespace pwss::core

@@ -449,7 +449,6 @@ struct backend_traits<M1Map<K, V>> {
   static constexpr bool native_async = false;
   static constexpr bool supports_async = true;
   static constexpr bool point_thread_safe = false;
-  static constexpr bool supports_ordered = true;
 };
 
 static_assert(MapBackend<M1Map<int, int>, int, int>);

@@ -1109,7 +1109,6 @@ struct backend_traits<M2Map<K, V>> {
   static constexpr bool native_async = true;
   static constexpr bool supports_async = false;
   static constexpr bool point_thread_safe = true;
-  static constexpr bool supports_ordered = true;
 };
 
 static_assert(MapBackend<M2Map<int, int>, int, int>);

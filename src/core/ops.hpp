@@ -17,7 +17,8 @@
 //                     kInsert is retained as the v1 spelling.
 //   * kErase        — remove; status kErased/kNotFound.
 //   * kPredecessor  — greatest key strictly below `key`. Read-only: no
-//                     self-adjustment, no recency effect.
+//                     recency effect (the splay baseline still splays, as
+//                     every splay access does, but changes no entry).
 //   * kSuccessor    — least key strictly above `key`. Read-only.
 //   * kRangeCount   — number of keys in the inclusive range [key, key2].
 //                     Read-only; always answered (status kFound).
@@ -139,7 +140,6 @@ enum class ResultStatus : std::uint8_t {
   kOverloaded,   // shed by admission control / buffer or pool rejection
   kTimedOut,     // deadline passed before the op was executed
   kCancelled,    // cancel() observed at a batch-cut boundary
-  kUnsupported,  // op kind refused by the backend (e.g. ordered on splay)
   kReadOnly,     // mutation shed: driver degraded to read-only after a
                  // persistence failure (store layer; sticky until restart)
 };
@@ -150,8 +150,7 @@ enum class ResultStatus : std::uint8_t {
 /// count meaningful) or errored (one of these, payload fields empty).
 constexpr bool is_error(ResultStatus s) noexcept {
   return s == ResultStatus::kOverloaded || s == ResultStatus::kTimedOut ||
-         s == ResultStatus::kCancelled || s == ResultStatus::kUnsupported ||
-         s == ResultStatus::kReadOnly;
+         s == ResultStatus::kCancelled || s == ResultStatus::kReadOnly;
 }
 
 /// Result of one operation.
@@ -183,7 +182,7 @@ struct Result {
   }
 
   /// True when the op reached a terminal ERROR status (shed, expired,
-  /// cancelled, or unsupported) — it never executed. Distinct from
+  /// cancelled, or read-only) — it never executed. Distinct from
   /// !success(): a kNotFound search executed fine, it just missed.
   constexpr bool is_error() const noexcept { return core::is_error(status); }
 

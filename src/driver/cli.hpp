@@ -16,9 +16,7 @@
 //                              the op's deadline passes
 //   --mix=S,I,E[,P,Su,R]       op mix fractions (search,insert,erase and
 //                              optionally predecessor,successor,range-count;
-//                              must sum to 1). A mix with ordered weights is
-//                              refused for backends without ordered support
-//                              (BackendRegistry::require_ordered).
+//                              must sum to 1)
 //   --range-span=N             width of range-count queries (default 1024)
 //   --durability=off|async|sync  write-ahead logging mode (default off;
 //                              sync = acked mutations are fsynced)
@@ -185,8 +183,7 @@ CliOptions parse(int argc, char** argv,
       std::exit(0);
     } else if (arg == "--list-backends") {
       for (const auto& e : registry.entries()) {
-        std::printf("%-8s %s%s\n", e.name.c_str(), e.description.c_str(),
-                    e.supports_ordered ? "" : "  [no ordered queries]");
+        std::printf("%-8s %s\n", e.name.c_str(), e.description.c_str());
       }
       std::printf(
           "sharded:<name>  any of the above, --shards instances behind one "
@@ -292,61 +289,30 @@ CliOptions parse(int argc, char** argv,
       std::exit(2);
     }
   }
-  // A mix with ordered weights is refused for backends that cannot run
-  // it — the registry's capability bit, not a runtime surprise mid-bench.
-  if (cli.mix.has_ordered()) {
-    for (const auto& name : cli.backends) {
-      try {
-        registry.require_ordered(name);
-      } catch (const std::invalid_argument& e) {
-        std::fprintf(stderr, "%s: %s\n", argv[0], e.what());
-        std::exit(2);
-      }
-    }
-  }
   return cli;
 }
 
 /// Prints a counter snapshot (--stats) to stderr so it never mixes with
-/// result output on stdout. The snapshot is a parameter so callers that
-/// fold in extra counters (net::Server::add_stats) print one line set.
+/// result output on stdout: one line per kStatsFields line, the
+/// durability and net lines only when that layer is on. The snapshot is
+/// a parameter so callers that fold in extra counters
+/// (net::Server::add_stats) print one line set.
 template <typename K, typename V>
 void print_stats(const Driver<K, V>& driver, const DriverStats& s) {
-  std::fprintf(stderr,
-               "stats[%s]: admitted=%llu shed=%llu timed_out=%llu "
-               "retries=%llu in_flight=%llu\n",
-               driver.name().c_str(),
-               static_cast<unsigned long long>(s.admitted),
-               static_cast<unsigned long long>(s.shed),
-               static_cast<unsigned long long>(s.timed_out),
-               static_cast<unsigned long long>(s.retries),
-               static_cast<unsigned long long>(s.in_flight));
-  if (s.durable) {
-    std::fprintf(
-        stderr,
-        "stats[%s]: durable read_only=%d wal_appends=%llu wal_fsyncs=%llu "
-        "recovered_ops=%llu recovered_entries=%llu torn_tails=%llu "
-        "checkpoints=%llu\n",
-        driver.name().c_str(), s.read_only ? 1 : 0,
-        static_cast<unsigned long long>(s.wal_appends),
-        static_cast<unsigned long long>(s.wal_fsyncs),
-        static_cast<unsigned long long>(s.recovered_ops),
-        static_cast<unsigned long long>(s.recovered_entries),
-        static_cast<unsigned long long>(s.torn_tail_truncations),
-        static_cast<unsigned long long>(s.checkpoints));
-  }
-  if (s.serving) {
-    std::fprintf(
-        stderr,
-        "stats[%s]: net accepted=%llu active=%llu frames_in=%llu "
-        "frames_out=%llu protocol_errors=%llu shed_on_wire=%llu\n",
-        driver.name().c_str(),
-        static_cast<unsigned long long>(s.net_accepted),
-        static_cast<unsigned long long>(s.net_active),
-        static_cast<unsigned long long>(s.net_frames_in),
-        static_cast<unsigned long long>(s.net_frames_out),
-        static_cast<unsigned long long>(s.net_protocol_errors),
-        static_cast<unsigned long long>(s.net_shed_on_wire));
+  const bool shown[] = {true, s.durable, s.serving};
+  const char* const prefix[] = {"", s.read_only ? "durable read_only=1 "
+                                                : "durable read_only=0 ",
+                                "net "};
+  for (const auto line : {StatsField::kAdmission, StatsField::kDurability,
+                          StatsField::kNet}) {
+    if (!shown[line]) continue;
+    std::string out = "stats[" + driver.name() + "]: " + prefix[line];
+    for (const StatsField& f : kStatsFields) {
+      if (f.line != line) continue;
+      out += std::string(f.name) + "=" + std::to_string(s.*f.counter) + " ";
+    }
+    out.pop_back();
+    std::fprintf(stderr, "%s\n", out.c_str());
   }
 }
 

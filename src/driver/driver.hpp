@@ -25,16 +25,12 @@
 //                           (implicit batching,
 //                            Section 4)
 //
-// Protocol-v2 ordered kinds are refused up front when the backend's
-// traits say !supports_ordered — never half-executed on a worker. The
-// blocking/bulk entry points throw std::invalid_argument on the calling
-// thread (naming the backend); the async submit forms honour the
-// completion-delivery contract instead and fulfill the ticket with
-// kUnsupported. The public run/step/submit entry points validate, pass
-// admission control (driver/admission.hpp: bounded in-flight window,
-// shed or bounded-block on overflow; blocking conveniences absorb
-// transient kOverloaded via driver/retry.hpp backoff), and then forward
-// to the do_* virtuals the wirings implement.
+// Every backend executes the full protocol, ordered kinds included. The
+// public run/step/submit entry points pass admission control
+// (driver/admission.hpp: bounded in-flight window, shed or bounded-block
+// on overflow; blocking conveniences absorb transient kOverloaded via
+// driver/retry.hpp backoff), and then forward to the do_* virtuals the
+// wirings implement.
 //
 // The bulk path must not race with concurrent blocking callers on
 // AsyncMap-wrapped backends (it quiesces the front end, then batches
@@ -101,7 +97,8 @@ struct Options {
 /// Counter snapshot for one driver (aggregated across shards by
 /// ShardedDriver::stats()): the PR-8 admission/retry machinery plus the
 /// durability layer, finally observable. Printed by the CLI at exit
-/// (--stats) and asserted by the robustness tests.
+/// (--stats) and asserted by the robustness tests. Every counter has a
+/// row in kStatsFields below; folding and printing walk that table.
 struct DriverStats {
   // admission / retry (see driver/admission.hpp, driver/retry.hpp)
   std::uint64_t admitted = 0;   ///< ops past the admission window
@@ -128,30 +125,49 @@ struct DriverStats {
   std::uint64_t net_protocol_errors = 0;  ///< connections refused for cause
   std::uint64_t net_shed_on_wire = 0;     ///< kOverloaded at the conn window
 
-  DriverStats& operator+=(const DriverStats& o) {
-    admitted += o.admitted;
-    shed += o.shed;
-    timed_out += o.timed_out;
-    retries += o.retries;
-    in_flight += o.in_flight;
-    durable = durable || o.durable;
-    read_only = read_only || o.read_only;
-    wal_appends += o.wal_appends;
-    wal_fsyncs += o.wal_fsyncs;
-    recovered_ops += o.recovered_ops;
-    recovered_entries += o.recovered_entries;
-    torn_tail_truncations += o.torn_tail_truncations;
-    checkpoints += o.checkpoints;
-    serving = serving || o.serving;
-    net_accepted += o.net_accepted;
-    net_active += o.net_active;
-    net_frames_in += o.net_frames_in;
-    net_frames_out += o.net_frames_out;
-    net_protocol_errors += o.net_protocol_errors;
-    net_shed_on_wire += o.net_shed_on_wire;
-    return *this;
-  }
+  /// Sums every counter and ORs the flags (shard folding).
+  DriverStats& operator+=(const DriverStats& o);
 };
+
+/// One DriverStats counter: the name --stats prints it under, the line it
+/// belongs to (durability and net lines print only when that layer is
+/// on), and the member.
+struct StatsField {
+  enum Line : std::uint8_t { kAdmission, kDurability, kNet };
+  const char* name;
+  Line line;
+  std::uint64_t DriverStats::*counter;
+};
+
+inline constexpr StatsField kStatsFields[] = {
+    {"admitted", StatsField::kAdmission, &DriverStats::admitted},
+    {"shed", StatsField::kAdmission, &DriverStats::shed},
+    {"timed_out", StatsField::kAdmission, &DriverStats::timed_out},
+    {"retries", StatsField::kAdmission, &DriverStats::retries},
+    {"in_flight", StatsField::kAdmission, &DriverStats::in_flight},
+    {"wal_appends", StatsField::kDurability, &DriverStats::wal_appends},
+    {"wal_fsyncs", StatsField::kDurability, &DriverStats::wal_fsyncs},
+    {"recovered_ops", StatsField::kDurability, &DriverStats::recovered_ops},
+    {"recovered_entries", StatsField::kDurability,
+     &DriverStats::recovered_entries},
+    {"torn_tails", StatsField::kDurability,
+     &DriverStats::torn_tail_truncations},
+    {"checkpoints", StatsField::kDurability, &DriverStats::checkpoints},
+    {"accepted", StatsField::kNet, &DriverStats::net_accepted},
+    {"active", StatsField::kNet, &DriverStats::net_active},
+    {"frames_in", StatsField::kNet, &DriverStats::net_frames_in},
+    {"frames_out", StatsField::kNet, &DriverStats::net_frames_out},
+    {"protocol_errors", StatsField::kNet, &DriverStats::net_protocol_errors},
+    {"shed_on_wire", StatsField::kNet, &DriverStats::net_shed_on_wire},
+};
+
+inline DriverStats& DriverStats::operator+=(const DriverStats& o) {
+  for (const StatsField& f : kStatsFields) this->*f.counter += o.*f.counter;
+  durable = durable || o.durable;
+  read_only = read_only || o.read_only;
+  serving = serving || o.serving;
+  return *this;
+}
 
 /// The admission window a single (non-sharded) driver enforces for the
 /// given options.
@@ -189,8 +205,7 @@ class Driver {
     return run_blocking(core::Op<K, V>::erase(key)).value;
   }
 
-  /// Ordered blocking API (protocol v2); throws std::invalid_argument for
-  /// backends without ordered support (see supports_ordered()).
+  /// Ordered blocking API (protocol v2).
   std::optional<std::pair<K, V>> predecessor(const K& key) {
     return ordered_pair(run_blocking(core::Op<K, V>::predecessor(key)));
   }
@@ -201,14 +216,12 @@ class Driver {
     return run_blocking(core::Op<K, V>::range_count(lo, hi)).count;
   }
 
-  /// One op through the blocking path: throwing ordered validation,
-  /// admission control, and the retry loop that absorbs transient
-  /// kOverloaded results (deadline-aware, capped attempts). The terminal
-  /// result is exact: kTimedOut when the deadline passed before
-  /// execution, kOverloaded when the retry budget ran out, the executed
-  /// result otherwise.
+  /// One op through the blocking path: admission control and the retry
+  /// loop that absorbs transient kOverloaded results (deadline-aware,
+  /// capped attempts). The terminal result is exact: kTimedOut when the
+  /// deadline passed before execution, kOverloaded when the retry budget
+  /// ran out, the executed result otherwise.
   core::Result<V, K> run_blocking(core::Op<K, V> op) {
-    check_ordered(op);
     retry::Backoff backoff;
     for (;;) {
       switch (admission_.try_admit(op.deadline_ns)) {
@@ -243,19 +256,11 @@ class Driver {
     }
   }
 
-  /// True when the wired backend executes the ordered kinds
-  /// (kPredecessor/kSuccessor/kRangeCount). Reported by the registry;
-  /// ordered operations on a driver without it are refused with
-  /// std::invalid_argument before touching the backend.
-  virtual bool supports_ordered() const noexcept = 0;
-
   // ---- asynchronous submission ---------------------------------------------
-  // The async forms never throw for protocol refusals: the contract is
-  // completion delivery, so an ordered op on a backend without ordered
-  // support, a shed window, and an expired deadline all surface as a
+  // The async forms never throw for refusals: the contract is completion
+  // delivery, so a shed window and an expired deadline surface as a
   // ticket completed with the matching terminal error status
-  // (kUnsupported / kOverloaded / kTimedOut). Only the blocking
-  // conveniences keep the calling-thread throw.
+  // (kOverloaded / kTimedOut).
 
   /// Lowest-level form: the caller owns the completion token (stack or
   /// arena; zero allocation). The ticket must stay alive until fulfilled.
@@ -304,7 +309,6 @@ class Driver {
   /// mutation slots complete with kReadOnly.
   void run(const std::vector<core::Op<K, V>>& ops,
            std::vector<core::Result<V, K>>& out) {
-    check_ordered_batch(ops);
     if (durable() && batch_has_mutation(ops)) {
       run_durable(ops, out);
       return;
@@ -318,7 +322,6 @@ class Driver {
   /// Benchmarks use this to measure per-op structure cost without
   /// batching overhead.
   core::Result<V, K> step(core::Op<K, V> op) {
-    check_ordered(op);
     if (durable() && core::is_mutation(op.type)) {
       return durable_one(std::move(op), [this](core::Op<K, V> o) {
         return do_step(std::move(o));
@@ -465,27 +468,12 @@ class Driver {
                       std::vector<core::Result<V, K>>& out) = 0;
   virtual core::Result<V, K> do_step(core::Op<K, V> op) = 0;
 
-  void check_ordered(const core::Op<K, V>& op) const {
-    if (core::is_ordered(op.type) && !supports_ordered()) refuse_ordered();
-  }
-  void check_ordered_batch(const std::vector<core::Op<K, V>>& ops) const {
-    if (supports_ordered()) return;
-    for (const auto& op : ops) {
-      if (core::is_ordered(op.type)) refuse_ordered();
-    }
-  }
-
  private:
-  /// Shared body of the three async submit forms: protocol refusal,
-  /// deadline screen, and the admission decision, each delivered as a
-  /// completed ticket; admitted ops arm the ticket's release hook so the
-  /// window slot frees on the fulfilling thread.
+  /// Shared body of the three async submit forms: the deadline screen
+  /// and the admission decision, each delivered as a completed ticket;
+  /// admitted ops arm the ticket's release hook so the window slot frees
+  /// on the fulfilling thread.
   void submit_admitted(core::Op<K, V> op, Ticket* ticket) {
-    if (core::is_ordered(op.type) && !supports_ordered()) {
-      ticket->fulfill(
-          core::Result<V, K>::error(core::ResultStatus::kUnsupported));
-      return;
-    }
     switch (admission_.try_admit(op.deadline_ns)) {
       case Admit::kExpired:
         ticket->fulfill(
@@ -619,14 +607,6 @@ class Driver {
     }
   }
 
-  [[noreturn]] void refuse_ordered() const {
-    throw std::invalid_argument(
-        "backend '" + name_ +
-        "' does not support ordered queries "
-        "(predecessor/successor/range-count); pick an ordered-capable "
-        "backend — see BackendRegistry::supports_ordered()");
-  }
-
   std::string name_;
   AdmissionController admission_;
   /// Null when durability is off (the default) — every hot-path check
@@ -710,8 +690,7 @@ std::optional<std::size_t> depth_in(B& backend, const K& key) {
 
 /// One op through the backend's point surface when it has one (no
 /// per-op vector allocations), else through a singleton batch. Ordered
-/// kinds always take the singleton-batch path — every ordered-capable
-/// backend executes them natively there.
+/// kinds always take the singleton-batch path.
 template <typename K, typename V, typename B>
 core::Result<V, K> point_apply(B& backend, core::Op<K, V> op) {
   if constexpr (core::HasPointOps<B, K, V>) {
@@ -771,10 +750,6 @@ class AsyncDriver final : public Driver<K, V> {
         scheduler_(opts),
         async_(make_backend(*scheduler_.ptr), *scheduler_.ptr) {}
 
-  bool supports_ordered() const noexcept override {
-    return core::backend_traits<B>::supports_ordered;
-  }
-
   std::optional<std::size_t> depth_of(const K& key) override {
     async_.quiesce();
     return detail::depth_in<K, V>(async_.map(), key);
@@ -808,7 +783,6 @@ class AsyncDriver final : public Driver<K, V> {
  protected:
   core::Result<V, K> run_one(core::Op<K, V> op) override {
     core::OpTicket<V, K> ticket;
-    this->check_ordered(op);
     async_.submit(std::move(op), &ticket);
     return ticket.wait();
   }
@@ -860,10 +834,6 @@ class NativeAsyncDriver final : public Driver<K, V> {
         scheduler_(opts),
         backend_(*scheduler_.ptr, opts.p) {}
 
-  bool supports_ordered() const noexcept override {
-    return core::backend_traits<B>::supports_ordered;
-  }
-
   std::optional<std::size_t> depth_of(const K& key) override {
     backend_.quiesce();
     return detail::depth_in<K, V>(backend_, key);
@@ -893,7 +863,6 @@ class NativeAsyncDriver final : public Driver<K, V> {
  protected:
   core::Result<V, K> run_one(core::Op<K, V> op) override {
     core::OpTicket<V, K> ticket;
-    this->check_ordered(op);
     backend_.submit(std::move(op), &ticket);
     return ticket.wait();
   }
@@ -929,10 +898,6 @@ class DirectDriver final : public Driver<K, V> {
   DirectDriver(std::string name, const Options& opts)
       : Driver<K, V>(std::move(name), admission_config(opts)) {}
 
-  bool supports_ordered() const noexcept override {
-    return core::backend_traits<B>::supports_ordered;
-  }
-
   std::optional<std::size_t> depth_of(const K& key) override {
     return detail::depth_in<K, V>(backend_, key);
   }
@@ -952,7 +917,6 @@ class DirectDriver final : public Driver<K, V> {
 
  protected:
   core::Result<V, K> run_one(core::Op<K, V> op) override {
-    this->check_ordered(op);
     return detail::point_apply<K, V>(backend_, std::move(op));
   }
 

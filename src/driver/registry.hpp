@@ -14,7 +14,7 @@
 //   m1       Section 6 batch-parallel           AsyncMap front end
 //   m2       Section 7 pipelined                native async
 //   iacono   Iacono's working-set structure     AsyncMap front end
-//   splay    bottom-up splay tree               AsyncMap front end
+//   splay    top-down splay tree                AsyncMap front end
 //   avl      join-based AVL (non-adjusting)     AsyncMap front end
 //   locked   mutex around the AVL               direct point ops
 //
@@ -49,10 +49,6 @@ class BackendRegistry {
     std::string name;
     std::string description;
     Factory make;
-    /// Protocol-v2 ordered-query capability (kPredecessor/kSuccessor/
-    /// kRangeCount); recorded from core::backend_traits at registration so
-    /// callers can probe/refuse before constructing a driver.
-    bool supports_ordered = true;
   };
 
   /// The process-wide registry for this <K,V>, pre-populated with the
@@ -63,13 +59,11 @@ class BackendRegistry {
   }
 
   /// Registers a backend; returns false (and changes nothing) if the name
-  /// is taken. `supports_ordered` should come from the backend's
-  /// core::backend_traits (defaults to true, the v2 norm).
-  bool add(std::string name, std::string description, Factory make,
-           bool supports_ordered = true) {
+  /// is taken.
+  bool add(std::string name, std::string description, Factory make) {
     if (find(name)) return false;
-    entries_.push_back({std::move(name), std::move(description),
-                        std::move(make), supports_ordered});
+    entries_.push_back(
+        {std::move(name), std::move(description), std::move(make)});
     return true;
   }
 
@@ -80,30 +74,6 @@ class BackendRegistry {
       return find(name.substr(kShardedPrefix.size())) != nullptr;
     }
     return find(name) != nullptr;
-  }
-
-  /// Ordered-query capability of a registered name (`sharded:` wrappers
-  /// inherit the inner backend's); false for unknown names.
-  bool supports_ordered(std::string_view name) const {
-    if (name.starts_with(kShardedPrefix)) {
-      name = name.substr(kShardedPrefix.size());
-    }
-    const Entry* e = find(name);
-    return e != nullptr && e->supports_ordered;
-  }
-
-  /// Throws std::invalid_argument (naming the ordered-capable backends)
-  /// unless `name` is registered and supports the ordered kinds — the
-  /// registry-level refusal the CLI and tests use before wiring anything.
-  void require_ordered(std::string_view name) const {
-    if (supports_ordered(name)) return;
-    std::string msg = "backend '" + std::string(name) +
-                      "' does not support ordered queries "
-                      "(predecessor/successor/range-count); ordered-capable:";
-    for (const auto& e : entries_) {
-      if (e.supports_ordered) msg += " " + e.name;
-    }
-    throw std::invalid_argument(msg);
   }
 
   /// Creates a driver, or throws std::invalid_argument naming the known
@@ -172,13 +142,11 @@ class BackendRegistry {
                   AsyncDriver<K, V, baseline::BatchedIacono<K, V>>>("iacono",
                                                                     o);
             });
-    reg.add("splay", "bottom-up splay tree (sequential baseline)",
+    reg.add("splay", "top-down splay tree (sequential baseline)",
             [](const Options& o) {
               return std::make_unique<
                   AsyncDriver<K, V, baseline::BatchedSplay<K, V>>>("splay", o);
-            },
-            core::backend_traits<baseline::BatchedSplay<K, V>>::
-                supports_ordered);
+            });
     reg.add("avl", "join-based AVL map (non-adjusting baseline)",
             [](const Options& o) {
               return std::make_unique<

@@ -10,12 +10,13 @@
 //     and gather with a max- / min- / sum-reduce when the last shard
 //     completes — no thread blocks between scatter and gather;
 //   * bulk run() scatters the batch by shard, executes the per-shard
-//     sub-batches concurrently (each on its own thread, their internal
-//     parallelism on the shared pool), and gathers results back into
-//     submission order — a legal linearization per shard (Definition 8:
-//     per-key order preserved, results in submission order). Batches with
-//     ordered kinds are sliced into point/ordered phases so every ordered
-//     query observes exactly the point operations preceding it;
+//     sub-batches concurrently (each on its shard's long-lived runner
+//     thread, their internal parallelism on the shared pool), and
+//     gathers results back into submission order — a legal linearization
+//     per shard (Definition 8: per-key order preserved, results in
+//     submission order). Batches with ordered kinds are sliced into
+//     point/ordered phases so every ordered query observes exactly the
+//     point operations preceding it;
 //   * size()/check()/quiesce() aggregate across shards; depth_of() routes
 //     to the shard holding the key.
 //
@@ -29,12 +30,14 @@
 
 #include <algorithm>
 #include <atomic>
+#include <condition_variable>
 #include <cstddef>
 #include <cstdint>
 #include <exception>
 #include <functional>
 #include <iterator>
 #include <memory>
+#include <mutex>
 #include <optional>
 #include <string>
 #include <string_view>
@@ -56,6 +59,60 @@ inline constexpr unsigned kDefaultShards = 4;
 /// The registry resolves `sharded:<name>` for every registered backend;
 /// benches that apply their own wrapper strip this prefix first.
 inline constexpr std::string_view kShardedPrefix = "sharded:";
+
+namespace detail {
+
+/// One long-lived thread that runs posted jobs one at a time: a shard's
+/// bulk runner. post() hands over a job, wait() returns once it is done.
+class ShardRunner {
+ public:
+  ShardRunner() : thread_([this] { loop(); }) {}
+  ~ShardRunner() {
+    {
+      std::lock_guard<std::mutex> lk(mu_);
+      stop_ = true;
+    }
+    cv_.notify_all();
+    thread_.join();
+  }
+  ShardRunner(const ShardRunner&) = delete;
+  ShardRunner& operator=(const ShardRunner&) = delete;
+
+  void post(std::function<void()> job) {
+    {
+      std::lock_guard<std::mutex> lk(mu_);
+      job_ = std::move(job);
+    }
+    cv_.notify_all();
+  }
+
+  void wait() {
+    std::unique_lock<std::mutex> lk(mu_);
+    cv_.wait(lk, [&] { return !job_; });
+  }
+
+ private:
+  void loop() {
+    std::unique_lock<std::mutex> lk(mu_);
+    for (;;) {
+      cv_.wait(lk, [&] { return stop_ || job_; });
+      if (!job_) return;  // stop_ with nothing pending
+      lk.unlock();
+      job_();
+      lk.lock();
+      job_ = nullptr;
+      cv_.notify_all();
+    }
+  }
+
+  std::mutex mu_;
+  std::condition_variable cv_;
+  std::function<void()> job_;  ///< the pending or running job; empty = idle
+  bool stop_ = false;
+  std::thread thread_;  ///< last: starts after the state above exists
+};
+
+}  // namespace detail
 
 template <typename K, typename V>
 class ShardedDriver final : public Driver<K, V> {
@@ -81,6 +138,7 @@ class ShardedDriver final : public Driver<K, V> {
     inner.shards = 0;
     shards_.reserve(count);
     for (unsigned s = 0; s < count; ++s) shards_.push_back(make_shard(inner));
+    runners_.resize(count);
     if (scheduler_.owned) {
       bool used = false;
       for (auto& s : shards_) used = used || s->scheduler() != nullptr;
@@ -106,10 +164,6 @@ class ShardedDriver final : public Driver<K, V> {
     h *= 0xff51afd7ed558ccdULL;
     h ^= h >> 33;
     return static_cast<std::size_t>(h % shards_.size());
-  }
-
-  bool supports_ordered() const noexcept override {
-    return shards_.front()->supports_ordered();
   }
 
   std::optional<std::size_t> depth_of(const K& key) override {
@@ -255,7 +309,6 @@ class ShardedDriver final : public Driver<K, V> {
   }
 
   core::Result<V, K> run_one(core::Op<K, V> op) override {
-    this->check_ordered(op);
     core::OpTicket<V, K> ticket;
     do_submit(std::move(op), &ticket);
     return ticket.wait();
@@ -324,15 +377,17 @@ class ShardedDriver final : public Driver<K, V> {
     if (better) best = std::move(shard_r);
   }
 
-  /// One point phase scattered by shard; per-shard run()s go on dedicated
-  /// threads, NOT on pool workers: an inner run() may block its thread on
-  /// pool progress (M2's execute_batch awaits pipeline activations;
-  /// AsyncMap's quiesce spins), so hosting it on the pool deadlocks once
-  /// blocking shard tasks occupy every worker. The shards' internal
-  /// parallelism still runs on the one shared scheduler. The calling
-  /// thread takes the first non-empty shard itself. Exceptions are
-  /// captured per shard and the first rethrown after every helper joined,
-  /// matching the unsharded drivers' propagation.
+  /// One point phase scattered by shard; per-shard run()s go on the
+  /// shards' runner threads, NOT on pool workers: an inner run() may block
+  /// its thread on pool progress (M2's execute_batch awaits pipeline
+  /// activations; AsyncMap's quiesce spins), so hosting it on the pool
+  /// deadlocks once blocking shard tasks occupy every worker. The shards'
+  /// internal parallelism still runs on the one shared scheduler. The
+  /// calling thread takes the first non-empty shard itself; a runner
+  /// thread starts the first time its shard is handed off. Exceptions are
+  /// captured per shard and the first rethrown after every runner
+  /// finished, matching the unsharded drivers' propagation. Bulk runs are
+  /// serialized (one job per runner at a time).
   void run_point_phase(const std::vector<core::Op<K, V>>& ops,
                        std::size_t begin, std::size_t end,
                        std::vector<core::Result<V, K>>& out) {
@@ -354,18 +409,21 @@ class ShardedDriver final : public Driver<K, V> {
         errors[s] = std::current_exception();
       }
     };
-    std::vector<std::thread> helpers;
+    std::lock_guard<std::mutex> bulk(bulk_mu_);
     std::size_t own = n;
     for (std::size_t s = 0; s < n; ++s) {
       if (scatter[s].empty()) continue;
       if (own == n) {
         own = s;
-      } else {
-        helpers.emplace_back([&run_shard, s] { run_shard(s); });
+        continue;
       }
+      if (!runners_[s]) runners_[s] = std::make_unique<detail::ShardRunner>();
+      runners_[s]->post([&run_shard, s] { run_shard(s); });
     }
     if (own != n) run_shard(own);
-    for (auto& th : helpers) th.join();
+    for (auto& r : runners_) {
+      if (r) r->wait();
+    }
     for (auto& e : errors) {
       if (e) std::rethrow_exception(e);
     }
@@ -393,9 +451,12 @@ class ShardedDriver final : public Driver<K, V> {
     }
   }
 
-  // Shards die before the shared scheduler their front ends run on.
+  // Shards die before the shared scheduler their front ends run on, and
+  // the (idle) runners before the shards.
   detail::SchedulerHandle scheduler_;
   std::vector<std::unique_ptr<Driver<K, V>>> shards_;
+  std::mutex bulk_mu_;  ///< one bulk point phase at a time
+  std::vector<std::unique_ptr<detail::ShardRunner>> runners_;  ///< lazy
 };
 
 }  // namespace pwss::driver

@@ -34,7 +34,6 @@
 #include <functional>
 #include <mutex>
 #include <optional>
-#include <stdexcept>
 #include <string>
 #include <thread>
 #include <unordered_map>
@@ -73,8 +72,6 @@ class Client {
 
   /// Registry name of the backend the server is exposing ("m2", ...).
   const std::string& backend() const noexcept { return welcome_.backend; }
-  /// True when the server's backend executes the ordered kinds.
-  bool supports_ordered() const noexcept { return welcome_.supports_ordered; }
   /// The server's per-connection pipeline window: requests beyond it are
   /// answered kOverloaded on the wire, so this is the useful pipelining
   /// depth.
@@ -216,20 +213,13 @@ class Client {
     return run_blocking(WireOp::erase(key)).value;
   }
 
-  /// Ordered conveniences throw std::invalid_argument when the server's
-  /// backend lacks ordered support — the same calling-thread contract as
-  /// Driver's blocking API (the async forms instead complete kUnsupported,
-  /// delivered by the server).
   std::optional<std::pair<Key, Value>> predecessor(Key key) {
-    check_ordered();
     return ordered_pair(run_blocking(WireOp::predecessor(key)));
   }
   std::optional<std::pair<Key, Value>> successor(Key key) {
-    check_ordered();
     return ordered_pair(run_blocking(WireOp::successor(key)));
   }
   std::uint64_t range_count(Key lo, Key hi) {
-    check_ordered();
     return run_blocking(WireOp::range_count(lo, hi)).count;
   }
 
@@ -391,15 +381,6 @@ class Client {
     }
     for (const auto& [id, t] : orphans) {
       t->fulfill(WireResult::error(core::ResultStatus::kCancelled));
-    }
-  }
-
-  void check_ordered() const {
-    if (!welcome_.supports_ordered) {
-      throw std::invalid_argument(
-          "server backend '" + welcome_.backend +
-          "' does not support ordered queries "
-          "(predecessor/successor/range-count)");
     }
   }
 

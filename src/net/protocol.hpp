@@ -11,7 +11,7 @@
 //   payload  := hello | welcome | request | response | error | goodbye
 //   hello    := 0x01 magic:u32 version:u32
 //   welcome  := 0x02 magic:u32 version:u32 flags:u8 window:u32
-//               name_len:u16 name[name_len]      flags bit0 = ordered ok
+//               name_len:u16 name[name_len]      flags = kWelcomeFlags
 //   request  := 0x03 req_id:u64 op:u8 key:u64 key2:u64 value:u64
 //               timeout_ns:u64                   timeout relative, 0 = none
 //   response := 0x04 req_id:u64 status:u8 flags:u8 value:u64
@@ -22,8 +22,8 @@
 //
 // The handshake is one round trip: the client's first frame must be a
 // hello with matching magic and version; the server answers welcome
-// (carrying its per-connection pipeline window, the backend name, and the
-// ordered-query capability bit) or error + close. After the handshake the
+// (carrying its per-connection pipeline window and the backend name) or
+// error + close. After the handshake the
 // client pipelines request frames; responses may arrive OUT OF ORDER and
 // are matched by the client-assigned req_id — the completion-driven
 // server fulfills whichever ops finish first.
@@ -87,7 +87,8 @@ enum class WireStatus : std::uint8_t {
   kOverloaded = 0x10,
   kTimedOut = 0x11,
   kCancelled = 0x12,
-  kUnsupported = 0x13,
+  // 0x13 is retired: it was kUnsupported, a backend refusing the ordered
+  // kinds. Every backend runs them now; the byte must never be reused.
   kReadOnly = 0x14,
 };
 
@@ -109,12 +110,10 @@ constexpr WireStatus to_wire(core::ResultStatus s) noexcept {
       return WireStatus::kTimedOut;
     case core::ResultStatus::kCancelled:
       return WireStatus::kCancelled;
-    case core::ResultStatus::kUnsupported:
-      return WireStatus::kUnsupported;
     case core::ResultStatus::kReadOnly:
       return WireStatus::kReadOnly;
   }
-  return WireStatus::kUnsupported;  // unreachable for in-range enums
+  return WireStatus::kCancelled;  // unreachable for in-range enums
 }
 
 /// Wire byte -> ResultStatus; nullopt for bytes this version does not
@@ -139,8 +138,6 @@ constexpr std::optional<core::ResultStatus> status_from_wire(
       return core::ResultStatus::kTimedOut;
     case WireStatus::kCancelled:
       return core::ResultStatus::kCancelled;
-    case WireStatus::kUnsupported:
-      return core::ResultStatus::kUnsupported;
     case WireStatus::kReadOnly:
       return core::ResultStatus::kReadOnly;
   }
@@ -269,9 +266,14 @@ inline void encode_hello(std::vector<std::uint8_t>& out) {
   });
 }
 
+/// The welcome's flags byte. Bit 0 once marked a backend that runs the
+/// ordered kinds; every backend does now, so the server always sets it
+/// (peers that still check it keep sending ordered ops) and readers
+/// ignore the byte.
+inline constexpr std::uint8_t kWelcomeFlags = 1;
+
 struct Welcome {
   std::uint32_t version = kProtocolVersion;
-  bool supports_ordered = false;
   std::uint32_t window = 0;  ///< server's per-connection pipeline window
   std::string backend;       ///< registry name the server is exposing
 };
@@ -281,7 +283,7 @@ inline void encode_welcome(std::vector<std::uint8_t>& out, const Welcome& w) {
     detail::put<std::uint8_t>(b, static_cast<std::uint8_t>(MsgType::kWelcome));
     detail::put<std::uint32_t>(b, kMagic);
     detail::put<std::uint32_t>(b, w.version);
-    detail::put<std::uint8_t>(b, w.supports_ordered ? 1 : 0);
+    detail::put<std::uint8_t>(b, kWelcomeFlags);
     detail::put<std::uint32_t>(b, w.window);
     detail::put<std::uint16_t>(b, static_cast<std::uint16_t>(w.backend.size()));
     for (const char c : w.backend) {
@@ -481,7 +483,6 @@ inline std::optional<Welcome> decode_welcome(std::string_view payload) {
       magic != kMagic) {
     return std::nullopt;
   }
-  w.supports_ordered = (flags & 1u) != 0;
   return w;
 }
 

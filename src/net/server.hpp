@@ -360,7 +360,6 @@ class Server {
       }
       c.handshaken = true;
       Welcome w;
-      w.supports_ordered = driver_.supports_ordered();
       w.window = static_cast<std::uint32_t>(cfg_.pipeline_window);
       w.backend = driver_.name();
       std::lock_guard<std::mutex> lk(c.wmu);
@@ -420,8 +419,8 @@ class Server {
     t->conn = &c;
     t->req_id = req.req_id;
     c.in_flight.fetch_add(1, std::memory_order_acq_rel);
-    // Driver::submit handles refusal (kUnsupported), admission shed
-    // (kOverloaded), and expired deadlines (kTimedOut) by fulfilling the
+    // Driver::submit handles admission shed (kOverloaded) and expired
+    // deadlines (kTimedOut) by fulfilling the
     // ticket inline on this thread — the completion hook below runs
     // either way, so every admitted frame gets exactly one response.
     driver_.submit(to_op(req), t);

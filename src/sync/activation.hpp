@@ -6,14 +6,16 @@
 //
 // The paper's pseudo-code uses a non-blocking lock plus a re-activation
 // flag; a literal transcription has a lost-wakeup window between the
-// owner's final check and its unlock. We close it with the standard
+// owner's final check and its unlock. We close it with AsyncGate's
 // three-state protocol (idle / running / running+pending): an Activate()
 // that loses the race leaves a pending mark that the owner consumes before
 // going idle, which is observationally equivalent to the paper's contract
 // and wakeup-safe on real hardware.
 
-#include <atomic>
 #include <functional>
+#include <utility>
+
+#include "sync/async_gate.hpp"
 
 namespace pwss::sync {
 
@@ -22,7 +24,8 @@ class Activation {
   /// `ready`  — the condition C; must be cheap and thread-safe.
   /// `process` — the guarded process P; returns true to request immediate
   ///             reactivation (the paper's `reactivate` flag).
-  Activation(std::function<bool()> ready, std::function<bool()> process);
+  Activation(std::function<bool()> ready, std::function<bool()> process)
+      : ready_(std::move(ready)), process_(std::move(process)) {}
   Activation(const Activation&) = delete;
   Activation& operator=(const Activation&) = delete;
 
@@ -30,21 +33,23 @@ class Activation {
   /// becomes the owner and drives P on the calling thread; otherwise a
   /// pending mark is left for the current owner. Never blocks beyond the
   /// duration of P itself.
-  void activate();
-
-  /// True iff an owner is currently driving P (racy; for tests).
-  bool running() const noexcept {
-    return state_.load(std::memory_order_acquire) != kIdle;
+  void activate() {
+    if (!gate_.begin()) return;  // the owner will observe the pending mark
+    // Owner loop: run P while it requests reactivation or while
+    // activations arrived during the run; go idle only when neither holds.
+    do {
+      while (ready_() && process_()) {
+      }
+    } while (gate_.finish());
   }
 
- private:
-  static constexpr int kIdle = 0;
-  static constexpr int kRunning = 1;
-  static constexpr int kRunningPending = 2;
+  /// True iff an owner is currently driving P (racy; for tests).
+  bool running() const noexcept { return gate_.active(); }
 
+ private:
   std::function<bool()> ready_;
   std::function<bool()> process_;
-  std::atomic<int> state_{kIdle};
+  AsyncGate gate_;
 };
 
 }  // namespace pwss::sync

@@ -2,7 +2,7 @@
 // AsyncGate: the Activation interface (Definition 36) split into explicit
 // begin/finish halves so a guarded process can be a continuation-passing
 // chain (M2's segment runs park on dedicated locks and complete on another
-// thread — a synchronous Activation::activate() cannot express that).
+// thread). sync::Activation is the synchronous form built on it.
 //
 // Protocol:
 //   * begin()  — caller requests a run. Returns true iff the caller became
@@ -14,6 +14,15 @@
 //                must run again (and call finish() again after).
 // Lost wakeups are impossible: a begin() that loses the race always leaves
 // the pending mark, and the owner cannot go idle without observing it.
+//
+// Every transition is a read-modify-write, including begin() on an
+// already-pending gate and finish() consuming the mark. That is what
+// carries the caller's writes to the owner: the owner's RMW reads the
+// value the caller's RMW wrote, so whatever the caller published before
+// begin() (an op in a buffer) is visible to the owner's re-check. A plain
+// load "already pending, nothing to do" paired with a plain store
+// consuming the mark lets the owner's re-check run before the caller's
+// publication lands — and the owner then goes idle with work queued.
 
 #include <atomic>
 
@@ -24,20 +33,10 @@ class AsyncGate {
   bool begin() noexcept {
     int s = state_.load(std::memory_order_relaxed);
     for (;;) {
-      if (s == kIdle) {
-        if (state_.compare_exchange_weak(s, kRunning,
-                                         std::memory_order_acq_rel,
-                                         std::memory_order_relaxed)) {
-          return true;
-        }
-      } else if (s == kRunning) {
-        if (state_.compare_exchange_weak(s, kRunningPending,
-                                         std::memory_order_acq_rel,
-                                         std::memory_order_relaxed)) {
-          return false;
-        }
-      } else {
-        return false;  // already pending
+      const int next = s == kIdle ? kRunning : kRunningPending;
+      if (state_.compare_exchange_weak(s, next, std::memory_order_acq_rel,
+                                       std::memory_order_relaxed)) {
+        return s == kIdle;
       }
     }
   }
@@ -49,7 +48,7 @@ class AsyncGate {
       return false;
     }
     // Was kRunningPending: consume the mark, stay owner.
-    state_.store(kRunning, std::memory_order_release);
+    state_.exchange(kRunning, std::memory_order_acq_rel);
     return true;
   }
 

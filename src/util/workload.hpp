@@ -42,10 +42,6 @@ struct OpMix {
   double succ = 0.0;
   double range = 0.0;
   std::uint64_t range_span = 1024;
-
-  /// True when any ordered fraction is positive (the CLI refuses such a
-  /// mix for backends without ordered support).
-  bool has_ordered() const { return pred > 0 || succ > 0 || range > 0; }
 };
 
 /// count keys drawn uniformly from [0, universe).

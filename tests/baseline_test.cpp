@@ -66,14 +66,12 @@ TYPED_TEST(MapBackendTypedTest, SatisfiesConcept) {
 TYPED_TEST(MapBackendTypedTest, DifferentialAgainstStdMap) {
   util::Xoshiro256 rng(404);
   std::map<K, V> ref;
-  // Backends with ordered support run the full v2 op set (predecessor /
-  // successor / range-count / upsert vs the lower_bound oracle); the
-  // splay adapter sticks to the point kinds.
-  const bool with_ordered = core::backend_traits<TypeParam>::supports_ordered;
+  // The full v2 op set (predecessor / successor / range-count / upsert vs
+  // the lower_bound oracle) on every backend.
   for (int round = 0; round < 20; ++round) {
     const std::size_t b = 1 + rng.bounded(200);
-    const auto batch = testutil::scripted_ops<K, V>(rng.bounded(1u << 30), b,
-                                                    250, with_ordered);
+    const auto batch = testutil::scripted_ops<K, V>(
+        rng.bounded(1u << 30), b, 250, /*with_ordered=*/true);
     const auto got = this->backend_->execute_batch(batch);
     ASSERT_EQ(got.size(), batch.size());
     for (std::size_t i = 0; i < batch.size(); ++i) {
@@ -253,10 +251,11 @@ TEST(LockedMap, ConcurrentMixedOpsKeepCount) {
 
 // ---- ordered point surfaces (protocol v2) ---------------------------------
 
-TEST(OrderedBaselines, AvlIaconoLockedAgree) {
+TEST(OrderedBaselines, AllPointMapsAgree) {
   baseline::AvlMap<int, int> avl;
   baseline::IaconoMap<int, int> iac;
   baseline::LockedMap<int, int> locked;
+  baseline::SplayTree<int, int> splay;
   std::map<int, int> ref;
   util::Xoshiro256 rng(31);
   for (int i = 0; i < 400; ++i) {
@@ -264,6 +263,7 @@ TEST(OrderedBaselines, AvlIaconoLockedAgree) {
     avl.insert(k, k * 3);
     iac.insert(k, k * 3);
     locked.insert(k, k * 3);
+    splay.insert(k, k * 3);
     ref[k] = k * 3;
   }
   for (int probe = -5; probe < 1010; probe += 7) {
@@ -274,7 +274,8 @@ TEST(OrderedBaselines, AvlIaconoLockedAgree) {
     auto ub = ref.upper_bound(probe);
     const bool has_succ = ub != ref.end();
     for (const auto& got : {avl.predecessor(probe), iac.predecessor(probe),
-                            locked.predecessor(probe)}) {
+                            locked.predecessor(probe),
+                            splay.predecessor(probe)}) {
       ASSERT_EQ(got.has_value(), has_pred) << probe;
       if (has_pred) {
         ASSERT_EQ(got->first, want_pred->first) << probe;
@@ -282,7 +283,7 @@ TEST(OrderedBaselines, AvlIaconoLockedAgree) {
       }
     }
     for (const auto& got : {avl.successor(probe), iac.successor(probe),
-                            locked.successor(probe)}) {
+                            locked.successor(probe), splay.successor(probe)}) {
       ASSERT_EQ(got.has_value(), has_succ) << probe;
       if (has_succ) {
         ASSERT_EQ(got->first, ub->first) << probe;
@@ -293,7 +294,10 @@ TEST(OrderedBaselines, AvlIaconoLockedAgree) {
     ASSERT_EQ(avl.range_count(probe, probe + 100), want_count) << probe;
     ASSERT_EQ(iac.range_count(probe, probe + 100), want_count) << probe;
     ASSERT_EQ(locked.range_count(probe, probe + 100), want_count) << probe;
+    ASSERT_EQ(splay.range_count(probe, probe + 100), want_count) << probe;
   }
+  EXPECT_EQ(splay.range_count(10, 9), 0u);  // empty range
+  EXPECT_TRUE(splay.check_invariants());
 }
 
 TEST(OrderedBaselines, IaconoOrderedQueriesDoNotPromote) {
@@ -310,21 +314,71 @@ TEST(OrderedBaselines, IaconoOrderedQueriesDoNotPromote) {
   EXPECT_TRUE(m.check_invariants());
 }
 
-TEST(OrderedBaselines, SplayAdapterRefusesOrderedKinds) {
-  // The adapter-level backstop behind the driver's capability check: a
-  // splay tree has no bound-search surface, so the batched adapter throws
-  // rather than fabricating an answer.
-  static_assert(!core::backend_traits<
-                baseline::BatchedSplay<K, V>>::supports_ordered);
-  static_assert(core::backend_traits<
-                baseline::BatchedAvl<K, V>>::supports_ordered);
-  baseline::BatchedSplay<K, V> splay;
-  splay.insert(1, 10);
-  EXPECT_THROW((void)splay.predecessor(5), std::logic_error);
-  EXPECT_THROW((void)splay.successor(5), std::logic_error);
-  EXPECT_THROW((void)splay.range_count(0, 5), std::logic_error);
-  const std::vector<IntOp> batch = {IntOp::predecessor(5)};
-  EXPECT_THROW((void)splay.execute_batch(batch), std::logic_error);
+TEST(SplayTree, OrderedQueriesKeepEntriesAndSizes) {
+  // Ordered queries splay like every access, so they must keep the key
+  // set, the values, and every subtree size intact while they reshape —
+  // checked against the std::map oracle through a random mutation mix,
+  // starting from the degenerate path sequential inserts build.
+  using Entry = std::pair<int, int>;
+  baseline::SplayTree<int, int> t;
+  std::map<int, int> ref;
+  for (int i = 0; i < 300; ++i) {
+    t.insert(i, i);
+    ref[i] = i;
+  }
+  util::Xoshiro256 rng(77);
+  for (int step = 0; step < 4000; ++step) {
+    const int k = static_cast<int>(rng.bounded(400)) - 50;
+    switch (rng.bounded(5)) {
+      case 0:
+        ASSERT_EQ(t.insert(k, step), !ref.contains(k)) << step;
+        ref[k] = step;
+        break;
+      case 1: {
+        const auto it = ref.find(k);
+        const auto got = t.erase(k);
+        ASSERT_EQ(got.has_value(), it != ref.end()) << step;
+        if (it != ref.end()) {
+          ASSERT_EQ(*got, it->second) << step;
+          ref.erase(it);
+        }
+        break;
+      }
+      case 2: {
+        const auto lb = ref.lower_bound(k);
+        const auto got = t.predecessor(k);
+        ASSERT_EQ(got.has_value(), lb != ref.begin()) << step;
+        if (got) {
+          ASSERT_EQ(*got, Entry(*std::prev(lb))) << step;
+        }
+        break;
+      }
+      case 3: {
+        const auto ub = ref.upper_bound(k);
+        const auto got = t.successor(k);
+        ASSERT_EQ(got.has_value(), ub != ref.end()) << step;
+        if (got) {
+          ASSERT_EQ(*got, Entry(*ub)) << step;
+        }
+        break;
+      }
+      default: {
+        const int hi = k + static_cast<int>(rng.bounded(120));
+        ASSERT_EQ(t.range_count(k, hi),
+                  static_cast<std::uint64_t>(std::distance(
+                      ref.lower_bound(k), ref.upper_bound(hi))))
+            << step;
+      }
+    }
+    ASSERT_EQ(t.size(), ref.size()) << step;
+    if (step % 97 == 0) {
+      ASSERT_TRUE(t.check_invariants()) << step;
+    }
+  }
+  EXPECT_TRUE(t.check_invariants());
+  std::vector<Entry> drained;
+  t.for_each([&](int k, int v) { drained.emplace_back(k, v); });
+  EXPECT_EQ(drained, std::vector<Entry>(ref.begin(), ref.end()));
 }
 
 }  // namespace

@@ -198,11 +198,9 @@ TEST_P(DriverBackendTest, BulkAndBlockingAgreeWithReference) {
       driver::make_driver<std::uint64_t, std::uint64_t>(name, opts);
   std::map<std::uint64_t, std::uint64_t> ref;
 
-  // Ordered-capable backends get the full v2 op set; splay stays on the
-  // point kinds (its refusal is covered by OrderedRefusedWithoutSupport).
-  const bool with_ordered = bulk->supports_ordered();
+  // Every backend gets the full v2 op set, ordered kinds included.
   for (std::uint64_t round = 0; round < 6; ++round) {
-    const auto ops = scripted_ops(round * 31 + 5, 300, with_ordered);
+    const auto ops = scripted_ops(round * 31 + 5, 300, /*with_ordered=*/true);
     const auto got = bulk->run(ops);
     ASSERT_EQ(got.size(), ops.size());
     for (std::size_t i = 0; i < ops.size(); ++i) {
@@ -260,74 +258,10 @@ TEST_P(DriverBackendTest, BulkAndBlockingAgreeWithReference) {
 INSTANTIATE_TEST_SUITE_P(AllBackends, DriverBackendTest,
                          ::testing::Values("m0", "m1", "m2", "iacono",
                                            "splay", "avl", "locked",
-                                           "sharded:m1"),
+                                           "sharded:m1", "sharded:splay"),
                          [](const auto& info) {
                            return testutil::gtest_safe(info.param);
                          });
-
-// ---- ordered-capability reporting and refusal -------------------------------
-
-TEST(Registry, ReportsOrderedCapabilityPerBackend) {
-  const auto& reg = IntRegistry::instance();
-  for (const char* name : {"m0", "m1", "m2", "iacono", "avl", "locked",
-                           "sharded:m1", "sharded:locked"}) {
-    EXPECT_TRUE(reg.supports_ordered(name)) << name;
-  }
-  EXPECT_FALSE(reg.supports_ordered("splay"));
-  EXPECT_FALSE(reg.supports_ordered("sharded:splay"));
-  EXPECT_FALSE(reg.supports_ordered("no-such-backend"));
-  EXPECT_NO_THROW(reg.require_ordered("m1"));
-  try {
-    reg.require_ordered("splay");
-    FAIL() << "expected std::invalid_argument";
-  } catch (const std::invalid_argument& e) {
-    const std::string msg = e.what();
-    EXPECT_NE(msg.find("splay"), std::string::npos);
-    EXPECT_NE(msg.find("ordered"), std::string::npos);
-    EXPECT_NE(msg.find("m1"), std::string::npos);  // lists capable backends
-  }
-}
-
-TEST(Driver, OrderedRefusedWithoutSupport) {
-  // Blocking and bulk ordered entry points must refuse on the calling
-  // thread with a clear error — never half-execute on a worker. The async
-  // submit forms honour the completion-delivery contract instead: the
-  // ticket comes back already completed with kUnsupported.
-  for (const char* name : {"splay", "sharded:splay"}) {
-    auto d = driver::make_driver<std::uint64_t, std::uint64_t>(name);
-    EXPECT_FALSE(d->supports_ordered()) << name;
-    d->insert(1, 10);
-    EXPECT_THROW((void)d->predecessor(5), std::invalid_argument) << name;
-    EXPECT_THROW((void)d->successor(5), std::invalid_argument) << name;
-    EXPECT_THROW((void)d->range_count(0, 5), std::invalid_argument) << name;
-    EXPECT_THROW((void)d->run({IntOp::insert(2, 20), IntOp::predecessor(5)}),
-                 std::invalid_argument)
-        << name;
-    EXPECT_THROW((void)d->step(IntOp::successor(1)), std::invalid_argument)
-        << name;
-
-    // Future form: completed before submit() even returns.
-    auto f = d->submit(IntOp::predecessor(1));
-    ASSERT_TRUE(f.ready()) << name;
-    EXPECT_EQ(f.get().status, core::ResultStatus::kUnsupported) << name;
-
-    // Raw-ticket form: same status, fulfilled synchronously.
-    core::OpTicket<std::uint64_t> ticket;
-    d->submit(IntOp::successor(1), &ticket);
-    ASSERT_TRUE(ticket.ready.load()) << name;
-    EXPECT_EQ(ticket.wait().status, core::ResultStatus::kUnsupported) << name;
-
-    // Completion form: callback fires on the calling thread with the error.
-    core::ResultStatus seen = core::ResultStatus::kFound;
-    d->submit(IntOp::range_count(0, 5),
-              [&](core::Result<std::uint64_t>&& r) { seen = r.status; });
-    EXPECT_EQ(seen, core::ResultStatus::kUnsupported) << name;
-
-    // The point surface keeps working after every refusal flavour.
-    EXPECT_EQ(d->search(1), 10u) << name;
-    EXPECT_TRUE(d->check()) << name;
-  }
-}
 
 // ---- asynchronous submission (futures / tickets / completions) --------------
 
@@ -393,19 +327,18 @@ TEST_P(DriverSubmitTest, TicketSubmissionAndCompletionCallbacks) {
   ASSERT_EQ(sum.load(), 3u * (kOps * (kOps - 1) / 2)) << name;
 
   // Ordered kinds through the same futures surface.
-  if (d->supports_ordered()) {
-    auto pred = d->submit(IntOp::predecessor(10));
-    auto succ = d->submit(IntOp::successor(10));
-    auto cnt = d->submit(IntOp::range_count(0, kOps));
-    EXPECT_EQ(pred.get().matched_key, 9u) << name;
-    EXPECT_EQ(succ.get().matched_key, 11u) << name;
-    EXPECT_EQ(cnt.get().count, kOps) << name;
-  }
+  auto pred = d->submit(IntOp::predecessor(10));
+  auto succ = d->submit(IntOp::successor(10));
+  auto cnt = d->submit(IntOp::range_count(0, kOps));
+  EXPECT_EQ(pred.get().matched_key, 9u) << name;
+  EXPECT_EQ(succ.get().matched_key, 11u) << name;
+  EXPECT_EQ(cnt.get().count, kOps) << name;
 }
 
 INSTANTIATE_TEST_SUITE_P(AllWirings, DriverSubmitTest,
-                         ::testing::Values("m0", "m1", "m2", "locked",
-                                           "sharded:m1", "sharded:m2"),
+                         ::testing::Values("m0", "m1", "m2", "splay",
+                                           "locked", "sharded:m1",
+                                           "sharded:m2"),
                          [](const auto& info) {
                            return testutil::gtest_safe(info.param);
                          });

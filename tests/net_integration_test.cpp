@@ -106,8 +106,8 @@ class NetWireTest : public ::testing::TestWithParam<WireCase> {
 };
 
 // The differential oracle workload over the wire: pipelined point ops
-// (exact against the sequential oracle), then — where supported — the
-// ordered kinds at window 1.
+// (exact against the sequential oracle), then the ordered kinds at
+// window 1.
 TEST_P(NetWireTest, OracleWorkloadOverTheWire) {
   net::Client client = dial();
   EXPECT_EQ(client.backend(), GetParam().backend);
@@ -123,21 +123,12 @@ TEST_P(NetWireTest, OracleWorkloadOverTheWire) {
     testutil::expect_result_eq(results[i], want, "wire", i);
   }
 
-  if (client.supports_ordered()) {
-    const auto ordered_ops =
-        testutil::scripted_ops<K, V>(0x02D3, 256, 512, /*with_ordered=*/true);
-    for (std::size_t i = 0; i < ordered_ops.size(); ++i) {
-      const WireResult got = client.run_blocking(ordered_ops[i]);
-      const WireResult want = testutil::reference_apply(oracle, ordered_ops[i]);
-      testutil::expect_result_eq(got, want, "wire-ordered", i);
-    }
-  } else {
-    // The async path delivers kUnsupported over the wire...
-    EXPECT_EQ(client.run_blocking(WireOp::predecessor(1)).status,
-              ResultStatus::kUnsupported);
-    // ...and the blocking conveniences throw on the calling thread,
-    // mirroring Driver's contract.
-    EXPECT_THROW((void)client.predecessor(1), std::invalid_argument);
+  const auto ordered_ops =
+      testutil::scripted_ops<K, V>(0x02D3, 256, 512, /*with_ordered=*/true);
+  for (std::size_t i = 0; i < ordered_ops.size(); ++i) {
+    const WireResult got = client.run_blocking(ordered_ops[i]);
+    const WireResult want = testutil::reference_apply(oracle, ordered_ops[i]);
+    testutil::expect_result_eq(got, want, "wire-ordered", i);
   }
 
   client.close();

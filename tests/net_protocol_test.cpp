@@ -43,7 +43,7 @@ TEST(WireCodes, StatusTableIsPinnedBothDirections) {
       {ResultStatus::kInserted, 0x02},  {ResultStatus::kUpdated, 0x03},
       {ResultStatus::kErased, 0x04},    {ResultStatus::kOverloaded, 0x10},
       {ResultStatus::kTimedOut, 0x11},  {ResultStatus::kCancelled, 0x12},
-      {ResultStatus::kUnsupported, 0x13}, {ResultStatus::kReadOnly, 0x14},
+      {ResultStatus::kReadOnly, 0x14},
   };
   for (const auto& row : table) {
     EXPECT_EQ(static_cast<std::uint8_t>(net::to_wire(row.mem)), row.wire);
@@ -51,8 +51,9 @@ TEST(WireCodes, StatusTableIsPinnedBothDirections) {
     ASSERT_TRUE(back.has_value()) << "wire byte " << int(row.wire);
     EXPECT_EQ(*back, row.mem);
   }
-  // Unknown bytes must be refused, never misread as a nearby status.
-  for (const std::uint8_t bad : {0x05, 0x0F, 0x15, 0x7F, 0xFF}) {
+  // Unknown bytes must be refused, never misread as a nearby status;
+  // 0x13 (the retired kUnsupported) stays unassigned.
+  for (const std::uint8_t bad : {0x05, 0x0F, 0x13, 0x15, 0x7F, 0xFF}) {
     EXPECT_FALSE(net::status_from_wire(bad).has_value())
         << "byte " << int(bad);
   }
@@ -86,8 +87,7 @@ TEST(WireCodes, EveryStatusRoundTripsThroughResponseFrames) {
        {ResultStatus::kNotFound, ResultStatus::kFound, ResultStatus::kInserted,
         ResultStatus::kUpdated, ResultStatus::kErased,
         ResultStatus::kOverloaded, ResultStatus::kTimedOut,
-        ResultStatus::kCancelled, ResultStatus::kUnsupported,
-        ResultStatus::kReadOnly}) {
+        ResultStatus::kCancelled, ResultStatus::kReadOnly}) {
     WireResult r;
     r.status = s;
     if (s == ResultStatus::kFound) {
@@ -117,10 +117,13 @@ TEST(Protocol, HandshakeFramesRoundTrip) {
   std::vector<std::uint8_t> buf;
   net::encode_hello(buf);
   net::Welcome w;
-  w.supports_ordered = true;
   w.window = 64;
   w.backend = "sharded:m1";
+  const std::size_t welcome_at = buf.size();
   net::encode_welcome(buf, w);
+  // The flags byte (after type, magic, version) keeps bit 0 set for peers
+  // that once gated ordered ops on it.
+  EXPECT_EQ(buf[welcome_at + net::kFrameHeaderBytes + 9], net::kWelcomeFlags);
   net::encode_goodbye(buf);
 
   FrameReader reader;
@@ -135,7 +138,6 @@ TEST(Protocol, HandshakeFramesRoundTrip) {
   const auto got = net::decode_welcome(*welcome);
   ASSERT_TRUE(got.has_value());
   EXPECT_EQ(got->version, net::kProtocolVersion);
-  EXPECT_TRUE(got->supports_ordered);
   EXPECT_EQ(got->window, 64u);
   EXPECT_EQ(got->backend, "sharded:m1");
 

@@ -160,7 +160,6 @@ TEST(Workload, ApplyMixOrderedKinds) {
   mix.succ = 0.1;
   mix.range = 0.1;
   mix.range_span = 77;
-  EXPECT_TRUE(mix.has_ordered());
   const auto keys = util::uniform_keys(1000, 30000, 5);
   const auto ops = util::apply_mix(keys, mix, 6);
   std::size_t preds = 0, succs = 0, ranges = 0;
@@ -178,7 +177,6 @@ TEST(Workload, ApplyMixOrderedKinds) {
   EXPECT_NEAR(static_cast<double>(preds) / ops.size(), 0.2, 0.02);
   EXPECT_NEAR(static_cast<double>(succs) / ops.size(), 0.1, 0.02);
   EXPECT_NEAR(static_cast<double>(ranges) / ops.size(), 0.1, 0.02);
-  EXPECT_FALSE(util::OpMix{}.has_ordered());
 }
 
 TEST(Workload, ApplyMixValidatesFractions) {
