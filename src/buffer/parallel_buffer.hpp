@@ -22,8 +22,7 @@
 #include <vector>
 
 #include "sync/nonblocking_lock.hpp"
-#include "util/fault.hpp"
-#include "util/schedule_points.hpp"
+#include "util/sites.hpp"
 #include "util/validate.hpp"
 
 namespace pwss::buffer {

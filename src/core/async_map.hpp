@@ -19,8 +19,7 @@
 #include "core/ops.hpp"
 #include "sched/scheduler.hpp"
 #include "sync/async_gate.hpp"
-#include "util/fault.hpp"
-#include "util/schedule_points.hpp"
+#include "util/sites.hpp"
 
 namespace pwss::core {
 

@@ -255,22 +255,7 @@ class M0Map {
                    total, " items but size_=", size_)) {
       return std::move(v).take();
     }
-    if (!v.require(pools_->key_pool.live_nodes() == tree_items,
-                   "key-pool accounting broken: ",
-                   pools_->key_pool.live_nodes(), " live nodes but ",
-                   tree_items, " items live in tree-represented segments")) {
-      return std::move(v).take();
-    }
-    if (!v.require(pools_->rec_pool.live_nodes() == tree_items,
-                   "recency-pool accounting broken: ",
-                   pools_->rec_pool.live_nodes(), " live nodes but ",
-                   tree_items, " items live in tree-represented segments")) {
-      return std::move(v).take();
-    }
-    if (!v.absorb(pools_->key_pool.validate(), "key-pool: ")) {
-      return std::move(v).take();
-    }
-    v.absorb(pools_->rec_pool.validate(), "recency-pool: ");
+    v.absorb(pools_->validate(tree_items));
     return std::move(v).take();
   }
 

@@ -61,7 +61,7 @@
 #include "sort/pesort.hpp"
 #include "sync/async_gate.hpp"
 #include "sync/dedicated_lock.hpp"
-#include "util/fault.hpp"
+#include "util/sites.hpp"
 #include "util/validate.hpp"
 
 namespace pwss::core {
@@ -302,24 +302,7 @@ class M2Map {
                    " live nodes but the filter is drained")) {
       return std::move(v).take();
     }
-    if (!v.require(pools_.key_pool.live_nodes() == tree_items,
-                   "key-pool accounting broken: ",
-                   pools_.key_pool.live_nodes(), " live nodes but ",
-                   tree_items, " items live in tree-represented segments")) {
-      return std::move(v).take();
-    }
-    if (!v.require(pools_.rec_pool.live_nodes() == tree_items,
-                   "recency-pool accounting broken: ",
-                   pools_.rec_pool.live_nodes(), " live nodes but ",
-                   tree_items, " items live in tree-represented segments")) {
-      return std::move(v).take();
-    }
-    if (!v.absorb(pools_.key_pool.validate(), "key-pool: ")) {
-      return std::move(v).take();
-    }
-    if (!v.absorb(pools_.rec_pool.validate(), "recency-pool: ")) {
-      return std::move(v).take();
-    }
+    if (!v.absorb(pools_.validate(tree_items))) return std::move(v).take();
     v.absorb(filter_pool_.validate(), "filter-pool: ");
     return std::move(v).take();
   }

@@ -47,7 +47,7 @@
 #include "core/flat_segment.hpp"
 #include "core/ops.hpp"
 #include "tree/jtree.hpp"
-#include "util/schedule_points.hpp"
+#include "util/sites.hpp"
 #include "util/validate.hpp"
 
 namespace pwss::core {
@@ -119,6 +119,25 @@ struct SegmentPools {
   /// instances): the pools shard their free lists by its worker ids.
   explicit SegmentPools(sched::Scheduler* scheduler = nullptr)
       : key_pool(scheduler), rec_pool(scheduler) {}
+
+  /// Deep check shared by the maps' validate(): every item held in a
+  /// tree-represented segment owns exactly one node in each pool, and
+  /// each pool is internally consistent. Empty = clean.
+  std::string validate(std::size_t tree_items) const {
+    util::Validator v;
+    if (v.require(key_pool.live_nodes() == tree_items,
+                  "key-pool accounting broken: ", key_pool.live_nodes(),
+                  " live nodes but ", tree_items,
+                  " items live in tree-represented segments") &&
+        v.require(rec_pool.live_nodes() == tree_items,
+                  "recency-pool accounting broken: ", rec_pool.live_nodes(),
+                  " live nodes but ", tree_items,
+                  " items live in tree-represented segments") &&
+        v.absorb(key_pool.validate(), "key-pool: ")) {
+      v.absorb(rec_pool.validate(), "recency-pool: ");
+    }
+    return std::move(v).take();
+  }
 };
 
 /// Reusable buffers for a Segment's batched operations. Owned by the

@@ -58,7 +58,6 @@
 #include "driver/retry.hpp"
 #include "sched/scheduler.hpp"
 #include "store/durability.hpp"
-#include "util/fault.hpp"
 
 namespace pwss::driver {
 
@@ -124,6 +123,7 @@ struct DriverStats {
   std::uint64_t net_frames_out = 0;   ///< frames written (responses etc.)
   std::uint64_t net_protocol_errors = 0;  ///< connections refused for cause
   std::uint64_t net_shed_on_wire = 0;     ///< kOverloaded at the conn window
+  std::uint64_t net_accept_failures = 0;  ///< accept(2) errors (incl. injected)
 
   /// Sums every counter and ORs the flags (shard folding).
   DriverStats& operator+=(const DriverStats& o);
@@ -159,6 +159,7 @@ inline constexpr StatsField kStatsFields[] = {
     {"frames_out", StatsField::kNet, &DriverStats::net_frames_out},
     {"protocol_errors", StatsField::kNet, &DriverStats::net_protocol_errors},
     {"shed_on_wire", StatsField::kNet, &DriverStats::net_shed_on_wire},
+    {"accept_failures", StatsField::kNet, &DriverStats::net_accept_failures},
 };
 
 inline DriverStats& DriverStats::operator+=(const DriverStats& o) {
@@ -452,9 +453,7 @@ class Driver {
 
  protected:
   explicit Driver(std::string name, AdmissionConfig admission = {})
-      : name_(std::move(name)), admission_(admission) {
-    util::faultpt::register_exit_dump();
-  }
+      : name_(std::move(name)), admission_(admission) {}
 
   /// True when mutations must be WAL-logged (durability recovered,
   /// validated, and armed). One pointer test on the kOff default path.

@@ -8,14 +8,16 @@
 // Deadline-aware: a backoff step that would sleep past the op's deadline
 // is refused, so the caller surfaces kTimedOut/kOverloaded instead of
 // oversleeping. Jitter decorrelates competing retriers (the classic
-// thundering-herd fix) and is derived from the same splitmix64 the
-// schedule-point registry uses, salted per thread.
+// thundering-herd fix) and is derived from util::mix64, salted per
+// thread.
 
+#include <chrono>
 #include <cstdint>
+#include <functional>
 #include <thread>
 
 #include "core/ops.hpp"
-#include "util/schedule_points.hpp"  // mix64
+#include "util/rng.hpp"
 
 namespace pwss::driver::retry {
 
@@ -54,9 +56,9 @@ class Backoff {
     // Full jitter over [delay/2, delay]: enough spread to decorrelate
     // herds, never less than half the nominal step so the sequence still
     // backs off.
-    thread_local std::uint64_t salt = util::schedpt::mix64(
+    thread_local std::uint64_t salt = util::mix64(
         std::hash<std::thread::id>{}(std::this_thread::get_id()));
-    const std::uint64_t h = util::schedpt::mix64(salt ^ (seq_ += 0x9e37));
+    const std::uint64_t h = util::mix64(salt ^ (seq_ += 0x9e37));
     const std::uint64_t jittered = delay / 2 + h % (delay / 2 + 1);
     if (deadline_ns != 0 && core::now_ns() + jittered >= deadline_ns) {
       return false;

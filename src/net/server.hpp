@@ -31,7 +31,7 @@
 // point into the connection; freeing it early would be use-after-free),
 // so shutdown is leak-free by construction — the ASan CI job asserts it.
 //
-// Fault points (util/fault.hpp): "net.write.partial" truncates one
+// Fault sites (util/sites.hpp): "net.write.partial" truncates one
 // socket write to a single byte (exercising the partial-write resume
 // path), "net.accept.fail" drops a just-accepted connection (modelling
 // accept(2) failing under fd pressure). Both leave the server serving.
@@ -54,7 +54,7 @@
 #include "driver/driver.hpp"
 #include "net/protocol.hpp"
 #include "net/socket.hpp"
-#include "util/fault.hpp"
+#include "util/sites.hpp"
 
 namespace pwss::net {
 
@@ -82,6 +82,22 @@ struct NetStats {
   std::uint64_t protocol_errors = 0;  ///< connections refused for cause
   std::uint64_t shed_on_wire = 0;     ///< kOverloaded answered at the window
   std::uint64_t accept_failures = 0;  ///< accept(2) errors (incl. injected)
+};
+
+/// Each NetStats counter paired with the DriverStats counter that
+/// Server::add_stats() folds it into.
+inline constexpr std::pair<std::uint64_t NetStats::*,
+                           std::uint64_t driver::DriverStats::*>
+    kNetStatsFolds[] = {
+        {&NetStats::connections_accepted, &driver::DriverStats::net_accepted},
+        {&NetStats::connections_active, &driver::DriverStats::net_active},
+        {&NetStats::frames_in, &driver::DriverStats::net_frames_in},
+        {&NetStats::frames_out, &driver::DriverStats::net_frames_out},
+        {&NetStats::protocol_errors,
+         &driver::DriverStats::net_protocol_errors},
+        {&NetStats::shed_on_wire, &driver::DriverStats::net_shed_on_wire},
+        {&NetStats::accept_failures,
+         &driver::DriverStats::net_accept_failures},
 };
 
 class Server {
@@ -151,12 +167,7 @@ class Server {
   void add_stats(driver::DriverStats& s) const {
     const NetStats n = stats();
     s.serving = true;
-    s.net_accepted += n.connections_accepted;
-    s.net_active += n.connections_active;
-    s.net_frames_in += n.frames_in;
-    s.net_frames_out += n.frames_out;
-    s.net_protocol_errors += n.protocol_errors;
-    s.net_shed_on_wire += n.shed_on_wire;
+    for (const auto& [from, to] : kNetStatsFolds) s.*to += n.*from;
   }
 
  private:

@@ -5,8 +5,8 @@
 #include <mutex>
 #include <thread>
 
-#include "util/fault.hpp"
 #include "util/rng.hpp"
+#include "util/sites.hpp"
 
 namespace pwss::sched {
 
@@ -130,12 +130,9 @@ void Scheduler::recycle_spawn_node(SpawnTask* node) {
 }
 
 void Scheduler::spawn(Closure fn, Priority pri) {
-  if (PWSS_FAULT_POINT("scheduler.spawn.stall")) {
-    // Injected slow spawn: the task is delayed, never lost — models a
-    // worker that is slow to pick up a drive loop, which widens the
-    // pending-op windows the quiescence protocol must tolerate.
-    std::this_thread::sleep_for(std::chrono::microseconds(200));
-  }
+  // A park here delays the task, never loses it: a worker slow to pick up
+  // a drive loop widens the pending-op windows quiescence must tolerate.
+  PWSS_SCHED_POINT("scheduler.spawn.stall");
   SpawnTask* task = allocate_spawn_node(std::move(fn));
   {
     std::lock_guard<std::mutex> lk(global_mu_);

@@ -1,9 +1,11 @@
 #pragma once
 // On-disk format primitives shared by the snapshot and WAL writers
 // (DESIGN.md "Durability & recovery"): CRC32, length-prefixed framing
-// helpers, RAII POSIX file descriptors with explicit fsync, and the
-// crash-point registry the fork-based crash harness uses to kill a child
-// process at a seeded byte-exact moment mid-write.
+// helpers, and RAII POSIX file descriptors with explicit fsync. The
+// persistence paths mark their crash sites with PWSS_CRASH_POINT
+// (util/sites.hpp; site list in DESIGN.md "Named sites"), where the
+// fork-based crash harness kills a child process at a byte-exact moment
+// mid-write.
 //
 // Both file formats are native-endian and restrict K/V to trivially
 // copyable types (the only kinds the backends instantiate today); a
@@ -18,15 +20,14 @@
 #include <unistd.h>
 
 #include <array>
-#include <atomic>
 #include <cerrno>
 #include <cstddef>
 #include <cstdint>
-#include <cstdlib>
 #include <cstring>
+#include <stdexcept>
 #include <string>
-#include <string_view>
-#include <system_error>
+
+#include "util/sites.hpp"
 
 namespace pwss::store {
 
@@ -59,83 +60,6 @@ inline std::uint32_t crc32(const void* data, std::size_t len,
   }
   return c ^ 0xFFFFFFFFu;
 }
-
-// ---- crash points ------------------------------------------------------------
-// The crash harness's sibling of PWSS_FAULT_POINT: where a fault point
-// asks "should this site FAIL?", a crash point asks "should this process
-// DIE right now?" — modelling a power cut, not an error return. Crash
-// points are always compiled (they are two relaxed atomic ops when
-// unarmed — cold persistence-path code only, never map hot paths) so the
-// crash matrix runs against the production Release binary, not a special
-// build. Armed either programmatically (crashpt::arm) or by the
-// PWSS_CRASH_POINT=name:nth environment variable, the armed site calls
-// _exit(kCrashExitCode) on its nth hit: no destructors, no buffer
-// flushes — the closest a test can get to yanking the power cord.
-
-namespace crashpt {
-
-inline constexpr int kCrashExitCode = 42;
-
-struct Armed {
-  std::string name;           ///< site to kill at ("" = disarmed)
-  std::uint64_t nth = 0;      ///< 1-based hit index that dies
-};
-
-inline Armed& armed() {
-  static Armed a = [] {
-    Armed init;
-    if (const char* env = std::getenv("PWSS_CRASH_POINT")) {
-      std::string_view spec(env);
-      const std::size_t colon = spec.rfind(':');
-      init.name = std::string(spec.substr(0, colon));
-      init.nth = 1;
-      if (colon != std::string_view::npos) {
-        init.nth = std::strtoull(spec.data() + colon + 1, nullptr, 10);
-        if (init.nth == 0) init.nth = 1;
-      }
-    }
-    return init;
-  }();
-  return a;
-}
-
-/// Programmatic arming (the in-process property tests use this before
-/// fork(); the harness children use the env var).
-inline void arm(std::string name, std::uint64_t nth = 1) {
-  armed() = Armed{std::move(name), nth == 0 ? 1 : nth};
-}
-inline void disarm() { armed() = Armed{}; }
-
-/// Hit counter per named site — intentionally name-keyed and global so
-/// the nth hit is the nth *process-wide* evaluation of that site.
-inline std::atomic<std::uint64_t>& counter() {
-  static std::atomic<std::uint64_t> c{0};
-  return c;
-}
-
-inline void hit(std::string_view site) {
-  const Armed& a = armed();
-  if (a.name.empty() || a.name != site) return;
-  const std::uint64_t n = counter().fetch_add(1, std::memory_order_relaxed) + 1;
-  if (n == a.nth) ::_exit(kCrashExitCode);
-}
-
-}  // namespace crashpt
-
-/// Marks a moment in a persistence path where a crash is interesting.
-/// Sites (all in the store layer):
-///
-///   site                       dies...
-///   -------------------------- ------------------------------------------
-///   wal.append.before          before a record batch reaches the file
-///   wal.write.partial          after HALF the record batch's bytes hit
-///                              the file (deterministic torn tail)
-///   wal.commit.after_write     after write(), before fsync()
-///   wal.commit.after_fsync     after fsync() — acked ops are on disk
-///   snapshot.write.partial     mid-snapshot-body (torn .tmp file)
-///   snapshot.after_rename      snapshot durable, WAL not yet rotated
-///   checkpoint.done            after the full checkpoint sequence
-#define PWSS_CRASH_POINT(site) ::pwss::store::crashpt::hit(site)
 
 // ---- RAII fd + IO helpers ----------------------------------------------------
 

@@ -29,7 +29,6 @@
 #include <vector>
 
 #include "store/format.hpp"
-#include "util/fault.hpp"
 
 namespace pwss::store {
 

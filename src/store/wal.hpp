@@ -38,7 +38,6 @@
 
 #include "core/ops.hpp"
 #include "store/format.hpp"
-#include "util/fault.hpp"
 
 namespace pwss::store {
 
@@ -183,6 +182,9 @@ class Wal {
     batch.swap(buf_);
     const std::uint64_t batch_last = last_seq_;
     lk.unlock();
+    // Batch taken, lock dropped: later records miss this round, and their
+    // committers park on it or lead the next one.
+    PWSS_SCHED_POINT("wal.sync.leader_unlocked");
 
     bool ok = true;
     std::string error;
@@ -305,32 +307,23 @@ class Wal {
   }
 
   /// One kernel write of a record batch, with the crash points that
-  /// model power loss before / halfway through the write. The partial
-  /// crash point writes a torn tail deterministically: half the batch's
-  /// bytes reach the file, then the process dies.
+  /// model power loss before / halfway through the write. On the armed
+  /// wal.write.partial hit, half the batch's bytes reach the file and the
+  /// process dies: a deterministic torn tail. Every other hit writes the
+  /// whole batch (a surviving half-write would corrupt the log in a way
+  /// the real fault never could).
   void write_batch(const std::vector<char>& batch) {
     if (batch.empty()) return;
     PWSS_CRASH_POINT("wal.append.before");
-    const Armed& a = crashpt::armed();
-    if (!a.name.empty() && a.name == "wal.write.partial") {
-      // Deterministic torn tail: on the armed hit, half the batch's
-      // bytes reach the file and the process dies mid-write. Non-dying
-      // hits must not touch the file (a surviving half-write would
-      // corrupt the log the real fault never could).
-      const std::uint64_t n =
-          crashpt::counter().fetch_add(1, std::memory_order_relaxed) + 1;
-      if (n == a.nth) {
-        const std::size_t half = batch.size() / 2;
-        fd_.write_all(batch.data(), half == 0 ? 1 : half);
-        ::_exit(crashpt::kCrashExitCode);
-      }
+    if (PWSS_CRASH_DUE("wal.write.partial")) {
+      const std::size_t half = batch.size() / 2;
+      fd_.write_all(batch.data(), half == 0 ? 1 : half);
+      util::sites::die();
     }
     fd_.write_all(batch.data(), batch.size());
   }
 
   void fail_locked() noexcept { failed_ = true; }
-
-  using Armed = crashpt::Armed;
 
   mutable std::mutex mu_;
   std::condition_variable follower_cv_;

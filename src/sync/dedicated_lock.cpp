@@ -2,7 +2,7 @@
 
 #include <cassert>
 
-#include "util/schedule_points.hpp"
+#include "util/sites.hpp"
 
 namespace pwss::sync {
 

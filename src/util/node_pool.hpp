@@ -51,11 +51,19 @@
 #include <vector>
 
 #include "sched/scheduler.hpp"
-#include "util/fault.hpp"
-#include "util/schedule_points.hpp"
+#include "util/sites.hpp"
 #include "util/validate.hpp"
 
 namespace pwss::util {
+
+/// Thrown by NodePool::acquire_chunk when the "node_pool.chunk_alloc"
+/// fault site fires: injected heap exhaustion. Derives from
+/// std::bad_alloc so code written for the real failure handles it too.
+struct PoolExhausted : std::bad_alloc {
+  const char* what() const noexcept override {
+    return "pwss: node-pool chunk allocation failed (injected)";
+  }
+};
 
 /// Tiny test-and-test-and-set lock for the pool shards: uncontended
 /// acquire/release is two atomic ops, and per-worker sharding makes

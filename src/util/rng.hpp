@@ -10,6 +10,17 @@
 
 namespace pwss::util {
 
+inline constexpr std::uint64_t kGoldenGamma = 0x9e3779b97f4a7c15ULL;
+
+/// splitmix64's step-and-finalize: the standard 64-bit avalanche mix.
+/// Also the stateless hash behind named-site draws and backoff jitter.
+inline constexpr std::uint64_t mix64(std::uint64_t x) noexcept {
+  x += kGoldenGamma;
+  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
+  x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
+  return x ^ (x >> 31);
+}
+
 /// SplitMix64: used to expand a single 64-bit seed into a stream of
 /// well-distributed values (also the recommended seeder for xoshiro).
 class SplitMix64 {
@@ -17,10 +28,9 @@ class SplitMix64 {
   explicit constexpr SplitMix64(std::uint64_t seed) noexcept : state_(seed) {}
 
   constexpr std::uint64_t next() noexcept {
-    std::uint64_t z = (state_ += 0x9e3779b97f4a7c15ULL);
-    z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
-    z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
-    return z ^ (z >> 31);
+    const std::uint64_t z = state_;
+    state_ += kGoldenGamma;
+    return mix64(z);
   }
 
  private:

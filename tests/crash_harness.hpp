@@ -4,7 +4,7 @@
 //
 // One scenario = one fork. The CHILD builds a driver with sync
 // durability over a scratch directory, arms one crash point
-// (crashpt::arm(site, nth)), and runs a seeded sequential workload,
+// (sites::arm(site, kCrash, nth)), and runs a seeded sequential workload,
 // appending ONE byte to an ack file after each op completes — so the
 // ack file's size is exactly the count of acked ops when the armed site
 // calls _exit(42) mid-persistence. The PARENT waits, re-opens the same
@@ -40,6 +40,7 @@
 #include "store/format.hpp"
 #include "test_util.hpp"
 #include "util/rng.hpp"
+#include "util/sites.hpp"
 
 namespace pwss::testutil {
 
@@ -85,7 +86,8 @@ inline std::vector<core::Op<std::uint64_t, std::uint64_t>> crash_script(
 [[noreturn]] inline void run_crash_child(const CrashScenario& sc,
                                          const std::string& dir,
                                          const std::string& ack_path) {
-  store::crashpt::arm(sc.site, sc.nth);
+  util::sites::arm(sc.site, util::sites::Action::kCrash,
+                   static_cast<std::int64_t>(sc.nth));
   driver::Options opts;
   opts.durability = store::DurabilityMode::kSync;
   opts.durability_dir = dir;
@@ -125,7 +127,7 @@ inline int recover_and_check(const CrashScenario& sc, const std::string& dir,
   EXPECT_EQ(::waitpid(pid, &status, 0), pid);
   EXPECT_TRUE(WIFEXITED(status)) << label << ": child did not exit cleanly";
   const int code = WIFEXITED(status) ? WEXITSTATUS(status) : -1;
-  EXPECT_TRUE(code == 0 || code == store::crashpt::kCrashExitCode)
+  EXPECT_TRUE(code == 0 || code == util::sites::kCrashExitCode)
       << label << ": child exit code " << code;
 
   std::uint64_t acked = 0;

@@ -11,6 +11,7 @@
 #include <cstdio>
 #include <filesystem>
 #include <map>
+#include <sstream>
 #include <string>
 #include <utility>
 #include <vector>
@@ -22,7 +23,7 @@
 #include "store/snapshot.hpp"
 #include "store/wal.hpp"
 #include "test_util.hpp"
-#include "util/fault.hpp"
+#include "util/sites.hpp"
 
 namespace pwss {
 namespace {
@@ -390,8 +391,8 @@ TEST(DriverDurability, BlockingPathCountsAppendsPerMutation) {
 // ---- fault injection: sticky read-only degradation ---------------------------
 
 TEST(DriverDurability, InjectedWalFaultDrivesStickyReadOnly) {
-  if (!util::faultpt::kCompiled) {
-    GTEST_SKIP() << "build without -DPWSS_FAULT_INJECT=ON";
+  if (!util::sites::kCompiled) {
+    GTEST_SKIP() << "build without -DPWSS_SITES=ON";
   }
   for (const char* site : {"wal.append", "wal.fsync"}) {
     for (const std::string backend : {"m1", "sharded:m1"}) {
@@ -401,7 +402,7 @@ TEST(DriverDurability, InjectedWalFaultDrivesStickyReadOnly) {
           durable_opts(d.file("store"), store::DurabilityMode::kSync));
       for (std::uint64_t i = 0; i < 16; ++i) ASSERT_TRUE(drv->insert(i, i));
 
-      util::faultpt::force(site, 1);
+      util::sites::arm(site, util::sites::Action::kFail, 1);
       // Sharded backends route by key hash: keep mutating until the
       // forced failure lands in whichever shard draws the short straw.
       core::ResultStatus hit = core::ResultStatus::kInserted;
@@ -409,7 +410,7 @@ TEST(DriverDurability, InjectedWalFaultDrivesStickyReadOnly) {
         hit = drv->run_blocking(IntOp::upsert(i, i)).status;
         if (hit == core::ResultStatus::kReadOnly) break;
       }
-      util::faultpt::clear_forced();
+      util::sites::clear();
       EXPECT_EQ(hit, core::ResultStatus::kReadOnly) << site << " " << backend;
       EXPECT_TRUE(drv->read_only()) << site << " " << backend;
       EXPECT_TRUE(drv->stats().read_only) << site << " " << backend;
@@ -435,16 +436,16 @@ TEST(DriverDurability, InjectedWalFaultDrivesStickyReadOnly) {
 }
 
 TEST(DriverDurability, InjectedSnapshotFaultFailsCheckpointAndDegrades) {
-  if (!util::faultpt::kCompiled) {
-    GTEST_SKIP() << "build without -DPWSS_FAULT_INJECT=ON";
+  if (!util::sites::kCompiled) {
+    GTEST_SKIP() << "build without -DPWSS_SITES=ON";
   }
   ScratchDir d;
   auto drv = driver::make_driver<K, V>(
       "m1", durable_opts(d.file("store"), store::DurabilityMode::kSync));
   for (std::uint64_t i = 0; i < 16; ++i) ASSERT_TRUE(drv->insert(i, i));
-  util::faultpt::force("snapshot.write", 1);
+  util::sites::arm("snapshot.write", util::sites::Action::kFail, 1);
   const std::string err = drv->checkpoint();
-  util::faultpt::clear_forced();
+  util::sites::clear();
   EXPECT_NE(err, "");
   EXPECT_TRUE(drv->read_only());
   EXPECT_EQ(drv->run_blocking(IntOp::upsert(1, 2)).status,
@@ -455,11 +456,19 @@ TEST(DriverDurability, InjectedSnapshotFaultFailsCheckpointAndDegrades) {
 // ---- observability: PWSS_FAULT_LIST dump surface -----------------------------
 
 TEST(FaultList, DumpSitesReportsFaultAndSchedulePoints) {
+  {
+    // A sync-durability write runs the WAL commit crash sites, so the dump
+    // has a crash kind to list even with nothing armed.
+    ScratchDir d;
+    auto drv = driver::make_driver<K, V>(
+        "m1", durable_opts(d.file("store"), store::DurabilityMode::kSync));
+    ASSERT_TRUE(drv->insert(1, 1));
+  }
   std::FILE* f = std::tmpfile();
   ASSERT_NE(f, nullptr);
-  util::faultpt::dump_sites(f);
+  util::sites::dump_sites(f);
   std::rewind(f);
-  char buf[4096];
+  char buf[16384];
   const std::size_t n = std::fread(buf, 1, sizeof(buf) - 1, f);
   buf[n] = '\0';
   std::fclose(f);
@@ -467,6 +476,24 @@ TEST(FaultList, DumpSitesReportsFaultAndSchedulePoints) {
   EXPECT_NE(out.find("fault/schedule-point site dump"), std::string::npos);
   EXPECT_NE(out.find("fault points"), std::string::npos);
   EXPECT_NE(out.find("schedule points"), std::string::npos);
+  EXPECT_NE(out.find("crash points"), std::string::npos);
+  EXPECT_NE(out.find("wal.commit.after_fsync"), std::string::npos) << out;
+
+  // One line per site name, however many statics (TUs, template copies)
+  // carry it.
+  std::map<std::string, int> lines_per_name;
+  std::istringstream lines(out);
+  for (std::string line; std::getline(lines, line);) {
+    if (line.find(" hits=") == std::string::npos) continue;
+    std::istringstream words(line);
+    std::string name;
+    words >> name;
+    ++lines_per_name[name];
+  }
+  EXPECT_FALSE(lines_per_name.empty());
+  for (const auto& [name, count] : lines_per_name) {
+    EXPECT_EQ(count, 1) << name << " listed on " << count << " lines";
+  }
 }
 
 // ---- crash matrix ------------------------------------------------------------
@@ -503,7 +530,7 @@ TEST(CrashMatrix, SeededKillPointsRecoverAcrossBackends) {
       const int code =
           testutil::recover_and_check(sc, d.file("store"), d.file("acks"));
       ++total;
-      if (code == store::crashpt::kCrashExitCode) ++fired;
+      if (code == util::sites::kCrashExitCode) ++fired;
       if (HasFatalFailure()) return;
     }
   }
@@ -516,7 +543,8 @@ TEST(CrashMatrix, TornSnapshotTmpLeavesLiveSnapshotIntact) {
   const std::string path = d.file("snapshot");
   const pid_t pid = ::fork();
   if (pid == 0) {
-    store::crashpt::arm("snapshot.write.partial", 1);
+    util::sites::arm("snapshot.write.partial", util::sites::Action::kCrash,
+                     1);
     IntSnapWriter::write(path, 10, snapshot_entries(100));  // one block: lands
     IntSnapWriter::write(path, 20, snapshot_entries(2500));  // dies mid-.tmp
     ::_exit(0);  // unreachable when the crash point fires
@@ -525,7 +553,7 @@ TEST(CrashMatrix, TornSnapshotTmpLeavesLiveSnapshotIntact) {
   int status = 0;
   ASSERT_EQ(::waitpid(pid, &status, 0), pid);
   ASSERT_TRUE(WIFEXITED(status));
-  ASSERT_EQ(WEXITSTATUS(status), store::crashpt::kCrashExitCode);
+  ASSERT_EQ(WEXITSTATUS(status), util::sites::kCrashExitCode);
 
   // The crash hit mid-.tmp: the live name still holds the old complete
   // snapshot, and recovery never looks at the torn temp file.

@@ -3,22 +3,24 @@
 // Each scenario below drives one of the delicate concurrent protocols —
 // AsyncMap submission/quiescence, ParallelBuffer credit/debit, the
 // DedicatedLock handoff, NodePool ownership/refill, Segment
-// promote/demote — while PWSS_SCHED_POINT hooks inside the protocol's
+// promote/demote, the WAL's group commit — while PWSS_SCHED_POINT hooks inside the protocol's
 // windows inject seed-determined yields and multi-millisecond parks. A
 // sweep runs every scenario under several seeds; a failing seed is
 // appended to the file named by $PWSS_EXPLORER_ARTIFACT (CI uploads it)
 // together with the precise invariant-validator report, so the schedule
 // can be replayed with PWSS_EXPLORER_SEEDS/PWSS_EXPLORER_SEED_BASE.
 //
-// In builds without -DPWSS_SCHEDULE_POINTS=ON the hooks compile to
+// In builds without -DPWSS_SITES=ON the hooks compile to
 // nothing and every scenario GTEST_SKIPs: a silent pass without any
 // exploration would be worse than no test. The final suite
 // member asserts that the instrumented windows actually executed, so a
 // refactor that strands a hook on dead code fails loudly here.
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <atomic>
 #include <cstdint>
+#include <cstdio>
 #include <cstdlib>
 #include <deque>
 #include <fstream>
@@ -33,16 +35,16 @@
 #include "core/m1_map.hpp"
 #include "core/ops.hpp"
 #include "sched/scheduler.hpp"
+#include "store/wal.hpp"
 #include "sync/dedicated_lock.hpp"
-#include "util/fault.hpp"
 #include "util/node_pool.hpp"
 #include "util/rng.hpp"
-#include "util/schedule_points.hpp"
+#include "util/sites.hpp"
 
 namespace pwss {
 namespace {
 
-namespace schedpt = util::schedpt;
+namespace sites = util::sites;
 
 using IntMap = core::M1Map<std::uint64_t, std::uint64_t>;
 using IntAsyncMap = core::AsyncMap<std::uint64_t, std::uint64_t, IntMap>;
@@ -87,9 +89,9 @@ void sweep(const char* name, Fn scenario) {
   const std::uint64_t base = seed_base();
   for (std::uint64_t i = 0; i < n; ++i) {
     const std::uint64_t seed = base + i * 0x9e3779b9ULL;
-    schedpt::enable(seed);
+    sites::enable(seed, sites::kSched);
     std::string err = scenario(seed);
-    schedpt::disable();
+    sites::disable();
     if (!err.empty()) {
       record_failing_seed(name, seed, err);
       ADD_FAILURE() << name << " failed under seed 0x" << std::hex << seed
@@ -103,10 +105,10 @@ void sweep(const char* name, Fn scenario) {
 
 #define PWSS_REQUIRE_POINTS()                                              \
   do {                                                                     \
-    if (!schedpt::kCompiled) {                                             \
+    if (!sites::kCompiled) {                                               \
       GTEST_SKIP()                                                         \
-          << "schedule points compiled out; rebuild with "                 \
-          << "-DPWSS_SCHEDULE_POINTS=ON to run the interleaving explorer"; \
+          << "named sites compiled out; rebuild with "                     \
+          << "-DPWSS_SITES=ON to run the interleaving explorer";           \
     }                                                                      \
   } while (0)
 
@@ -510,15 +512,15 @@ std::string pool_exhaustion_scenario(std::uint64_t seed) {
 
   // A handful of forced batch-shed events land at seed-dependent moments
   // of the burst (the schedule points shift which ops each cut contains).
-  util::faultpt::force("async_map.batch.pool_reserve",
-                       1 + static_cast<std::int64_t>(rng.bounded(3)));
+  sites::arm("async_map.batch.pool_reserve", sites::Action::kFail,
+             1 + static_cast<std::int64_t>(rng.bounded(3)));
 
   std::vector<core::OpTicket<std::uint64_t>> tickets(kOps);
   for (std::size_t i = 0; i < kOps; ++i) {
     amap.submit(IntOp::insert(5000 + i, i), &tickets[i]);
   }
   amap.quiesce();
-  util::faultpt::clear_forced();
+  sites::clear();
 
   std::size_t inserted = 0;
   std::size_t shed = 0;
@@ -555,11 +557,77 @@ std::string pool_exhaustion_scenario(std::uint64_t seed) {
 
 TEST(InterleaveExplorer, InjectedPoolExhaustionMidBatch) {
   PWSS_REQUIRE_POINTS();
-  if (!util::faultpt::kCompiled) {
-    GTEST_SKIP() << "fault points compiled out; rebuild with "
-                 << "-DPWSS_FAULT_INJECT=ON to run the injection scenario";
-  }
   sweep("InjectedPoolExhaustionMidBatch", pool_exhaustion_scenario);
+}
+
+// ---- scenario 8: WAL group commit --------------------------------------------
+//
+// Committers log() a record and sync() it: one becomes leader and writes
+// and fsyncs every buffered record outside the lock while the rest park
+// on its round. "wal.sync.leader_unlocked" parks the leader inside that
+// window, so later records miss its batch and their committers must wait
+// for (or lead) the next round. Acked => durable: once sync(s) returns,
+// the file holds every record up to s; after a clean close it holds
+// exactly the records logged, in seq order, with no torn tail.
+std::string wal_group_commit_scenario(std::uint64_t seed) {
+  using IntWal = store::Wal<std::uint64_t, std::uint64_t>;
+  using IntWalReader = store::WalReader<std::uint64_t, std::uint64_t>;
+  constexpr std::uint64_t kCommitters = 3;
+  constexpr std::uint64_t kPerCommitter = 12;
+  constexpr std::uint64_t kTotal = kCommitters * kPerCommitter;
+
+  const std::string path = ::testing::TempDir() + "pwss-explorer-wal-" +
+                           std::to_string(::getpid()) + "-" +
+                           std::to_string(seed);
+  IntWal wal;
+  wal.open(path, 0, 0, 0);
+  std::mutex mu;
+  std::string err;
+  std::vector<std::thread> committers;
+  for (std::uint64_t c = 0; c < kCommitters; ++c) {
+    committers.emplace_back([&, c] {
+      try {
+        for (std::uint64_t i = 0; i < kPerCommitter; ++i) {
+          const std::uint64_t key = c * kPerCommitter + i;
+          const std::uint64_t seq =
+              wal.log(core::OpType::kInsert, key, key * 7);
+          wal.sync(seq);
+          const std::size_t on_disk = IntWalReader::scan(path).records.size();
+          if (on_disk < seq) {
+            std::lock_guard<std::mutex> lk(mu);
+            err = "sync(" + std::to_string(seq) + ") returned with only " +
+                  std::to_string(on_disk) + " records on disk";
+          }
+        }
+      } catch (const store::StoreError& e) {
+        std::lock_guard<std::mutex> lk(mu);
+        err = e.what();
+      }
+    });
+  }
+  for (auto& th : committers) th.join();
+  wal.close();
+  const auto scanned = IntWalReader::scan(path);
+  std::remove(path.c_str());
+  if (!err.empty()) return err;
+  if (scanned.torn_tail) return "torn tail after a clean close";
+  if (scanned.records.size() != kTotal) {
+    return "log holds " + std::to_string(scanned.records.size()) + " of " +
+           std::to_string(kTotal) + " records";
+  }
+  std::vector<bool> seen(kTotal, false);
+  for (const auto& r : scanned.records) {
+    if (r.key >= kTotal || seen[r.key] || r.value != r.key * 7) {
+      return "record seq " + std::to_string(r.seq) + " is duplicated or corrupt";
+    }
+    seen[r.key] = true;
+  }
+  return "";
+}
+
+TEST(InterleaveExplorer, WalGroupCommit) {
+  PWSS_REQUIRE_POINTS();
+  sweep("WalGroupCommit", wal_group_commit_scenario);
 }
 
 // ---- coverage: the instrumented windows actually executed --------------------
@@ -573,12 +641,17 @@ TEST(InterleaveExplorer, ZInstrumentedPointsWereExercised) {
            "async_map.drive.fulfill_debit",
            "parallel_buffer.submit.credit",
            "parallel_buffer.flush.debit",
+           "parallel_buffer.slot.lock_spin",
+           "dedicated_lock.acquire.park",
            "dedicated_lock.release.scan",
            "node_pool.owner.claim",
+           "node_pool.refill.locked",
+           "node_pool.refill_private",
            "segment.promote",
            "segment.demote",
+           "wal.sync.leader_unlocked",
        }) {
-    EXPECT_GT(schedpt::hits(name), 0u)
+    EXPECT_GT(sites::hits(name), 0u)
         << "schedule point \"" << name
         << "\" never executed: its window is no longer exercised";
   }

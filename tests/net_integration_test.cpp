@@ -34,7 +34,7 @@
 #include "net/server.hpp"
 #include "net/socket.hpp"
 #include "test_util.hpp"
-#include "util/fault.hpp"
+#include "util/sites.hpp"
 
 namespace {
 
@@ -423,22 +423,23 @@ TEST(NetDurability, RestartRoundTripOverUnixSocket) {
   }
 }
 
-// ---- injected faults (compiled in under -DPWSS_FAULT_INJECT=ON) -------------
+// ---- injected faults (compiled in under -DPWSS_SITES=ON) -------------------
 
 // Every send(2) capped to one byte: frames leave the server a byte at a
 // time and the reactor re-arms POLLOUT for the residue. A pipelined
 // oracle workload must still come back exact — a partial write may slow
 // the wire, never tear a frame.
 TEST(NetFaults, PartialWritesNeverTearFrames) {
-  if (!util::faultpt::kCompiled) {
-    GTEST_SKIP() << "build without -DPWSS_FAULT_INJECT=ON";
+  if (!util::sites::kCompiled) {
+    GTEST_SKIP() << "build without -DPWSS_SITES=ON";
   }
   auto driver = driver::make_driver<K, V>("m1");
   net::ServerConfig cfg;
   cfg.tcp_addr = "127.0.0.1:0";
   net::Server server(*driver, cfg);
   // Armed before the dial: the welcome frame trickles out too.
-  util::faultpt::force("net.write.partial", 1'000'000);
+  util::sites::arm("net.write.partial", util::sites::Action::kFail,
+                   1'000'000);
   net::Client client =
       net::Client::dial_tcp("127.0.0.1:" + std::to_string(server.tcp_port()));
   const auto script =
@@ -452,7 +453,7 @@ TEST(NetFaults, PartialWritesNeverTearFrames) {
     testutil::expect_result_eq(got[i], want, "forced-partial-write", i);
   }
   client.close();
-  util::faultpt::clear_forced();
+  util::sites::clear();
   server.stop();
   EXPECT_EQ(server.stats().protocol_errors, 0u);
   EXPECT_EQ(driver->validate(), "");
@@ -462,8 +463,8 @@ TEST(NetFaults, PartialWritesNeverTearFrames) {
 // any state exists for it — that dial's handshake sees EOF — and the
 // server keeps serving: the very next connection works end to end.
 TEST(NetFaults, AcceptFailureKeepsServing) {
-  if (!util::faultpt::kCompiled) {
-    GTEST_SKIP() << "build without -DPWSS_FAULT_INJECT=ON";
+  if (!util::sites::kCompiled) {
+    GTEST_SKIP() << "build without -DPWSS_SITES=ON";
   }
   auto driver = driver::make_driver<K, V>("m0");
   net::ServerConfig cfg;
@@ -472,9 +473,9 @@ TEST(NetFaults, AcceptFailureKeepsServing) {
   const std::string addr =
       "127.0.0.1:" + std::to_string(server.tcp_port());
 
-  util::faultpt::force("net.accept.fail", 1);
+  util::sites::arm("net.accept.fail", util::sites::Action::kFail, 1);
   EXPECT_THROW(net::Client::dial_tcp(addr), net::NetError);
-  util::faultpt::clear_forced();
+  util::sites::clear();
 
   net::Client client = net::Client::dial_tcp(addr);
   ASSERT_TRUE(client.insert(1, 2));
@@ -485,6 +486,10 @@ TEST(NetFaults, AcceptFailureKeepsServing) {
   EXPECT_GE(stats.accept_failures, 1u);
   EXPECT_EQ(stats.protocol_errors, 0u);
   EXPECT_EQ(server.stats().connections_active, 0u);
+  // --stats surfaces it: the driver snapshot with the wire counters folded in.
+  driver::DriverStats folded = driver->stats();
+  server.add_stats(folded);
+  EXPECT_GE(folded.net_accept_failures, 1u);
 }
 
 }  // namespace

@@ -35,12 +35,12 @@
 #include "driver/registry.hpp"
 #include "sched/scheduler.hpp"
 #include "util/rng.hpp"
-#include "util/schedule_points.hpp"
+#include "util/sites.hpp"
 
 namespace pwss {
 namespace {
 
-using util::PreemptionFuzzer;
+using util::sites::PreemptionFuzzer;
 
 using IntMap = core::M1Map<std::uint64_t, std::uint64_t>;
 using IntAsyncMap = core::AsyncMap<std::uint64_t, std::uint64_t, IntMap>;

@@ -5,8 +5,8 @@
 // and the seeded schedule-point fault injector.
 //
 // The fault-injection suites GTEST_SKIP in ordinary builds (the sites
-// compile to `false`); CI's fault matrix job rebuilds with
-// -DPWSS_FAULT_INJECT=ON and runs them for real across a seed sweep.
+// compile to `false`); CI's sites job rebuilds with -DPWSS_SITES=ON and
+// runs them for real across a seed sweep.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -24,9 +24,9 @@
 #include "driver/registry.hpp"
 #include "driver/retry.hpp"
 #include "sched/scheduler.hpp"
-#include "util/fault.hpp"
 #include "util/node_pool.hpp"
 #include "util/rng.hpp"
+#include "util/sites.hpp"
 
 namespace pwss {
 namespace {
@@ -411,18 +411,17 @@ TEST(Wakeup, FutureWaitSurvivesConcurrentQuiesce) {
 
 #define PWSS_REQUIRE_FAULTS()                                        \
   do {                                                               \
-    if (!util::faultpt::kCompiled) {                                 \
-      GTEST_SKIP() << "fault points compiled out; rebuild with "     \
-                   << "-DPWSS_FAULT_INJECT=ON to run the injector";  \
+    if (!util::sites::kCompiled) {                                   \
+      GTEST_SKIP() << "fault sites compiled out; rebuild with "      \
+                   << "-DPWSS_SITES=ON to run the injector";         \
     }                                                                \
   } while (0)
 
 class FaultInjectTest : public ::testing::Test {
  protected:
   void TearDown() override {
-    util::faultpt::disable();
-    util::faultpt::clear_forced();
-    util::faultpt::clear_selection();
+    util::sites::disable();
+    util::sites::clear();
   }
 };
 
@@ -436,7 +435,7 @@ TEST_F(FaultInjectTest, ForcedNodePoolExhaustionSurfacesAndPoolRecovers) {
 
   // The pool allocates chunks lazily, so the very first create() needs a
   // chunk and the forced failure fires deterministically.
-  util::faultpt::force("node_pool.chunk_alloc", 1);
+  util::sites::arm("node_pool.chunk_alloc", util::sites::Action::kFail, 1);
   EXPECT_THROW((void)pool.create(Node{1}), util::PoolExhausted);
   EXPECT_EQ(pool.validate(), "");  // failed acquire left the pool untouched
   EXPECT_EQ(pool.live_nodes(), 0u);
@@ -464,15 +463,17 @@ TEST_F(FaultInjectTest, SeededSweepEveryOpTerminalStructureClean) {
   // site while mixed async traffic runs against EVERY backend wiring.
   // After quiescing, all ops must be terminal (executed or kOverloaded —
   // nothing torn, nothing lost), deep validate() clean, and the
-  // distinct-key insert conservation exact.
-  util::faultpt::select_only({"async_map.batch.pool_reserve",
-                              "m2.batch.pool_reserve",
-                              "parallel_buffer.submit.reject",
-                              "scheduler.spawn.stall"});
+  // distinct-key insert conservation exact. Sched sites draw only where
+  // named: scheduler.spawn.stall parks, no other schedule point does.
   for (const char* name : kAllBackends) {
     for (std::uint64_t seed = 1; seed <= 5; ++seed) {
-      util::faultpt::enable(0x5eedfa17ULL + seed * 0x9e3779b9ULL,
-                            /*period=*/8);
+      util::sites::enable(0x5eedfa17ULL + seed * 0x9e3779b9ULL,
+                          util::sites::kFault | util::sites::kSched,
+                          /*period=*/8,
+                          {"async_map.batch.pool_reserve",
+                           "m2.batch.pool_reserve",
+                           "parallel_buffer.submit.reject",
+                           "scheduler.spawn.stall"});
       auto d = driver::make_driver<std::uint64_t, std::uint64_t>(
           name, two_workers());
       constexpr std::size_t kOps = 600;
@@ -481,7 +482,7 @@ TEST_F(FaultInjectTest, SeededSweepEveryOpTerminalStructureClean) {
         d->submit(IntOp::insert(i, i * 5), &tickets[i]);
       }
       d->quiesce();
-      util::faultpt::disable();
+      util::sites::disable();
 
       std::size_t inserted = 0;
       for (std::size_t i = 0; i < kOps; ++i) {
@@ -507,15 +508,15 @@ TEST_F(FaultInjectTest, BlockingPathRetriesThroughInjectedRejections) {
   PWSS_REQUIRE_FAULTS();
   // Injected buffer rejections surface as kOverloaded, which the blocking
   // conveniences absorb via backoff — callers see only clean results.
-  util::faultpt::select_only({"parallel_buffer.submit.reject"});
-  util::faultpt::enable(0xb10c4ed, /*period=*/4);
+  util::sites::enable(0xb10c4ed, util::sites::kFault, /*period=*/4,
+                      {"parallel_buffer.submit.reject"});
   auto d = driver::make_driver<std::uint64_t, std::uint64_t>(
       "m1", two_workers());
   for (std::uint64_t k = 0; k < 300; ++k) {
     EXPECT_TRUE(d->insert(k, k * 2));
   }
-  util::faultpt::disable();
-  EXPECT_GT(util::faultpt::fires("parallel_buffer.submit.reject"), 0u)
+  util::sites::disable();
+  EXPECT_GT(util::sites::fires("parallel_buffer.submit.reject"), 0u)
       << "the injector never fired — the sweep tested nothing";
   EXPECT_EQ(d->size(), 300u);
   EXPECT_EQ(d->validate(), "");
@@ -524,15 +525,15 @@ TEST_F(FaultInjectTest, BlockingPathRetriesThroughInjectedRejections) {
 TEST_F(FaultInjectTest, RegistryCountsHitsAndFires) {
   PWSS_REQUIRE_FAULTS();
   const std::uint64_t hits_before =
-      util::faultpt::hits("parallel_buffer.submit.reject");
+      util::sites::hits("parallel_buffer.submit.reject");
   auto d = driver::make_driver<std::uint64_t, std::uint64_t>(
       "m1", two_workers());
   for (std::uint64_t k = 0; k < 50; ++k) (void)d->insert(k, k);
   d->quiesce();
-  EXPECT_GT(util::faultpt::hits("parallel_buffer.submit.reject"), hits_before)
+  EXPECT_GT(util::sites::hits("parallel_buffer.submit.reject"), hits_before)
       << "the submit site is no longer on the hot path";
   bool found = false;
-  for (const auto& s : util::faultpt::snapshot()) {
+  for (const auto& s : util::sites::snapshot()) {
     if (s.name == "parallel_buffer.submit.reject") found = true;
   }
   EXPECT_TRUE(found);

@@ -1,4 +1,5 @@
-// Tests for the workload-generation and statistics substrate (src/util).
+// Tests for the workload-generation, statistics and named-site substrate
+// (src/util).
 #include <gtest/gtest.h>
 
 #include <limits>
@@ -6,9 +7,11 @@
 #include <algorithm>
 #include <cmath>
 #include <set>
+#include <string>
 #include <unordered_set>
 
 #include "util/rng.hpp"
+#include "util/sites.hpp"
 #include "util/stats.hpp"
 #include "util/workload.hpp"
 #include "util/zipf.hpp"
@@ -57,6 +60,49 @@ TEST(Rng, Uniform01MeanNearHalf) {
   const int n = 100000;
   for (int i = 0; i < n; ++i) sum += rng.uniform01();
   EXPECT_NEAR(sum / n, 0.5, 0.01);
+}
+
+TEST(Rng, SplitMix64StepsThroughMix64) {
+  util::SplitMix64 sm(99);
+  EXPECT_EQ(sm.next(), util::mix64(99));
+  EXPECT_EQ(sm.next(), util::mix64(99 + util::kGoldenGamma));
+}
+
+// ---- named sites -------------------------------------------------------------
+
+TEST(Sites, SpecGrammarArmsRulesAndSkipsMalformedEntries) {
+  namespace sites = util::sites;
+  // Two well-formed rules; an unknown action and an empty name are skipped.
+  EXPECT_EQ(sites::arm_spec("util_test.fail:fail:2,util_test.x:explode,"
+                            ":fail,util_test.crash:crash:3"),
+            2);
+  EXPECT_EQ(sites::take_rule("util_test.fail"), sites::Action::kFail);
+  EXPECT_EQ(sites::take_rule("util_test.fail"), sites::Action::kFail);
+  EXPECT_EQ(sites::take_rule("util_test.fail"), sites::Action::kNone);
+  EXPECT_EQ(sites::take_rule("util_test.x"), sites::Action::kNone);
+
+  // Crash sites are live in every build; crash:3 is due on the third hit
+  // only, counted process-wide.
+  int due_at = 0;
+  for (int i = 1; i <= 5; ++i) {
+    if (PWSS_CRASH_DUE("util_test.crash")) due_at = i;
+  }
+  EXPECT_EQ(due_at, 3);
+  EXPECT_EQ(sites::hits("util_test.crash"), 5u);
+  EXPECT_EQ(sites::fires("util_test.crash"), 1u);
+  sites::clear();
+}
+
+TEST(Sites, ClearDisarmsAndReArmingReplacesTheCount) {
+  namespace sites = util::sites;
+  ASSERT_TRUE(sites::arm("util_test.rearm", sites::Action::kFail, 5));
+  sites::clear();
+  EXPECT_EQ(sites::take_rule("util_test.rearm"), sites::Action::kNone);
+  ASSERT_TRUE(sites::arm("util_test.rearm", sites::Action::kYield, 1));
+  EXPECT_EQ(sites::take_rule("util_test.rearm"), sites::Action::kYield);
+  EXPECT_EQ(sites::take_rule("util_test.rearm"), sites::Action::kNone);
+  EXPECT_FALSE(sites::arm(std::string(sites::kMaxName, 'n'),
+                          sites::Action::kFail));
 }
 
 TEST(Zipf, ThetaZeroIsRoughlyUniform) {
