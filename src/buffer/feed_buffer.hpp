@@ -8,6 +8,7 @@
 // Single-consumer: only the data structure's interface (which is guarded by
 // its activation gate) touches the feed buffer, so no internal locking.
 
+#include <bit>
 #include <cstddef>
 #include <deque>
 #include <iterator>
@@ -17,6 +18,16 @@
 #include "util/validate.hpp"
 
 namespace pwss::buffer {
+
+/// The cut rule (Section 6.1): a cut batch takes ceil(log2(n) / p) bunches
+/// of a map holding n keys, at least one. M1 and M2 both cut by it.
+/// Requires p >= 1.
+inline std::size_t cut_bunches(std::size_t n, unsigned p) {
+  // ceil(log2 n), taken as 1 below n = 2 so that every cut is non-empty.
+  const std::size_t log2n =
+      n < 2 ? 1 : static_cast<std::size_t>(std::bit_width(n - 1));
+  return (log2n + p - 1) / p;
+}
 
 template <typename T>
 class FeedBuffer {
@@ -51,7 +62,7 @@ class FeedBuffer {
   }
 
   /// Removes up to `n` bunches from the front and concatenates them into
-  /// one cut batch (M1 takes ceil(log n / p) bunches, M2 takes one).
+  /// one cut batch (both M1 and M2 take cut_bunches(n, p) of them).
   std::vector<T> take_bunches(std::size_t n) {
     std::vector<T> out;
     for (std::size_t i = 0; i < n && !bunches_.empty(); ++i) {

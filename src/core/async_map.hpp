@@ -8,7 +8,6 @@
 // the scheduler's workers.
 
 #include <atomic>
-#include <cmath>
 #include <cstddef>
 #include <optional>
 #include <vector>
@@ -194,12 +193,8 @@ class AsyncMap {
   std::vector<Submission> take_submissions() { return input_.flush(); }
 
   void process_one_cut_batch() {
-    // M1's cut size: ceil(log2(n) / p) bunches of p^2 ops each, >= 1.
-    const double n = static_cast<double>(map_.size() + 2);
-    const std::size_t bunches = std::max<std::size_t>(
-        1, static_cast<std::size_t>(
-               std::ceil(std::log2(n) / static_cast<double>(p_))));
-    std::vector<Submission> batch = feed_.take_bunches(bunches);
+    std::vector<Submission> batch =
+        feed_.take_bunches(buffer::cut_bunches(map_.size(), p_));
     if (batch.empty()) return;
     const std::size_t submitted = batch.size();
     // Terminal-status pass (the batch-cut boundary of the robustness

@@ -3,16 +3,19 @@
 //
 // Structure (Figure 2):
 //
-//   input -> feed buffer --p^2 cut batch--> [ESort+Combine]
+//   input -> feed buffer --cut batch--> [ESort+Combine]
 //         -> FIRST SLAB  S[0..m-1]   (m = ceil(log log 2p^2) + 1)
-//         -> FILTER  (capacity Θ(p^2); one in-flight group per key)
+//         -> FILTER  (admission bound = one cut; one in-flight group per key)
 //         -> FINAL SLAB  S[m] -> S[m+1] -> ... -> S[l]   (pipelined)
 //
 // The interface (an asynchronous activation) is ready iff input is pending
-// and the filter holds at most p^2 keys. Each run takes ONE p^2-sized
-// bunch, sorts and combines it, sweeps the first slab like M1 (successful
-// searches/updates finish immediately; successful deletions are tagged and
-// continue; everything else continues), then — holding the neighbour-lock
+// and the filter holds at most one cut's worth of keys. Each run cuts
+// M1's ceil(log n / p) p^2-sized bunches (buffer::cut_bunches), so a deep
+// backlog moves ~p log n keys per stage run instead of p^2; with no backlog
+// the cut is the single bunch that is waiting. It sorts and combines the
+// cut, sweeps the first slab like M1 (successful searches/updates finish
+// immediately; successful deletions are tagged and continue; everything
+// else continues), then — holding the neighbour-lock
 // B[0] shared with S[m] and the front-lock FL[0] — processes S[m-1], passes
 // the unfinished groups through the filter and hands them to S[m].
 //
@@ -29,6 +32,9 @@
 // FL[0], so the CPS chains cannot deadlock.
 //
 // Simplifications vs. the paper, documented in DESIGN.md:
+//  * the cut and the filter bound are M1's ceil(log n / p) bunches, not
+//    one p^2 bunch: the paper's p callers have at most p calls
+//    outstanding, a Driver or wire server has thousands;
 //  * segments/locks are preallocated up to kMaxStages (capacities are
 //    doubly exponential, so 12 final-slab stages cover any feasible n);
 //    empty terminal segments are kept instead of removed (step 5);
@@ -69,14 +75,16 @@ namespace pwss::core {
 template <typename K, typename V>
 class M2Map {
  public:
-  /// p defaults to the scheduler's worker count. The filter capacity and
-  /// bunch size are p^2; the first slab has m = ceil(log2 log2 (2 p^2)) + 1
-  /// segments.
+  /// p defaults to the scheduler's worker count. The bunch size is p^2;
+  /// the cut and the filter bound are ceil(log2 n / p) bunches; the first
+  /// slab has m = ceil(log2 log2 (2 p^2)) + 1 segments.
   explicit M2Map(sched::Scheduler& scheduler, unsigned p = 0)
       : scheduler_(scheduler),
         p_(p ? p : std::max(1u, scheduler.worker_count())),
         bunch_(static_cast<std::size_t>(p_) * p_),
         m_(first_slab_segments_for(p_)),
+        max_cut_bunches_(std::max<std::size_t>(
+            1, static_cast<std::size_t>(segment_capacity(m_)) / bunch_)),
         pools_(&scheduler),
         filter_pool_(&scheduler),
         feed_(bunch_),
@@ -240,7 +248,8 @@ class M2Map {
 
   /// Structural validation; callable only when quiescent. M2's balance
   /// invariants (Lemma 16) are lenient: final-slab segment S[k] holds at
-  /// most 3·2^(2^k) items and prefixes are at most 2p^2 below capacity.
+  /// most 3·2^(2^k) items and prefixes are at most two cuts below
+  /// capacity (the paper's 2p^2, with a cut of one p^2 bunch).
   bool check_invariants() { return validate().empty(); }
 
   /// Deep structural check with a precise failure description; callable
@@ -403,10 +412,21 @@ class M2Map {
 
   // ---- the interface (Section 7.1 steps 1-6) --------------------------------
 
+  /// Bunches per cut: M1's rule over the current size, capped at S[m]'s
+  /// capacity. The filter admits a new cut while it holds at most one
+  /// cut's worth of keys, so up to two cuts can finish into S[m] before
+  /// stage m+1 next repairs it; the cap keeps S[m] within Lemma 16's
+  /// 3·2^(2^m). Only p = 1 (S[m] = S[1], capacity 4) ever reaches it.
+  std::size_t cut_bunches() const {
+    return std::min(buffer::cut_bunches(size(), p_), max_cut_bunches_);
+  }
+  bool filter_has_room() const {
+    return filter_size_.load(std::memory_order_acquire) <=
+           cut_bunches() * bunch_;
+  }
+
   bool interface_ready() {
-    return (input_.pending() > 0 || !feed_.empty()) &&
-           filter_size_.load(std::memory_order_acquire) <=
-               static_cast<std::size_t>(p_) * p_;
+    return (input_.pending() > 0 || !feed_.empty()) && filter_has_room();
   }
 
   void interface_tick() {
@@ -417,13 +437,13 @@ class M2Map {
       return;
     }
 
-    // Step 1: flush the parallel buffer into the feed buffer; take one
-    // p^2 bunch as the cut batch.
+    // Step 1: flush the parallel buffer into the feed buffer; cut
+    // ceil(log n / p) bunches as the batch.
     {
       std::vector<POp> in = input_.flush();
       if (!in.empty()) feed_.append(std::move(in));
     }
-    std::vector<POp> batch = feed_.take_bunches(1);
+    std::vector<POp> batch = feed_.take_bunches(cut_bunches());
 
     // Terminal-status pass (the batch-cut boundary of the robustness
     // layer): cancelled and deadline-expired ops complete here, before
@@ -764,17 +784,6 @@ class M2Map {
     const std::size_t k = m_ + j;  // global segment index
     Stage& st = stages_[j];
 
-    // Step 3: grow the terminal segment if S[k-1], S[k] exceed capacity.
-    if (terminal_.load(std::memory_order_acquire) == j &&
-        j + 1 < kMaxStages) {
-      const std::size_t left_size =
-          j == 0 ? first_slab_[m_ - 1].size() : stages_[j - 1].seg.size();
-      if (left_size + st.seg.size() >
-          segment_capacity(k - 1) + segment_capacity(k)) {
-        terminal_.store(j + 1, std::memory_order_release);
-      }
-    }
-
     // Step 4: flush the inbox (batches are key-sorted; merge them).
     std::vector<Group> batch = flush_inbox(st);
 
@@ -784,13 +793,13 @@ class M2Map {
     for (const auto& g : batch) keys.push_back(g.key);
     std::vector<Item> found = st.seg.extract_by_keys(keys, par_ctx());
 
-    // 4b-4f: the front-locked section (filter + S[m'] access). Stage 0
-    // already holds FL[0]; deeper stages acquire FL[j]..FL[1] descending
-    // then FL[0]. The batch state moves through the continuation captures;
-    // a parked continuation carries it past this frame. j and k are packed
-    // into one word so the capture is exactly 64 bytes (this + jk + two
-    // vectors) and stage 0 — which runs the body inline — stays on the
-    // closure's SBO path.
+    // Step 3 and 4b-4f: the front-locked section (filter + S[m'] access).
+    // Stage 0 already holds FL[0]; deeper stages acquire FL[j]..FL[1]
+    // descending then FL[0]. The batch state moves through the
+    // continuation captures; a parked continuation carries it past this
+    // frame. j and k are packed into one word so the capture is exactly
+    // 64 bytes (this + jk + two vectors) and stage 0 — which runs the body
+    // inline — stays on the closure's SBO path.
     const std::uint64_t jk = (static_cast<std::uint64_t>(j) << 32) | k;
     auto body = [this, jk, batch = std::move(batch),
                  found = std::move(found)]() mutable {
@@ -840,6 +849,21 @@ class M2Map {
 
   void front_section(std::size_t j, std::size_t k, std::vector<Group> batch,
                      std::vector<Item> found) {
+    // Step 3: grow the terminal segment if S[k-1], S[k] exceed capacity
+    // (S[k]'s size before 4a's extraction). It runs under the front chain
+    // because stage m+1's left neighbour is S[m], whose contents FL[0]
+    // guards: deeper stages insert there concurrently.
+    Stage& st = stages_[j];
+    if (terminal_.load(std::memory_order_acquire) == j &&
+        j + 1 < kMaxStages) {
+      const std::size_t left_size =
+          j == 0 ? first_slab_[m_ - 1].size() : stages_[j - 1].seg.size();
+      if (left_size + st.seg.size() + found.size() >
+          segment_capacity(k - 1) + segment_capacity(k)) {
+        terminal_.store(j + 1, std::memory_order_release);
+      }
+    }
+
     const bool is_terminal = terminal_.load(std::memory_order_acquire) == j;
     const std::size_t mprime = std::min(k - 1, m_);  // S[m'] destination
 
@@ -910,12 +934,11 @@ class M2Map {
     }
 
     // 4e: wake the interface when the filter has room again.
-    if (filter_size_.load(std::memory_order_acquire) <=
-        static_cast<std::size_t>(p_) * p_) {
-      activate_interface();
-    }
+    if (filter_has_room()) activate_interface();
 
-    release_front_chain(j);
+    // 4f, except for stage m+1: its 4g-4h transfers touch S[m], so it
+    // keeps the front chain until after_front has made them.
+    if (j != 1) release_front_chain(j);
     after_front(j, k, std::move(unfinished), deletions_in_batch);
   }
 
@@ -982,6 +1005,7 @@ class M2Map {
         left.insert_back_batch(std::move(moved), par_ctx());
       }
     }
+    if (j == 1) release_front_chain(j);
 
     // 4i: pass the unfinished operations to S[k+1].
     if (!unfinished.empty()) {
@@ -1049,6 +1073,7 @@ class M2Map {
   unsigned p_;
   std::size_t bunch_;
   std::size_t m_;
+  std::size_t max_cut_bunches_;
 
   // Pool domains first: every segment/tree below dies before its pool.
   SegmentPools<K, V> pools_;

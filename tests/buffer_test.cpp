@@ -182,6 +182,25 @@ TEST(FeedBuffer, TotalAccountingSurvivesMixedTakeAndAppend) {
   EXPECT_EQ(feed.validate(), "");
 }
 
+TEST(FeedBuffer, CutBunchesIsCeilLogNOverP) {
+  // Tiny maps still cut one bunch.
+  EXPECT_EQ(buffer::cut_bunches(0, 2), 1u);
+  EXPECT_EQ(buffer::cut_bunches(1, 2), 1u);
+  EXPECT_EQ(buffer::cut_bunches(2, 2), 1u);
+  EXPECT_EQ(buffer::cut_bunches(2, 1), 1u);
+  // ceil(log2 n) rounds up between powers of two.
+  EXPECT_EQ(buffer::cut_bunches(3, 1), 2u);
+  EXPECT_EQ(buffer::cut_bunches(5, 1), 3u);
+  const std::size_t n = std::size_t{1} << 20;
+  EXPECT_EQ(buffer::cut_bunches(n, 1), 20u);
+  EXPECT_EQ(buffer::cut_bunches(n, 2), 10u);
+  EXPECT_EQ(buffer::cut_bunches(n, 4), 5u);
+  EXPECT_EQ(buffer::cut_bunches(n, 3), 7u);
+  EXPECT_EQ(buffer::cut_bunches(n + 1, 2), 11u);
+  // p larger than log2 n: one bunch.
+  EXPECT_EQ(buffer::cut_bunches(n, 64), 1u);
+}
+
 TEST(FeedBuffer, ValidatorTracksMixedChurn) {
   // The credit-conservation validator must hold through an arbitrary
   // append/take interleaving, not just the scripted one above.

@@ -306,6 +306,77 @@ TEST(M2, ManyRoundsStaysSound) {
   EXPECT_EQ(m.validate(), "");
 }
 
+// Loads 2^14 keys through execute_batch in 4,096-op batches, then runs
+// mixed rounds against an oracle, deep-validating the quiescent pipeline
+// after the load and after every round. `tasks_per_op` receives the
+// scheduler tasks per op spent on the load.
+void bulk_load_then_mixed_rounds(unsigned p, double* tasks_per_op) {
+  constexpr std::size_t kBatch = 4096;
+  constexpr int kKeys = 1 << 14;
+  sched::Scheduler scheduler(2);
+  M2Map<int, int> m(scheduler, p);
+  std::map<int, int> ref;
+
+  const std::uint64_t tasks0 = scheduler.tasks_executed();
+  for (int base = 0; base < kKeys; base += static_cast<int>(kBatch)) {
+    std::vector<IntOp> batch;
+    for (int k = base; k < base + static_cast<int>(kBatch); ++k) {
+      batch.push_back(IntOp::insert(k, k));
+      ref[k] = k;
+    }
+    for (const auto& r : m.execute_batch(batch)) {
+      ASSERT_EQ(r.status, ResultStatus::kInserted);
+    }
+  }
+  *tasks_per_op =
+      static_cast<double>(scheduler.tasks_executed() - tasks0) / kKeys;
+  m.quiesce();
+  ASSERT_EQ(m.validate(), "");
+  ASSERT_EQ(m.size(), ref.size());
+
+  util::Xoshiro256 rng(14);
+  for (int round = 0; round < 8; ++round) {
+    std::vector<IntOp> batch;
+    for (std::size_t i = 0; i < kBatch; ++i) {
+      const int key = static_cast<int>(rng.bounded(2 * kKeys));
+      switch (rng.bounded(4)) {
+        case 0: batch.push_back(IntOp::upsert(key, round)); break;
+        case 1: batch.push_back(IntOp::erase(key)); break;
+        default: batch.push_back(IntOp::search(key));
+      }
+    }
+    const auto got = m.execute_batch(batch);
+    const auto want = reference_results(ref, batch);
+    for (std::size_t i = 0; i < got.size(); ++i) {
+      ASSERT_EQ(got[i].status, want[i].status) << round << ":" << i;
+      ASSERT_EQ(got[i].value, want[i].value) << round << ":" << i;
+    }
+    m.quiesce();
+    ASSERT_EQ(m.validate(), "") << "round " << round;
+    ASSERT_EQ(m.size(), ref.size()) << "round " << round;
+  }
+}
+
+// A bulk caller keeps thousands of ops in flight, so the interface cuts
+// ceil(log2 n / p) bunches per run (M1's rule) rather than one p^2 bunch.
+// The scheduler's task count pins that: one-bunch cuts spend ~1.1 tasks
+// per op on this load, wide cuts ~0.2.
+TEST(M2, WideCutsUnderBulkBacklog) {
+  double tasks_per_op = 0;
+  ASSERT_NO_FATAL_FAILURE(bulk_load_then_mixed_rounds(2, &tasks_per_op));
+  EXPECT_LT(tasks_per_op, 0.5) << "bulk load is back to one-bunch cuts";
+}
+
+// p = 1 gives the deepest pipeline: S[m] = S[1] holds 4 items, so 2^14
+// keys spread over four final-slab stages, S[1..4], all busy at once.
+// Stage m+1's transfers with S[m] must hold FL[0] against the deeper
+// stages' front insertions (else items are lost and trees torn), and the
+// cut must stay capped at S[m]'s capacity (else S[m] outgrows Lemma 16's
+// 3·2^(2^m)).
+TEST(M2, DeepPipelineStaysSoundUnderBulkBacklog) {
+  double tasks_per_op = 0;
+  ASSERT_NO_FATAL_FAILURE(bulk_load_then_mixed_rounds(1, &tasks_per_op));
+}
 
 TEST(M2, OrderedQueriesSeeTheWholePipeline) {
   // Items deliberately spread across the first slab AND deep final-slab
@@ -328,6 +399,9 @@ TEST(M2, OrderedQueriesSeeTheWholePipeline) {
   EXPECT_FALSE(m.successor(9998).has_value());
   EXPECT_EQ(m.range_count(0, 9998), 5000u);
   EXPECT_EQ(m.range_count(100, 198), 50u);
+  // The last read's result arrives before the interface's gate closes;
+  // validation is quiescent-only.
+  m.quiesce();
   EXPECT_TRUE(m.check_invariants());
 }
 
