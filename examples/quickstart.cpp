@@ -101,7 +101,8 @@ int main(int argc, char** argv) {
   for (auto& th : clients) th.join();
   map->quiesce();
   std::printf("%s: size after 4 concurrent clients = %zu (invariants %s)\n",
-              chosen.c_str(), map->size(), map->check() ? "ok" : "BROKEN");
+              chosen.c_str(), map->size(),
+              map->validate().empty() ? "ok" : "BROKEN");
 
   // ---- 6. Sharding: any backend name works with a sharded: prefix -------
   // --shards instances behind one shared scheduler; point ops route by key
@@ -110,6 +111,7 @@ int main(int argc, char** argv) {
       "sharded:m1", cli.driver);
   sharded->run(batch);  // the same bulk batch as section 2
   std::printf("sharded:m1: %zu items across shards (invariants %s)\n",
-              sharded->size(), sharded->check() ? "ok" : "BROKEN");
+              sharded->size(),
+              sharded->validate().empty() ? "ok" : "BROKEN");
   return 0;
 }

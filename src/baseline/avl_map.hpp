@@ -7,6 +7,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <optional>
+#include <string>
 #include <utility>
 
 #include "tree/jtree.hpp"
@@ -55,6 +56,9 @@ class AvlMap {
   void for_each(Fn&& fn) const {
     tree_.for_each(fn);
   }
+
+  /// The tree's deep validator. Empty string = OK.
+  std::string validate() const { return tree_.validate(); }
 
  private:
   tree::JTree<K, V> tree_;

@@ -11,6 +11,7 @@
 #include <cstdint>
 #include <optional>
 #include <span>
+#include <string>
 #include <type_traits>
 #include <utility>
 #include <vector>
@@ -28,8 +29,9 @@ namespace pwss::baseline {
 /// erase(K) -> optional<V> (the removed value), and search(K) returning
 /// either an optional<V>-convertible value or a pointer to V (IaconoMap's
 /// stable-pointer style), plus the ordered surface: predecessor(K) and
-/// successor(K) -> optional<pair<K, V>> (the matched entry), and
-/// range_count(K lo, K hi) -> the size of [lo, hi].
+/// successor(K) -> optional<pair<K, V>> (the matched entry),
+/// range_count(K lo, K hi) -> the size of [lo, hi], for_each over
+/// (key, value), and validate() -> "" when sound.
 template <typename K, typename V, typename PointMap>
 class Batched {
  public:
@@ -125,18 +127,13 @@ class Batched {
     return map_.segment_of(key);
   }
 
-  /// Structural-validation passthrough.
-  template <typename PM = PointMap>
-    requires core::HasInvariantCheck<PM>
-  bool check_invariants() const {
-    return map_.check_invariants();
-  }
+  /// Deep-validation passthrough ("" = sound). The deduced return type
+  /// makes MapBackend's check see through to the point map's validator.
+  auto validate() const { return map_.validate(); }
 
   /// Sorted drain for the checkpoint writer (store/snapshot.hpp):
   /// collects via the point map's for_each, then sorts by key (the
   /// working-set point maps yield in recency order, not key order).
-  template <typename PM = PointMap>
-    requires requires(const PM m) { m.for_each([](const K&, const V&) {}); }
   void export_entries(std::vector<std::pair<K, V>>& out) const {
     const std::size_t first = out.size();
     out.reserve(first + map_.size());
@@ -167,18 +164,3 @@ static_assert(core::MapBackend<BatchedIacono<int, int>, int, int>);
 static_assert(core::MapBackend<BatchedLocked<int, int>, int, int>);
 
 }  // namespace pwss::baseline
-
-namespace pwss::core {
-
-/// The locked baseline serializes internally, so its per-op path is safe
-/// from any thread without an async front end — and putting one in front
-/// of it would hide exactly the contention E5/E8 measure.
-template <typename K, typename V>
-struct backend_traits<baseline::BatchedLocked<K, V>> {
-  static constexpr bool needs_scheduler = false;
-  static constexpr bool native_async = false;
-  static constexpr bool supports_async = false;
-  static constexpr bool point_thread_safe = true;
-};
-
-}  // namespace pwss::core

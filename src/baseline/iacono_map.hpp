@@ -12,10 +12,12 @@
 
 #include <cstdint>
 #include <optional>
+#include <string>
 #include <utility>
 #include <vector>
 
 #include "core/segment.hpp"
+#include "util/validate.hpp"
 
 namespace pwss::baseline {
 
@@ -129,18 +131,23 @@ class IaconoMap {
     return std::nullopt;
   }
 
-  /// Validation: every segment structurally sound, all segments full to
-  /// capacity except possibly the last.
-  bool check_invariants() const {
+  /// Deep validation: every segment structurally sound, all segments full
+  /// to capacity except possibly the last. Empty string = OK.
+  std::string validate() const {
+    util::Validator v("iacono: ");
     for (std::size_t k = 0; k < segments_.size(); ++k) {
-      if (!segments_[k].check_invariants()) return false;
-      if (segments_[k].size() > core::segment_capacity(k)) return false;
-      if (k + 1 < segments_.size() &&
-          segments_[k].size() != core::segment_capacity(k)) {
-        return false;  // only the last segment may be under-full
+      const std::size_t held = segments_[k].size();
+      const auto cap = core::segment_capacity(k);
+      if (!v.absorb(segments_[k].validate(), "segment[", k, "]: ") ||
+          !v.require(held <= cap, "segment[", k, "] holds ", held,
+                     " items, over its capacity ", cap) ||
+          !v.require(k + 1 == segments_.size() || held == cap, "segment[",
+                     k, "] holds ", held,
+                     " items but only the last segment may be partial")) {
+        break;
       }
     }
-    return true;
+    return std::move(v).take();
   }
 
  private:

@@ -7,6 +7,7 @@
 #include <cstdint>
 #include <mutex>
 #include <optional>
+#include <string>
 #include <utility>
 
 #include "baseline/avl_map.hpp"
@@ -59,6 +60,12 @@ class LockedMap {
   void for_each(Fn&& fn) const {
     std::lock_guard<std::mutex> lk(mu_);
     map_.for_each(fn);
+  }
+
+  /// The AVL map's deep validator, run under the lock. Empty string = OK.
+  std::string validate() const {
+    std::lock_guard<std::mutex> lk(mu_);
+    return map_.validate();
   }
 
  private:

@@ -13,7 +13,10 @@
 #include <cstddef>
 #include <cstdint>
 #include <optional>
+#include <string>
 #include <utility>
+
+#include "util/validate.hpp"
 
 namespace pwss::baseline {
 
@@ -136,9 +139,14 @@ class SplayTree {
     for_each_rec(root_, fn);
   }
 
-  /// Structural check without splaying: keys strictly increase in order
-  /// and every node's size counts its subtree.
-  bool check_invariants() const { return sound(root_, nullptr, nullptr); }
+  /// Deep structural check without splaying: keys strictly increase in
+  /// order and every node's size counts its subtree. Empty string = OK.
+  /// Requires K streamable.
+  std::string validate() const {
+    util::Validator v("splay: ");
+    validate_rec(root_, nullptr, nullptr, v);
+    return std::move(v).take();
+  }
 
  private:
   struct Node {
@@ -250,11 +258,16 @@ class SplayTree {
   }
 
   /// `t` lies strictly between *lo and *hi (null = unbounded).
-  static bool sound(const Node* t, const K* lo, const K* hi) {
+  static bool validate_rec(const Node* t, const K* lo, const K* hi,
+                           util::Validator& v) {
     if (!t) return true;
-    if ((lo && !(*lo < t->key)) || (hi && !(t->key < *hi))) return false;
-    if (t->size != 1 + size_of(t->left) + size_of(t->right)) return false;
-    return sound(t->left, lo, &t->key) && sound(t->right, &t->key, hi);
+    return v.require((!lo || *lo < t->key) && (!hi || t->key < *hi),
+                     "key ", t->key, " out of order") &&
+           v.require(t->size == 1 + size_of(t->left) + size_of(t->right),
+                     "node ", t->key, " size ", t->size,
+                     " does not count its subtree") &&
+           validate_rec(t->left, lo, &t->key, v) &&
+           validate_rec(t->right, &t->key, hi, v);
   }
 
   Node* root_ = nullptr;

@@ -330,8 +330,6 @@ class FlatSegment {
     entries_.push_back(entry);
   }
 
-  bool check_invariants() const { return validate().empty(); }
-
   /// Deep representation check with a precise failure description:
   /// parallel arrays in lockstep, occupancy within kFlatSegmentMax, and
   /// keys strictly ascending. Empty string = OK. Requires K streamable.

@@ -217,10 +217,6 @@ class M0Map {
 
   const std::vector<Segment<K, V>>& segments() const { return segments_; }
 
-  /// Validation: segment structure sound, capacities respected (all full
-  /// but the last).
-  bool check_invariants() const { return validate().empty(); }
-
   /// Deep structural check with a precise failure description: every
   /// segment's own invariants, the doubly-exponential capacity bound, the
   /// all-full-except-last occupancy rule, the size_ accounting, and the

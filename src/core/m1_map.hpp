@@ -138,10 +138,6 @@ class M1Map {
     return std::nullopt;
   }
 
-  /// Validation: segments sound; every prefix S[0..i] is exactly at
-  /// capacity or the suffix beyond it is empty.
-  bool check_invariants() const { return validate().empty(); }
-
   /// Deep structural check with a precise failure description: every
   /// segment's own invariants, the size_ accounting, the restore-capacity
   /// prefix rule (each capacity prefix is full until the items run out),
@@ -420,20 +416,9 @@ class M1Map {
   tree::ParCtx ctx_;
   std::size_t size_ = 0;
   // Per-instance batch arena; safe because execute_batch has a single
-  // owner (backend_traits: not point_thread_safe). Never shared across
-  // instances.
+  // owner (the AsyncMap front end). Never shared across instances.
   BatchScratch<K, V, std::size_t> scratch_;
   ProbeDepthCounts probes_;
-};
-
-/// M1's batch internals fork through the scheduler (a null scheduler is a
-/// test-only degradation), and a single owner must drive batches.
-template <typename K, typename V>
-struct backend_traits<M1Map<K, V>> {
-  static constexpr bool needs_scheduler = true;
-  static constexpr bool native_async = false;
-  static constexpr bool supports_async = true;
-  static constexpr bool point_thread_safe = false;
 };
 
 static_assert(MapBackend<M1Map<int, int>, int, int>);

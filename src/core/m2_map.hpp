@@ -246,16 +246,13 @@ class M2Map {
               [](const auto& a, const auto& b) { return a.first < b.first; });
   }
 
-  /// Structural validation; callable only when quiescent. M2's balance
-  /// invariants (Lemma 16) are lenient: final-slab segment S[k] holds at
-  /// most 3·2^(2^k) items and prefixes are at most two cuts below
-  /// capacity (the paper's 2p^2, with a cut of one p^2 bunch).
-  bool check_invariants() { return validate().empty(); }
-
   /// Deep structural check with a precise failure description; callable
   /// only when quiescent (a busy pipeline is itself reported as the
-  /// failure). Checks every segment's own invariants, Lemma 16's lenient
-  /// stage bound (S[k] holds at most 3·2^(2^k)), the size accounting, the
+  /// failure). M2's balance invariants (Lemma 16) are lenient: prefixes
+  /// may sit up to two cuts below capacity (the paper's 2p^2, with a cut
+  /// of one p^2 bunch), so no fullness rule is checked. Checks every
+  /// segment's own invariants, Lemma 16's lenient stage bound (S[k] holds
+  /// at most 3·2^(2^k)), the size accounting, the
   /// drained filter (both the counter and its tree/pool), and the shared
   /// pool domain (one key-map + one recency-map node per item sitting in a
   /// tree-represented segment). Empty string = OK.
@@ -1106,17 +1103,6 @@ class M2Map {
 
   std::atomic<std::size_t> size_{0};
   std::atomic<std::size_t> in_flight_{0};
-};
-
-/// M2 runs its own asynchronous front end (feed buffer + filter +
-/// pipelined final slab); wrapping it in AsyncMap would serialize the
-/// pipeline behind a second batcher.
-template <typename K, typename V>
-struct backend_traits<M2Map<K, V>> {
-  static constexpr bool needs_scheduler = true;
-  static constexpr bool native_async = true;
-  static constexpr bool supports_async = false;
-  static constexpr bool point_thread_safe = true;
 };
 
 static_assert(MapBackend<M2Map<int, int>, int, int>);

@@ -462,10 +462,6 @@ class Segment {
     });
   }
 
-  /// Structural validation: representation invariants hold, both orders
-  /// cover the same items, stamps distinct.
-  bool check_invariants() const { return validate().empty(); }
-
   /// Deep representation check with a precise failure description.
   /// Flat: the flat arrays' own invariants, both trees empty, stamps
   /// distinct. Tree: both trees' own invariants, equal sizes, the

@@ -13,30 +13,23 @@
 //   * a bulk run(vector<Op>) path — one synchronous batch through the
 //     backend, results in submission order.
 //
-// Wiring is selected from core::backend_traits at compile time:
-//
-//   traits                  wrapper            examples
-//   ----------------------  -----------------  -------------------------
-//   native_async            none (backend      m2
-//                           batches itself)
-//   point_thread_safe &&    none (point ops    locked
-//     !native_async         go straight in)
-//   supports_async          core::AsyncMap     m0, m1, splay, avl, iacono
-//                           (implicit batching,
-//                            Section 4)
+// Wiring is chosen at the registry: one BackendDriver<K, V, B, Wiring>
+// class puts the backend behind core::AsyncMap (m0, m1, splay, avl,
+// iacono), the backend's own submit (m2), or the calling thread (locked).
 //
 // Every backend executes the full protocol, ordered kinds included. The
 // public run/step/submit entry points pass admission control
 // (driver/admission.hpp: bounded in-flight window, shed or bounded-block
 // on overflow; blocking conveniences absorb transient kOverloaded via
-// driver/retry.hpp backoff), and then forward to the do_* virtuals the
-// wirings implement.
+// driver/retry.hpp backoff), and then forward to the do_* virtuals
+// BackendDriver implements per wiring.
 //
 // The bulk path must not race with concurrent blocking callers on
 // AsyncMap-wrapped backends (it quiesces the front end, then batches
-// directly); natively-async and point-thread-safe backends allow mixing.
+// directly); the m2 and locked wirings allow mixing.
 
 #include <atomic>
+#include <concepts>
 #include <cstddef>
 #include <cstdint>
 #include <functional>
@@ -342,14 +335,8 @@ class Driver {
   /// Item count (quiesces first, so in-flight ops are counted).
   virtual std::size_t size() = 0;
 
-  /// Runs the backend's structural validation when it has one (quiescing
-  /// first); backends without check_invariants() vacuously pass.
-  virtual bool check() = 0;
-
   /// Deep structural validation with a failure description (quiescing
-  /// first). "" = sound. Backends with only a boolean check_invariants()
-  /// report a generic message on failure; backends without any validator
-  /// vacuously pass.
+  /// first). "" = sound.
   virtual std::string validate() = 0;
 
   /// The scheduler this driver owns or runs on (a caller-supplied
@@ -624,109 +611,44 @@ namespace detail {
 
 /// Owned-or-shared scheduler wiring: owns a pool sized by Options::workers
 /// unless Options::scheduler supplies an external one (which must then
-/// outlive the driver). Declare it before the backend/front-end member so
-/// an owned pool dies last.
+/// outlive the driver); `wanted == false` leaves it empty (schedulerless).
+/// Declare it before the backend/front-end member so an owned pool dies
+/// last.
 struct SchedulerHandle {
-  explicit SchedulerHandle(const Options& opts)
-      : owned(opts.scheduler
-                  ? nullptr
-                  : std::make_unique<sched::Scheduler>(opts.workers)),
-        ptr(opts.scheduler ? opts.scheduler : owned.get()) {}
+  explicit SchedulerHandle(const Options& opts, bool wanted = true)
+      : owned(wanted && !opts.scheduler
+                  ? std::make_unique<sched::Scheduler>(opts.workers)
+                  : nullptr),
+        ptr(wanted && opts.scheduler ? opts.scheduler : owned.get()) {}
 
   std::unique_ptr<sched::Scheduler> owned;
   sched::Scheduler* ptr;
 };
 
-template <typename B, typename K, typename V>
-bool checked_invariants(B& backend) {
-  if constexpr (core::HasInvariantCheck<B>) {
-    return backend.check_invariants();
-  } else {
-    (void)backend;
-    return true;
-  }
-}
-
-template <typename B, typename K, typename V>
-std::string deep_validate(B& backend) {
-  if constexpr (core::HasDeepValidate<B>) {
-    return backend.validate();
-  } else if constexpr (core::HasInvariantCheck<B>) {
-    return backend.check_invariants()
-               ? std::string()
-               : "check_invariants() failed (backend has no deep validator)";
-  } else {
-    (void)backend;
-    return {};
-  }
-}
-
-/// The backend's sorted contents for the checkpoint writer; caller
-/// quiesces first. Every registered backend has the surface — the throw
-/// is a backstop for out-of-tree backends registered without one.
-template <typename K, typename V, typename B>
-std::vector<std::pair<K, V>> export_sorted_of(B& backend) {
-  std::vector<std::pair<K, V>> out;
-  if constexpr (core::HasExportEntries<B, K, V>) {
-    backend.export_entries(out);
-  } else {
-    throw std::logic_error(
-        "backend has no export_entries surface; durability needs one");
-  }
-  return out;
-}
-
-template <typename K, typename V, typename B>
-std::optional<std::size_t> depth_in(B& backend, const K& key) {
-  if constexpr (core::HasRecencyDepth<B, K>) {
-    return backend.segment_of(key);
-  } else {
-    (void)backend;
-    (void)key;
-    return std::nullopt;
-  }
-}
-
-/// One op through the backend's point surface when it has one (no
-/// per-op vector allocations), else through a singleton batch. Ordered
-/// kinds always take the singleton-batch path.
+/// One op through the backend's point surface (no per-op vector
+/// allocations); ordered kinds take a singleton batch.
 template <typename K, typename V, typename B>
 core::Result<V, K> point_apply(B& backend, core::Op<K, V> op) {
-  if constexpr (core::HasPointOps<B, K, V>) {
-    if (!core::is_ordered(op.type)) {
-      core::Result<V, K> r;
-      switch (op.type) {
-        case core::OpType::kSearch: {
-          auto v = backend.search(op.key);
-          if constexpr (std::is_pointer_v<decltype(v)>) {
-            r.status = v != nullptr ? core::ResultStatus::kFound
-                                    : core::ResultStatus::kNotFound;
-            if (v) r.value = *v;
-          } else {
-            r.status = v.has_value() ? core::ResultStatus::kFound
+  core::Result<V, K> r;
+  switch (op.type) {
+    case core::OpType::kSearch:
+      r.value = backend.search(op.key);
+      r.status = r.value.has_value() ? core::ResultStatus::kFound
                                      : core::ResultStatus::kNotFound;
-            r.value = std::move(v);
-          }
-          break;
-        }
-        case core::OpType::kInsert:
-        case core::OpType::kUpsert:
-          r.status = backend.insert(op.key, std::move(op.value))
-                         ? core::ResultStatus::kInserted
-                         : core::ResultStatus::kUpdated;
-          break;
-        case core::OpType::kErase: {
-          auto v = backend.erase(op.key);
-          r.status = v.has_value() ? core::ResultStatus::kErased
-                                   : core::ResultStatus::kNotFound;
-          r.value = std::move(v);
-          break;
-        }
-        default:
-          break;  // unreachable: ordered kinds filtered above
-      }
       return r;
-    }
+    case core::OpType::kInsert:
+    case core::OpType::kUpsert:
+      r.status = backend.insert(op.key, std::move(op.value))
+                     ? core::ResultStatus::kInserted
+                     : core::ResultStatus::kUpdated;
+      return r;
+    case core::OpType::kErase:
+      r.value = backend.erase(op.key);
+      r.status = r.value.has_value() ? core::ResultStatus::kErased
+                                     : core::ResultStatus::kNotFound;
+      return r;
+    default:
+      break;
   }
   // Singleton batch on the stack — no per-op vector allocation.
   const core::Op<K, V> one[1] = {std::move(op)};
@@ -735,208 +657,136 @@ core::Result<V, K> point_apply(B& backend, core::Op<K, V> op) {
 
 }  // namespace detail
 
-/// Backend wired behind core::AsyncMap: blocking callers feed the
-/// parallel buffer, a scheduler worker drives cut batches through the
-/// backend (m0, m1, and the sequential baselines).
-template <typename K, typename V, typename B>
+/// The front end a BackendDriver puts in front of its backend. Chosen on
+/// the registry's add() lines.
+enum class Wiring {
+  /// core::AsyncMap's implicit batching (Section 4 / Appendix A.1):
+  /// blocking callers feed the parallel buffer, a scheduler worker drives
+  /// cut batches through the backend (m0, m1, and the sequential
+  /// baselines). run() quiesces the front end, then batches directly.
+  kAsyncMap,
+  /// The backend's own thread-safe submit/quiesce surface (M2's pipeline
+  /// front end, Section 7); the driver only supplies the scheduler.
+  kNative,
+  /// The calling thread: point ops go straight into a backend that
+  /// serializes internally (the locked baseline). No scheduler.
+  kCaller,
+};
+
+/// A MapBackend wired behind one front end. Only submission, the bulk and
+/// sequential paths, and scheduler ownership depend on the wiring.
+template <typename K, typename V, typename B, Wiring W>
   requires core::MapBackend<B, K, V>
-class AsyncDriver final : public Driver<K, V> {
+class BackendDriver final : public Driver<K, V> {
  public:
   using typename Driver<K, V>::Ticket;
 
-  AsyncDriver(std::string name, const Options& opts)
+  BackendDriver(std::string name, const Options& opts)
       : Driver<K, V>(std::move(name), admission_config(opts)),
-        scheduler_(opts),
-        async_(make_backend(*scheduler_.ptr), *scheduler_.ptr) {}
+        scheduler_(opts, W != Wiring::kCaller),
+        front_(make_front(scheduler_.ptr, opts)) {}
 
   std::optional<std::size_t> depth_of(const K& key) override {
-    async_.quiesce();
-    return detail::depth_in<K, V>(async_.map(), key);
-  }
-
-  void quiesce() override { async_.quiesce(); }
-  std::size_t size() override {
-    async_.quiesce();
-    return async_.map().size();
-  }
-  bool check() override {
-    async_.quiesce();
-    return detail::checked_invariants<B, K, V>(async_.map());
-  }
-  std::string validate() override {
-    async_.quiesce();
-    return detail::deep_validate<B, K, V>(async_.map());
-  }
-  std::vector<std::pair<K, V>> export_sorted() override {
-    async_.quiesce();
-    return detail::export_sorted_of<K, V>(async_.map());
-  }
-  sched::Scheduler* scheduler() noexcept override { return scheduler_.ptr; }
-
-  /// The wrapped backend; safe only when quiescent.
-  B& backend() {
-    async_.quiesce();
-    return async_.map();
-  }
-
- protected:
-  core::Result<V, K> run_one(core::Op<K, V> op) override {
-    core::OpTicket<V, K> ticket;
-    async_.submit(std::move(op), &ticket);
-    return ticket.wait();
-  }
-
-  void do_submit(core::Op<K, V> op, Ticket* ticket) override {
-    async_.submit(std::move(op), ticket);
-  }
-
-  void do_run(const std::vector<core::Op<K, V>>& ops,
-              std::vector<core::Result<V, K>>& out) override {
-    async_.quiesce();
-    core::execute_batch_into<K, V>(
-        async_.map(), std::span<const core::Op<K, V>>(ops), out);
-  }
-
-  core::Result<V, K> do_step(core::Op<K, V> op) override {
-    async_.quiesce();
-    return detail::point_apply<K, V>(async_.map(), std::move(op));
-  }
-
- private:
-  static B make_backend(sched::Scheduler& s) {
-    if constexpr (core::backend_traits<B>::needs_scheduler) {
-      return B(&s);
+    B& b = backend();
+    if constexpr (core::HasRecencyDepth<B, K>) {
+      return b.segment_of(key);
     } else {
-      (void)s;
-      return B();
+      return std::nullopt;
     }
   }
 
-  // Declaration order is destruction-order-critical: the AsyncMap (and
-  // the backend inside it) must die before the scheduler its drive loop
-  // and forks run on.
-  detail::SchedulerHandle scheduler_;
-  core::AsyncMap<K, V, B> async_;
-};
-
-/// Natively-asynchronous backend (M2): the backend already provides a
-/// thread-safe submit/execute_batch/quiesce surface; the driver only
-/// supplies the scheduler and the uniform API.
-template <typename K, typename V, typename B>
-  requires(core::MapBackend<B, K, V> && core::backend_traits<B>::native_async)
-class NativeAsyncDriver final : public Driver<K, V> {
- public:
-  using typename Driver<K, V>::Ticket;
-
-  NativeAsyncDriver(std::string name, const Options& opts)
-      : Driver<K, V>(std::move(name), admission_config(opts)),
-        scheduler_(opts),
-        backend_(*scheduler_.ptr, opts.p) {}
-
-  std::optional<std::size_t> depth_of(const K& key) override {
-    backend_.quiesce();
-    return detail::depth_in<K, V>(backend_, key);
+  void quiesce() override {
+    if constexpr (W != Wiring::kCaller) front_.quiesce();
   }
-
-  void quiesce() override { backend_.quiesce(); }
-  std::size_t size() override {
-    backend_.quiesce();
-    return backend_.size();
-  }
-  bool check() override {
-    backend_.quiesce();
-    return detail::checked_invariants<B, K, V>(backend_);
-  }
-  std::string validate() override {
-    backend_.quiesce();
-    return detail::deep_validate<B, K, V>(backend_);
-  }
+  std::size_t size() override { return backend().size(); }
+  std::string validate() override { return backend().validate(); }
   std::vector<std::pair<K, V>> export_sorted() override {
-    backend_.quiesce();
-    return detail::export_sorted_of<K, V>(backend_);
+    std::vector<std::pair<K, V>> out;
+    backend().export_entries(out);
+    return out;
   }
   sched::Scheduler* scheduler() noexcept override { return scheduler_.ptr; }
 
-  B& backend() { return backend_; }
+  /// The wrapped backend (quiesces first); safe to use directly only
+  /// while no other caller is active.
+  B& backend() {
+    quiesce();
+    return map();
+  }
 
  protected:
   core::Result<V, K> run_one(core::Op<K, V> op) override {
-    core::OpTicket<V, K> ticket;
-    backend_.submit(std::move(op), &ticket);
-    return ticket.wait();
+    if constexpr (W == Wiring::kCaller) {
+      return detail::point_apply<K, V>(front_, std::move(op));
+    } else {
+      core::OpTicket<V, K> ticket;
+      front_.submit(std::move(op), &ticket);
+      return ticket.wait();
+    }
   }
 
   void do_submit(core::Op<K, V> op, Ticket* ticket) override {
-    backend_.submit(std::move(op), ticket);
+    if constexpr (W == Wiring::kCaller) {
+      // No async front end: execute inline and fulfill on the calling
+      // thread (the submission API stays uniform; completion runs here).
+      ticket->fulfill(detail::point_apply<K, V>(front_, std::move(op)));
+    } else {
+      front_.submit(std::move(op), ticket);
+    }
   }
 
   void do_run(const std::vector<core::Op<K, V>>& ops,
               std::vector<core::Result<V, K>>& out) override {
-    core::execute_batch_into<K, V>(
-        backend_, std::span<const core::Op<K, V>>(ops), out);
+    if constexpr (W == Wiring::kAsyncMap) front_.quiesce();
+    core::execute_batch_into<K, V>(map(), std::span<const core::Op<K, V>>(ops),
+                                   out);
   }
 
   core::Result<V, K> do_step(core::Op<K, V> op) override {
-    return run_one(std::move(op));  // the pipeline IS the sequential path
+    if constexpr (W == Wiring::kAsyncMap) {
+      return detail::point_apply<K, V>(backend(), std::move(op));
+    } else {
+      return run_one(std::move(op));  // the front end IS the sequential path
+    }
   }
 
  private:
-  detail::SchedulerHandle scheduler_;  // must outlive backend_
-  B backend_;
+  using Front = std::conditional_t<W == Wiring::kAsyncMap,
+                                   core::AsyncMap<K, V, B>, B>;
+
+  static Front make_front(sched::Scheduler* s, const Options& opts) {
+    if constexpr (W == Wiring::kNative) {
+      return Front(*s, opts.p);
+    } else if constexpr (W == Wiring::kCaller) {
+      return Front();
+    } else if constexpr (std::constructible_from<B, sched::Scheduler*>) {
+      return Front(B(s), *s);
+    } else {
+      return Front(B(), *s);
+    }
+  }
+
+  B& map() {
+    if constexpr (W == Wiring::kAsyncMap) {
+      return front_.map();
+    } else {
+      return front_;
+    }
+  }
+
+  // Declaration order is destruction-order-critical: the front end (and
+  // the backend inside it) must die before the scheduler its drive loop
+  // and forks run on.
+  detail::SchedulerHandle scheduler_;
+  Front front_;
 };
 
-/// Point-thread-safe backend without its own batcher (the locked
-/// baseline): ops go straight in from the calling thread.
+/// The AsyncMap-wrapped drivers (m0, m1, iacono, splay, avl).
 template <typename K, typename V, typename B>
-  requires(core::MapBackend<B, K, V> &&
-           core::backend_traits<B>::point_thread_safe)
-class DirectDriver final : public Driver<K, V> {
- public:
-  using typename Driver<K, V>::Ticket;
+using AsyncDriver = BackendDriver<K, V, B, Wiring::kAsyncMap>;
 
-  DirectDriver(std::string name, const Options& opts)
-      : Driver<K, V>(std::move(name), admission_config(opts)) {}
-
-  std::optional<std::size_t> depth_of(const K& key) override {
-    return detail::depth_in<K, V>(backend_, key);
-  }
-
-  void quiesce() override {}
-  std::size_t size() override { return backend_.size(); }
-  bool check() override { return detail::checked_invariants<B, K, V>(backend_); }
-  std::string validate() override {
-    return detail::deep_validate<B, K, V>(backend_);
-  }
-  std::vector<std::pair<K, V>> export_sorted() override {
-    return detail::export_sorted_of<K, V>(backend_);
-  }
-  sched::Scheduler* scheduler() noexcept override { return nullptr; }
-
-  B& backend() { return backend_; }
-
- protected:
-  core::Result<V, K> run_one(core::Op<K, V> op) override {
-    return detail::point_apply<K, V>(backend_, std::move(op));
-  }
-
-  void do_submit(core::Op<K, V> op, Ticket* ticket) override {
-    // No async front end: execute inline and fulfill on the calling
-    // thread (the submission API stays uniform; completion runs here).
-    ticket->fulfill(detail::point_apply<K, V>(backend_, std::move(op)));
-  }
-
-  void do_run(const std::vector<core::Op<K, V>>& ops,
-              std::vector<core::Result<V, K>>& out) override {
-    core::execute_batch_into<K, V>(
-        backend_, std::span<const core::Op<K, V>>(ops), out);
-  }
-
-  core::Result<V, K> do_step(core::Op<K, V> op) override {
-    return run_one(std::move(op));
-  }
-
- private:
-  B backend_;
-};
+/// The natively-asynchronous driver (m2).
+template <typename K, typename V, typename B>
+using NativeAsyncDriver = BackendDriver<K, V, B, Wiring::kNative>;
 
 }  // namespace pwss::driver

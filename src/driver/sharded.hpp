@@ -17,7 +17,7 @@
 //     submission order). Batches with ordered kinds are sliced into
 //     point/ordered phases so every ordered query observes exactly the
 //     point operations preceding it;
-//   * size()/check()/quiesce() aggregate across shards; depth_of() routes
+//   * size()/validate()/quiesce() aggregate across shards; depth_of() routes
 //     to the shard holding the key.
 //
 // Like the AsyncMap-wrapped drivers, the bulk path must not race with
@@ -178,12 +178,6 @@ class ShardedDriver final : public Driver<K, V> {
     std::size_t total = 0;
     for (auto& s : shards_) total += s->size();
     return total;
-  }
-
-  bool check() override {
-    bool ok = true;
-    for (auto& s : shards_) ok = s->check() && ok;
-    return ok;
   }
 
   std::string validate() override {

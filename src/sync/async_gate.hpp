@@ -2,7 +2,8 @@
 // AsyncGate: the Activation interface (Definition 36) split into explicit
 // begin/finish halves so a guarded process can be a continuation-passing
 // chain (M2's segment runs park on dedicated locks and complete on another
-// thread). sync::Activation is the synchronous form built on it.
+// thread). A synchronous activation is begin(), then the process run
+// until finish() returns false.
 //
 // Protocol:
 //   * begin()  — caller requests a run. Returns true iff the caller became

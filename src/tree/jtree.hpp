@@ -311,10 +311,6 @@ class JTree {
     return t;
   }
 
-  /// Structural validation for tests: AVL balance, correct height/size
-  /// fields, strict key order.
-  bool check_invariants() const { return validate().empty(); }
-
   /// Deep structural validation with a precise failure description:
   /// strict key order within every subtree's bounds, height and size
   /// fields consistent with the children, AVL balance, and an acyclicity

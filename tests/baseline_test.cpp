@@ -4,6 +4,7 @@
 // surface (execute_batch + size), plus baseline-specific structure tests.
 #include <gtest/gtest.h>
 
+#include <concepts>
 #include <map>
 #include <memory>
 #include <thread>
@@ -33,9 +34,9 @@ class MapBackendTypedTest : public ::testing::Test {
   MapBackendTypedTest() : scheduler_(2), backend_(make()) {}
 
   std::unique_ptr<B> make() {
-    if constexpr (core::backend_traits<B>::native_async) {
+    if constexpr (std::constructible_from<B, sched::Scheduler&>) {
       return std::make_unique<B>(scheduler_);
-    } else if constexpr (core::backend_traits<B>::needs_scheduler) {
+    } else if constexpr (std::constructible_from<B, sched::Scheduler*>) {
       return std::make_unique<B>(&scheduler_);
     } else {
       return std::make_unique<B>();
@@ -118,18 +119,18 @@ TEST(IaconoMap, InsertSearchErase) {
   ASSERT_TRUE(removed);
   EXPECT_EQ(*removed, 20);
   EXPECT_EQ(m.size(), 1u);
-  EXPECT_TRUE(m.check_invariants());
+  EXPECT_EQ(m.validate(), "");
 }
 
 TEST(IaconoMap, InvariantsHoldDuringGrowth) {
   baseline::IaconoMap<int, int> m;
   for (int i = 0; i < 2000; ++i) {
     m.insert(i, i);
-    if (i % 97 == 0) { ASSERT_TRUE(m.check_invariants()) << "at i=" << i; }
+    if (i % 97 == 0) { ASSERT_EQ(m.validate(), "") << "at i=" << i; }
   }
   EXPECT_EQ(m.size(), 2000u);
   EXPECT_GE(m.segment_count(), 4u);  // 2 + 4 + 16 + 256 < 2000
-  EXPECT_TRUE(m.check_invariants());
+  EXPECT_EQ(m.validate(), "");
 }
 
 TEST(IaconoMap, AccessedItemMovesToFirstSegment) {
@@ -139,7 +140,7 @@ TEST(IaconoMap, AccessedItemMovesToFirstSegment) {
   ASSERT_NE(m.search(0), nullptr);
   // Now key 0 must be in segment 0 (most recent).
   EXPECT_EQ(m.segment_of(0), 0u);
-  EXPECT_TRUE(m.check_invariants());
+  EXPECT_EQ(m.validate(), "");
 }
 
 TEST(IaconoMap, WorkingSetInvariantAfterMixedOps) {
@@ -156,7 +157,7 @@ TEST(IaconoMap, WorkingSetInvariantAfterMixedOps) {
     if (m.segment_of(k).value_or(99) <= 1) ++in_first_two;
   }
   EXPECT_GE(in_first_two, 2);  // hot set of 4 vs capacity 2+4=6
-  EXPECT_TRUE(m.check_invariants());
+  EXPECT_EQ(m.validate(), "");
 }
 
 TEST(IaconoMap, EraseRepairsFullness) {
@@ -164,10 +165,10 @@ TEST(IaconoMap, EraseRepairsFullness) {
   for (int i = 0; i < 300; ++i) m.insert(i, i);
   for (int i = 0; i < 100; ++i) {
     ASSERT_TRUE(m.erase(i * 3).has_value());
-    if (i % 10 == 0) { ASSERT_TRUE(m.check_invariants()) << "at i=" << i; }
+    if (i % 10 == 0) { ASSERT_EQ(m.validate(), "") << "at i=" << i; }
   }
   EXPECT_EQ(m.size(), 200u);
-  EXPECT_TRUE(m.check_invariants());
+  EXPECT_EQ(m.validate(), "");
 }
 
 // ---- SplayTree -------------------------------------------------------------
@@ -297,7 +298,7 @@ TEST(OrderedBaselines, AllPointMapsAgree) {
     ASSERT_EQ(splay.range_count(probe, probe + 100), want_count) << probe;
   }
   EXPECT_EQ(splay.range_count(10, 9), 0u);  // empty range
-  EXPECT_TRUE(splay.check_invariants());
+  EXPECT_EQ(splay.validate(), "");
 }
 
 TEST(OrderedBaselines, IaconoOrderedQueriesDoNotPromote) {
@@ -311,7 +312,7 @@ TEST(OrderedBaselines, IaconoOrderedQueriesDoNotPromote) {
     (void)m.range_count(0, 10);
   }
   EXPECT_EQ(m.segment_of(0), depth);
-  EXPECT_TRUE(m.check_invariants());
+  EXPECT_EQ(m.validate(), "");
 }
 
 TEST(SplayTree, OrderedQueriesKeepEntriesAndSizes) {
@@ -372,10 +373,10 @@ TEST(SplayTree, OrderedQueriesKeepEntriesAndSizes) {
     }
     ASSERT_EQ(t.size(), ref.size()) << step;
     if (step % 97 == 0) {
-      ASSERT_TRUE(t.check_invariants()) << step;
+      ASSERT_EQ(t.validate(), "") << step;
     }
   }
-  EXPECT_TRUE(t.check_invariants());
+  EXPECT_EQ(t.validate(), "");
   std::vector<Entry> drained;
   t.for_each([&](int k, int v) { drained.emplace_back(k, v); });
   EXPECT_EQ(drained, std::vector<Entry>(ref.begin(), ref.end()));

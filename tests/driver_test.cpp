@@ -114,7 +114,7 @@ TEST(Driver, DestructionQuiescesInFlightWork) {
       }
       for (auto& th : threads) th.join();
       EXPECT_EQ(d->size(), 2000u) << name;
-      EXPECT_TRUE(d->check()) << name;
+      EXPECT_EQ(d->validate(), "") << name;
       // d destroyed here, scheduler last.
     }
   }
@@ -251,14 +251,75 @@ TEST_P(DriverBackendTest, BulkAndBlockingAgreeWithReference) {
     ASSERT_EQ(bulk->size(), ref.size()) << name;
     ASSERT_EQ(blocking->size(), ref.size()) << name;
   }
-  EXPECT_TRUE(bulk->check()) << name;
-  EXPECT_TRUE(blocking->check()) << name;
+  EXPECT_EQ(bulk->validate(), "") << name;
+  EXPECT_EQ(blocking->validate(), "") << name;
 }
 
 INSTANTIATE_TEST_SUITE_P(AllBackends, DriverBackendTest,
                          ::testing::Values("m0", "m1", "m2", "iacono",
                                            "splay", "avl", "locked",
                                            "sharded:m1", "sharded:splay"),
+                         [](const auto& info) {
+                           return testutil::gtest_safe(info.param);
+                         });
+
+// ---- run() alongside blocking callers ---------------------------------------
+
+// The m2 and locked wirings allow the bulk path while other threads make
+// blocking calls (AsyncMap-wrapped drivers quiesce first and must not be
+// mixed). Each thread owns a disjoint key range, so a per-thread std::map
+// oracle predicts every result exactly.
+class DriverMixedTest : public ::testing::TestWithParam<const char*> {};
+
+TEST_P(DriverMixedTest, RunAlongsideBlockingCallers) {
+  const char* name = GetParam();
+  driver::Options opts;
+  opts.workers = 2;
+  auto d = driver::make_driver<std::uint64_t, std::uint64_t>(name, opts);
+  constexpr std::uint64_t kRange = 256;  // keys per thread
+  constexpr std::uint64_t kRounds = 30;
+  constexpr std::size_t kBatch = 200;
+
+  std::thread runner([&] {
+    std::map<std::uint64_t, std::uint64_t> ref;
+    for (std::uint64_t round = 0; round < kRounds; ++round) {
+      const auto ops = scripted_ops(round * 17 + 3, kBatch);  // keys [0, 200)
+      const auto got = d->run(ops);
+      ASSERT_EQ(got.size(), ops.size());
+      for (std::size_t i = 0; i < ops.size(); ++i) {
+        testutil::expect_result_eq(got[i], reference_apply(ref, ops[i]),
+                                   name, i);
+      }
+    }
+  });
+  auto blocking = [&](std::uint64_t base) {
+    std::map<std::uint64_t, std::uint64_t> ref;
+    util::Xoshiro256 rng(base);
+    for (std::uint64_t i = 0; i < kRounds * kBatch; ++i) {
+      const std::uint64_t key = base + rng.bounded(kRange);
+      if (rng.bounded(2) == 0) {
+        ASSERT_EQ(d->insert(key, i), ref.insert_or_assign(key, i).second)
+            << name << " insert " << key;
+      } else {
+        const auto it = ref.find(key);
+        ASSERT_EQ(d->search(key), it == ref.end()
+                                      ? std::nullopt
+                                      : std::optional<std::uint64_t>(
+                                            it->second))
+            << name << " search " << key;
+      }
+    }
+  };
+  std::thread t1(blocking, kRange);
+  std::thread t2(blocking, 2 * kRange);
+  runner.join();
+  t1.join();
+  t2.join();
+  EXPECT_EQ(d->validate(), "") << name;
+}
+
+INSTANTIATE_TEST_SUITE_P(MixingWirings, DriverMixedTest,
+                         ::testing::Values("m2", "locked"),
                          [](const auto& info) {
                            return testutil::gtest_safe(info.param);
                          });
@@ -293,7 +354,7 @@ TEST_P(DriverSubmitTest, OneThreadOverlapsManyOutstandingOps) {
     testutil::expect_result_eq(futures[i].get(), want, name, i);
   }
   ASSERT_EQ(d->size(), ref.size()) << name;
-  EXPECT_TRUE(d->check()) << name;
+  EXPECT_EQ(d->validate(), "") << name;
 }
 
 TEST_P(DriverSubmitTest, TicketSubmissionAndCompletionCallbacks) {
@@ -379,7 +440,7 @@ TEST(Driver, DifferentialFuzzAcrossCheckpointRestart) {
     }
     d->quiesce();
     ASSERT_EQ(d->size(), ref.size()) << name;
-    EXPECT_TRUE(d->check()) << name;
+    EXPECT_EQ(d->validate(), "") << name;
     d.reset();
     std::filesystem::remove_all(tmpl);
   }

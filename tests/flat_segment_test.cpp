@@ -33,10 +33,10 @@ TEST(FlatSegment, StartsFlatAndPromotesPastCapacity) {
     seg.insert_front({i, i, 0});
   }
   EXPECT_TRUE(seg.is_flat());
-  ASSERT_TRUE(seg.check_invariants());
+  ASSERT_EQ(seg.validate(), "");
   seg.insert_front({kFlatSegmentMax, kFlatSegmentMax, 0});
   EXPECT_FALSE(seg.is_flat());
-  ASSERT_TRUE(seg.check_invariants());
+  ASSERT_EQ(seg.validate(), "");
   // Everything inserted before and after the promotion is visible.
   for (std::uint64_t i = 0; i <= kFlatSegmentMax; ++i) {
     ASSERT_NE(seg.peek(i), nullptr) << "key " << i;
@@ -53,7 +53,7 @@ TEST(FlatSegment, BatchInsertOverCapacityPromotes) {
   seg.insert_front_batch(std::move(items));
   EXPECT_FALSE(seg.is_flat());
   EXPECT_EQ(seg.size(), kFlatSegmentMax + 8);
-  ASSERT_TRUE(seg.check_invariants());
+  ASSERT_EQ(seg.validate(), "");
 }
 
 TEST(FlatSegment, DemotesWithHysteresisOnExtract) {
@@ -71,7 +71,7 @@ TEST(FlatSegment, DemotesWithHysteresisOnExtract) {
   // One more extract crosses the bound: back to flat.
   ASSERT_TRUE(seg.extract(next--).has_value());
   EXPECT_TRUE(seg.is_flat());
-  ASSERT_TRUE(seg.check_invariants());
+  ASSERT_EQ(seg.validate(), "");
   for (std::uint64_t i = 0; i <= next; ++i) {
     ASSERT_NE(seg.peek(i), nullptr) << "key " << i;
   }
@@ -86,7 +86,7 @@ TEST(FlatSegment, DebugForceTreePinsRepresentation) {
   seg.insert_front({2, 2, 0});
   ASSERT_TRUE(seg.extract(2).has_value());
   EXPECT_FALSE(seg.is_flat());  // demotion disabled while pinned
-  ASSERT_TRUE(seg.check_invariants());
+  ASSERT_EQ(seg.validate(), "");
 }
 
 TEST(FlatSegment, RecencyStampsSurvivePromoteAndDemote) {
@@ -145,12 +145,12 @@ TEST(FlatSegmentRaw, ExtractByRecencyPicksGlobalExtremes) {
   EXPECT_EQ(out[0].key, 1u);
   EXPECT_EQ(out[1].key, 3u);
   EXPECT_EQ(flat.size(), 3u);
-  EXPECT_TRUE(flat.check_invariants());
+  EXPECT_EQ(flat.validate(), "");
   out.clear();
   flat.extract_by_recency(1, /*least=*/false, out);
   ASSERT_EQ(out.size(), 1u);
   EXPECT_EQ(out[0].key, 2u);  // stamp 90
-  EXPECT_TRUE(flat.check_invariants());
+  EXPECT_EQ(flat.validate(), "");
 }
 
 // ---- differential fuzz ---------------------------------------------------

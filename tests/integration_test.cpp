@@ -146,7 +146,7 @@ TEST_P(BackendIntegrationTest, ConcurrentClientsConvergeToReplayState) {
       }
     }
   }
-  EXPECT_TRUE(map->check());
+  EXPECT_EQ(map->validate(), "");
 }
 
 // Sustained growth and shrink cycles across segment-count transitions.
@@ -166,7 +166,7 @@ TEST_P(BackendIntegrationTest, GrowShrinkCycles) {
     map->run(del);
     ref.execute_batch(del);
     ASSERT_EQ(map->size(), ref.size()) << GetParam() << " cycle " << cycle;
-    ASSERT_TRUE(map->check()) << GetParam() << " cycle " << cycle;
+    ASSERT_EQ(map->validate(), "") << GetParam() << " cycle " << cycle;
   }
 }
 

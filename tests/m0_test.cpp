@@ -28,7 +28,7 @@ TEST(M0, InsertSearchErase) {
   EXPECT_EQ(m.erase(2), 20);
   EXPECT_EQ(m.erase(2), std::nullopt);
   EXPECT_EQ(m.size(), 1u);
-  EXPECT_TRUE(m.check_invariants());
+  EXPECT_EQ(m.validate(), "");
 }
 
 TEST(M0, PeekDoesNotAdjust) {
@@ -51,7 +51,7 @@ TEST(M0, SearchPromotesByOneSegment) {
   const auto after = m.segment_of(299);
   ASSERT_TRUE(after.has_value());
   EXPECT_EQ(*after, *before - 1) << "M0 promotes one segment, not to front";
-  EXPECT_TRUE(m.check_invariants());
+  EXPECT_EQ(m.validate(), "");
 }
 
 TEST(M0, RepeatedSearchReachesFrontSegment) {
@@ -66,16 +66,16 @@ TEST(M0, InsertGoesToBackOfLastSegment) {
   for (int i = 0; i < 23; ++i) m.insert(i, i);  // fills 2+4+16 and one more
   // 23rd item lands in segment 3 (capacities 2,4,16 then 256).
   EXPECT_EQ(m.segment_of(22), 3u);
-  EXPECT_TRUE(m.check_invariants());
+  EXPECT_EQ(m.validate(), "");
 }
 
 TEST(M0, SegmentsFullExceptLast) {
   M0Map<int, int> m;
   for (int i = 0; i < 500; ++i) {
     m.insert(i, i);
-    if (i % 53 == 0) { ASSERT_TRUE(m.check_invariants()) << "i=" << i; }
+    if (i % 53 == 0) { ASSERT_EQ(m.validate(), "") << "i=" << i; }
   }
-  EXPECT_TRUE(m.check_invariants());
+  EXPECT_EQ(m.validate(), "");
 }
 
 TEST(M0, EraseRepairsWithMostRecentOfNextSegment) {
@@ -83,10 +83,10 @@ TEST(M0, EraseRepairsWithMostRecentOfNextSegment) {
   for (int i = 0; i < 300; ++i) m.insert(i, i);
   for (int i = 0; i < 150; ++i) {
     ASSERT_TRUE(m.erase(i).has_value());
-    if (i % 25 == 0) { ASSERT_TRUE(m.check_invariants()) << "i=" << i; }
+    if (i % 25 == 0) { ASSERT_EQ(m.validate(), "") << "i=" << i; }
   }
   EXPECT_EQ(m.size(), 150u);
-  EXPECT_TRUE(m.check_invariants());
+  EXPECT_EQ(m.validate(), "");
 }
 
 TEST(M0, DifferentialAgainstStdMap) {
@@ -122,7 +122,7 @@ TEST(M0, DifferentialAgainstStdMap) {
     }
     ASSERT_EQ(m.size(), ref.size());
   }
-  EXPECT_TRUE(m.check_invariants());
+  EXPECT_EQ(m.validate(), "");
 }
 
 TEST(M0, ExecuteBatchMatchesPointOps) {
@@ -173,7 +173,7 @@ TEST_P(M0RankInvariantTest, HotSetResidesInSmallPrefix) {
     ASSERT_TRUE(seg.has_value());
     EXPECT_LT(*seg, prefix) << "hot key " << k << " too deep (w=" << w << ")";
   }
-  EXPECT_TRUE(m.check_invariants());
+  EXPECT_EQ(m.validate(), "");
 }
 
 INSTANTIATE_TEST_SUITE_P(WorkingSetSizes, M0RankInvariantTest,

@@ -116,7 +116,7 @@ TEST(M1, LargeBatchBuildsSegments) {
   m.execute_batch(batch);
   EXPECT_EQ(m.size(), 1000u);
   EXPECT_GE(m.segment_count(), 4u);
-  EXPECT_TRUE(m.check_invariants());
+  EXPECT_EQ(m.validate(), "");
   for (int i = 0; i < 1000; i += 97) EXPECT_EQ(m.search(i), i);
 }
 
@@ -147,7 +147,7 @@ TEST(M1, DifferentialManySmallBatches) {
     expect_equal_results(m.execute_batch(batch), reference_results(ref, batch),
                          "small-batch");
   }
-  EXPECT_TRUE(m.check_invariants());
+  EXPECT_EQ(m.validate(), "");
 }
 
 // The same differential fuzz, but the map is serialized through the
@@ -175,7 +175,7 @@ TEST(M1, DifferentialFuzzAcrossSnapshotBoundary) {
         rebuild.push_back(IntOp::insert(k, v));
       }
       m->execute_batch(rebuild);
-      ASSERT_TRUE(m->check_invariants());
+      ASSERT_EQ(m->validate(), "");
     }
     const std::size_t b = 1 + rng.bounded(4);
     const std::vector<IntOp> batch = testutil::scripted_ops<int, int>(
@@ -183,7 +183,7 @@ TEST(M1, DifferentialFuzzAcrossSnapshotBoundary) {
     expect_equal_results(m->execute_batch(batch),
                          reference_results(ref, batch), "snap-boundary");
   }
-  EXPECT_TRUE(m->check_invariants());
+  EXPECT_EQ(m->validate(), "");
   std::filesystem::remove_all(tmpl);
 }
 
@@ -200,7 +200,7 @@ TEST(M1, DuplicateHeavyBatchesCombine) {
     ASSERT_TRUE(res.success());
     ASSERT_EQ(res.value, 250);
   }
-  EXPECT_TRUE(m.check_invariants());
+  EXPECT_EQ(m.validate(), "");
 }
 
 TEST(M1, AccessedItemPromotedTowardFront) {
@@ -213,7 +213,7 @@ TEST(M1, AccessedItemPromotedTowardFront) {
     m.execute_batch({IntOp::search(123)});
   }
   EXPECT_EQ(m.segment_of(123), 0u);
-  EXPECT_TRUE(m.check_invariants());
+  EXPECT_EQ(m.validate(), "");
 }
 
 TEST(M1, OrderedQueriesInMixedBatch) {
@@ -235,7 +235,7 @@ TEST(M1, OrderedQueriesInMixedBatch) {
   EXPECT_EQ(r[8].count, 2u);
   EXPECT_EQ(r[9].status, ResultStatus::kUpdated);
   EXPECT_EQ(r[10].value, 111);
-  EXPECT_TRUE(m.check_invariants());
+  EXPECT_EQ(m.validate(), "");
 }
 
 TEST(M1, OrderedQueriesMissAtBoundaries) {
@@ -284,7 +284,7 @@ TEST(M1, OrderedQueriesDoNotSelfAdjust) {
                      IntOp::range_count(123, 123)});
   }
   EXPECT_EQ(m.segment_of(123), depth_before);
-  EXPECT_TRUE(m.check_invariants());
+  EXPECT_EQ(m.validate(), "");
 }
 
 TEST(M1, EraseEverything) {
@@ -299,7 +299,7 @@ TEST(M1, EraseEverything) {
   for (const auto& res : r) ASSERT_TRUE(res.success());
   EXPECT_EQ(m.size(), 0u);
   EXPECT_EQ(m.segment_count(), 0u);
-  EXPECT_TRUE(m.check_invariants());
+  EXPECT_EQ(m.validate(), "");
 }
 
 TEST(M1, ArenaReuseManyBatchesDifferentialVsM0) {
@@ -359,7 +359,7 @@ TEST_P(M1ParallelTest, ParallelMatchesSequentialAndReference) {
     if (round % 4 == 0) {
       ASSERT_EQ(par.validate(), "") << "round " << round;
     } else {
-      ASSERT_TRUE(par.check_invariants()) << "round " << round;
+      ASSERT_EQ(par.validate(), "") << "round " << round;
     }
   }
 }

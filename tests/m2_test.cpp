@@ -43,7 +43,7 @@ TEST(M2, Construction) {
   M2Map<int, int> m(scheduler);
   EXPECT_EQ(m.size(), 0u);
   EXPECT_GE(m.first_slab_width(), 1u);
-  EXPECT_TRUE(m.check_invariants());
+  EXPECT_EQ(m.validate(), "");
 }
 
 TEST(M2, FirstSlabWidthMatchesFormula) {
@@ -67,7 +67,7 @@ TEST(M2, SingleOps) {
   EXPECT_EQ(m.erase(1), std::nullopt);
   m.quiesce();
   EXPECT_EQ(m.size(), 0u);
-  EXPECT_TRUE(m.check_invariants());
+  EXPECT_EQ(m.validate(), "");
 }
 
 TEST(M2, BatchWithDuplicateKeyChain) {
@@ -95,7 +95,7 @@ TEST(M2, BulkInsertAndLookup) {
   m.execute_batch(batch);
   m.quiesce();
   EXPECT_EQ(m.size(), 2000u);
-  EXPECT_TRUE(m.check_invariants());
+  EXPECT_EQ(m.validate(), "");
   for (int i = 0; i < 2000; i += 101) EXPECT_EQ(m.search(i), i * 3);
 }
 
@@ -112,7 +112,7 @@ TEST(M2, DeleteEverything) {
   for (const auto& res : r) ASSERT_TRUE(res.success());
   m.quiesce();
   EXPECT_EQ(m.size(), 0u);
-  EXPECT_TRUE(m.check_invariants());
+  EXPECT_EQ(m.validate(), "");
 }
 
 TEST(M2, DifferentialBatchesAgainstStdMap) {
@@ -212,7 +212,7 @@ TEST(M2, FilterDrainsAtQuiescence) {
   m.quiesce();
   EXPECT_EQ(m.filter_occupancy(), 0u);
   EXPECT_EQ(m.size(), 100u);
-  EXPECT_TRUE(m.check_invariants());
+  EXPECT_EQ(m.validate(), "");
 }
 
 TEST(M2, ConcurrentClientsDisjointKeys) {
@@ -235,7 +235,7 @@ TEST(M2, ConcurrentClientsDisjointKeys) {
   EXPECT_TRUE(ok.load());
   m.quiesce();
   EXPECT_EQ(m.size(), 0u);
-  EXPECT_TRUE(m.check_invariants());
+  EXPECT_EQ(m.validate(), "");
 }
 
 TEST(M2, ConcurrentClientsSharedHotKeys) {
@@ -267,7 +267,7 @@ TEST(M2, ConcurrentClientsSharedHotKeys) {
   m.quiesce();
   EXPECT_GT(hits.load(), 0u);
   EXPECT_LE(m.size(), 64u);
-  EXPECT_TRUE(m.check_invariants());
+  EXPECT_EQ(m.validate(), "");
   EXPECT_EQ(m.filter_occupancy(), 0u);
 }
 
@@ -402,7 +402,7 @@ TEST(M2, OrderedQueriesSeeTheWholePipeline) {
   // The last read's result arrives before the interface's gate closes;
   // validation is quiescent-only.
   m.quiesce();
-  EXPECT_TRUE(m.check_invariants());
+  EXPECT_EQ(m.validate(), "");
 }
 
 TEST(M2, ConcurrentOrderedAndPointClients) {

@@ -119,7 +119,7 @@ TEST(NodePool, CrossTreeRecyclingWithinOneDomain) {
     src.multi_extract(keys, out);
     dst.multi_insert(items);
     ASSERT_EQ(dst.size(), 4096u);
-    ASSERT_TRUE(dst.check_invariants());
+    ASSERT_EQ(dst.validate(), "");
   }
   EXPECT_EQ(pool.stats().chunk_allocs, warm.chunk_allocs)
       << "transfers within one pool domain must not grow the pool";

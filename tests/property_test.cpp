@@ -51,7 +51,7 @@ TEST_P(JTreeSeedTest, OrderStatisticsConsistentWithSortedContent) {
     ASSERT_EQ(t.rank(k), i);
     ++i;
   }
-  EXPECT_TRUE(t.check_invariants());
+  EXPECT_EQ(t.validate(), "");
 }
 
 TEST_P(JTreeSeedTest, ExtractPrefixSuffixPartitionContent) {
@@ -72,7 +72,7 @@ TEST_P(JTreeSeedTest, ExtractPrefixSuffixPartitionContent) {
   }
   // Remainder still intact and balanced.
   for (; it != keys.end(); ++it) ASSERT_NE(t.find(*it), nullptr);
-  EXPECT_TRUE(t.check_invariants());
+  EXPECT_EQ(t.validate(), "");
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, JTreeSeedTest,
@@ -168,7 +168,7 @@ TEST_P(MapAgreementTest, BackendAgreesWithStdMap) {
     }
   }
   EXPECT_EQ(map->size(), ref.size());
-  EXPECT_TRUE(map->check());
+  EXPECT_EQ(map->validate(), "");
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -276,7 +276,7 @@ TEST_P(M1BatchSplitTest, SplittingBatchesPreservesFinalState) {
   for (int k = 0; k < 300; ++k) {
     ASSERT_EQ(split_map.search(k), whole_map.search(k)) << "key " << k;
   }
-  EXPECT_TRUE(split_map.check_invariants());
+  EXPECT_EQ(split_map.validate(), "");
 }
 
 INSTANTIATE_TEST_SUITE_P(ChunkSizes, M1BatchSplitTest,
@@ -322,8 +322,8 @@ TEST_P(ZipfSoundnessTest, BackendsSurviveSkewedMixes) {
     }
   }
   EXPECT_EQ(map->size(), ref.size());
-  EXPECT_TRUE(map->check());
-  EXPECT_TRUE(ref.check_invariants());
+  EXPECT_EQ(map->validate(), "");
+  EXPECT_EQ(ref.validate(), "");
 }
 
 INSTANTIATE_TEST_SUITE_P(

@@ -49,7 +49,7 @@ TEST(Segment, InsertPeekExtract) {
   EXPECT_EQ(item->value, 50);
   EXPECT_EQ(s.size(), 1u);
   EXPECT_FALSE(s.extract(5).has_value());
-  EXPECT_TRUE(s.check_invariants());
+  EXPECT_EQ(s.validate(), "");
 }
 
 TEST(Segment, RecencyOrderSingleOps) {
@@ -89,7 +89,7 @@ TEST(Segment, ExtractByKeysSortedResult) {
   EXPECT_EQ(found[2].key, 9);
   EXPECT_EQ(found[1].value, 50);
   EXPECT_EQ(s.size(), 2u);
-  EXPECT_TRUE(s.check_invariants());
+  EXPECT_EQ(s.validate(), "");
 }
 
 TEST(Segment, FindBatch) {
@@ -113,7 +113,7 @@ TEST(Segment, InsertItemsBatch) {
   for (int k : {1, 3, 5, 7}) items.push_back({k, k, g.fresh_front()});
   s.insert_items(std::move(items));
   EXPECT_EQ(s.size(), 4u);
-  EXPECT_TRUE(s.check_invariants());
+  EXPECT_EQ(s.validate(), "");
   EXPECT_EQ(s.least_recent_key(), 1);  // first stamped = least recent
 }
 
@@ -174,7 +174,7 @@ TEST(Segment, StampsSurviveMovesBetweenSegments) {
   b.insert_item(std::move(*moved));
   // In b, 100 is least recent (older stamp).
   EXPECT_EQ(b.least_recent_key(), 100);
-  EXPECT_TRUE(b.check_invariants());
+  EXPECT_EQ(b.validate(), "");
 }
 
 TEST(Segment, RandomizedRecencyOrderMatchesModel) {
@@ -203,7 +203,7 @@ TEST(Segment, RandomizedRecencyOrderMatchesModel) {
     }
     ASSERT_EQ(s.size(), model.size());
   }
-  EXPECT_TRUE(s.check_invariants());
+  EXPECT_EQ(s.validate(), "");
 }
 
 }  // namespace

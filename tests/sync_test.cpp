@@ -1,13 +1,13 @@
 // Tests for the QRMW-style synchronization primitives (src/sync):
-// non-blocking lock (Def. 35), dedicated lock (Def. 37), activation
-// interface (Def. 36).
+// non-blocking lock (Def. 35) and dedicated lock (Def. 37). AsyncGate, the
+// activation interface (Def. 36), is tested in buffer_test and
+// lock_protocol_test.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <thread>
 #include <vector>
 
-#include "sync/activation.hpp"
 #include "sync/dedicated_lock.hpp"
 #include "sync/nonblocking_lock.hpp"
 
@@ -121,74 +121,6 @@ TEST(DedicatedLock, MutualExclusionAcrossThreads) {
   EXPECT_FALSE(violation);
   EXPECT_EQ(completed.load(), 2 * kIters);
   EXPECT_FALSE(lock.held());
-}
-
-TEST(Activation, RunsWhenReady) {
-  int runs = 0;
-  bool ready = true;
-  sync::Activation act([&] { return ready; }, [&] {
-    ++runs;
-    ready = false;
-    return false;
-  });
-  act.activate();
-  EXPECT_EQ(runs, 1);
-  act.activate();  // not ready anymore
-  EXPECT_EQ(runs, 1);
-}
-
-TEST(Activation, SelfReactivation) {
-  int runs = 0;
-  sync::Activation act([] { return true; }, [&] {
-    ++runs;
-    return runs < 5;  // request reactivation four times
-  });
-  act.activate();
-  EXPECT_EQ(runs, 5);
-}
-
-TEST(Activation, PendingMarkPreventsLostWakeup) {
-  // An activation arriving while the owner runs must trigger another pass.
-  std::atomic<int> runs{0};
-  std::atomic<bool> ready{true};
-  sync::Activation* act_ptr = nullptr;
-  sync::Activation act([&] { return ready.load(); }, [&] {
-    if (runs.fetch_add(1) == 0) {
-      // Simulate a concurrent producer: make ready true again and activate
-      // while we are still the owner.
-      ready = true;
-      act_ptr->activate();  // should set the pending mark, not recurse
-      ready = true;
-    } else {
-      ready = false;
-    }
-    return false;
-  });
-  act_ptr = &act;
-  act.activate();
-  EXPECT_GE(runs.load(), 2) << "activation during run must cause re-run";
-}
-
-TEST(Activation, ConcurrentActivationsRunProcessSerially) {
-  std::atomic<int> concurrent{0};
-  std::atomic<bool> violation{false};
-  std::atomic<int> runs{0};
-  sync::Activation act([] { return true; }, [&] {
-    if (concurrent.fetch_add(1) != 0) violation = true;
-    runs.fetch_add(1);
-    concurrent.fetch_sub(1);
-    return false;
-  });
-  std::vector<std::thread> threads;
-  for (int t = 0; t < 8; ++t) {
-    threads.emplace_back([&] {
-      for (int i = 0; i < 2000; ++i) act.activate();
-    });
-  }
-  for (auto& th : threads) th.join();
-  EXPECT_FALSE(violation);
-  EXPECT_GT(runs.load(), 0);
-  EXPECT_FALSE(act.running());
 }
 
 }  // namespace

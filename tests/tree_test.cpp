@@ -34,7 +34,7 @@ TEST(JTree, EmptyTree) {
   EXPECT_TRUE(t.empty());
   EXPECT_EQ(t.find(1), nullptr);
   EXPECT_FALSE(t.erase(1).has_value());
-  EXPECT_TRUE(t.check_invariants());
+  EXPECT_EQ(t.validate(), "");
 }
 
 TEST(JTree, InsertFindErase) {
@@ -51,21 +51,21 @@ TEST(JTree, InsertFindErase) {
   ASSERT_TRUE(removed.has_value());
   EXPECT_EQ(*removed, 30);
   EXPECT_EQ(t.size(), 2u);
-  EXPECT_TRUE(t.check_invariants());
+  EXPECT_EQ(t.validate(), "");
 }
 
 TEST(JTree, SequentialInsertStaysBalanced) {
   IntTree t;
   for (int i = 0; i < 4096; ++i) t.insert(i, i);
   EXPECT_EQ(t.size(), 4096u);
-  EXPECT_TRUE(t.check_invariants());
+  EXPECT_EQ(t.validate(), "");
   for (int i = 0; i < 4096; ++i) ASSERT_NE(t.find(i), nullptr);
 }
 
 TEST(JTree, ReverseInsertStaysBalanced) {
   IntTree t;
   for (int i = 4096; i-- > 0;) t.insert(i, i);
-  EXPECT_TRUE(t.check_invariants());
+  EXPECT_EQ(t.validate(), "");
 }
 
 TEST(JTree, OrderStatistics) {
@@ -123,7 +123,7 @@ TEST(JTree, FromSortedBuildsBalanced) {
   for (int i = 0; i < 10000; ++i) items.emplace_back(i, i);
   auto t = IntTree::from_sorted(items);
   EXPECT_EQ(t.size(), 10000u);
-  EXPECT_TRUE(t.check_invariants());
+  EXPECT_EQ(t.validate(), "");
 }
 
 TEST(JTree, MultiInsertIntoEmpty) {
@@ -131,7 +131,7 @@ TEST(JTree, MultiInsertIntoEmpty) {
   const auto items = sorted_pairs({5, 1, 9, 3, 7});
   t.multi_insert(items);
   EXPECT_EQ(t.size(), 5u);
-  EXPECT_TRUE(t.check_invariants());
+  EXPECT_EQ(t.validate(), "");
   EXPECT_EQ(*t.find(9), 90);
 }
 
@@ -143,7 +143,7 @@ TEST(JTree, MultiInsertMergesAndOverwrites) {
   for (int i = 1; i < 100; i += 4) items.emplace_back(i, i);  // new odd keys
   std::sort(items.begin(), items.end());
   t.multi_insert(items);
-  EXPECT_TRUE(t.check_invariants());
+  EXPECT_EQ(t.validate(), "");
   EXPECT_EQ(*t.find(0), 0);
   EXPECT_EQ(*t.find(2), -1);
   EXPECT_EQ(*t.find(1), 1);
@@ -162,7 +162,7 @@ TEST(JTree, MultiExtractRemovesAndReports) {
   EXPECT_FALSE(out[4].has_value());
   EXPECT_EQ(t.size(), 47u);
   EXPECT_EQ(t.find(3), nullptr);
-  EXPECT_TRUE(t.check_invariants());
+  EXPECT_EQ(t.validate(), "");
 }
 
 TEST(JTree, MultiFindDoesNotMutate) {
@@ -190,7 +190,7 @@ TEST(JTree, ExtractPrefixSuffix) {
   EXPECT_EQ(suffix[0].first, 17);
   EXPECT_EQ(suffix[2].first, 19);
   EXPECT_EQ(t.size(), 12u);
-  EXPECT_TRUE(t.check_invariants());
+  EXPECT_EQ(t.validate(), "");
 }
 
 TEST(JTree, ExtractPrefixMoreThanSize) {
@@ -217,7 +217,7 @@ TEST(JTree, StringKeys) {
   EXPECT_EQ(*t.find("apple"), 1);
   EXPECT_EQ(t.at(0).first, "apple");
   EXPECT_EQ(t.at(2).first, "cherry");
-  EXPECT_TRUE(t.check_invariants());
+  EXPECT_EQ(t.validate(), "");
 }
 
 // Randomized differential test against std::map.
@@ -255,7 +255,7 @@ TEST(JTree, RandomizedDifferentialAgainstStdMap) {
     }
     EXPECT_EQ(t.size(), ref.size());
   }
-  EXPECT_TRUE(t.check_invariants());
+  EXPECT_EQ(t.validate(), "");
 }
 
 // Randomized batch-op differential test.
@@ -287,7 +287,7 @@ TEST(JTree, RandomizedBatchDifferential) {
       }
     }
     ASSERT_EQ(t.size(), ref.size());
-    ASSERT_TRUE(t.check_invariants());
+    ASSERT_EQ(t.validate(), "");
   }
   // Final content identical.
   const auto v = t.to_vector();
@@ -319,7 +319,7 @@ TEST_P(JTreeParallelTest, ParallelMatchesSequential) {
   seq.multi_insert(items);
   par.multi_insert(items, ctx);
   EXPECT_EQ(seq.to_vector(), par.to_vector());
-  EXPECT_TRUE(par.check_invariants());
+  EXPECT_EQ(par.validate(), "");
 
   std::vector<int> keys;
   for (std::size_t i = 0; i < items.size(); i += 2) keys.push_back(items[i].first);
@@ -328,7 +328,7 @@ TEST_P(JTreeParallelTest, ParallelMatchesSequential) {
   par.multi_extract(keys, out_par, ctx);
   EXPECT_EQ(out_seq, out_par);
   EXPECT_EQ(seq.to_vector(), par.to_vector());
-  EXPECT_TRUE(par.check_invariants());
+  EXPECT_EQ(par.validate(), "");
 }
 
 INSTANTIATE_TEST_SUITE_P(BatchSizes, JTreeParallelTest,
