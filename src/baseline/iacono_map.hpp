@@ -39,7 +39,7 @@ class IaconoMap {
       if (!item) continue;
       promote_to_front(std::move(*item));
       rebalance_after_promotion(k);
-      return &segments_[0].peek(key)->first;
+      return segments_[0].peek(key);
     }
     return nullptr;
   }
@@ -47,7 +47,7 @@ class IaconoMap {
   /// Search without self-adjustment (for tests and read-only probes).
   const V* peek(const K& key) const {
     for (const auto& seg : segments_) {
-      if (const auto* e = seg.peek(key)) return &e->first;
+      if (const V* v = seg.peek(key)) return v;
     }
     return nullptr;
   }

@@ -3,8 +3,8 @@
 // segments of a working-set structure. The doubly-exponential sizing makes
 // S[0..2] tiny (2/4/16 items), yet they absorb almost every probe under
 // working-set-friendly workloads; paying a pointer-chasing JTree descent
-// (two trees: key-map + recency-map) per probe there is pure constant-factor
-// waste. This layout keeps a small segment as two parallel arrays:
+// per probe there is pure constant-factor waste. This layout keeps a small
+// segment as two parallel arrays:
 //
 //   keys_    : sorted, contiguous — probes are a branchless binary search
 //              over one or two cache lines, no pointer chasing;
@@ -17,7 +17,7 @@
 // arrays are reserved (one reservation per segment, ever).
 //
 // core::Segment dispatches between this layout (size <= kFlatSegmentMax,
-// i.e. depth k <= 2 plus M2's 3x slack on S[2]) and the JTree pair (deep
+// i.e. depth k <= 2 plus M2's 3x slack on S[2]) and the linked JTree (deep
 // segments); the promote/demote machinery lives in segment.hpp.
 
 #include <algorithm>
@@ -112,13 +112,9 @@ class FlatSegment {
     return i < keys_.size() && !(key < keys_[i]) ? i : keys_.size();
   }
 
-  const Entry* peek(const K& key) const {
+  const V* peek(const K& key) const {
     const std::size_t i = find_idx(key);
-    return i < keys_.size() ? &entries_[i] : nullptr;
-  }
-  Entry* peek(const K& key) {
-    const std::size_t i = find_idx(key);
-    return i < keys_.size() ? &entries_[i] : nullptr;
+    return i < keys_.size() ? &entries_[i].first : nullptr;
   }
 
   /// Greatest key strictly below `key`, as {&key, &value}; nulls if none.
@@ -254,14 +250,6 @@ class FlatSegment {
     entries_.resize(w);
   }
 
-  /// Looks up every key; out[i] is the entry pointer or nullptr (valid
-  /// until the next mutation).
-  void find_batch(std::span<const K> keys,
-                  std::vector<const Entry*>& out) const {
-    out.assign(keys.size(), nullptr);
-    for (std::size_t i = 0; i < keys.size(); ++i) out[i] = peek(keys[i]);
-  }
-
   /// Removes the `c` least-recent (least=true) or most-recent items into
   /// `out` (appended in key order) and compacts. Selection runs over an
   /// on-stack index array — never allocates.
@@ -304,30 +292,25 @@ class FlatSegment {
     }
   }
 
-  /// Moves every item out in key order — (key, (value, stamp)) appended to
-  /// `key_entries`, (stamp, key) to `rec_entries` — leaving the segment
-  /// empty. Used when promoting to the tree representation: the key side
-  /// feeds JTree::from_sorted directly; the recency side still needs a
-  /// stamp sort at the call site.
-  template <typename KeyEntries, typename RecEntries>
-  void drain_sorted(KeyEntries& key_entries, RecEntries& rec_entries) {
+  /// Moves every item out in key order as sink(key, value, stamp), leaving
+  /// the segment empty. Used when promoting to the tree representation.
+  template <typename Sink>
+  void drain_sorted(Sink&& sink) {
     for (std::size_t i = 0; i < keys_.size(); ++i) {
-      rec_entries.emplace_back(entries_[i].second, keys_[i]);
-      key_entries.emplace_back(
-          std::move(keys_[i]),
-          Entry{std::move(entries_[i].first), entries_[i].second});
+      sink(std::move(keys_[i]), std::move(entries_[i].first),
+           entries_[i].second);
     }
     clear();
   }
 
   /// Appends an item known to sort after every present key (used when
   /// demoting a tree walked in key order).
-  void append_sorted(const K& key, const Entry& entry) {
+  void append_sorted(const K& key, const V& value, std::uint64_t stamp) {
     assert(keys_.size() < kFlatSegmentMax);
     assert(keys_.empty() || keys_.back() < key);
     ensure_capacity();
     keys_.push_back(key);
-    entries_.push_back(entry);
+    entries_.emplace_back(value, stamp);
   }
 
   /// Deep representation check with a precise failure description:

@@ -88,7 +88,7 @@ class M0Map {
   /// Read-only lookup (no self-adjustment).
   const V* peek(const K& key) const {
     for (const auto& seg : segments_) {
-      if (const auto* e = seg.peek(key)) return &e->first;
+      if (const V* v = seg.peek(key)) return v;
     }
     return nullptr;
   }
@@ -105,8 +105,7 @@ class M0Map {
   /// an update-access (M1's rule, Section 6.1). Returns true iff new.
   bool insert(const K& key, V value) {
     for (std::size_t k = 0; k < segments_.size(); ++k) {
-      if (auto* e = segments_[k].peek(key)) {
-        (void)e;
+      if (segments_[k].peek(key)) {
         // Update = access: run the search promotion, then overwrite.
         search(key);
         overwrite(key, std::move(value));
@@ -221,8 +220,8 @@ class M0Map {
   /// segment's own invariants, the doubly-exponential capacity bound, the
   /// all-full-except-last occupancy rule, the size_ accounting, and the
   /// pool-domain accounting (every tree-represented segment holds exactly
-  /// one key-map and one recency-map node per item, and nothing else
-  /// draws from this instance's pools). Empty string = OK.
+  /// one node per item, and nothing else draws from this instance's
+  /// pool). Empty string = OK.
   std::string validate() const {
     util::Validator v("m0: ");
     std::size_t total = 0;
@@ -264,8 +263,8 @@ class M0Map {
 
   void overwrite(const K& key, V value) {
     for (auto& seg : segments_) {
-      if (auto* e = seg.peek(key)) {
-        e->first = std::move(value);
+      if (V* v = seg.peek(key)) {
+        *v = std::move(value);
         return;
       }
     }

@@ -141,8 +141,9 @@ class M1Map {
   /// Deep structural check with a precise failure description: every
   /// segment's own invariants, the size_ accounting, the restore-capacity
   /// prefix rule (each capacity prefix is full until the items run out),
-  /// and the pool-domain accounting (one key-map and one recency-map node
-  /// per item in a tree-represented segment). Empty string = OK.
+  /// and the pool-domain accounting (one node per item in a
+  /// tree-represented segment, its recency links checked by the segment).
+  /// Empty string = OK.
   std::string validate() const {
     util::Validator v("m1: ");
     std::size_t total = 0;
@@ -285,7 +286,7 @@ class M1Map {
     auto& to_promote = scratch_.promote;
     for (std::size_t k = 0; k < segments_.size() && !pending.empty(); ++k) {
       // Overlap memory latency: request S[k+1]'s entry lines (flat arrays
-      // or key-map root) while this iteration chews on S[k]. The sweep
+      // or tree root) while this iteration chews on S[k]. The sweep
       // order is static, so the prefetch is never wasted on a mispredicted
       // target — at worst the batch resolves before reaching S[k+1].
       if (k + 1 < segments_.size()) segments_[k + 1].prefetch();

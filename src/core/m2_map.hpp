@@ -254,8 +254,8 @@ class M2Map {
   /// segment's own invariants, Lemma 16's lenient stage bound (S[k] holds
   /// at most 3·2^(2^k)), the size accounting, the
   /// drained filter (both the counter and its tree/pool), and the shared
-  /// pool domain (one key-map + one recency-map node per item sitting in a
-  /// tree-represented segment). Empty string = OK.
+  /// pool domain (one node per item sitting in a tree-represented
+  /// segment). Empty string = OK.
   std::string validate() {
     util::Validator v("m2: ");
     if (!v.require(!pipeline_busy(),

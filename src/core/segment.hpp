@@ -1,9 +1,8 @@
 #pragma once
 // Segment S[k] of a working-set structure: a set of items ordered two ways,
-// by key (the key-map) and by recency (the recency-map) — Section 5 of the
-// paper. Capacity of segment k is 2^(2^k); the recency order across the
-// whole structure is the concatenation of segments (most recent first
-// within each).
+// by key and by recency — Section 5 of the paper. Capacity of segment k is
+// 2^(2^k); the recency order across the whole structure is the
+// concatenation of segments (most recent first within each).
 //
 // Recency within a segment is represented by a 64-bit stamp: larger stamp
 // = more recent. Stamps are strictly *per-segment*: the abstract list R of
@@ -21,16 +20,21 @@
 //    arrays, branchless binary-search probes, memmove point edits, merge
 //    batch edits. This is where S[0]/S[1]/S[2] (2+4+16 items) live, which
 //    is where working-set-friendly workloads resolve almost every probe.
-//  * tree  (larger): the JTree pair — the key-map stores
-//    key -> (value, stamp); the recency-map stores stamp -> key with order
-//    statistics standing in for the paper's leaf-to-leaf "direct pointers"
-//    (reverse-indexing = rank/select).
+//  * tree  (larger): ONE JTree mapping key -> SegmentEntry (value, stamp,
+//    newer, older). The two links thread a doubly linked recency list
+//    through the tree's nodes, most recent at head_, least recent at
+//    tail_ — the paper's leaf-to-leaf direct pointers. A node keeps its
+//    address across split and join, so batch tree work never disturbs the
+//    list. Every arrival is linked at an end (insert_front*/insert_back*
+//    restamp), so the list stays in stamp order without an ordered splice;
+//    recency extraction walks c nodes from one end, and key extraction
+//    unlinks the nodes it found before the tree drops them.
 //
 // Dispatch rules: a segment starts flat; an insert that would push it past
-// kFlatSegmentMax first *promotes* (bulk-builds both trees via
-// JTree::from_sorted from the already-sorted arrays, drawing nodes from
-// the segment's pool domain); an extract that brings a tree segment down
-// to kFlatSegmentDemote (= kFlatSegmentMax/2, hysteresis so a segment
+// kFlatSegmentMax first *promotes* (bulk-builds the tree from the already
+// key-sorted arrays, drawing nodes from the segment's pool domain, and
+// links the list in stamp order); an extract that brings a tree segment
+// down to kFlatSegmentDemote (= kFlatSegmentMax/2, hysteresis so a segment
 // oscillating at the boundary doesn't thrash) *demotes* back, bulk-
 // recycling every node in one pool splice. The stamp generator survives
 // representation changes, so recency semantics never notice.
@@ -99,42 +103,51 @@ struct ProbeDepthCounts {
   }
 };
 
-/// One node-pool domain for a map instance: every segment of the instance
-/// allocates its key-map nodes from `key_pool` and its recency-map nodes
-/// from `rec_pool`. Sharing the domain across the instance's segments is
-/// what makes segment→segment batch transfers heap-free at steady state —
-/// the extract side recycles exactly the nodes the insert side re-draws.
-/// Pools are never shared across instances (driver_test's arena/pool
-/// independence guarantee); the owner must keep the pools alive until
-/// every segment is gone (declare the pools before the segments).
+template <typename K, typename V>
+struct SegmentEntry;
+
+/// The key tree of a tree-represented segment.
+template <typename K, typename V>
+using SegmentTree = tree::JTree<K, SegmentEntry<K, V>>;
+
+/// Payload of one tree-segment node: the value, its recency stamp, and the
+/// node's neighbours in the segment's recency list (null at the ends).
+template <typename K, typename V>
+struct SegmentEntry {
+  using Link = typename SegmentTree<K, V>::Handle;
+  V value;
+  std::uint64_t stamp;
+  Link newer = nullptr;  // toward the most recent end
+  Link older = nullptr;  // toward the least recent end
+};
+
+/// One node-pool domain for a map instance: every tree-represented segment
+/// of the instance allocates its nodes from `node_pool`. Sharing the domain
+/// across the instance's segments is what makes segment→segment batch
+/// transfers heap-free at steady state — the extract side recycles exactly
+/// the nodes the insert side re-draws. Pools are never shared across
+/// instances (driver_test's arena/pool independence guarantee); the owner
+/// must keep the pool alive until every segment is gone (declare the pools
+/// before the segments).
 template <typename K, typename V>
 struct SegmentPools {
-  using KeyTree = tree::JTree<K, std::pair<V, std::uint64_t>>;
-  using RecTree = tree::JTree<std::uint64_t, K>;
-
-  typename KeyTree::Pool key_pool;
-  typename RecTree::Pool rec_pool;
+  typename SegmentTree<K, V>::Pool node_pool;
 
   /// The scheduler the instance forks batch work on (null for sequential
-  /// instances): the pools shard their free lists by its worker ids.
+  /// instances): the pool shards its free lists by its worker ids.
   explicit SegmentPools(sched::Scheduler* scheduler = nullptr)
-      : key_pool(scheduler), rec_pool(scheduler) {}
+      : node_pool(scheduler) {}
 
   /// Deep check shared by the maps' validate(): every item held in a
-  /// tree-represented segment owns exactly one node in each pool, and
-  /// each pool is internally consistent. Empty = clean.
+  /// tree-represented segment owns exactly one node, and the pool is
+  /// internally consistent. Empty = clean.
   std::string validate(std::size_t tree_items) const {
     util::Validator v;
-    if (v.require(key_pool.live_nodes() == tree_items,
-                  "key-pool accounting broken: ", key_pool.live_nodes(),
+    if (v.require(node_pool.live_nodes() == tree_items,
+                  "node-pool accounting broken: ", node_pool.live_nodes(),
                   " live nodes but ", tree_items,
-                  " items live in tree-represented segments") &&
-        v.require(rec_pool.live_nodes() == tree_items,
-                  "recency-pool accounting broken: ", rec_pool.live_nodes(),
-                  " live nodes but ", tree_items,
-                  " items live in tree-represented segments") &&
-        v.absorb(key_pool.validate(), "key-pool: ")) {
-      v.absorb(rec_pool.validate(), "recency-pool: ");
+                  " items live in tree-represented segments")) {
+      v.absorb(node_pool.validate(), "node-pool: ");
     }
     return std::move(v).take();
   }
@@ -148,12 +161,12 @@ struct SegmentPools {
 /// single-owner batch contract already guarantees.
 template <typename K, typename V>
 struct SegmentScratch {
-  std::vector<std::optional<std::pair<V, std::uint64_t>>> entries;
-  std::vector<std::uint64_t> stamps;
-  std::vector<std::optional<K>> removed_keys;
+  using Link = typename SegmentTree<K, V>::Handle;
+  std::vector<std::optional<SegmentEntry<K, V>>> entries;
   std::vector<K> keys;
-  std::vector<std::pair<K, std::pair<V, std::uint64_t>>> key_entries;
-  std::vector<std::pair<std::uint64_t, K>> rec_entries;
+  std::vector<std::pair<K, SegmentEntry<K, V>>> key_entries;
+  std::vector<Link> nodes;     // parallel to keys / key_entries
+  std::vector<Link> by_stamp;  // new nodes in recency order
   std::vector<std::size_t> idx;
 };
 
@@ -163,20 +176,18 @@ class Segment {
   using Item = SegmentItem<K, V>;
 
   Segment() = default;
-  /// Binds both trees to the instance's pool domain (null = unpooled).
+  /// Binds the tree to the instance's pool domain (null = unpooled).
   explicit Segment(SegmentPools<K, V>* pools)
-      : by_key_(pools != nullptr ? &pools->key_pool : nullptr),
-        by_recency_(pools != nullptr ? &pools->rec_pool : nullptr) {}
+      : tree_(pools != nullptr ? &pools->node_pool : nullptr) {}
 
   /// Late binding for segments that must be default-constructed first
   /// (vector-of-count members, M2's Stage); only legal while empty.
   void bind_pools(SegmentPools<K, V>* pools) noexcept {
-    by_key_.set_pool(pools != nullptr ? &pools->key_pool : nullptr);
-    by_recency_.set_pool(pools != nullptr ? &pools->rec_pool : nullptr);
+    tree_.set_pool(pools != nullptr ? &pools->node_pool : nullptr);
   }
 
   std::size_t size() const noexcept {
-    return is_tree_ ? by_key_.size() : flat_.size();
+    return is_tree_ ? tree_.size() : flat_.size();
   }
   bool empty() const noexcept { return size() == 0; }
 
@@ -192,12 +203,12 @@ class Segment {
   }
 
   /// Requests the representation's entry lines ahead of a probe: the flat
-  /// arrays' first lines, or the key-map root. Used by the M1/M2 batch
-  /// sweeps to overlap the next segment's memory latency with the current
+  /// arrays' first lines, or the tree root. Used by the M1/M2 batch sweeps
+  /// to overlap the next segment's memory latency with the current
   /// segment's work.
   void prefetch() const noexcept {
     if (is_tree_) {
-      by_key_.prefetch_root();
+      tree_.prefetch_root();
     } else {
       flat_.prefetch();
     }
@@ -205,38 +216,34 @@ class Segment {
 
   // ---- point operations (used by M0 / Iacono / small paths) -------------
 
-  /// Value+stamp for key, or nullptr (no recency effect).
-  const std::pair<V, std::uint64_t>* peek(const K& key) const {
-    return is_tree_ ? by_key_.find(key) : flat_.peek(key);
+  /// Value for key, or nullptr (no recency effect).
+  const V* peek(const K& key) const {
+    if (!is_tree_) return flat_.peek(key);
+    const Entry* e = tree_.find(key);
+    return e != nullptr ? &e->value : nullptr;
   }
-  std::pair<V, std::uint64_t>* peek(const K& key) {
-    return is_tree_ ? by_key_.find(key) : flat_.peek(key);
+  V* peek(const K& key) {
+    return const_cast<V*>(std::as_const(*this).peek(key));
   }
 
   /// Removes the item with `key` if present.
-  std::optional<Item> extract(const K& key_ref) {
-    if (!is_tree_) return flat_.extract(key_ref);
-    // Copy first: the caller's reference may point into one of our trees
-    // (e.g. the recency map's value we are about to delete).
-    K key = key_ref;
-    auto entry = by_key_.erase(key);
-    if (!entry) return std::nullopt;
-    by_recency_.erase(entry->second);
-    Item out{std::move(key), std::move(entry->first), entry->second};
-    maybe_demote();
-    return out;
+  std::optional<Item> extract(const K& key) {
+    if (!is_tree_) return flat_.extract(key);
+    const Link n = tree_.find_node(key);
+    if (n == nullptr) return std::nullopt;
+    return extract_node(n);
   }
 
   /// Inserts one item at the front (most recent); the stamp is reassigned.
   void insert_front(Item item) {
     item.stamp = stamps_.fresh_front();
-    insert_item(std::move(item));
+    insert_one(std::move(item), /*front=*/true);
   }
 
   /// Inserts one item at the back (least recent); the stamp is reassigned.
   void insert_back(Item item) {
     item.stamp = stamps_.fresh_back();
-    insert_item(std::move(item));
+    insert_one(std::move(item), /*front=*/false);
   }
 
   /// Inserts a batch at the front, preserving the arrivals' relative
@@ -245,10 +252,7 @@ class Segment {
   /// (moved-from); the caller keeps the backing buffer for reuse.
   void insert_front_batch(std::span<Item> items, const tree::ParCtx& ctx = {},
                           SegmentScratch<K, V>* s = nullptr) {
-    restamp(items, /*front=*/true, s);
-    std::sort(items.begin(), items.end(),
-              [](const Item& a, const Item& b) { return a.key < b.key; });
-    insert_items(items, ctx, s);
+    insert_batch(items, /*front=*/true, ctx, s);
   }
   void insert_front_batch(std::vector<Item> items,
                           const tree::ParCtx& ctx = {}) {
@@ -258,74 +262,53 @@ class Segment {
   /// Inserts a batch at the back, preserving relative recency.
   void insert_back_batch(std::span<Item> items, const tree::ParCtx& ctx = {},
                          SegmentScratch<K, V>* s = nullptr) {
-    restamp(items, /*front=*/false, s);
-    std::sort(items.begin(), items.end(),
-              [](const Item& a, const Item& b) { return a.key < b.key; });
-    insert_items(items, ctx, s);
+    insert_batch(items, /*front=*/false, ctx, s);
   }
   void insert_back_batch(std::vector<Item> items,
                          const tree::ParCtx& ctx = {}) {
     insert_back_batch(std::span<Item>(items), ctx);
   }
 
-  /// Inserts an item; the stamp must be distinct from all stamps present.
-  void insert_item(Item item) {
-    if (!is_tree_) {
-      if (flat_.size() < kFlatSegmentMax) {
-        flat_.insert(std::move(item));
-        return;
-      }
-      promote(nullptr);
-    }
-    [[maybe_unused]] const bool fresh_key =
-        by_key_.insert(item.key, {std::move(item.value), item.stamp});
-    [[maybe_unused]] const bool fresh_stamp =
-        by_recency_.insert(item.stamp, item.key);
-    assert(fresh_key && fresh_stamp);
-  }
-
   // ---- ordered queries (protocol v2) -------------------------------------
-  // Read-only against the key-map: no recency effect, no restructuring.
+  // Read-only against the key order: no recency effect, no restructuring.
   // Pointers valid until the next mutation.
 
   /// Entry with the greatest key strictly below `key` in this segment.
   std::pair<const K*, const V*> predecessor(const K& key) const {
     if (!is_tree_) return flat_.predecessor(key);
-    auto [k, e] = by_key_.predecessor(key);
-    return {k, e != nullptr ? &e->first : nullptr};
+    auto [k, e] = tree_.predecessor(key);
+    return {k, e != nullptr ? &e->value : nullptr};
   }
 
   /// Entry with the least key strictly above `key` in this segment.
   std::pair<const K*, const V*> successor(const K& key) const {
     if (!is_tree_) return flat_.successor(key);
-    auto [k, e] = by_key_.successor(key);
-    return {k, e != nullptr ? &e->first : nullptr};
+    auto [k, e] = tree_.successor(key);
+    return {k, e != nullptr ? &e->value : nullptr};
   }
 
   /// Number of this segment's keys in the inclusive range [lo, hi].
   std::size_t range_count(const K& lo, const K& hi) const {
-    return is_tree_ ? by_key_.range_count(lo, hi) : flat_.range_count(lo, hi);
+    return is_tree_ ? tree_.range_count(lo, hi) : flat_.range_count(lo, hi);
   }
 
   std::optional<Item> extract_least_recent() {
     if (empty()) return std::nullopt;
     if (!is_tree_) return flat_.extract_at(flat_.least_recent_idx());
-    const K key = by_recency_.at(0).second;  // copy before mutating
-    return extract(key);
+    return extract_node(tail_);
   }
 
   std::optional<Item> extract_most_recent() {
     if (empty()) return std::nullopt;
     if (!is_tree_) return flat_.extract_at(flat_.most_recent_idx());
-    const K key = by_recency_.at(by_recency_.size() - 1).second;
-    return extract(key);
+    return extract_node(head_);
   }
 
   /// Key of the least-recent item (for inspection/tests).
   std::optional<K> least_recent_key() const {
     if (empty()) return std::nullopt;
     if (!is_tree_) return flat_.key_at(flat_.least_recent_idx());
-    return by_recency_.at(0).second;
+    return Tree::key_of(tail_);
   }
 
   // ---- batched operations (used by M1 / M2) ------------------------------
@@ -343,18 +326,14 @@ class Segment {
     }
     SegmentScratch<K, V> local;
     SegmentScratch<K, V>& sc = s ? *s : local;
-    by_key_.multi_extract(keys, sc.entries, ctx);
-    sc.stamps.clear();
+    tree_.multi_find(keys, sc.nodes, ctx);
+    sc.keys.clear();
     for (std::size_t i = 0; i < keys.size(); ++i) {
-      if (sc.entries[i]) {
-        out.push_back(Item{keys[i], std::move(sc.entries[i]->first),
-                           sc.entries[i]->second});
-        sc.stamps.push_back(sc.entries[i]->second);
-      }
+      if (sc.nodes[i] == nullptr) continue;
+      unlink(sc.nodes[i]);
+      sc.keys.push_back(keys[i]);
     }
-    std::sort(sc.stamps.begin(), sc.stamps.end());
-    by_recency_.multi_extract(sc.stamps, sc.removed_keys, ctx);
-    maybe_demote();
+    extract_unlinked(sc, out, ctx);
   }
   std::vector<Item> extract_by_keys(std::span<const K> keys,
                                     const tree::ParCtx& ctx = {}) {
@@ -363,61 +342,11 @@ class Segment {
     return found;
   }
 
-  /// Looks up keys without removing; out[i] is the (value, stamp) entry or
-  /// nullptr. Pointers valid until the next mutation.
-  void find_batch(std::span<const K> keys,
-                  std::vector<const std::pair<V, std::uint64_t>*>& out,
-                  const tree::ParCtx& ctx = {}) const {
-    if (!is_tree_) {
-      flat_.find_batch(keys, out);
-      return;
-    }
-    by_key_.multi_find(keys, out, ctx);
-  }
-
-  /// Inserts items (sorted by key, distinct keys, distinct stamps). The
-  /// span's values are moved out; the caller keeps the backing buffer.
-  void insert_items(std::span<Item> items, const tree::ParCtx& ctx = {},
-                    SegmentScratch<K, V>* s = nullptr) {
-    if (items.empty()) return;
-    if (!is_tree_) {
-      if (flat_.size() + items.size() <= kFlatSegmentMax) {
-        flat_.merge_insert(items);
-        return;
-      }
-      promote(s);  // overflow: spill to the tree representation
-    }
-    SegmentScratch<K, V> local;
-    SegmentScratch<K, V>& sc = s ? *s : local;
-    sc.key_entries.clear();
-    sc.key_entries.reserve(items.size());
-    for (auto& it : items) {
-      sc.key_entries.emplace_back(
-          it.key, std::pair<V, std::uint64_t>{std::move(it.value), it.stamp});
-    }
-    by_key_.multi_insert(sc.key_entries, ctx);
-    sc.rec_entries.clear();
-    sc.rec_entries.reserve(items.size());
-    for (auto& it : items) sc.rec_entries.emplace_back(it.stamp, it.key);
-    std::sort(sc.rec_entries.begin(), sc.rec_entries.end(),
-              [](const auto& a, const auto& b) { return a.first < b.first; });
-    by_recency_.multi_insert(sc.rec_entries, ctx);
-  }
-  void insert_items(std::vector<Item> items, const tree::ParCtx& ctx = {}) {
-    insert_items(std::span<Item>(items), ctx);
-  }
-
   /// Removes the `c` least-recent items into `out` (cleared), sorted by key.
   void extract_least_recent(std::size_t c, std::vector<Item>& out,
                             const tree::ParCtx& ctx = {},
                             SegmentScratch<K, V>* s = nullptr) {
-    if (!is_tree_) {
-      out.clear();
-      flat_.extract_by_recency(c, /*least=*/true, out);
-      return;
-    }
-    extract_by_recency(by_recency_.extract_prefix(c), out, ctx, s);
-    maybe_demote();
+    extract_end(c, /*least=*/true, out, ctx, s);
   }
   std::vector<Item> extract_least_recent(std::size_t c,
                                          const tree::ParCtx& ctx = {}) {
@@ -430,13 +359,7 @@ class Segment {
   void extract_most_recent(std::size_t c, std::vector<Item>& out,
                            const tree::ParCtx& ctx = {},
                            SegmentScratch<K, V>* s = nullptr) {
-    if (!is_tree_) {
-      out.clear();
-      flat_.extract_by_recency(c, /*least=*/false, out);
-      return;
-    }
-    extract_by_recency(by_recency_.extract_suffix(c), out, ctx, s);
-    maybe_demote();
+    extract_end(c, /*least=*/false, out, ctx, s);
   }
   std::vector<Item> extract_most_recent(std::size_t c,
                                         const tree::ParCtx& ctx = {}) {
@@ -457,17 +380,19 @@ class Segment {
       flat_.for_each(fn);
       return;
     }
-    by_key_.for_each([&](const K& k, const std::pair<V, std::uint64_t>& e) {
-      fn(k, e.first, e.second);
-    });
+    tree_.for_each(
+        [&](const K& k, const Entry& e) { fn(k, e.value, e.stamp); });
   }
 
   /// Deep representation check with a precise failure description.
-  /// Flat: the flat arrays' own invariants, both trees empty, stamps
-  /// distinct. Tree: both trees' own invariants, equal sizes, the
-  /// recency<->key bijection, and the demotion hysteresis (an unpinned
-  /// tree segment at or below kFlatSegmentDemote should have demoted on
-  /// the mutation that shrank it). Empty string = OK.
+  /// Flat: the flat arrays' own invariants, an empty tree and list, stamps
+  /// distinct. Tree: the tree's own invariants, the demotion hysteresis
+  /// (an unpinned tree segment at or below kFlatSegmentDemote should have
+  /// demoted on the mutation that shrank it), and the recency list: null
+  /// ends, newer/older links that mirror each other, stamps strictly
+  /// falling from head_ to tail_, every list node the tree's node for its
+  /// key, and exactly size() nodes — the walk stops at that budget, so a
+  /// cycle is reported instead of hanging. Empty string = OK.
   std::string validate() const {
     util::Validator v("segment: ");
     if (!v.require(!pin_tree_ || is_tree_,
@@ -476,10 +401,10 @@ class Segment {
     }
     if (!is_tree_) {
       if (!v.absorb(flat_.validate(), "")) return std::move(v).take();
-      if (!v.require(by_key_.empty() && by_recency_.empty(),
-                     "flat representation but the trees still hold ",
-                     by_key_.size(), " key-map / ", by_recency_.size(),
-                     " recency-map items")) {
+      if (!v.require(tree_.empty() && head_ == nullptr && tail_ == nullptr,
+                     "flat representation but the tree still holds ",
+                     tree_.size(), " items or the recency list is not "
+                     "empty")) {
         return std::move(v).take();
       }
       std::vector<std::pair<std::uint64_t, K>> stamps;
@@ -499,80 +424,233 @@ class Segment {
       }
       return std::move(v).take();
     }
-    if (!v.absorb(by_key_.validate(), "key-map: ")) return std::move(v).take();
-    if (!v.absorb(by_recency_.validate(), "recency-map: ")) {
+    if (!v.absorb(tree_.validate(), "tree: ")) return std::move(v).take();
+    const std::size_t n = tree_.size();
+    if (!v.require(pin_tree_ || n > kFlatSegmentDemote,
+                   "hysteresis violated: tree representation with size ", n,
+                   " <= demote bound ", kFlatSegmentDemote, " and not pinned")) {
       return std::move(v).take();
     }
-    if (!v.require(by_key_.size() == by_recency_.size(),
-                   "tree sizes diverged: key-map holds ", by_key_.size(),
-                   " items, recency-map ", by_recency_.size())) {
-      return std::move(v).take();
-    }
-    if (!v.require(pin_tree_ || by_key_.size() > kFlatSegmentDemote,
-                   "hysteresis violated: tree representation with size ",
-                   by_key_.size(), " <= demote bound ", kFlatSegmentDemote,
-                   " and not pinned")) {
-      return std::move(v).take();
-    }
-    by_key_.for_each([&](const K& k, const std::pair<V, std::uint64_t>& e) {
-      const K* back = by_recency_.find(e.second);
-      if (!v.require(back != nullptr, "recency map is missing stamp ",
-                     e.second, " of key ", k)) {
-        return;
+    // Walking from head_ toward tail_ within a budget of n nodes checks
+    // both ends too: a stray head_, a non-null outer link or a cycle runs
+    // the walk past n nodes or off tail_.
+    std::size_t walked = 0;
+    Link prev = nullptr;
+    for (Link x = head_; x != nullptr; prev = x, x = entry(x).older) {
+      const K& k = Tree::key_of(x);
+      if (!v.require(++walked <= n, "recency list runs past the tree's ", n,
+                     " items (cycle or stray node)") ||
+          !v.require(entry(x).newer == prev, "recency links disagree at key ",
+                     k, ": its newer link is not the node before it") ||
+          !v.require(prev == nullptr || entry(x).stamp < entry(prev).stamp,
+                     "stamps not strictly falling along the recency list at "
+                     "key ", k) ||
+          !v.require(tree_.find_node(k) == x, "recency list node with key ",
+                     k, " is not the tree's node for that key")) {
+        return std::move(v).take();
       }
-      v.require(*back == k, "recency map maps stamp ", e.second, " to key ",
-                *back, " but the key map says ", k);
-    });
+    }
+    if (v.require(walked == n, "recency list holds ", walked,
+                  " nodes but the tree ", n)) {
+      v.require(prev == tail_, "recency list from head_ does not end at "
+                "tail_");
+    }
     return std::move(v).take();
   }
 
  private:
-  using KeyTree = tree::JTree<K, std::pair<V, std::uint64_t>>;
-  using RecTree = tree::JTree<std::uint64_t, K>;
+  using Tree = SegmentTree<K, V>;
+  using Entry = SegmentEntry<K, V>;
+  using Link = typename Tree::Handle;
 
-  /// Flat → tree: bulk-builds both trees from the flat arrays. The key
-  /// side is already key-sorted, so it feeds JTree::from_sorted directly
-  /// (O(n) build, nodes drawn from the segment's pool domain); the recency
-  /// side needs one stamp sort of at most kFlatSegmentMax pairs.
+  static Entry& entry(Link n) noexcept { return Tree::value_of(n); }
+
+  // ---- the recency list --------------------------------------------------
+
+  void link_front(Link n) noexcept {
+    entry(n).newer = nullptr;
+    entry(n).older = head_;
+    (head_ != nullptr ? entry(head_).newer : tail_) = n;
+    head_ = n;
+  }
+
+  void link_back(Link n) noexcept {
+    entry(n).older = nullptr;
+    entry(n).newer = tail_;
+    (tail_ != nullptr ? entry(tail_).older : head_) = n;
+    tail_ = n;
+  }
+
+  void unlink(Link n) noexcept {
+    const Entry& e = entry(n);
+    (e.newer != nullptr ? entry(e.newer).older : head_) = e.older;
+    (e.older != nullptr ? entry(e.older).newer : tail_) = e.newer;
+  }
+
+  // ---- tree-side edits ---------------------------------------------------
+
+  /// Point insert of a freshly stamped item at one end of the recency
+  /// order.
+  void insert_one(Item item, bool front) {
+    if (!is_tree_) {
+      if (flat_.size() < kFlatSegmentMax) {
+        flat_.insert(std::move(item));
+        return;
+      }
+      promote(nullptr);
+    }
+    const std::pair<K, Entry> kv{std::move(item.key),
+                                 Entry{std::move(item.value), item.stamp}};
+    Link n = nullptr;
+    [[maybe_unused]] const std::size_t before = tree_.size();
+    tree_.multi_insert(std::span(&kv, 1), {}, std::span(&n, 1));
+    assert(tree_.size() == before + 1 && "inserted key must be absent");
+    front ? link_front(n) : link_back(n);
+  }
+
+  /// Restamps a batch onto one end, sorts it by key and inserts it. The
+  /// tree side is one multi_insert that reports each item's node; the list
+  /// side links those nodes at that end in stamp order. restamp() hands a
+  /// batch consecutive stamps, so a stamp's offset from the batch's least
+  /// is the node's place in that order.
+  void insert_batch(std::span<Item> items, bool front,
+                    const tree::ParCtx& ctx, SegmentScratch<K, V>* s) {
+    if (items.empty()) return;
+    restamp(items, front, s);
+    std::sort(items.begin(), items.end(),
+              [](const Item& a, const Item& b) { return a.key < b.key; });
+    if (!is_tree_) {
+      if (flat_.size() + items.size() <= kFlatSegmentMax) {
+        flat_.merge_insert(items);
+        return;
+      }
+      promote(s);  // overflow: spill to the tree representation
+    }
+    SegmentScratch<K, V> local;
+    SegmentScratch<K, V>& sc = s ? *s : local;
+    sc.key_entries.clear();
+    sc.key_entries.reserve(items.size());
+    std::uint64_t least = items[0].stamp;
+    for (auto& it : items) {
+      least = std::min(least, it.stamp);
+      sc.key_entries.emplace_back(it.key,
+                                  Entry{std::move(it.value), it.stamp});
+    }
+    sc.nodes.resize(items.size());
+    [[maybe_unused]] const std::size_t before = tree_.size();
+    tree_.multi_insert(sc.key_entries, ctx, sc.nodes);
+    assert(tree_.size() == before + items.size() &&
+           "batch keys must be absent");
+    // Link order runs outward from the end the batch joins: ascending
+    // stamps at the front, descending at the back.
+    sc.by_stamp.resize(items.size());
+    for (std::size_t i = 0; i < items.size(); ++i) {
+      const std::size_t r = items[i].stamp - least;
+      assert(r < items.size());
+      sc.by_stamp[front ? r : items.size() - 1 - r] = sc.nodes[i];
+    }
+    for (const Link n : sc.by_stamp) front ? link_front(n) : link_back(n);
+  }
+
+  /// Removes one node found by key or at a list end.
+  Item extract_node(Link n) {
+    unlink(n);
+    K key = Tree::key_of(n);  // copy: erase frees the node
+    auto e = tree_.erase(key);
+    Item out{std::move(key), std::move(e->value), e->stamp};
+    maybe_demote();
+    return out;
+  }
+
+  /// Removes the `c` items at one end of the recency order into `out`
+  /// (cleared), sorted by key. A tree segment unlinks c nodes from that end
+  /// of its list — an O(c) sequential walk (DESIGN.md, Section-8
+  /// simplification 6) — then runs one multi_extract.
+  void extract_end(std::size_t c, bool least, std::vector<Item>& out,
+                   const tree::ParCtx& ctx, SegmentScratch<K, V>* s) {
+    if (!is_tree_) {
+      out.clear();
+      flat_.extract_by_recency(c, least, out);
+      return;
+    }
+    SegmentScratch<K, V> local;
+    SegmentScratch<K, V>& sc = s ? *s : local;
+    sc.keys.clear();
+    for (c = std::min(c, size()); c > 0; --c) {
+      const Link n = least ? tail_ : head_;
+      sc.keys.push_back(Tree::key_of(n));
+      unlink(n);
+    }
+    std::sort(sc.keys.begin(), sc.keys.end());
+    extract_unlinked(sc, out, ctx);
+  }
+
+  /// Extracts `sc.keys` (sorted, present, already off the list) into `out`
+  /// (cleared) in key order.
+  void extract_unlinked(SegmentScratch<K, V>& sc, std::vector<Item>& out,
+                        const tree::ParCtx& ctx) {
+    out.clear();
+    tree_.multi_extract(sc.keys, sc.entries, ctx);
+    out.reserve(sc.keys.size());
+    for (std::size_t i = 0; i < sc.keys.size(); ++i) {
+      assert(sc.entries[i] && "unlinked key missing from the tree");
+      out.push_back(Item{std::move(sc.keys[i]),
+                         std::move(sc.entries[i]->value),
+                         sc.entries[i]->stamp});
+    }
+    maybe_demote();
+  }
+
+  // ---- representation changes --------------------------------------------
+
+  /// Flat → tree: bulk-builds the tree from the key-sorted flat arrays
+  /// (multi_insert into an empty tree is the O(n) balanced build, nodes
+  /// drawn from the segment's pool domain), then links the list in stamp
+  /// order — one sort of at most kFlatSegmentMax nodes.
   void promote(SegmentScratch<K, V>* s) {
     assert(!is_tree_);
-    // Representation change in flight: flat arrays about to drain into
-    // freshly built trees (pool draws happen inside from_sorted).
+    // Representation change in flight: flat arrays about to drain into a
+    // freshly built tree (pool draws happen inside the build).
     PWSS_SCHED_POINT("segment.promote");
     SegmentScratch<K, V> local;
     SegmentScratch<K, V>& sc = s ? *s : local;
     sc.key_entries.clear();
-    sc.rec_entries.clear();
-    flat_.drain_sorted(sc.key_entries, sc.rec_entries);
-    std::sort(sc.rec_entries.begin(), sc.rec_entries.end(),
-              [](const auto& a, const auto& b) { return a.first < b.first; });
-    by_key_ = KeyTree::from_sorted(sc.key_entries, {}, by_key_.pool());
-    by_recency_ = RecTree::from_sorted(sc.rec_entries, {}, by_recency_.pool());
+    flat_.drain_sorted([&](K&& k, V&& value, std::uint64_t stamp) {
+      sc.key_entries.emplace_back(std::move(k),
+                                  Entry{std::move(value), stamp});
+    });
+    sc.nodes.resize(sc.key_entries.size());
+    tree_.multi_insert(sc.key_entries, {}, sc.nodes);
+    std::sort(sc.nodes.begin(), sc.nodes.end(), [](Link a, Link b) {
+      return entry(a).stamp < entry(b).stamp;
+    });
+    for (const Link n : sc.nodes) link_front(n);
     is_tree_ = true;
   }
 
   /// Tree → flat once the segment shrinks to the demotion bound (half the
-  /// flat capacity — hysteresis against representation thrash). The key-
-  /// map's in-order walk refills the flat arrays already sorted, then both
-  /// trees bulk-recycle their nodes in one pool splice each.
+  /// flat capacity — hysteresis against representation thrash). The
+  /// tree's in-order walk refills the flat arrays already sorted, then the
+  /// tree bulk-recycles its nodes in one pool splice.
   void maybe_demote() {
     if (!is_tree_ || pin_tree_) return;
-    if (by_key_.size() > kFlatSegmentDemote) return;
+    if (tree_.size() > kFlatSegmentDemote) return;
     // Representation change in flight: tree contents about to walk back
-    // into the flat arrays, then both trees bulk-recycle their nodes.
+    // into the flat arrays, then the tree bulk-recycles its nodes.
     PWSS_SCHED_POINT("segment.demote");
     flat_.clear();
-    by_key_.for_each([&](const K& k, const std::pair<V, std::uint64_t>& e) {
-      flat_.append_sorted(k, e);
+    tree_.for_each([&](const K& k, const Entry& e) {
+      flat_.append_sorted(k, e.value, e.stamp);
     });
-    by_key_.clear();
-    by_recency_.clear();
+    tree_.clear();
+    head_ = tail_ = nullptr;
     is_tree_ = false;
   }
 
   /// Reassigns stamps so arrivals land at the front (above every stamp in
   /// this segment) or at the back (below), preserving the arrivals'
-  /// relative order as given by their incoming stamps.
+  /// relative order as given by their incoming stamps. The batch receives
+  /// consecutive stamps.
   void restamp(std::span<Item> items, bool front,
                SegmentScratch<K, V>* s = nullptr) {
     // Order of (index, old stamp) ascending by old stamp.
@@ -594,28 +672,10 @@ class Segment {
     }
   }
 
-  void extract_by_recency(std::vector<std::pair<std::uint64_t, K>> rec_items,
-                          std::vector<Item>& out, const tree::ParCtx& ctx,
-                          SegmentScratch<K, V>* s = nullptr) {
-    SegmentScratch<K, V> local;
-    SegmentScratch<K, V>& sc = s ? *s : local;
-    sc.keys.clear();
-    sc.keys.reserve(rec_items.size());
-    for (auto& [stamp, key] : rec_items) sc.keys.push_back(std::move(key));
-    std::sort(sc.keys.begin(), sc.keys.end());
-    by_key_.multi_extract(sc.keys, sc.entries, ctx);
-    out.clear();
-    out.reserve(sc.keys.size());
-    for (std::size_t i = 0; i < sc.keys.size(); ++i) {
-      assert(sc.entries[i] && "recency map referenced a missing key");
-      out.push_back(Item{std::move(sc.keys[i]), std::move(sc.entries[i]->first),
-                         sc.entries[i]->second});
-    }
-  }
-
   FlatSegment<K, V> flat_;
-  KeyTree by_key_;
-  RecTree by_recency_;
+  Tree tree_;
+  Link head_ = nullptr;  // most recent tree node; null while flat
+  Link tail_ = nullptr;  // least recent tree node; null while flat
   StampGen stamps_;
   bool is_tree_ = false;   // starts flat; see promote()/maybe_demote()
   bool pin_tree_ = false;  // debug_force_tree() disables demotion

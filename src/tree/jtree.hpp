@@ -5,12 +5,15 @@
 //
 // Rationale (see DESIGN.md "Substitutions"): the working-set maps only rely
 // on the *interface costs* of the segment trees — Θ(b·log n) work per
-// sorted batch of b operations, polylogarithmic span, plus the ability to
-// address items by recency order. A join-based AVL tree (Blelloch,
-// Ferizovic, Sun — "Just Join for Parallel Ordered Sets", SPAA 2016) gives
-// exactly that: every batch op is a divide-and-conquer over split/join,
-// parallelized with binary fork/join, and subtree sizes give rank/select so
-// the recency map is an order-statistic tree instead of leaf pointers.
+// sorted batch of b operations and polylogarithmic span. A join-based AVL
+// tree (Blelloch, Ferizovic, Sun — "Just Join for Parallel Ordered Sets",
+// SPAA 2016) gives exactly that: every batch op is a divide-and-conquer
+// over split/join, parallelized with binary fork/join. Subtree sizes give
+// rank for range counts. Recency order is not the tree's business: a node
+// keeps its address across every split, join and rotation, so callers
+// thread their own links through the values and hold nodes by Handle
+// (core::Segment's recency list stands in for the paper's leaf-to-leaf
+// direct pointers that way).
 //
 // Concurrency contract: a JTree is externally synchronized (the maps
 // guarantee exclusive access via the paper's locking schemes). Batch reads
@@ -61,6 +64,12 @@ class JTree {
   /// trees of this shape) and passed in by pointer.
   using Pool = util::NodePool<Node>;
 
+  /// One live node. Stable until its key is removed: split, join and
+  /// rebalancing relink nodes but never move or copy them.
+  using Handle = Node*;
+  static const K& key_of(const Node* n) noexcept { return n->key; }
+  static V& value_of(Node* n) noexcept { return n->value; }
+
   JTree() = default;
   explicit JTree(Compare cmp) : cmp_(std::move(cmp)) {}
   explicit JTree(Pool* pool) : pool_(pool) {}
@@ -105,19 +114,25 @@ class JTree {
 
   // ---- point operations -------------------------------------------------
 
-  /// Pointer to the value for `key`, or nullptr.
-  const V* find(const K& key) const {
-    const Node* n = root_;
+  /// The node holding `key`, or nullptr.
+  Handle find_node(const K& key) const {
+    Node* n = root_;
     while (n) {
       if (cmp_(key, n->key)) {
         n = n->left;
       } else if (cmp_(n->key, key)) {
         n = n->right;
       } else {
-        return &n->value;
+        return n;
       }
     }
     return nullptr;
+  }
+
+  /// Pointer to the value for `key`, or nullptr.
+  const V* find(const K& key) const {
+    const Node* n = find_node(key);
+    return n ? &n->value : nullptr;
   }
   V* find(const K& key) {
     return const_cast<V*>(std::as_const(*this).find(key));
@@ -196,23 +211,6 @@ class JTree {
 
   // ---- order statistics ---------------------------------------------------
 
-  /// In-order i-th element (0-based). Precondition: i < size().
-  std::pair<const K&, const V&> at(std::size_t i) const {
-    const Node* n = root_;
-    assert(i < size());
-    for (;;) {
-      const std::size_t ls = node_size(n->left);
-      if (i < ls) {
-        n = n->left;
-      } else if (i == ls) {
-        return {n->key, n->value};
-      } else {
-        i -= ls + 1;
-        n = n->right;
-      }
-    }
-  }
-
   /// Number of keys strictly less than `key`.
   std::size_t rank(const K& key) const {
     std::size_t r = 0;
@@ -233,15 +231,14 @@ class JTree {
   // ---- batched operations -------------------------------------------------
   // All batch inputs must be sorted by key and duplicate-free; asserted in
   // debug builds. These correspond to the "normal batch operation" of the
-  // paper's parallel 2-3 tree; reverse-indexing is subsumed by rank/select.
+  // paper's parallel 2-3 tree.
 
-  /// Looks up every key; out[i] points at the value (valid until the next
-  /// mutation) or nullptr.
-  void multi_find(std::span<const K> keys, std::vector<const V*>& out,
+  /// Looks up every key; out[i] is its node or nullptr.
+  void multi_find(std::span<const K> keys, std::vector<Handle>& out,
                   const ParCtx& ctx = {}) const {
     out.assign(keys.size(), nullptr);
     auto body = [&](std::size_t lo, std::size_t hi) {
-      for (std::size_t i = lo; i < hi; ++i) out[i] = find(keys[i]);
+      for (std::size_t i = lo; i < hi; ++i) out[i] = find_node(keys[i]);
     };
     if (ctx.scheduler && keys.size() > ctx.grain) {
       ctx.scheduler->parallel_for(0, keys.size(), ctx.grain, body);
@@ -251,10 +248,13 @@ class JTree {
   }
 
   /// Inserts every (key, value); existing keys get their value overwritten.
+  /// A non-empty `nodes` (one slot per item) receives each item's node.
   void multi_insert(std::span<const std::pair<K, V>> items,
-                    const ParCtx& ctx = {}) {
+                    const ParCtx& ctx = {}, std::span<Handle> nodes = {}) {
     assert_sorted_pairs(items);
-    root_ = multi_insert_rec(root_, items, ctx);
+    assert(nodes.empty() || nodes.size() == items.size());
+    root_ = multi_insert_rec(root_, items,
+                             nodes.empty() ? nullptr : nodes.data(), ctx);
   }
 
   /// Removes every present key; out[i] receives the removed value.
@@ -264,29 +264,6 @@ class JTree {
     assert_sorted_keys(keys);
     out.assign(keys.size(), std::nullopt);
     root_ = multi_extract_rec(root_, keys, 0, out, ctx);
-  }
-
-  /// Removes and returns the first `n` items in key order (all items if
-  /// n >= size()). Output is sorted by key.
-  std::vector<std::pair<K, V>> extract_prefix(std::size_t n) {
-    n = std::min(n, size());
-    auto [l, r] = split_at(root_, n);
-    root_ = r;
-    std::vector<std::pair<K, V>> out;
-    out.reserve(n);
-    collect_destroy(l, out);
-    return out;
-  }
-
-  /// Removes and returns the last `n` items in key order, sorted by key.
-  std::vector<std::pair<K, V>> extract_suffix(std::size_t n) {
-    n = std::min(n, size());
-    auto [l, r] = split_at(root_, size() - n);
-    root_ = l;
-    std::vector<std::pair<K, V>> out;
-    out.reserve(n);
-    collect_destroy(r, out);
-    return out;
   }
 
   /// In-order traversal.
@@ -494,28 +471,11 @@ class JTree {
     return {l, t, r};
   }
 
-  /// Splits off the first `i` items (in-order). Returns {first_i, rest}.
-  static std::pair<Node*, Node*> split_at(Node* t, std::size_t i) noexcept {
-    if (!t) return {nullptr, nullptr};
-    const std::size_t ls = node_size(t->left);
-    if (i <= ls) {
-      Node* tl = t->left;
-      Node* tr = t->right;
-      t->left = t->right = nullptr;
-      auto [a, b] = split_at(tl, i);
-      return {a, join(b, t, tr)};
-    }
-    Node* tl = t->left;
-    Node* tr = t->right;
-    t->left = t->right = nullptr;
-    auto [a, b] = split_at(tr, i - ls - 1);
-    return {join(tl, t, a), b};
-  }
-
+  /// `nodes` is null or parallel to `items` (see multi_insert).
   Node* multi_insert_rec(Node* t, std::span<const std::pair<K, V>> items,
-                         const ParCtx& ctx) {
+                         Handle* nodes, const ParCtx& ctx) {
     if (items.empty()) return t;
-    if (!t) return build_balanced(items);
+    if (!t) return build_balanced(items, nodes);
     const std::size_t mid = items.size() / 2;
     auto [l, m, r] = split(t, items[mid].first);
     if (m) {
@@ -523,11 +483,15 @@ class JTree {
     } else {
       m = create_node(items[mid].first, items[mid].second);
     }
+    if (nodes) nodes[mid] = m;
     Node* nl = nullptr;
     Node* nr = nullptr;
-    auto left_work = [&] { nl = multi_insert_rec(l, items.subspan(0, mid), ctx); };
+    auto left_work = [&] {
+      nl = multi_insert_rec(l, items.subspan(0, mid), nodes, ctx);
+    };
     auto right_work = [&] {
-      nr = multi_insert_rec(r, items.subspan(mid + 1), ctx);
+      nr = multi_insert_rec(r, items.subspan(mid + 1),
+                            nodes ? nodes + mid + 1 : nullptr, ctx);
     };
     if (ctx.scheduler && items.size() > ctx.grain) {
       ctx.scheduler->parallel_invoke(sched::FnView(left_work),
@@ -567,27 +531,16 @@ class JTree {
     return join2(nl, nr);
   }
 
-  Node* build_balanced(std::span<const std::pair<K, V>> items) {
+  Node* build_balanced(std::span<const std::pair<K, V>> items,
+                       Handle* nodes = nullptr) {
     if (items.empty()) return nullptr;
     const std::size_t mid = items.size() / 2;
     Node* n = create_node(items[mid].first, items[mid].second);
-    n->left = build_balanced(items.subspan(0, mid));
-    n->right = build_balanced(items.subspan(mid + 1));
+    if (nodes) nodes[mid] = n;
+    n->left = build_balanced(items.subspan(0, mid), nodes);
+    n->right = build_balanced(items.subspan(mid + 1),
+                              nodes ? nodes + mid + 1 : nullptr);
     return update(n);
-  }
-
-  /// Moves (key, value) pairs out in order, then bulk-recycles the whole
-  /// subtree as one spliced free chain.
-  void collect_destroy(Node* t, std::vector<std::pair<K, V>>& out) {
-    collect_rec(t, out);
-    destroy(t);
-  }
-
-  static void collect_rec(Node* t, std::vector<std::pair<K, V>>& out) {
-    if (!t) return;
-    collect_rec(t->left, out);
-    out.emplace_back(t->key, std::move(t->value));
-    collect_rec(t->right, out);
   }
 
   template <typename Fn>

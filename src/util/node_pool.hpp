@@ -1,10 +1,10 @@
 #pragma once
 // NodePool — a parallel-safe free-list allocator for tree nodes, the
 // allocation-discipline layer under tree/jtree.hpp (see DESIGN.md
-// "Allocation discipline"). Every segment of the working-set hierarchy is a
-// pair of JTrees, so every insert/extract/split/join used to pay one global
-// `new`/`delete` per node; the pool turns that steady-state churn into
-// pointer pushes on a worker-local free list.
+// "Allocation discipline"). Every deep segment of the working-set
+// hierarchy is a JTree, so every insert/extract/split/join used to pay one
+// global `new`/`delete` per node; the pool turns that steady-state churn
+// into pointer pushes on a worker-local free list.
 //
 // Structure:
 //  * storage comes from chunk allocations (kDefaultChunkNodes nodes per

@@ -40,7 +40,7 @@ TEST(FlatSegment, StartsFlatAndPromotesPastCapacity) {
   // Everything inserted before and after the promotion is visible.
   for (std::uint64_t i = 0; i <= kFlatSegmentMax; ++i) {
     ASSERT_NE(seg.peek(i), nullptr) << "key " << i;
-    EXPECT_EQ(seg.peek(i)->first, i);
+    EXPECT_EQ(*seg.peek(i), i);
   }
 }
 
@@ -183,12 +183,28 @@ struct Oracle {
     }
     return best->first;
   }
+  /// The `c` least (or most) recent keys, in key order.
+  std::vector<std::uint64_t> recency_end(std::size_t c, bool least) const {
+    std::vector<std::pair<std::int64_t, std::uint64_t>> order;
+    for (const auto& [k, ve] : items) order.emplace_back(ve.second, k);
+    std::sort(order.begin(), order.end());
+    if (!least) std::reverse(order.begin(), order.end());
+    std::vector<std::uint64_t> keys;
+    for (std::size_t i = 0; i < std::min(c, order.size()); ++i) {
+      keys.push_back(order[i].second);
+    }
+    std::sort(keys.begin(), keys.end());
+    return keys;
+  }
 };
 
 // Drives the same random operation mix through a default (flat-capable)
 // segment, a pinned-tree segment, and the oracle, with sizes oscillating
 // across the 16 / kFlatSegmentDemote / kFlatSegmentMax boundaries so both
-// promote and demote fire many times.
+// promote and demote fire many times. Removals from both ends of the
+// recency order (point and batched) interleave with extract_by_keys
+// removals from its middle, so every way a tree segment unlinks a node
+// from its recency list is checked against the oracle's order.
 TEST(FlatSegmentFuzz, DifferentialAgainstPinnedTreeAndOracle) {
   Seg flat_seg;
   Seg tree_seg;
@@ -203,7 +219,7 @@ TEST(FlatSegmentFuzz, DifferentialAgainstPinnedTreeAndOracle) {
 
   for (std::size_t step = 0; step < 20000; ++step) {
     const std::uint64_t key = rng.bounded(kKeys);
-    switch (rng.bounded(8)) {
+    switch (rng.bounded(12)) {
       case 0:
       case 1: {  // insert_front of an absent key
         if (oracle.items.count(key)) break;
@@ -277,10 +293,6 @@ TEST(FlatSegmentFuzz, DifferentialAgainstPinnedTreeAndOracle) {
         flat_seg.insert_front_batch(std::span<Item>(items));
         tree_seg.insert_front_batch(std::span<Item>(copy));
         // Batch arrives most-recent-last by incoming stamp order.
-        for (const auto& it : copy) (void)it;
-        for (std::size_t i = 0; i < copy.size(); ++i) {
-          // Recompute from the original key list (items was consumed).
-        }
         for (std::uint64_t k = lo; k < std::min<std::uint64_t>(lo + 24, kKeys);
              ++k) {
           if (!oracle.items.count(k)) oracle.insert_front(k, k * 5);
@@ -312,6 +324,59 @@ TEST(FlatSegmentFuzz, DifferentialAgainstPinnedTreeAndOracle) {
         EXPECT_EQ(flat_seg.range_count(key, hi), tree_seg.range_count(key, hi));
         break;
       }
+      case 8: {  // extract_most_recent (point)
+        auto a = flat_seg.extract_most_recent();
+        auto b = tree_seg.extract_most_recent();
+        ASSERT_EQ(a.has_value(), b.has_value());
+        if (a) {
+          const std::uint64_t expect = oracle.most_recent();
+          EXPECT_EQ(a->key, expect);
+          EXPECT_EQ(b->key, expect);
+          oracle.items.erase(expect);
+        }
+        break;
+      }
+      case 9:
+      case 10: {  // batched extract from one end of the recency order
+        const bool least = rng.bounded(2) == 0;
+        const std::size_t c = 1 + rng.bounded(24);
+        const std::vector<std::uint64_t> expect = oracle.recency_end(c, least);
+        std::vector<Item> out_a;
+        std::vector<Item> out_b;
+        if (least) {
+          flat_seg.extract_least_recent(c, out_a);
+          tree_seg.extract_least_recent(c, out_b);
+        } else {
+          flat_seg.extract_most_recent(c, out_a);
+          tree_seg.extract_most_recent(c, out_b);
+        }
+        ASSERT_EQ(out_a.size(), expect.size()) << "least=" << least;
+        ASSERT_EQ(out_b.size(), expect.size()) << "least=" << least;
+        for (std::size_t i = 0; i < expect.size(); ++i) {
+          ASSERT_EQ(out_a[i].key, expect[i]) << "least=" << least;
+          ASSERT_EQ(out_b[i].key, expect[i]) << "least=" << least;
+          EXPECT_EQ(out_b[i].value, oracle.items.at(expect[i]).first);
+          oracle.items.erase(expect[i]);
+        }
+        break;
+      }
+      case 11: {  // batched insert (back), distinct absent keys
+        std::vector<Item> items;
+        const std::uint64_t lo = rng.bounded(kKeys);
+        const std::uint64_t hi = std::min<std::uint64_t>(lo + 24, kKeys);
+        for (std::uint64_t k = lo; k < hi; ++k) {
+          if (!oracle.items.count(k)) items.push_back({k, k * 7, items.size()});
+        }
+        std::vector<Item> copy = items;
+        flat_seg.insert_back_batch(std::span<Item>(items));
+        tree_seg.insert_back_batch(std::span<Item>(copy));
+        // Larger incoming stamp = more recent, so the highest key lands
+        // just below everything present and the lowest key at the back.
+        for (std::uint64_t k = hi; k-- > lo;) {
+          if (!oracle.items.count(k)) oracle.insert_back(k, k * 7);
+        }
+        break;
+      }
     }
 
     ASSERT_EQ(flat_seg.size(), oracle.items.size()) << "step " << step;
@@ -319,10 +384,10 @@ TEST(FlatSegmentFuzz, DifferentialAgainstPinnedTreeAndOracle) {
     if (was_flat && !flat_seg.is_flat()) ++promotes_seen;
     if (!was_flat && flat_seg.is_flat()) ++demotes_seen;
     was_flat = flat_seg.is_flat();
-    if (step % 512 == 0) {
-      ASSERT_EQ(flat_seg.validate(), "") << "step " << step;
-      ASSERT_EQ(tree_seg.validate(), "") << "step " << step;
-    }
+    // Deep checks every step: the recency-list walk in validate() is what
+    // pins a missed unlink to the operation that caused it.
+    ASSERT_EQ(flat_seg.validate(), "") << "step " << step;
+    ASSERT_EQ(tree_seg.validate(), "") << "step " << step;
   }
 
   // The mix must actually have crossed the boundary both ways, or the
@@ -344,7 +409,7 @@ TEST(FlatSegmentFuzz, DifferentialAgainstPinnedTreeAndOracle) {
 
 // Recency extraction order must match between representations for the
 // batched forms too (this exercises FlatSegment's partial-selection path
-// against the recency tree's extract_prefix/suffix).
+// against the tree segment's recency-list walk).
 TEST(FlatSegmentFuzz, BatchedRecencyExtractionAgrees) {
   for (const bool least : {true, false}) {
     Seg flat_seg;

@@ -126,9 +126,9 @@ TEST(NodePool, CrossTreeRecyclingWithinOneDomain) {
   EXPECT_EQ(pool.live_nodes(), 4096u);
 }
 
-// Differential fuzz vs std::map: mixed point ops, multi_insert,
-// multi_extract, and split/join exercised through extract_prefix/suffix
-// (which are split_at + join compositions), all with recycling on.
+// Differential fuzz vs std::map: mixed point ops, multi_insert, and
+// multi_extract of random keys and of contiguous key windows (which drop
+// whole subtrees through split + join2), all with recycling on.
 TEST(NodePool, DifferentialFuzzWithRecycling) {
   util::Xoshiro256 rng(2024);
   IntPool pool;
@@ -189,25 +189,23 @@ TEST(NodePool, DifferentialFuzzWithRecycling) {
         }
         break;
       }
-      case 4: {  // split_at + join2: drop a prefix
-        const std::size_t n = rng.bounded(1 + t.size() / 4);
-        auto removed = t.extract_prefix(n);
-        for (auto& [k, v] : removed) {
-          auto it = ref.find(k);
-          ASSERT_NE(it, ref.end());
-          ASSERT_EQ(v, it->second);
-          ref.erase(it);
-        }
-        break;
-      }
-      default: {  // split_at + join2: drop a suffix
-        const std::size_t n = rng.bounded(1 + t.size() / 4);
-        auto removed = t.extract_suffix(n);
-        for (auto& [k, v] : removed) {
-          auto it = ref.find(k);
-          ASSERT_NE(it, ref.end());
-          ASSERT_EQ(v, it->second);
-          ref.erase(it);
+      case 4:
+      default: {
+        // multi_extract of a contiguous key window: drops whole subtrees
+        // through split + join2.
+        const int lo = static_cast<int>(rng.bounded(800));
+        const int width = 1 + static_cast<int>(rng.bounded(200));
+        std::vector<int> keys;
+        for (int k = lo; k < lo + width; ++k) keys.push_back(k);
+        std::vector<std::optional<int>> out;
+        t.multi_extract(keys, out);
+        for (std::size_t i = 0; i < keys.size(); ++i) {
+          auto it = ref.find(keys[i]);
+          ASSERT_EQ(out[i].has_value(), it != ref.end());
+          if (it != ref.end()) {
+            ASSERT_EQ(*out[i], it->second);
+            ref.erase(it);
+          }
         }
         break;
       }
@@ -319,8 +317,7 @@ TEST(NodePool, SegmentTransfersAreChunkNeutralWhenWarm) {
   std::vector<Item> moved;
   a.extract_least_recent(2048, moved);
   b.insert_front_batch(std::span<Item>(moved));
-  const auto warm_key = pools.key_pool.stats().chunk_allocs;
-  const auto warm_rec = pools.rec_pool.stats().chunk_allocs;
+  const auto warm = pools.node_pool.stats().chunk_allocs;
   for (int round = 0; round < 6; ++round) {
     core::Segment<int, int>& src = round % 2 == 0 ? b : a;
     core::Segment<int, int>& dst = round % 2 == 0 ? a : b;
@@ -328,8 +325,7 @@ TEST(NodePool, SegmentTransfersAreChunkNeutralWhenWarm) {
     dst.insert_front_batch(std::span<Item>(moved));
     ASSERT_EQ(dst.size(), 2048u);
   }
-  EXPECT_EQ(pools.key_pool.stats().chunk_allocs, warm_key);
-  EXPECT_EQ(pools.rec_pool.stats().chunk_allocs, warm_rec);
+  EXPECT_EQ(pools.node_pool.stats().chunk_allocs, warm);
 }
 
 // Without a scheduler every thread maps to shard 0, so this pins the

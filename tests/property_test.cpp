@@ -44,34 +44,17 @@ TEST_P(JTreeSeedTest, OrderStatisticsConsistentWithSortedContent) {
     }
   }
   ASSERT_EQ(t.size(), ref.size());
-  // at(i) enumerates exactly the sorted reference; rank inverts at.
+  // The in-order walk enumerates exactly the sorted reference, and each
+  // key's rank is its position in it.
+  std::vector<int> walked;
+  t.for_each([&](int k, int) { walked.push_back(k); });
+  ASSERT_EQ(walked, std::vector<int>(ref.begin(), ref.end()))
+      << "seed " << GetParam();
   std::size_t i = 0;
   for (const int k : ref) {
-    ASSERT_EQ(t.at(i).first, k) << "seed " << GetParam();
-    ASSERT_EQ(t.rank(k), i);
+    ASSERT_EQ(t.rank(k), i) << "seed " << GetParam();
     ++i;
   }
-  EXPECT_EQ(t.validate(), "");
-}
-
-TEST_P(JTreeSeedTest, ExtractPrefixSuffixPartitionContent) {
-  util::Xoshiro256 rng(GetParam() ^ 0xabcdef);
-  tree::JTree<int, int> t;
-  std::set<int> keys;
-  while (keys.size() < 500) keys.insert(static_cast<int>(rng.bounded(100000)));
-  for (const int k : keys) t.insert(k, k);
-
-  const std::size_t cut = rng.bounded(500);
-  auto prefix = t.extract_prefix(cut);
-  ASSERT_EQ(prefix.size(), cut);
-  ASSERT_EQ(t.size(), 500 - cut);
-  // Prefix holds exactly the cut smallest keys, in order.
-  auto it = keys.begin();
-  for (std::size_t i = 0; i < cut; ++i, ++it) {
-    ASSERT_EQ(prefix[i].first, *it);
-  }
-  // Remainder still intact and balanced.
-  for (; it != keys.end(); ++it) ASSERT_NE(t.find(*it), nullptr);
   EXPECT_EQ(t.validate(), "");
 }
 

@@ -1,4 +1,4 @@
-// Tests for the working-set segment (key-map + recency-map pair) and the
+// Tests for the working-set segment (key tree + recency list) and the
 // stamp allocator (src/core/segment.hpp).
 #include <gtest/gtest.h>
 
@@ -37,12 +37,11 @@ TEST(SegmentCapacity, DoublyExponentialThenSaturates) {
 
 TEST(Segment, InsertPeekExtract) {
   Seg s;
-  core::StampGen g;
-  s.insert_item({5, 50, g.fresh_front()});
-  s.insert_item({3, 30, g.fresh_front()});
+  s.insert_front({5, 50, 0});
+  s.insert_front({3, 30, 0});
   EXPECT_EQ(s.size(), 2u);
   ASSERT_NE(s.peek(5), nullptr);
-  EXPECT_EQ(s.peek(5)->first, 50);
+  EXPECT_EQ(*s.peek(5), 50);
   EXPECT_EQ(s.peek(99), nullptr);
   auto item = s.extract(5);
   ASSERT_TRUE(item.has_value());
@@ -54,10 +53,9 @@ TEST(Segment, InsertPeekExtract) {
 
 TEST(Segment, RecencyOrderSingleOps) {
   Seg s;
-  core::StampGen g;
-  s.insert_item({1, 10, g.fresh_front()});
-  s.insert_item({2, 20, g.fresh_front()});
-  s.insert_item({3, 30, g.fresh_front()});
+  s.insert_front({1, 10, 0});
+  s.insert_front({2, 20, 0});
+  s.insert_front({3, 30, 0});
   // 1 is least recent, 3 most recent.
   EXPECT_EQ(s.least_recent_key(), 1);
   auto lr = s.extract_least_recent();
@@ -71,16 +69,14 @@ TEST(Segment, RecencyOrderSingleOps) {
 
 TEST(Segment, BackStampsAreLeastRecent) {
   Seg s;
-  core::StampGen g;
-  s.insert_item({1, 10, g.fresh_front()});
-  s.insert_item({2, 20, g.fresh_back()});  // inserted "at the back"
+  s.insert_front({1, 10, 0});
+  s.insert_back({2, 20, 0});  // inserted "at the back"
   EXPECT_EQ(s.least_recent_key(), 2);
 }
 
 TEST(Segment, ExtractByKeysSortedResult) {
   Seg s;
-  core::StampGen g;
-  for (int k : {9, 4, 7, 1, 5}) s.insert_item({k, k * 10, g.fresh_front()});
+  for (int k : {9, 4, 7, 1, 5}) s.insert_front({k, k * 10, 0});
   std::vector<int> keys = {1, 5, 6, 9};  // 6 absent
   auto found = s.extract_by_keys(keys);
   ASSERT_EQ(found.size(), 3u);
@@ -92,26 +88,12 @@ TEST(Segment, ExtractByKeysSortedResult) {
   EXPECT_EQ(s.validate(), "");
 }
 
-TEST(Segment, FindBatch) {
-  Seg s;
-  core::StampGen g;
-  for (int k : {2, 4, 6}) s.insert_item({k, k, g.fresh_front()});
-  std::vector<int> keys = {2, 3, 6};
-  std::vector<const std::pair<int, std::uint64_t>*> out;
-  s.find_batch(keys, out);
-  ASSERT_EQ(out.size(), 3u);
-  EXPECT_NE(out[0], nullptr);
-  EXPECT_EQ(out[1], nullptr);
-  EXPECT_NE(out[2], nullptr);
-  EXPECT_EQ(s.size(), 3u);  // no mutation
-}
-
-TEST(Segment, InsertItemsBatch) {
+TEST(Segment, InsertFrontBatch) {
   Seg s;
   core::StampGen g;
   std::vector<Item> items;
   for (int k : {1, 3, 5, 7}) items.push_back({k, k, g.fresh_front()});
-  s.insert_items(std::move(items));
+  s.insert_front_batch(std::move(items));
   EXPECT_EQ(s.size(), 4u);
   EXPECT_EQ(s.validate(), "");
   EXPECT_EQ(s.least_recent_key(), 1);  // first stamped = least recent
@@ -119,9 +101,8 @@ TEST(Segment, InsertItemsBatch) {
 
 TEST(Segment, ExtractLeastRecentBatchReturnsKeySorted) {
   Seg s;
-  core::StampGen g;
   // Insert in "recency order" 9, 2, 7, 5: least recent are 9 then 2.
-  for (int k : {9, 2, 7, 5}) s.insert_item({k, k, g.fresh_front()});
+  for (int k : {9, 2, 7, 5}) s.insert_front({k, k, 0});
   auto out = s.extract_least_recent(2);
   ASSERT_EQ(out.size(), 2u);
   EXPECT_EQ(out[0].key, 2);  // sorted by key
@@ -131,8 +112,7 @@ TEST(Segment, ExtractLeastRecentBatchReturnsKeySorted) {
 
 TEST(Segment, ExtractMostRecentBatch) {
   Seg s;
-  core::StampGen g;
-  for (int k : {9, 2, 7, 5}) s.insert_item({k, k, g.fresh_front()});
+  for (int k : {9, 2, 7, 5}) s.insert_front({k, k, 0});
   auto out = s.extract_most_recent(2);  // 7 and 5 are most recent
   ASSERT_EQ(out.size(), 2u);
   EXPECT_EQ(out[0].key, 5);
@@ -141,8 +121,7 @@ TEST(Segment, ExtractMostRecentBatch) {
 
 TEST(Segment, ExtractAllEmptiesSegment) {
   Seg s;
-  core::StampGen g;
-  for (int k = 0; k < 100; ++k) s.insert_item({k, k, g.fresh_front()});
+  for (int k = 0; k < 100; ++k) s.insert_front({k, k, 0});
   auto all = s.extract_all();
   EXPECT_EQ(all.size(), 100u);
   EXPECT_TRUE(s.empty());
@@ -154,24 +133,22 @@ TEST(Segment, ExtractAllEmptiesSegment) {
 
 TEST(Segment, ExtractMoreThanSizeClamps) {
   Seg s;
-  core::StampGen g;
-  s.insert_item({1, 1, g.fresh_front()});
+  s.insert_front({1, 1, 0});
   EXPECT_EQ(s.extract_least_recent(10).size(), 1u);
   EXPECT_TRUE(s.empty());
   EXPECT_TRUE(s.extract_most_recent(5).empty());
 }
 
 TEST(Segment, StampsSurviveMovesBetweenSegments) {
-  // Items moved across segments keep their stamps, and recency order stays
-  // consistent: least-recent of A is more recent than most-recent of B when
-  // A's stamps all exceed B's.
+  // An item moved across segments is restamped by its destination, and
+  // recency order stays consistent: a front arrival is more recent than
+  // everything already there.
   Seg a, b;
-  core::StampGen g;
-  b.insert_item({100, 0, g.fresh_front()});  // older
-  a.insert_item({1, 0, g.fresh_front()});    // newer
-  auto moved = a.extract_least_recent();     // key 1
+  b.insert_front({100, 0, 0});  // older
+  a.insert_front({1, 0, 0});    // newer
+  auto moved = a.extract_least_recent();  // key 1
   ASSERT_TRUE(moved);
-  b.insert_item(std::move(*moved));
+  b.insert_front(std::move(*moved));
   // In b, 100 is least recent (older stamp).
   EXPECT_EQ(b.least_recent_key(), 100);
   EXPECT_EQ(b.validate(), "");
@@ -180,14 +157,13 @@ TEST(Segment, StampsSurviveMovesBetweenSegments) {
 TEST(Segment, RandomizedRecencyOrderMatchesModel) {
   util::Xoshiro256 rng(7);
   Seg s;
-  core::StampGen g;
   std::vector<int> model;  // front = most recent = back of vector
   for (int step = 0; step < 2000; ++step) {
     const int action = static_cast<int>(rng.bounded(3));
     if (action == 0 || model.size() < 3) {
       const int key = static_cast<int>(rng.bounded(10000)) * 2 + 1;
       if (std::find(model.begin(), model.end(), key) == model.end()) {
-        s.insert_item({key, key, g.fresh_front()});
+        s.insert_front({key, key, 0});
         model.push_back(key);
       }
     } else if (action == 1) {

@@ -71,9 +71,13 @@ TEST(JTree, ReverseInsertStaysBalanced) {
 TEST(JTree, OrderStatistics) {
   IntTree t;
   for (int i = 0; i < 100; ++i) t.insert(i * 2, i);
-  for (int i = 0; i < 100; ++i) {
-    EXPECT_EQ(t.at(static_cast<std::size_t>(i)).first, i * 2);
-  }
+  int next = 0;
+  t.for_each([&](int k, int v) {
+    EXPECT_EQ(k, next * 2);
+    EXPECT_EQ(v, next);
+    ++next;
+  });
+  EXPECT_EQ(next, 100);
   EXPECT_EQ(t.rank(0), 0u);
   EXPECT_EQ(t.rank(50), 25u);   // 25 even keys below 50
   EXPECT_EQ(t.rank(51), 26u);   // absent key: count of smaller keys
@@ -169,36 +173,16 @@ TEST(JTree, MultiFindDoesNotMutate) {
   IntTree t;
   for (int i = 0; i < 32; ++i) t.insert(i, i);
   std::vector<int> keys = {0, 16, 31, 99};
-  std::vector<const int*> out;
+  std::vector<IntTree::Handle> out;
   t.multi_find(keys, out);
   ASSERT_EQ(out.size(), 4u);
-  EXPECT_EQ(*out[0], 0);
-  EXPECT_EQ(*out[1], 16);
-  EXPECT_EQ(*out[2], 31);
+  EXPECT_EQ(IntTree::key_of(out[0]), 0);
+  EXPECT_EQ(IntTree::value_of(out[0]), 0);
+  EXPECT_EQ(IntTree::value_of(out[1]), 16);
+  EXPECT_EQ(IntTree::value_of(out[2]), 31);
+  EXPECT_EQ(out[2], t.find_node(31));
   EXPECT_EQ(out[3], nullptr);
   EXPECT_EQ(t.size(), 32u);
-}
-
-TEST(JTree, ExtractPrefixSuffix) {
-  IntTree t;
-  for (int i = 0; i < 20; ++i) t.insert(i, i);
-  auto prefix = t.extract_prefix(5);
-  ASSERT_EQ(prefix.size(), 5u);
-  for (int i = 0; i < 5; ++i) EXPECT_EQ(prefix[static_cast<size_t>(i)].first, i);
-  auto suffix = t.extract_suffix(3);
-  ASSERT_EQ(suffix.size(), 3u);
-  EXPECT_EQ(suffix[0].first, 17);
-  EXPECT_EQ(suffix[2].first, 19);
-  EXPECT_EQ(t.size(), 12u);
-  EXPECT_EQ(t.validate(), "");
-}
-
-TEST(JTree, ExtractPrefixMoreThanSize) {
-  IntTree t;
-  t.insert(1, 1);
-  auto all = t.extract_prefix(100);
-  EXPECT_EQ(all.size(), 1u);
-  EXPECT_TRUE(t.empty());
 }
 
 TEST(JTree, ToVectorInKeyOrder) {
@@ -215,8 +199,10 @@ TEST(JTree, StringKeys) {
   t.insert("apple", 1);
   t.insert("cherry", 3);
   EXPECT_EQ(*t.find("apple"), 1);
-  EXPECT_EQ(t.at(0).first, "apple");
-  EXPECT_EQ(t.at(2).first, "cherry");
+  std::vector<std::string> keys;
+  t.for_each([&](const std::string& k, int) { keys.push_back(k); });
+  EXPECT_EQ(keys, (std::vector<std::string>{"apple", "banana", "cherry"}));
+  EXPECT_EQ(t.rank("cherry"), 2u);
   EXPECT_EQ(t.validate(), "");
 }
 
