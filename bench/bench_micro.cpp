@@ -195,8 +195,9 @@ void BM_SegmentExtractByKeys(benchmark::State& state) {
     for (std::size_t i = 0; i < batch; ++i) {
       keys.push_back(static_cast<std::uint64_t>(i * 3));
     }
+    std::vector<decltype(seg)::Item> out;
     state.ResumeTiming();
-    auto out = seg.extract_by_keys(keys);
+    seg.extract_by_keys(keys, out);
     benchmark::DoNotOptimize(out.size());
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *

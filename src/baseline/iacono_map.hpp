@@ -16,6 +16,7 @@
 #include <utility>
 #include <vector>
 
+#include "core/ladder.hpp"
 #include "core/segment.hpp"
 #include "util/validate.hpp"
 
@@ -37,8 +38,7 @@ class IaconoMap {
     for (std::size_t k = 0; k < segments_.size(); ++k) {
       auto item = segments_[k].extract(key);
       if (!item) continue;
-      promote_to_front(std::move(*item));
-      rebalance_after_promotion(k);
+      move_to_front(std::move(*item));
       return segments_[0].peek(key);
     }
     return nullptr;
@@ -60,13 +60,11 @@ class IaconoMap {
       auto item = segments_[k].extract(key);
       if (!item) continue;
       item->value = std::move(value);
-      promote_to_front(std::move(*item));
-      rebalance_after_promotion(k);
+      move_to_front(std::move(*item));
       return false;
     }
-    promote_to_front(Item{key, std::move(value), 0});
+    move_to_front(Item{key, std::move(value), 0});
     ++size_;
-    rebalance_after_promotion(segments_.size() - 1);
     return true;
   }
 
@@ -74,21 +72,10 @@ class IaconoMap {
   /// each later segment forward (the working-set structure's deletion
   /// repair). Returns the removed value.
   std::optional<V> erase(const K& key) {
-    for (std::size_t k = 0; k < segments_.size(); ++k) {
-      auto item = segments_[k].extract(key);
-      if (!item) continue;
-      --size_;
-      for (std::size_t i = k; i + 1 < segments_.size(); ++i) {
-        auto pulled = segments_[i + 1].extract_most_recent();
-        if (!pulled) break;
-        segments_[i].insert_back(std::move(*pulled));
-      }
-      while (!segments_.empty() && segments_.back().empty()) {
-        segments_.pop_back();
-      }
-      return std::move(item->value);
-    }
-    return std::nullopt;
+    auto item = core::erase_with_hole_repair<K, V>(segments_, key);
+    if (!item) return std::nullopt;
+    --size_;
+    return std::move(item->value);
   }
 
   // ---- ordered queries (protocol v2; read-only, no promotion) ------------
@@ -118,67 +105,45 @@ class IaconoMap {
   /// checkpoint export sorts after collecting.
   template <typename Fn>
   void for_each(Fn&& fn) const {
-    for (const auto& seg : segments_) {
-      seg.for_each([&](const K& k, const V& v, std::uint64_t) { fn(k, v); });
-    }
+    core::for_each_entry<K, V>(segments_, fn);
   }
 
   /// Segment index currently holding `key` (recency depth), or nullopt.
   std::optional<std::size_t> segment_of(const K& key) const {
-    for (std::size_t k = 0; k < segments_.size(); ++k) {
-      if (segments_[k].peek(key)) return k;
-    }
-    return std::nullopt;
+    return core::depth_of<K, V>(segments_, key);
   }
 
   /// Deep validation: every segment structurally sound, all segments full
-  /// to capacity except possibly the last. Empty string = OK.
+  /// to capacity except possibly the last, and the size accounting.
+  /// Empty string = OK.
   std::string validate() const {
     util::Validator v("iacono: ");
-    for (std::size_t k = 0; k < segments_.size(); ++k) {
-      const std::size_t held = segments_[k].size();
-      const auto cap = core::segment_capacity(k);
-      if (!v.absorb(segments_[k].validate(), "segment[", k, "]: ") ||
-          !v.require(held <= cap, "segment[", k, "] holds ", held,
-                     " items, over its capacity ", cap) ||
-          !v.require(k + 1 == segments_.size() || held == cap, "segment[",
-                     k, "] holds ", held,
-                     " items but only the last segment may be partial")) {
-        break;
-      }
-    }
+    auto occupancy = [&](std::size_t k) {
+      return core::full_except_last<K, V>(v, segments_, k);
+    };
+    core::validate_ladder<K, V>(v, segments_, size_, nullptr, occupancy);
     return std::move(v).take();
   }
 
  private:
   core::Result<V, K> ordered(core::OpType type, const K& key,
                              const K& key2) const {
-    return core::ordered_query_over<K, V>(type, key, key2, [&](auto&& fn) {
-      for (const auto& seg : segments_) fn(seg);
-    });
+    return core::ordered_query_over<K, V>(segments_, type, key, key2);
   }
 
-  void promote_to_front(Item item) {
+  /// Inserts `item` at the front of S[0], then cascades demotions: each
+  /// over-full segment demotes its least recent item to the front of the
+  /// next, growing the ladder past its end. The cascade stops at the
+  /// segment the item came from (it regained the item it lost) or at a new
+  /// last segment.
+  void move_to_front(Item item) {
     if (segments_.empty()) segments_.emplace_back();
     segments_[0].insert_front(std::move(item));
-  }
-
-  /// After inserting at the front, cascade demotions: any over-full segment
-  /// among S[0..k] demotes its least recent item to the next segment.
-  void rebalance_after_promotion(std::size_t touched) {
-    for (std::size_t i = 0; i <= touched && i < segments_.size(); ++i) {
-      if (segments_[i].size() <= core::segment_capacity(i)) break;
+    for (std::size_t i = 0; segments_[i].size() > core::segment_capacity(i);
+         ++i) {
       auto demoted = segments_[i].extract_least_recent();
       if (i + 1 == segments_.size()) segments_.emplace_back();
       segments_[i + 1].insert_front(std::move(*demoted));
-    }
-    // An over-full last segment can cascade past `touched`.
-    while (!segments_.empty() &&
-           segments_.back().size() >
-               core::segment_capacity(segments_.size() - 1)) {
-      auto demoted = segments_.back().extract_least_recent();
-      segments_.emplace_back();
-      segments_.back().insert_front(std::move(*demoted));
     }
   }
 

@@ -13,7 +13,6 @@
 // scheme is exactly what M2 pipelines, so M0 doubles as the reference
 // implementation ("model") in M1/M2 equivalence tests.
 
-#include <algorithm>
 #include <cstdint>
 #include <memory>
 #include <optional>
@@ -23,6 +22,7 @@
 #include <vector>
 
 #include "core/backend.hpp"
+#include "core/ladder.hpp"
 #include "core/ops.hpp"
 #include "core/segment.hpp"
 #include "util/validate.hpp"
@@ -48,15 +48,8 @@ class M0Map {
   /// order. Recency stamps are NOT exported — a restored map starts with
   /// a fresh working set (documented in DESIGN.md "Durability").
   void export_entries(std::vector<std::pair<K, V>>& out) const {
-    const std::size_t first = out.size();
-    out.reserve(first + size_);
-    for (const auto& seg : segments_) {
-      seg.for_each([&](const K& k, const V& v, std::uint64_t) {
-        out.emplace_back(k, v);
-      });
-    }
-    std::sort(out.begin() + static_cast<std::ptrdiff_t>(first), out.end(),
-              [](const auto& a, const auto& b) { return a.first < b.first; });
+    out.reserve(out.size() + size_);
+    export_ladder<K, V>(segments_, out);
   }
 
   /// Search with self-adjustment. Returns the value if found.
@@ -104,13 +97,11 @@ class M0Map {
   /// Insert at the back of the last segment; an existing key is treated as
   /// an update-access (M1's rule, Section 6.1). Returns true iff new.
   bool insert(const K& key, V value) {
-    for (std::size_t k = 0; k < segments_.size(); ++k) {
-      if (segments_[k].peek(key)) {
-        // Update = access: run the search promotion, then overwrite.
-        search(key);
-        overwrite(key, std::move(value));
-        return false;
-      }
+    if (depth_of<K, V>(segments_, key)) {
+      // Update = access: run the search promotion, then overwrite.
+      search(key);
+      overwrite(key, std::move(value));
+      return false;
     }
     if (segments_.empty()) segments_.emplace_back(pools_.get());
     std::size_t last = segments_.size() - 1;
@@ -126,21 +117,10 @@ class M0Map {
   /// Deletion with hole repair: the most recent item of each later segment
   /// moves to the back of the previous one. Returns the removed value.
   std::optional<V> erase(const K& key) {
-    for (std::size_t k = 0; k < segments_.size(); ++k) {
-      auto item = segments_[k].extract(key);
-      if (!item) continue;
-      --size_;
-      for (std::size_t i = k; i + 1 < segments_.size(); ++i) {
-        auto pulled = segments_[i + 1].extract_most_recent();
-        if (!pulled) break;
-        segments_[i].insert_back(std::move(*pulled));
-      }
-      while (!segments_.empty() && segments_.back().empty()) {
-        segments_.pop_back();
-      }
-      return std::move(item->value);
-    }
-    return std::nullopt;
+    auto item = erase_with_hole_repair<K, V>(segments_, key);
+    if (!item) return std::nullopt;
+    --size_;
+    return std::move(item->value);
   }
 
   // ---- ordered queries (protocol v2; read-only, no recency effect) -------
@@ -208,10 +188,7 @@ class M0Map {
   /// Index of the segment currently holding `key` (for rank-invariant
   /// tests), or nullopt.
   std::optional<std::size_t> segment_of(const K& key) const {
-    for (std::size_t k = 0; k < segments_.size(); ++k) {
-      if (segments_[k].peek(key)) return k;
-    }
-    return std::nullopt;
+    return depth_of<K, V>(segments_, key);
   }
 
   const std::vector<Segment<K, V>>& segments() const { return segments_; }
@@ -224,41 +201,16 @@ class M0Map {
   /// pool). Empty string = OK.
   std::string validate() const {
     util::Validator v("m0: ");
-    std::size_t total = 0;
-    std::uint64_t tree_items = 0;
-    for (std::size_t k = 0; k < segments_.size(); ++k) {
-      const auto& seg = segments_[k];
-      if (!v.absorb(seg.validate(), "segment[", k, "]: ")) {
-        return std::move(v).take();
-      }
-      if (!v.require(seg.size() <= segment_capacity(k), "segment[", k,
-                     "] holds ", seg.size(), " items, over its capacity ",
-                     segment_capacity(k))) {
-        return std::move(v).take();
-      }
-      if (!v.require(k + 1 == segments_.size() ||
-                         seg.size() == segment_capacity(k),
-                     "segment[", k, "] holds ", seg.size(),
-                     " items but only the last segment may be partial ",
-                     "(capacity ", segment_capacity(k), ")")) {
-        return std::move(v).take();
-      }
-      total += seg.size();
-      if (!seg.is_flat()) tree_items += seg.size();
-    }
-    if (!v.require(total == size_, "size accounting broken: segments hold ",
-                   total, " items but size_=", size_)) {
-      return std::move(v).take();
-    }
-    v.absorb(pools_->validate(tree_items));
+    auto occupancy = [&](std::size_t k) {
+      return full_except_last<K, V>(v, segments_, k);
+    };
+    validate_ladder<K, V>(v, segments_, size_, pools_.get(), occupancy);
     return std::move(v).take();
   }
 
  private:
   Result<V, K> ordered(OpType type, const K& key, const K& key2) const {
-    return ordered_query_over<K, V>(type, key, key2, [&](auto&& fn) {
-      for (const auto& seg : segments_) fn(seg);
-    });
+    return ordered_query_over<K, V>(segments_, type, key, key2);
   }
 
   void overwrite(const K& key, V value) {

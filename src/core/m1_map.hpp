@@ -31,6 +31,7 @@
 
 #include "core/backend.hpp"
 #include "core/group.hpp"
+#include "core/ladder.hpp"
 #include "core/ops.hpp"
 #include "core/scratch.hpp"
 #include "core/segment.hpp"
@@ -62,15 +63,8 @@ class M1Map {
   /// recency stamps are not exported — a restored map starts with a
   /// fresh working set.
   void export_entries(std::vector<std::pair<K, V>>& out) const {
-    const std::size_t first = out.size();
-    out.reserve(first + size_);
-    for (const auto& seg : segments_) {
-      seg.for_each([&](const K& k, const V& v, std::uint64_t) {
-        out.emplace_back(k, v);
-      });
-    }
-    std::sort(out.begin() + static_cast<std::ptrdiff_t>(first), out.end(),
-              [](const auto& a, const auto& b) { return a.first < b.first; });
+    out.reserve(out.size() + size_);
+    export_ladder<K, V>(segments_, out);
   }
 
   /// Executes one batch; results returned in submission order. Operations
@@ -98,7 +92,12 @@ class M1Map {
         ops,
         [&](std::size_t b, std::size_t e) { point_phase(ops, b, e, results); },
         [&](std::size_t b, std::size_t e) {
-          ordered_phase(ops, b, e, results);
+          // Read-only queries against the phase-quiescent segments.
+          answer_ordered<K, V>(segments_, ops.subspan(b, e - b),
+                               scratch_.ordered, scheduler_,
+                               [&](std::size_t i, const Result<V, K>& r) {
+                                 results[b + i] = r;
+                               });
         });
   }
 
@@ -132,10 +131,7 @@ class M1Map {
 
   /// Segment index holding `key` (for invariant tests).
   std::optional<std::size_t> segment_of(const K& key) const {
-    for (std::size_t k = 0; k < segments_.size(); ++k) {
-      if (segments_[k].peek(key)) return k;
-    }
-    return std::nullopt;
+    return depth_of<K, V>(segments_, key);
   }
 
   /// Deep structural check with a precise failure description: every
@@ -146,32 +142,17 @@ class M1Map {
   /// Empty string = OK.
   std::string validate() const {
     util::Validator v("m1: ");
-    std::size_t total = 0;
-    std::uint64_t tree_items = 0;
-    for (std::size_t k = 0; k < segments_.size(); ++k) {
-      if (!v.absorb(segments_[k].validate(), "segment[", k, "]: ")) {
-        return std::move(v).take();
-      }
-      total += segments_[k].size();
-      if (!segments_[k].is_flat()) tree_items += segments_[k].size();
-    }
-    if (!v.require(total == size_, "size accounting broken: segments hold ",
-                   total, " items but size_=", size_)) {
-      return std::move(v).take();
-    }
     std::size_t cum = 0;
-    for (std::size_t i = 0; i < segments_.size(); ++i) {
+    auto prefix_rule = [&](std::size_t i) {
       cum += segments_[i].size();
       const std::size_t cap_prefix = capacity_prefix(i + 1);
-      if (!v.require(cum == std::min<std::size_t>(size_, cap_prefix) ||
-                         (cum == size_ && segments_[i].size() > 0),
-                     "prefix occupancy rule broken at segment ", i,
-                     ": prefix holds ", cum, " items, expected min(size_=",
-                     size_, ", capacity prefix ", cap_prefix, ")")) {
-        return std::move(v).take();
-      }
-    }
-    v.absorb(pools_->validate(tree_items));
+      return v.require(cum == std::min(size_, cap_prefix) ||
+                           (cum == size_ && segments_[i].size() > 0),
+                       "prefix occupancy rule broken at segment ", i,
+                       ": prefix holds ", cum, " items, expected min(size_=",
+                       size_, ", capacity prefix ", cap_prefix, ")");
+    };
+    validate_ladder<K, V>(v, segments_, size_, pools_.get(), prefix_rule);
     return std::move(v).take();
   }
 
@@ -197,73 +178,6 @@ class M1Map {
     process_groups(results);
   }
 
-  /// One ordered phase [begin, end): read-only queries against the current
-  /// (phase-quiescent) segment state. Duplicate queries combine the same
-  /// way duplicate point operations do: identical (type, key, key2) tuples
-  /// are answered once and the answer fanned out, and the distinct
-  /// representatives are answered in parallel when a scheduler is present
-  /// (per-segment trees allow concurrent reads).
-  void ordered_phase(std::span<const Op<K, V>> ops, std::size_t begin,
-                     std::size_t end, std::vector<Result<V, K>>& results) {
-    auto& idx = scratch_.ordered_idx;
-    idx.clear();
-    idx.reserve(end - begin);
-    for (std::size_t i = begin; i < end; ++i) idx.push_back(i);
-    auto same = [&](std::size_t a, std::size_t b) {
-      return ops[a].type == ops[b].type && ops[a].key == ops[b].key &&
-             ops[a].key2 == ops[b].key2;
-    };
-    std::sort(idx.begin(), idx.end(), [&](std::size_t a, std::size_t b) {
-      if (ops[a].type != ops[b].type) return ops[a].type < ops[b].type;
-      if (ops[a].key != ops[b].key) return ops[a].key < ops[b].key;
-      return ops[a].key2 < ops[b].key2;
-    });
-    auto& reps = scratch_.ordered_reps;
-    reps.clear();
-    for (std::size_t r = 0; r < idx.size(); ++r) {
-      if (r == 0 || !same(idx[r - 1], idx[r])) reps.push_back(idx[r]);
-    }
-
-    auto answer = [&](std::size_t lo, std::size_t hi) {
-      for (std::size_t r = lo; r < hi; ++r) {
-        const Op<K, V>& op = ops[reps[r]];
-        results[reps[r]] = ordered_query_over<K, V>(
-            op.type, op.key, op.key2, [&](auto&& fn) {
-              for (const auto& seg : segments_) fn(seg);
-            });
-      }
-    };
-    constexpr std::size_t kGrain = 64;
-    if (scheduler_ != nullptr && reps.size() > kGrain) {
-      if (!scheduler_->on_worker()) {
-        scheduler_->run_sync([&] {
-          scheduler_->parallel_for(0, reps.size(), kGrain, answer);
-        });
-      } else {
-        scheduler_->parallel_for(0, reps.size(), kGrain, answer);
-      }
-    } else {
-      answer(0, reps.size());
-    }
-
-    // Fan the representative answers out to their duplicates.
-    std::size_t rep = 0;
-    for (std::size_t r = 0; r < idx.size(); ++r) {
-      if (r > 0 && !same(idx[r - 1], idx[r])) ++rep;
-      if (idx[r] != reps[rep]) results[idx[r]] = results[reps[rep]];
-    }
-  }
-
-  static std::size_t capacity_prefix(std::size_t count) {
-    std::size_t cum = 0;
-    for (std::size_t j = 0; j < count; ++j) {
-      const std::uint64_t c = segment_capacity(j);
-      if (c > (~std::size_t{0}) - cum) return ~std::size_t{0};
-      cum += static_cast<std::size_t>(c);
-    }
-    return cum;
-  }
-
   /// Ops of one index group within the sorted batch.
   std::span<const PendingOp<K, V, std::size_t>> ops_of(
       const IndexGroup<K>& g) const {
@@ -281,48 +195,20 @@ class M1Map {
 
     auto& pending = scratch_.pending;
     auto& unfinished = scratch_.unfinished;
-    auto& keys = scratch_.keys;
-    auto& found = scratch_.found;
-    auto& to_promote = scratch_.promote;
     for (std::size_t k = 0; k < segments_.size() && !pending.empty(); ++k) {
       // Overlap memory latency: request S[k+1]'s entry lines (flat arrays
       // or tree root) while this iteration chews on S[k]. The sweep
       // order is static, so the prefetch is never wasted on a mispredicted
       // target — at worst the batch resolves before reaching S[k+1].
       if (k + 1 < segments_.size()) segments_[k + 1].prefetch();
-      // Batch-extract the groups' keys from S[k].
-      keys.clear();
-      keys.reserve(pending.size());
-      for (const auto& g : pending) keys.push_back(g.key);
-      segments_[k].extract_by_keys(keys, found, ctx_, &scratch_.seg);
-
-      // found is key-sorted, as is pending: walk them together.
+      // Found groups resolve here; a net deletion leaves its item removed.
       unfinished.clear();
-      to_promote.clear();  // successful searches/updates
-      std::size_t fi = 0;
-      for (const auto& g : pending) {
-        if (fi < found.size() && found[fi].key == g.key) {
-          probes_.note_hit(k);
-          Item item = std::move(found[fi++]);
-          std::optional<V> fin = resolve_ops<K, V, std::size_t>(
-              std::move(item.value), ops_of(g), emit);
-          if (fin) {
-            item.value = std::move(*fin);
-            to_promote.push_back(std::move(item));  // keeps S[k] stamp order
-          }
-          // Net deletion: item stays removed; group finished.
-        } else {
-          unfinished.push_back(g);
-        }
-      }
-
-      // Shift found items to the front of the previous segment, keeping
-      // their relative (recency) order.
-      if (!to_promote.empty()) {
-        const std::size_t dest = k == 0 ? 0 : k - 1;
-        segments_[dest].insert_front_batch(std::span<Item>(to_promote), ctx_,
-                                           &scratch_.seg);
-      }
+      sweep_segment<K, V>(segments_, k, pending, unfinished, scratch_, ctx_,
+                          [&](const IndexGroup<K>& g, V value) {
+                            probes_.note_hit(k);
+                            return resolve_ops<K, V, std::size_t>(
+                                std::move(value), ops_of(g), emit);
+                          });
       restore_capacity(k);
       std::swap(pending, unfinished);
     }
@@ -345,9 +231,7 @@ class M1Map {
     pending.clear();
     append_new_items(to_insert);
     restore_capacity(segments_.size());
-    while (!segments_.empty() && segments_.back().empty()) {
-      segments_.pop_back();
-    }
+    pop_empty_tail(segments_);
   }
 
   /// Appends fresh items (consumed in place) at the back of the last
@@ -375,31 +259,10 @@ class M1Map {
   }
 
   /// Restores the capacity invariant for prefixes S[0..i-1], boundaries
-  /// i = upto down to 1: transfer between the back of S[i-1] and the front
-  /// of S[i] until the prefix is exactly at capacity or S[i] is empty.
+  /// i = upto down to 1 (restore_prefix_capacity).
   void restore_capacity(std::size_t upto) {
     size_ = recompute_size();  // group resolution may have deleted items
-    upto = std::min(upto, segments_.empty() ? 0 : segments_.size() - 1);
-    auto& moved = scratch_.moved;
-    for (std::size_t i = upto; i >= 1; --i) {
-      const std::size_t target = capacity_prefix(i);
-      std::size_t prefix = 0;
-      for (std::size_t j = 0; j < i; ++j) prefix += segments_[j].size();
-      if (prefix > target) {
-        // Demote the excess: back of S[i-1] -> front of S[i].
-        segments_[i - 1].extract_least_recent(prefix - target, moved, ctx_,
-                                              &scratch_.seg);
-        segments_[i].insert_front_batch(std::span<Item>(moved), ctx_,
-                                        &scratch_.seg);
-      } else if (prefix < target) {
-        // Pull forward: front of S[i] -> back of S[i-1].
-        const std::size_t want = target - prefix;
-        segments_[i].extract_most_recent(std::min(want, segments_[i].size()),
-                                         moved, ctx_, &scratch_.seg);
-        segments_[i - 1].insert_back_batch(std::span<Item>(moved), ctx_,
-                                           &scratch_.seg);
-      }
-    }
+    restore_prefix_capacity<K, V>(segments_, upto, scratch_, ctx_);
   }
 
   std::size_t recompute_size() const {

@@ -31,6 +31,13 @@
 // acquisition follows the global order B[0] < B[1] < ... < FL[max] < ... <
 // FL[0], so the CPS chains cannot deadlock.
 //
+// Both slabs are one ladder (core/ladder.hpp): segs_ holds S[0..m-1] and
+// stage j's S[m+j] in one vector, so the first-slab sweep repairs its
+// prefixes with M1's restore_prefix_capacity and the ordered read, export
+// and depth walks run over the whole vector. The interface and every stage
+// own their segment buffers (SweepScratch), single-owner through their
+// gates.
+//
 // Simplifications vs. the paper, documented in DESIGN.md:
 //  * the cut and the filter bound are M1's ceil(log n / p) bunches, not
 //    one p^2 bunch: the paper's p callers have at most p calls
@@ -61,7 +68,9 @@
 #include "core/async_map.hpp"
 #include "core/backend.hpp"
 #include "core/group.hpp"
+#include "core/ladder.hpp"
 #include "core/ops.hpp"
+#include "core/scratch.hpp"
 #include "core/segment.hpp"
 #include "sched/scheduler.hpp"
 #include "sort/pesort.hpp"
@@ -93,9 +102,10 @@ class M2Map {
     // pool domain: stage k's extractions recycle exactly the nodes the
     // S[m'] front insertions re-draw, and the per-worker shards keep the
     // concurrently running stages from contending on one lock.
-    first_slab_.reserve(m_);
-    for (std::size_t k = 0; k < m_; ++k) first_slab_.emplace_back(&pools_);
-    for (auto& st : stages_) st.seg.bind_pools(&pools_);
+    segs_.reserve(m_ + kMaxStages);
+    for (std::size_t k = 0; k < m_ + kMaxStages; ++k) {
+      segs_.emplace_back(&pools_);
+    }
     for (std::size_t j = 0; j <= kMaxStages; ++j) {
       // B[j]: key 0 = left user (interface for j==0, stage j-1 otherwise),
       // key 1 = stage j, key 2 (j >= 1) = the interface's global ordered
@@ -225,37 +235,25 @@ class M2Map {
 
   /// Sorted drain of the full contents for the checkpoint writer
   /// (store/snapshot.hpp): appends every (key, value) in ascending key
-  /// order. Callable only when quiescent (every first-slab and stage
-  /// segment is then at rest); recency stamps are not exported — a
-  /// restored map starts with a fresh working set.
+  /// order. Callable only when quiescent (every segment is then at rest);
+  /// recency stamps are not exported — a restored map starts with a fresh
+  /// working set.
   void export_entries(std::vector<std::pair<K, V>>& out) {
     quiesce();
-    const std::size_t first = out.size();
-    out.reserve(first + size());
-    for (std::size_t k = 0; k < m_; ++k) {
-      first_slab_[k].for_each([&](const K& k2, const V& v, std::uint64_t) {
-        out.emplace_back(k2, v);
-      });
-    }
-    for (std::size_t j = 0; j <= terminal_; ++j) {
-      stages_[j].seg.for_each([&](const K& k2, const V& v, std::uint64_t) {
-        out.emplace_back(k2, v);
-      });
-    }
-    std::sort(out.begin() + static_cast<std::ptrdiff_t>(first), out.end(),
-              [](const auto& a, const auto& b) { return a.first < b.first; });
+    out.reserve(out.size() + size());
+    export_ladder<K, V>(segs_, out);
   }
 
   /// Deep structural check with a precise failure description; callable
   /// only when quiescent (a busy pipeline is itself reported as the
   /// failure). M2's balance invariants (Lemma 16) are lenient: prefixes
   /// may sit up to two cuts below capacity (the paper's 2p^2, with a cut
-  /// of one p^2 bunch), so no fullness rule is checked. Checks every
-  /// segment's own invariants, Lemma 16's lenient stage bound (S[k] holds
-  /// at most 3·2^(2^k)), the size accounting, the
-  /// drained filter (both the counter and its tree/pool), and the shared
-  /// pool domain (one node per item sitting in a tree-represented
-  /// segment). Empty string = OK.
+  /// of one p^2 bunch), so no fullness rule is checked. Checks the
+  /// drained filter (both the counter and its tree/pool), every segment's
+  /// own invariants, Lemma 16's lenient final-slab bound (S[k] holds at
+  /// most 3·2^(2^k)), the size accounting, and the shared pool domain (one
+  /// node per item sitting in a tree-represented segment). Empty string =
+  /// OK.
   std::string validate() {
     util::Validator v("m2: ");
     if (!v.require(!pipeline_busy(),
@@ -267,34 +265,14 @@ class M2Map {
                    " in-flight groups still admitted")) {
       return std::move(v).take();
     }
-    std::size_t total = 0;
-    std::uint64_t tree_items = 0;
-    for (std::size_t k = 0; k < m_; ++k) {
-      if (!v.absorb(first_slab_[k].validate(), "first-slab segment[", k,
-                    "]: ")) {
-        return std::move(v).take();
-      }
-      total += first_slab_[k].size();
-      if (!first_slab_[k].is_flat()) tree_items += first_slab_[k].size();
-    }
-    for (std::size_t j = 0; j <= terminal_; ++j) {
-      const std::size_t k = m_ + j;
-      if (!v.absorb(stages_[j].seg.validate(), "stage segment S[", k,
-                    "]: ")) {
-        return std::move(v).take();
-      }
-      if (!v.require(stages_[j].seg.size() <= 3 * segment_capacity(k),
-                     "stage segment S[", k, "] holds ", stages_[j].seg.size(),
-                     " items, over its Lemma 16 bound 3*2^(2^", k, ") = ",
-                     3 * segment_capacity(k))) {
-        return std::move(v).take();
-      }
-      total += stages_[j].seg.size();
-      if (!stages_[j].seg.is_flat()) tree_items += stages_[j].seg.size();
-    }
-    if (!v.require(total == size_.load(),
-                   "size accounting broken: segments hold ", total,
-                   " items but size_=", size_.load())) {
+    auto lemma16 = [&](std::size_t k) {
+      const std::uint64_t bound = 3 * segment_capacity(k);
+      return v.require(k < m_ || segs_[k].size() <= bound, "segment[", k,
+                       "] holds ", segs_[k].size(),
+                       " items, over its Lemma 16 bound 3*2^(2^", k, ") = ",
+                       bound);
+    };
+    if (!validate_ladder<K, V>(v, segs_, size_.load(), &pools_, lemma16)) {
       return std::move(v).take();
     }
     if (!v.require(filter_.size() == 0,
@@ -308,20 +286,13 @@ class M2Map {
                    " live nodes but the filter is drained")) {
       return std::move(v).take();
     }
-    if (!v.absorb(pools_.validate(tree_items))) return std::move(v).take();
     v.absorb(filter_pool_.validate(), "filter-pool: ");
     return std::move(v).take();
   }
 
   /// Segment index (global numbering S[0..l]) holding `key`; quiescent only.
   std::optional<std::size_t> segment_of(const K& key) {
-    for (std::size_t k = 0; k < m_; ++k) {
-      if (first_slab_[k].peek(key)) return k;
-    }
-    for (std::size_t j = 0; j <= terminal_; ++j) {
-      if (stages_[j].seg.peek(key)) return m_ + j;
-    }
-    return std::nullopt;
+    return depth_of<K, V>(segs_, key);
   }
 
  private:
@@ -340,7 +311,6 @@ class M2Map {
   }
 
   struct Stage {
-    Segment<K, V> seg;
     std::mutex inbox_mu;
     std::vector<std::vector<Group>> inbox;  // sorted batches, merged on flush
     sync::AsyncGate gate;
@@ -350,6 +320,8 @@ class M2Map {
     /// Safe as a single slot: the stage gate admits one run at a time and
     /// the body is consumed before the run can end.
     sched::Closure front_body;
+    /// The stage run's segment buffers; the gate makes them single-owner.
+    SweepScratch<K, V> scratch;
   };
 
   struct FilterEntry {
@@ -513,7 +485,7 @@ class M2Map {
     auto boundary_cont = [this, groups = std::move(groups)]() mutable {
       auto front_cont = [this, groups = std::move(groups)]() mutable {
         std::vector<Group> unfinished =
-            boundary_segment_sweep(std::move(groups));
+            sweep_first_slab(m_ - 1, std::move(groups));
         filter_and_feed_stage0(std::move(unfinished));
         flocks_[0]->release(lo_sink());
         nlocks_[0]->release(lo_sink());
@@ -579,35 +551,12 @@ class M2Map {
   /// key2) tuples combine — computed once, fanned out to every ticket),
   /// release the chain, and resume the interface loop.
   void finish_ordered_read() {
-    auto& idx = ordered_idx_;
-    idx.clear();
-    idx.reserve(ordered_batch_.size());
-    for (std::size_t i = 0; i < ordered_batch_.size(); ++i) idx.push_back(i);
-    auto same = [&](std::size_t a, std::size_t b) {
-      const POp& x = ordered_batch_[a];
-      const POp& y = ordered_batch_[b];
-      return x.type == y.type && x.key == y.key && x.key2 == y.key2;
-    };
-    std::sort(idx.begin(), idx.end(), [&](std::size_t a, std::size_t b) {
-      const POp& x = ordered_batch_[a];
-      const POp& y = ordered_batch_[b];
-      if (x.type != y.type) return x.type < y.type;
-      if (x.key != y.key) return x.key < y.key;
-      return x.key2 < y.key2;
-    });
     auto emit = emit_fn();
-    Result<V, K> answer;
-    for (std::size_t r = 0; r < idx.size(); ++r) {
-      const POp& op = ordered_batch_[idx[r]];
-      if (r == 0 || !same(idx[r - 1], idx[r])) {
-        answer = ordered_query_over<K, V>(
-            op.type, op.key, op.key2, [&](auto&& fn) {
-              for (const auto& seg : first_slab_) fn(seg);
-              for (const auto& st : stages_) fn(st.seg);
-            });
-      }
-      emit(op.target, Result<V, K>(answer));
-    }
+    answer_ordered<K, V>(segs_, std::span<const POp>(ordered_batch_),
+                         ordered_scratch_, /*scheduler=*/nullptr,
+                         [&](std::size_t i, const Result<V, K>& r) {
+                           emit(ordered_batch_[i].target, Result<V, K>(r));
+                         });
     ordered_batch_.clear();
     for (std::size_t j = 0; j < kMaxStages; ++j) flocks_[j]->release(lo_sink());
     for (std::size_t j = 0; j <= kMaxStages; ++j) nlocks_[j]->release(lo_sink());
@@ -615,101 +564,45 @@ class M2Map {
   }
 
   /// M1-style sweep of S[0..m-2]: resolves groups that find their item.
-  /// Successful searches/updates finish immediately (shifted one segment
-  /// forward); net deletions are tagged and continue; the rest continue.
   std::vector<Group> first_slab_sweep(std::vector<Group> pending) {
     for (std::size_t k = 0; k + 1 < m_ && !pending.empty(); ++k) {
       // The sweep order is static, so request the next segment's entry
       // lines while this one is being processed (the interface thread
       // holds every first-slab lock here, so touching S[k+1] is safe).
-      if (k + 2 < m_) first_slab_[k + 1].prefetch();
-      pending = sweep_segment(first_slab_[k], k, pending);
-      restore_first_slab(k);
+      if (k + 2 < m_) segs_[k + 1].prefetch();
+      pending = sweep_first_slab(k, std::move(pending));
     }
     return pending;
   }
 
-  /// Shared logic: extract found keys from `seg` (global index k), resolve
-  /// their groups, shift net-present items to the front of the previous
-  /// segment; returns the groups that continue.
-  std::vector<Group> sweep_segment(Segment<K, V>& seg, std::size_t k,
-                                   std::vector<Group> pending) {
-    std::vector<K> keys;
-    keys.reserve(pending.size());
-    for (const auto& g : pending) keys.push_back(g.key);
-    std::vector<Item> found = seg.extract_by_keys(keys, par_ctx());
-
+  /// Sweeps first-slab segment S[k], then restores the first-slab prefixes
+  /// S[0..i-1] for boundaries i = k..1 — never S[m-1]'s boundary with
+  /// S[m]: holes accumulate in S[m-1] and are repaired by stage 0 (Lemma 16
+  /// invariant 2). Successful searches/updates finish immediately (shifted
+  /// one segment forward); net deletions are tagged and continue with the
+  /// groups that missed S[k].
+  std::vector<Group> sweep_first_slab(std::size_t k,
+                                      std::vector<Group> pending) {
     std::vector<Group> unfinished;
-    std::vector<Item> to_promote;
-    std::size_t fi = 0;
-    for (auto& g : pending) {
-      if (fi < found.size() && found[fi].key == g.key) {
-        Item item = std::move(found[fi++]);
-        std::optional<V> fin =
-            resolve_ops<K, V, Ticket>(std::move(item.value), g.ops, emit_fn());
-        if (fin) {
-          item.value = std::move(*fin);
-          to_promote.push_back(std::move(item));
-        } else {
-          // Tagged successful deletion flows to the terminal segment.
-          size_.fetch_sub(1, std::memory_order_release);
-          g.ops.clear();  // results already emitted
-          g.deletion_succeeded = true;
-          unfinished.push_back(std::move(g));
-        }
-      } else {
+    auto resolve = [&](Group& g, V value) {
+      std::optional<V> fin =
+          resolve_ops<K, V, Ticket>(std::move(value), g.ops, emit_fn());
+      if (!fin) {
+        // Tagged successful deletion flows to the terminal segment.
+        size_.fetch_sub(1, std::memory_order_release);
+        g.ops.clear();  // results already emitted
+        g.deletion_succeeded = true;
         unfinished.push_back(std::move(g));
       }
-    }
-    if (!to_promote.empty()) {
-      Segment<K, V>& dest = k == 0 ? first_slab_[0] : segment_at(k - 1);
-      dest.insert_front_batch(std::move(to_promote), par_ctx());
-    }
-    return unfinished;
-  }
-
-  Segment<K, V>& segment_at(std::size_t k) {
-    return k < m_ ? first_slab_[k] : stages_[k - m_].seg;
-  }
-
-  /// Restores first-slab prefixes S[0..i-1] for boundaries i = upto..1
-  /// (never touching S[m-1]'s boundary with S[m]; holes accumulate in
-  /// S[m-1] and are repaired by stage 0 — Lemma 16 invariant 2).
-  void restore_first_slab(std::size_t upto) {
-    upto = std::min(upto, m_ - 1);
-    for (std::size_t i = upto; i >= 1; --i) {
-      const std::size_t target = capacity_prefix(i);
-      std::size_t prefix = 0;
-      for (std::size_t j = 0; j < i; ++j) prefix += first_slab_[j].size();
-      if (prefix > target) {
-        std::vector<Item> moved =
-            first_slab_[i - 1].extract_least_recent(prefix - target, par_ctx());
-        first_slab_[i].insert_front_batch(std::move(moved), par_ctx());
-      } else if (prefix < target) {
-        const std::size_t want =
-            std::min(target - prefix, first_slab_[i].size());
-        std::vector<Item> moved =
-            first_slab_[i].extract_most_recent(want, par_ctx());
-        first_slab_[i - 1].insert_back_batch(std::move(moved), par_ctx());
-      }
-    }
-  }
-
-  static std::size_t capacity_prefix(std::size_t count) {
-    std::size_t cum = 0;
-    for (std::size_t j = 0; j < count; ++j) {
-      cum += static_cast<std::size_t>(segment_capacity(j));
-    }
-    return cum;
-  }
-
-  /// S[m-1] sweep (under B[0] + FL[0]) plus first-slab capacity repair.
-  std::vector<Group> boundary_segment_sweep(std::vector<Group> pending) {
+      return fin;
+    };
     if (!pending.empty()) {
-      pending = sweep_segment(first_slab_[m_ - 1], m_ - 1, pending);
+      sweep_segment<K, V>(segs_, k, pending, unfinished, iface_scratch_,
+                          par_ctx(), resolve);
     }
-    restore_first_slab(m_ - 1);
-    return pending;
+    restore_prefix_capacity<K, V>(std::span(segs_).first(m_), k,
+                                  iface_scratch_, par_ctx());
+    return unfinished;
   }
 
   /// Step 4: pass unfinished groups through the filter; keys already in
@@ -723,10 +616,6 @@ class M2Map {
         // In flight: combine into the existing entry (and account for a
         // tagged deletion's already-emitted results — only the ops matter).
         for (auto& op : g.ops) entry->pending.push_back(std::move(op));
-        if (g.deletion_succeeded) {
-          // The in-flight group will observe the deletion through state:
-          // the item is already gone from every segment; nothing to do.
-        }
       } else {
         filter_.insert(g.key, FilterEntry{});
         filter_size_.fetch_add(1, std::memory_order_release);
@@ -778,30 +667,24 @@ class M2Map {
   }
 
   void stage_body(std::size_t j) {
-    const std::size_t k = m_ + j;  // global segment index
     Stage& st = stages_[j];
+    auto& sc = st.scratch;
 
     // Step 4: flush the inbox (batches are key-sorted; merge them).
     std::vector<Group> batch = flush_inbox(st);
 
-    // 4a: search and detach the accessed items present in S[k].
-    std::vector<K> keys;
-    keys.reserve(batch.size());
-    for (const auto& g : batch) keys.push_back(g.key);
-    std::vector<Item> found = st.seg.extract_by_keys(keys, par_ctx());
+    // 4a: search and detach the accessed items present in S[k] (into the
+    // stage's found buffer, which front_section consumes).
+    sc.keys.clear();
+    for (const auto& g : batch) sc.keys.push_back(g.key);
+    segs_[m_ + j].extract_by_keys(sc.keys, sc.found, par_ctx(), &sc.seg);
 
     // Step 3 and 4b-4f: the front-locked section (filter + S[m'] access).
     // Stage 0 already holds FL[0]; deeper stages acquire FL[j]..FL[1]
-    // descending then FL[0]. The batch state moves through the
-    // continuation captures; a parked continuation carries it past this
-    // frame. j and k are packed into one word so the capture is exactly
-    // 64 bytes (this + jk + two vectors) and stage 0 — which runs the body
-    // inline — stays on the closure's SBO path.
-    const std::uint64_t jk = (static_cast<std::uint64_t>(j) << 32) | k;
-    auto body = [this, jk, batch = std::move(batch),
-                 found = std::move(found)]() mutable {
-      front_section(jk >> 32, jk & 0xffffffffu, std::move(batch),
-                    std::move(found));
+    // descending then FL[0]. The batch moves through the continuation
+    // capture; a parked continuation carries it past this frame.
+    auto body = [this, j, batch = std::move(batch)]() mutable {
+      front_section(j, std::move(batch));
     };
     static_assert(sched::Closure::fits_inline<decltype(body)>(),
                   "stage body must stay on the closure SBO path");
@@ -844,18 +727,17 @@ class M2Map {
     for (std::size_t i = 0; i <= j; ++i) flocks_[i]->release(hi_sink());
   }
 
-  void front_section(std::size_t j, std::size_t k, std::vector<Group> batch,
-                     std::vector<Item> found) {
+  void front_section(std::size_t j, std::vector<Group> batch) {
+    const std::size_t k = m_ + j;  // global segment index
     // Step 3: grow the terminal segment if S[k-1], S[k] exceed capacity
     // (S[k]'s size before 4a's extraction). It runs under the front chain
     // because stage m+1's left neighbour is S[m], whose contents FL[0]
     // guards: deeper stages insert there concurrently.
-    Stage& st = stages_[j];
+    auto& sc = stages_[j].scratch;
+    std::vector<Item>& found = sc.found;
     if (terminal_.load(std::memory_order_acquire) == j &&
         j + 1 < kMaxStages) {
-      const std::size_t left_size =
-          j == 0 ? first_slab_[m_ - 1].size() : stages_[j - 1].seg.size();
-      if (left_size + st.seg.size() + found.size() >
+      if (segs_[k - 1].size() + segs_[k].size() + found.size() >
           segment_capacity(k - 1) + segment_capacity(k)) {
         terminal_.store(j + 1, std::memory_order_release);
       }
@@ -865,7 +747,8 @@ class M2Map {
     const std::size_t mprime = std::min(k - 1, m_);  // S[m'] destination
 
     std::vector<Group> unfinished;
-    std::vector<Item> to_front;       // shifted/inserted items for S[m']
+    std::vector<Item>& to_front = sc.promote;  // items for the front of S[m']
+    to_front.clear();
     std::size_t deletions_in_batch = 0;
 
     std::size_t fi = 0;
@@ -884,7 +767,7 @@ class M2Map {
           continue;
         }
         // Terminal: finish the tagged deletion — drain the filter entry.
-        finish_group(g, std::nullopt, to_front);
+        finish_group(g, std::nullopt, /*counted=*/false, to_front);
         continue;
       }
       if (found_here) {
@@ -893,7 +776,7 @@ class M2Map {
         if (fin) {
           // R': searched/updated — finishes here; item goes to front of
           // S[m'], and any ops accumulated in the filter resolve now.
-          finish_group_with_value(g, std::move(*fin), to_front);
+          finish_group(g, std::move(fin), /*counted=*/true, to_front);
         } else {
           // Became a successful deletion here.
           size_.fetch_sub(1, std::memory_order_release);
@@ -901,7 +784,7 @@ class M2Map {
           g.ops.clear();
           g.deletion_succeeded = true;
           if (is_terminal) {
-            finish_group(g, std::nullopt, to_front);
+            finish_group(g, std::nullopt, /*counted=*/false, to_front);
           } else {
             unfinished.push_back(std::move(g));
           }
@@ -912,13 +795,9 @@ class M2Map {
       if (is_terminal) {
         // Resolve against an absent item; insertions materialize at the
         // front of S[m'].
-        std::optional<V> fin =
-            resolve_ops<K, V, Ticket>(std::nullopt, g.ops, emit_fn());
-        if (fin) {
-          finish_group_with_value(g, std::move(*fin), to_front, /*fresh=*/true);
-        } else {
-          finish_group(g, std::nullopt, to_front);
-        }
+        finish_group(g,
+                     resolve_ops<K, V, Ticket>(std::nullopt, g.ops, emit_fn()),
+                     /*counted=*/false, to_front);
       } else {
         unfinished.push_back(std::move(g));
       }
@@ -927,7 +806,8 @@ class M2Map {
     // 4d: insert the finished items at the front of S[m'] (guarded: S[m-1]
     // by B[0] when j==0; S[m] by FL[0] otherwise).
     if (!to_front.empty()) {
-      segment_at(mprime).insert_front_batch(std::move(to_front), par_ctx());
+      segs_[mprime].insert_front_batch(std::span(to_front), par_ctx(),
+                                       &sc.seg);
     }
 
     // 4e: wake the interface when the filter has room again.
@@ -939,30 +819,18 @@ class M2Map {
     after_front(j, k, std::move(unfinished), deletions_in_batch);
   }
 
-  /// Finishes a group whose final state is `value`: drains the filter
-  /// entry (ops that arrived mid-flight) against that state and queues the
-  /// resulting item (if any) for the front of S[m'].
-  void finish_group_with_value(Group& g, V value, std::vector<Item>& to_front,
-                               bool fresh = false) {
-    std::optional<V> state = std::move(value);
-    state = drain_filter_entry(g.key, std::move(state));
-    if (state) {
-      if (fresh) size_.fetch_add(1, std::memory_order_release);
-      to_front.push_back(Item{g.key, std::move(*state), g.seq});
-    } else if (!fresh) {
-      // A filter-accumulated erase removed it after all.
-      size_.fetch_sub(1, std::memory_order_release);
-    }
-  }
-
-  /// Finishes a group whose final state is absent.
-  void finish_group(Group& g, std::optional<V> state,
+  /// Finishes a group whose resolved state is `state` (`counted`: the
+  /// item is still counted in size_): drains the filter entry (ops that
+  /// arrived mid-flight) against that state, settles size_ when the drain
+  /// leaves the item present or absent contrary to `counted` (a
+  /// filter-accumulated erase or insert), and queues the surviving item
+  /// for the front of S[m'].
+  void finish_group(Group& g, std::optional<V> state, bool counted,
                     std::vector<Item>& to_front) {
     state = drain_filter_entry(g.key, std::move(state));
-    if (state) {
-      size_.fetch_add(1, std::memory_order_release);
-      to_front.push_back(Item{g.key, std::move(*state), g.seq});
-    }
+    if (state && !counted) size_.fetch_add(1, std::memory_order_release);
+    if (!state && counted) size_.fetch_sub(1, std::memory_order_release);
+    if (state) to_front.push_back(Item{g.key, std::move(*state), g.seq});
   }
 
   /// Removes `key` from the filter and resolves its accumulated ops
@@ -981,25 +849,27 @@ class M2Map {
   void after_front(std::size_t j, std::size_t k, std::vector<Group> unfinished,
                    std::size_t deletions_in_batch) {
     Stage& st = stages_[j];
-    Segment<K, V>& left = j == 0 ? first_slab_[m_ - 1] : stages_[j - 1].seg;
+    auto& sc = st.scratch;
+    Segment<K, V>& left = segs_[k - 1];
+    Segment<K, V>& seg = segs_[k];
     const std::size_t left_cap =
         static_cast<std::size_t>(segment_capacity(k - 1));
 
     // 4g: rearward transfer — left over-full.
     if (left.size() > left_cap) {
-      std::vector<Item> moved =
-          left.extract_least_recent(left.size() - left_cap, par_ctx());
-      st.seg.insert_front_batch(std::move(moved), par_ctx());
+      left.extract_least_recent(left.size() - left_cap, sc.moved, par_ctx(),
+                                &sc.seg);
+      seg.insert_front_batch(std::span(sc.moved), par_ctx(), &sc.seg);
     }
     // 4h: frontward transfer — left under-full, bounded by successful
     // deletions observed in this batch.
     if (left.size() < left_cap) {
       const std::size_t holes = left_cap - left.size();
       const std::size_t move_n =
-          std::min({holes, st.seg.size(), deletions_in_batch});
+          std::min({holes, seg.size(), deletions_in_batch});
       if (move_n > 0) {
-        std::vector<Item> moved = st.seg.extract_most_recent(move_n, par_ctx());
-        left.insert_back_batch(std::move(moved), par_ctx());
+        seg.extract_most_recent(move_n, sc.moved, par_ctx(), &sc.seg);
+        left.insert_back_batch(std::span(sc.moved), par_ctx(), &sc.seg);
       }
     }
     if (j == 1) release_front_chain(j);
@@ -1080,19 +950,23 @@ class M2Map {
   buffer::FeedBuffer<POp> feed_;
   sync::AsyncGate interface_gate_;
 
-  // Parked ordered queries of the current tick plus their sort scratch —
-  // owned by the interface (single-owner via its gate), so the ordered-read
-  // hop closures stay small and reuse capacity across ticks.
+  // Parked ordered queries of the current tick plus their combining
+  // scratch, and the interface's segment buffers — owned by the interface
+  // (single-owner via its gate), so the ordered-read hop closures stay
+  // small and every buffer reuses capacity across ticks.
   std::vector<POp> ordered_batch_;
-  std::vector<std::size_t> ordered_idx_;
+  OrderedScratch<K, V> ordered_scratch_;
+  SweepScratch<K, V> iface_scratch_;
 
   // Bulk-path ticket arena (see execute_batch); try-locked so concurrent
   // bulk callers degrade to a call-local block instead of racing.
   std::mutex tickets_mu_;
   TicketBlock tickets_;
 
-  std::vector<Segment<K, V>> first_slab_;  // S[0..m-1]; interface-owned
-  std::vector<Stage> stages_;              // S[m..m+kMaxStages-1]
+  // S[0..m+kMaxStages-1]: the first slab S[0..m-1] is interface-owned,
+  // S[m+j] is stage j's segment.
+  std::vector<Segment<K, V>> segs_;
+  std::vector<Stage> stages_;
   std::atomic<std::size_t> terminal_{0};   // stage index of the terminal seg
 
   tree::JTree<K, FilterEntry> filter_{&filter_pool_};  // guarded by FL[0]

@@ -10,19 +10,21 @@
 // instance, used only under that instance's single-owner batch contract.
 // Arenas are never shared across driver instances (each ShardedDriver shard
 // owns its own backend and therefore its own arena) and never touched by
-// two batches concurrently.
+// two batches concurrently. Its segment-sweep half, SweepScratch, is also
+// what each M2 runner (the interface, every stage) owns.
 
 #include <cstddef>
 #include <vector>
 
 #include "core/group.hpp"
+#include "core/ladder.hpp"
 #include "core/segment.hpp"
 #include "sort/pesort.hpp"
 
 namespace pwss::core {
 
 template <typename K, typename V, typename Target>
-struct BatchScratch {
+struct BatchScratch : SweepScratch<K, V> {
   using Pending = PendingOp<K, V, Target>;
 
   /// Tagged + entropy-sorted copy of the incoming batch. Groups reference
@@ -34,20 +36,8 @@ struct BatchScratch {
   std::vector<IndexGroup<K>> pending;
   /// Groups that continue past the current segment (swapped with pending).
   std::vector<IndexGroup<K>> unfinished;
-  /// Keys extracted per segment sweep.
-  std::vector<K> keys;
-  /// Items found in the current segment.
-  std::vector<typename Segment<K, V>::Item> found;
-  /// Successful searches/updates shifting one segment forward.
-  std::vector<typename Segment<K, V>::Item> promote;
-  /// Items in transit during capacity restoration / overflow carving.
-  std::vector<typename Segment<K, V>::Item> moved;
-  /// Ordered-phase query indices (sorted for duplicate combining) and the
-  /// distinct representatives actually answered.
-  std::vector<std::size_t> ordered_idx;
-  std::vector<std::size_t> ordered_reps;
-  /// Segment-internal buffers (tree batch I/O, restamping).
-  SegmentScratch<K, V> seg;
+  /// Ordered-phase duplicate combining (answer_ordered).
+  OrderedScratch<K, V> ordered;
 
   /// Drops everything the arena holds (capacity included); handy in tests.
   void release() { *this = BatchScratch(); }

@@ -137,28 +137,13 @@ struct SegmentPools {
   /// instances): the pool shards its free lists by its worker ids.
   explicit SegmentPools(sched::Scheduler* scheduler = nullptr)
       : node_pool(scheduler) {}
-
-  /// Deep check shared by the maps' validate(): every item held in a
-  /// tree-represented segment owns exactly one node, and the pool is
-  /// internally consistent. Empty = clean.
-  std::string validate(std::size_t tree_items) const {
-    util::Validator v;
-    if (v.require(node_pool.live_nodes() == tree_items,
-                  "node-pool accounting broken: ", node_pool.live_nodes(),
-                  " live nodes but ", tree_items,
-                  " items live in tree-represented segments")) {
-      v.absorb(node_pool.validate(), "node-pool: ");
-    }
-    return std::move(v).take();
-  }
 };
 
-/// Reusable buffers for a Segment's batched operations. Owned by the
-/// structure that drives the batches (one arena per M1 instance, inside
-/// core::BatchScratch) and passed down by pointer; a null scratch falls
-/// back to per-call buffers. Never share one arena across concurrently
-/// mutated segments — the owner must serialize batch calls, which M1's
-/// single-owner batch contract already guarantees.
+/// Reusable buffers for a Segment's batched operations. Owned by whatever
+/// runs the batches (core::SweepScratch: M1's instance arena, M2's
+/// interface and each M2 stage) and passed down by pointer; a null scratch
+/// falls back to per-call buffers. One runner uses a scratch at a time —
+/// M1's single-owner batch contract and M2's per-runner gates guarantee it.
 template <typename K, typename V>
 struct SegmentScratch {
   using Link = typename SegmentTree<K, V>::Handle;
@@ -179,12 +164,6 @@ class Segment {
   /// Binds the tree to the instance's pool domain (null = unpooled).
   explicit Segment(SegmentPools<K, V>* pools)
       : tree_(pools != nullptr ? &pools->node_pool : nullptr) {}
-
-  /// Late binding for segments that must be default-constructed first
-  /// (vector-of-count members, M2's Stage); only legal while empty.
-  void bind_pools(SegmentPools<K, V>* pools) noexcept {
-    tree_.set_pool(pools != nullptr ? &pools->node_pool : nullptr);
-  }
 
   std::size_t size() const noexcept {
     return is_tree_ ? tree_.size() : flat_.size();
@@ -254,19 +233,11 @@ class Segment {
                           SegmentScratch<K, V>* s = nullptr) {
     insert_batch(items, /*front=*/true, ctx, s);
   }
-  void insert_front_batch(std::vector<Item> items,
-                          const tree::ParCtx& ctx = {}) {
-    insert_front_batch(std::span<Item>(items), ctx);
-  }
 
   /// Inserts a batch at the back, preserving relative recency.
   void insert_back_batch(std::span<Item> items, const tree::ParCtx& ctx = {},
                          SegmentScratch<K, V>* s = nullptr) {
     insert_batch(items, /*front=*/false, ctx, s);
-  }
-  void insert_back_batch(std::vector<Item> items,
-                         const tree::ParCtx& ctx = {}) {
-    insert_back_batch(std::span<Item>(items), ctx);
   }
 
   // ---- ordered queries (protocol v2) -------------------------------------
@@ -335,12 +306,6 @@ class Segment {
     }
     extract_unlinked(sc, out, ctx);
   }
-  std::vector<Item> extract_by_keys(std::span<const K> keys,
-                                    const tree::ParCtx& ctx = {}) {
-    std::vector<Item> found;
-    extract_by_keys(keys, found, ctx);
-    return found;
-  }
 
   /// Removes the `c` least-recent items into `out` (cleared), sorted by key.
   void extract_least_recent(std::size_t c, std::vector<Item>& out,
@@ -348,29 +313,12 @@ class Segment {
                             SegmentScratch<K, V>* s = nullptr) {
     extract_end(c, /*least=*/true, out, ctx, s);
   }
-  std::vector<Item> extract_least_recent(std::size_t c,
-                                         const tree::ParCtx& ctx = {}) {
-    std::vector<Item> out;
-    extract_least_recent(c, out, ctx);
-    return out;
-  }
 
   /// Removes the `c` most-recent items into `out` (cleared), sorted by key.
   void extract_most_recent(std::size_t c, std::vector<Item>& out,
                            const tree::ParCtx& ctx = {},
                            SegmentScratch<K, V>* s = nullptr) {
     extract_end(c, /*least=*/false, out, ctx, s);
-  }
-  std::vector<Item> extract_most_recent(std::size_t c,
-                                        const tree::ParCtx& ctx = {}) {
-    std::vector<Item> out;
-    extract_most_recent(c, out, ctx);
-    return out;
-  }
-
-  /// Removes everything; returned sorted by key.
-  std::vector<Item> extract_all(const tree::ParCtx& ctx = {}) {
-    return extract_least_recent(size(), ctx);
   }
 
   /// In-order (by key) visit of (key, value, stamp).
@@ -680,45 +628,5 @@ class Segment {
   bool is_tree_ = false;   // starts flat; see promote()/maybe_demote()
   bool pin_tree_ = false;  // debug_force_tree() disables demotion
 };
-
-/// Answers one read-only ordered query (kPredecessor / kSuccessor /
-/// kRangeCount) against the union of segments a structure is partitioned
-/// into. `visit` enumerates the segments: it invokes its argument once per
-/// Segment<K, V>. A key lives in exactly one segment, so predecessor is
-/// the max of per-segment predecessors, successor the min of per-segment
-/// successors, and range-count the sum of per-segment counts. Shared by
-/// M0, M1, Iacono and M2 (whose segments live in two collections).
-template <typename K, typename V, typename Visit>
-Result<V, K> ordered_query_over(OpType type, const K& key, const K& key2,
-                                Visit&& visit) {
-  Result<V, K> r;
-  if (type == OpType::kRangeCount) {
-    std::uint64_t total = 0;
-    visit([&](const Segment<K, V>& seg) { total += seg.range_count(key, key2); });
-    r.status = ResultStatus::kFound;
-    r.count = total;
-    return r;
-  }
-  const K* best_key = nullptr;
-  const V* best_value = nullptr;
-  visit([&](const Segment<K, V>& seg) {
-    auto [k, v] = type == OpType::kPredecessor ? seg.predecessor(key)
-                                               : seg.successor(key);
-    if (k == nullptr) return;
-    const bool better =
-        best_key == nullptr ||
-        (type == OpType::kPredecessor ? *best_key < *k : *k < *best_key);
-    if (better) {
-      best_key = k;
-      best_value = v;
-    }
-  });
-  if (best_key != nullptr) {
-    r.status = ResultStatus::kFound;
-    r.matched_key = *best_key;
-    r.value = *best_value;
-  }
-  return r;
-}
 
 }  // namespace pwss::core

@@ -92,12 +92,6 @@ class JTree {
   }
   ~JTree() { destroy(root_); }
 
-  /// Late pool binding for trees that must be default-constructed first
-  /// (vector-of-count members); only legal while empty.
-  void set_pool(Pool* pool) noexcept {
-    assert(root_ == nullptr && "pool can only be bound to an empty tree");
-    pool_ = pool;
-  }
   Pool* pool() const noexcept { return pool_; }
 
   std::size_t size() const noexcept { return node_size(root_); }

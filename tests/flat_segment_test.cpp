@@ -50,7 +50,7 @@ TEST(FlatSegment, BatchInsertOverCapacityPromotes) {
   for (std::uint64_t i = 0; i < kFlatSegmentMax + 8; ++i) {
     items.push_back({i, i * 2, 0});
   }
-  seg.insert_front_batch(std::move(items));
+  seg.insert_front_batch(std::span<Item>(items));
   EXPECT_FALSE(seg.is_flat());
   EXPECT_EQ(seg.size(), kFlatSegmentMax + 8);
   ASSERT_EQ(seg.validate(), "");

@@ -270,6 +270,22 @@ TEST(M1, DuplicateOrderedQueriesCombine) {
       ASSERT_EQ(r[i].count, 51u) << i;
     }
   }
+
+  // With a scheduler, more than 64 distinct queries are answered by
+  // parallel_for; each duplicate still gets its own query's answer.
+  sched::Scheduler scheduler(4);
+  M1Map<int, int> par(&scheduler);
+  std::map<int, int> ref;
+  par.execute_batch(warm);
+  for (const auto& op : warm) testutil::reference_apply(ref, op);
+  const auto queries = testutil::ordered_batch_with_duplicates(240, 3, 17);
+  const auto got = par.execute_batch(queries);
+  ASSERT_EQ(got.size(), queries.size());
+  for (std::size_t i = 0; i < queries.size(); ++i) {
+    const auto want = testutil::reference_apply(ref, queries[i]);
+    testutil::expect_result_eq(got[i], want, "m1 combined ordered", i);
+  }
+  EXPECT_EQ(par.validate(), "");
 }
 
 TEST(M1, OrderedQueriesDoNotSelfAdjust) {

@@ -405,6 +405,28 @@ TEST(M2, OrderedQueriesSeeTheWholePipeline) {
   EXPECT_EQ(m.validate(), "");
 }
 
+TEST(M2, DuplicateOrderedQueriesCombine) {
+  // The interface's global ordered read combines identical (type, key,
+  // key2) tuples: each distinct query is answered once and the answer
+  // fanned out to every duplicate ticket.
+  sched::Scheduler scheduler(4);
+  M2Map<int, int> m(scheduler, 2);
+  std::map<int, int> ref;
+  std::vector<IntOp> warm;
+  for (int i = 0; i < 500; ++i) warm.push_back(IntOp::insert(i * 2, i));
+  m.execute_batch(warm);
+  for (const auto& op : warm) testutil::reference_apply(ref, op);
+  const auto queries = testutil::ordered_batch_with_duplicates(240, 3, 17);
+  const auto got = m.execute_batch(queries);
+  ASSERT_EQ(got.size(), queries.size());
+  for (std::size_t i = 0; i < queries.size(); ++i) {
+    const auto want = testutil::reference_apply(ref, queries[i]);
+    testutil::expect_result_eq(got[i], want, "m2 combined ordered", i);
+  }
+  m.quiesce();
+  EXPECT_EQ(m.validate(), "");
+}
+
 TEST(M2, ConcurrentOrderedAndPointClients) {
   // Ordered readers run the full-lock-chain read while writers keep the
   // pipeline busy; every predecessor answer must be a key some client

@@ -312,7 +312,7 @@ TEST(NodePool, SegmentTransfersAreChunkNeutralWhenWarm) {
   using Item = core::Segment<int, int>::Item;
   std::vector<Item> items;
   for (int i = 0; i < 2048; ++i) items.push_back(Item{i, i, 0});
-  a.insert_front_batch(items);
+  a.insert_front_batch(std::span<Item>(items));
   // One full round trip warms the pool high-water mark.
   std::vector<Item> moved;
   a.extract_least_recent(2048, moved);

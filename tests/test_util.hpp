@@ -6,6 +6,7 @@
 #include <cstdint>
 #include <map>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/ops.hpp"
@@ -138,6 +139,35 @@ std::vector<core::Op<K, V>> scripted_ops(std::uint64_t seed, std::size_t count,
         ops.push_back(core::Op<K, V>::range_count(
             key, static_cast<K>(key + rng.bounded(universe / 4 + 1))));
     }
+  }
+  return ops;
+}
+
+/// An ordered-only batch for the duplicate-combining tests: `distinct`
+/// distinct queries cycling through predecessor, successor and
+/// range-count, each issued `copies` times, shuffled. Keys run from below
+/// the key universe to past it, so some queries find nothing.
+inline std::vector<core::Op<int, int>> ordered_batch_with_duplicates(
+    int distinct, int copies, std::uint64_t seed) {
+  std::vector<core::Op<int, int>> ops;
+  for (int q = 0; q < distinct; ++q) {
+    const int key = q * 5 - 7;
+    for (int c = 0; c < copies; ++c) {
+      switch (q % 3) {
+        case 0:
+          ops.push_back(core::Op<int, int>::predecessor(key));
+          break;
+        case 1:
+          ops.push_back(core::Op<int, int>::successor(key));
+          break;
+        default:
+          ops.push_back(core::Op<int, int>::range_count(key, key + q % 40));
+      }
+    }
+  }
+  util::Xoshiro256 rng(seed);
+  for (std::size_t i = ops.size(); i > 1; --i) {
+    std::swap(ops[i - 1], ops[rng.bounded(i)]);
   }
   return ops;
 }
