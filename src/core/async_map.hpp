@@ -60,7 +60,7 @@ struct OpTicket {
     return cancel_requested.load(std::memory_order_acquire);
   }
 
-  void fulfill(Result<V, K> r) {
+  void fulfill(Result<V, K>&& r) {
     // Cache the hooks BEFORE publishing: the moment ready is true a
     // spin-waiting owner may return and reuse/destroy a stack ticket, so
     // no field may be read afterwards. Hooked tickets (FutureState) stay

@@ -8,6 +8,8 @@
 //     (full_except_last);
 //   * M1: every capacity prefix full until the items run out;
 //   * M2: Lemma 16's lenient bound |S[k]| <= 3·2^(2^k) on the final slab.
+// M1's point-phase walk (walk_point_phase) lives here too: M1 runs every
+// batch through it, M2 every bulk batch (under its full lock chain).
 // Callers name <K, V> explicitly so a std::vector of segments converts to
 // the span parameter.
 
@@ -20,17 +22,19 @@
 #include <utility>
 #include <vector>
 
+#include "core/group.hpp"
 #include "core/ops.hpp"
 #include "core/segment.hpp"
 #include "sched/scheduler.hpp"
+#include "sort/pesort.hpp"
 #include "util/validate.hpp"
 
 namespace pwss::core {
 
-/// The buffers one runner needs to walk the ladder: keys probed, items
+/// The buffers one runner needs to sweep the ladder: keys probed, items
 /// found, items shifting forward, capacity-repair transfers and the
-/// segments' own scratch. Used by one runner at a time (M1's instance
-/// arena, M2's interface or one M2 stage).
+/// segments' own scratch. Used by one runner at a time (the BatchScratch
+/// of M1 or M2's interface, or one M2 stage).
 template <typename K, typename V>
 struct SweepScratch {
   std::vector<K> keys;
@@ -316,6 +320,123 @@ void answer_ordered(std::span<const Segment<K, V>> segs,
     if (r > 0 && !same(idx[r - 1], idx[r])) ++rep;
     deliver(idx[r], sc.answers[rep]);
   }
+}
+
+/// The per-instance arena of the point-phase walk (DESIGN.md "Allocation
+/// discipline"): the sweep buffers plus the tagged, sorted and coalesced
+/// chunk, and the ordered-phase combining buffers. One per M1 instance and
+/// one for M2's interface, used under that owner's single-owner contract,
+/// so a steady stream of batches reuses capacity instead of reallocating.
+template <typename K, typename V>
+struct BatchScratch : SweepScratch<K, V> {
+  using Tagged = PendingOp<K, V, std::size_t>;
+
+  /// The current chunk, tagged with source indices, then entropy-sorted.
+  /// Groups reference it by position, so it stays unmoved for the chunk.
+  std::vector<Tagged> tagged;
+  /// PESort partition + classification + pivot-median buffers.
+  sort::PESortScratch<Tagged, K> sort;
+  /// Coalesced index groups still looking for their item.
+  std::vector<IndexGroup<K>> pending;
+  /// Groups that continue past the current segment (swapped with pending).
+  std::vector<IndexGroup<K>> unfinished;
+  /// Ordered-phase duplicate combining (answer_ordered).
+  OrderedScratch<K, V> ordered;
+
+  /// Drops everything the arena holds (capacity included); handy in tests.
+  void release() { *this = BatchScratch(); }
+};
+
+/// The most ops one walk_point_phase pass sorts and sweeps: a longer phase
+/// walks in chunks, so the arena stays one chunk wide. Not a tuning knob:
+/// glibc keeps a freed large scratch resident. An m1 driver loading 2^20
+/// keys in Driver::run batches of 1,024 / 4,096 / 16,384 / 65,536 ops
+/// (4-vCPU Linux container) grew RSS by 73.3 / 74.5 / 79.1 / 97.5 B/key
+/// unchunked and 73.3 / 74.5 / 75.5 / 79.6 B/key with this chunk, and the
+/// 65,536-op load took 0.49-0.56 s unchunked, 0.39-0.43 s chunked.
+inline constexpr std::size_t kBatchChunk = 4096;
+
+/// M1's point phase (Section 6.1) over the ladder's first `live` segments,
+/// for source ops [0, n) taken kBatchChunk at a time. Per chunk:
+/// `fill(b, e, tagged)` appends the ops of [b, e) it admits, tagged with
+/// their source index (an earlier index = earlier arrival); they are
+/// entropy-sorted (stable, so per-key order holds) and coalesced; each
+/// depth k sweeps S[k] and repairs the prefixes up to it; groups missing
+/// everywhere resolve against an absent item and their net insertions go
+/// to the back of the last segment, overflow carved into fresh segments
+/// (`segs` grows, drawing on `pools`, only past its end); a final repair
+/// restores the whole prefix rule. Results go out as `emit(index, result)`;
+/// `probes` (nullable) counts hits per depth and misses. Returns the new
+/// live count: the segments past it are empty.
+template <typename K, typename V, typename Fill, typename Emit>
+std::size_t walk_point_phase(std::vector<Segment<K, V>>& segs,
+                             std::size_t live, SegmentPools<K, V>* pools,
+                             std::size_t n, Fill&& fill,
+                             BatchScratch<K, V>& sc, const tree::ParCtx& ctx,
+                             Emit&& emit, ProbeDepthCounts* probes) {
+  using Tagged = PendingOp<K, V, std::size_t>;
+  auto& tagged = sc.tagged;
+  for (std::size_t b = 0; b < n; b += kBatchChunk) {
+    tagged.clear();
+    fill(b, std::min(n, b + kBatchChunk), tagged);
+    sort::pesort(
+        tagged, [](const Tagged& p) { return p.key; }, ctx.scheduler, {},
+        &sc.sort);
+    coalesce_sorted_index(std::span<const Tagged>(tagged), sc.pending);
+    auto ops_of = [&](const IndexGroup<K>& g) {
+      return std::span<const Tagged>(tagged).subspan(g.begin, g.end - g.begin);
+    };
+
+    const std::span<Segment<K, V>> ladder(segs.data(), live);
+    for (std::size_t k = 0; k < live && !sc.pending.empty(); ++k) {
+      // Overlap memory latency: the sweep order is static, so S[k+1]'s
+      // entry lines are never fetched for a mispredicted target.
+      if (k + 1 < live) segs[k + 1].prefetch();
+      // Found groups resolve here; a net deletion leaves its item removed.
+      sc.unfinished.clear();
+      sweep_segment<K, V>(ladder, k, sc.pending, sc.unfinished, sc, ctx,
+                          [&](const IndexGroup<K>& g, V value) {
+                            if (probes != nullptr) probes->note_hit(k);
+                            return resolve_ops<K, V, std::size_t>(
+                                std::move(value), ops_of(g), emit);
+                          });
+      restore_prefix_capacity<K, V>(ladder, k, sc, ctx);
+      std::swap(sc.pending, sc.unfinished);
+    }
+
+    // Groups whose keys are absent everywhere.
+    auto& fresh = sc.promote;
+    fresh.clear();
+    for (const auto& g : sc.pending) {
+      if (probes != nullptr) probes->note_miss();
+      if (std::optional<V> fin =
+              resolve_ops<K, V, std::size_t>(std::nullopt, ops_of(g), emit)) {
+        // M0's rule: each insertion goes *behind* the previous one, so an
+        // earlier source index is more recent. The inverted index is
+        // restamped at insertion but preserves that relative order.
+        fresh.push_back(
+            SegmentItem<K, V>{g.key, std::move(*fin), ~tagged[g.begin].target});
+      }
+    }
+    sc.pending.clear();
+    if (!fresh.empty()) {
+      if (live == 0) live = 1;
+      if (segs.size() < live) segs.emplace_back(pools);
+      std::size_t last = live - 1;
+      segs[last].insert_back_batch(std::span(fresh), ctx, &sc.seg);
+      while (segs[last].size() > segment_capacity(last)) {
+        const auto cap = static_cast<std::size_t>(segment_capacity(last));
+        segs[last].extract_least_recent(segs[last].size() - cap, sc.moved,
+                                        ctx, &sc.seg);
+        if (++last == segs.size()) segs.emplace_back(pools);
+        segs[last].insert_front_batch(std::span(sc.moved), ctx, &sc.seg);
+      }
+      live = last + 1;
+    }
+    restore_prefix_capacity<K, V>(std::span(segs.data(), live), live, sc, ctx);
+    while (live > 0 && segs[live - 1].empty()) --live;
+  }
+  return live;
 }
 
 }  // namespace pwss::core

@@ -1,7 +1,8 @@
 #pragma once
 // M1 — the simple batched parallel working-set map (Section 6).
 //
-// A batch is processed as:
+// A batch's point phase is processed (walk_point_phase in core/ladder.hpp,
+// shared with M2's bulk batches, at most kBatchChunk ops at a time) as:
 //   1. parallel-entropy-sort the batch by key (stable: per-key program
 //      order preserved) and coalesce duplicate keys into group-operations;
 //   2. sweep the segments S[0]..S[l]: at S[k], batch-extract the groups'
@@ -33,10 +34,8 @@
 #include "core/group.hpp"
 #include "core/ladder.hpp"
 #include "core/ops.hpp"
-#include "core/scratch.hpp"
 #include "core/segment.hpp"
 #include "sched/scheduler.hpp"
-#include "sort/pesort.hpp"
 #include "tree/jtree.hpp"
 #include "util/validate.hpp"
 
@@ -157,118 +156,26 @@ class M1Map {
   }
 
  private:
-  using Item = typename Segment<K, V>::Item;
-
-  /// One point phase [begin, end): tag with result indices, entropy-sort
-  /// by key, coalesce, sweep — all through the instance arena, so a steady
-  /// stream of batches reuses capacity.
+  /// One point phase [begin, end): the ladder walk (walk_point_phase)
+  /// tags each chunk with result indices, entropy-sorts, coalesces and
+  /// sweeps it through the instance arena, so a steady stream of batches
+  /// reuses capacity.
   void point_phase(std::span<const Op<K, V>> ops, std::size_t begin,
                    std::size_t end, std::vector<Result<V, K>>& results) {
-    auto& tagged = scratch_.tagged;
-    tagged.clear();
-    tagged.reserve(end - begin);
-    for (std::size_t i = begin; i < end; ++i) {
-      tagged.push_back({ops[i].type, ops[i].key, ops[i].value, K{}, i});
-    }
-    sort::pesort(
-        tagged, [](const PendingOp<K, V, std::size_t>& p) { return p.key; },
-        scheduler_, {}, &scratch_.sort);
-    coalesce_sorted_index(std::span<const PendingOp<K, V, std::size_t>>(tagged),
-                          scratch_.pending);
-    process_groups(results);
-  }
-
-  /// Ops of one index group within the sorted batch.
-  std::span<const PendingOp<K, V, std::size_t>> ops_of(
-      const IndexGroup<K>& g) const {
-    return std::span<const PendingOp<K, V, std::size_t>>(scratch_.tagged)
-        .subspan(g.begin, g.end - g.begin);
-  }
-
-  /// Processes scratch_.pending (the coalesced batch) against the segment
-  /// sweep; every temporary lives in the instance arena. Groups are index
-  /// ranges into scratch_.tagged — 16 bytes each, no per-group list.
-  void process_groups(std::vector<Result<V, K>>& results) {
-    auto emit = [&](std::size_t idx, Result<V, K> r) {
-      results[idx] = std::move(r);
-    };
-
-    auto& pending = scratch_.pending;
-    auto& unfinished = scratch_.unfinished;
-    for (std::size_t k = 0; k < segments_.size() && !pending.empty(); ++k) {
-      // Overlap memory latency: request S[k+1]'s entry lines (flat arrays
-      // or tree root) while this iteration chews on S[k]. The sweep
-      // order is static, so the prefetch is never wasted on a mispredicted
-      // target — at worst the batch resolves before reaching S[k+1].
-      if (k + 1 < segments_.size()) segments_[k + 1].prefetch();
-      // Found groups resolve here; a net deletion leaves its item removed.
-      unfinished.clear();
-      sweep_segment<K, V>(segments_, k, pending, unfinished, scratch_, ctx_,
-                          [&](const IndexGroup<K>& g, V value) {
-                            probes_.note_hit(k);
-                            return resolve_ops<K, V, std::size_t>(
-                                std::move(value), ops_of(g), emit);
-                          });
-      restore_capacity(k);
-      std::swap(pending, unfinished);
-    }
-
-    // Groups whose keys are absent everywhere.
-    auto& to_insert = scratch_.promote;
-    to_insert.clear();
-    for (const auto& g : pending) {
-      probes_.note_miss();
-      std::optional<V> fin =
-          resolve_ops<K, V, std::size_t>(std::nullopt, ops_of(g), emit);
-      if (fin) {
-        // M0's rule: each insertion goes *behind* the previous one, so an
-        // earlier batch position is more recent. The inverted batch index
-        // is restamped at insertion but preserves that relative order.
-        to_insert.push_back(
-            Item{g.key, std::move(*fin), ~scratch_.tagged[g.begin].target});
+    auto fill = [&](std::size_t b, std::size_t e,
+                    std::vector<PendingOp<K, V, std::size_t>>& tagged) {
+      for (std::size_t i = begin + b; i < begin + e; ++i) {
+        tagged.push_back({ops[i].type, ops[i].key, ops[i].value, K{}, i});
       }
-    }
-    pending.clear();
-    append_new_items(to_insert);
-    restore_capacity(segments_.size());
+    };
+    walk_point_phase<K, V>(
+        segments_, segments_.size(), pools_.get(), end - begin, fill, scratch_,
+        ctx_,
+        [&](std::size_t idx, Result<V, K>&& r) { results[idx] = std::move(r); },
+        &probes_);
     pop_empty_tail(segments_);
-  }
-
-  /// Appends fresh items (consumed in place) at the back of the last
-  /// segment, creating new segments for overflow (Section 6.1's final
-  /// insertion step).
-  void append_new_items(std::vector<Item>& items) {
-    if (items.empty()) return;
-    size_ += items.size();
-    if (segments_.empty()) segments_.emplace_back(pools_.get());
-    std::size_t last = segments_.size() - 1;
-    segments_[last].insert_back_batch(std::span<Item>(items), ctx_,
-                                      &scratch_.seg);
-    // Carve overflow into new segments back-to-front.
-    auto& spill = scratch_.moved;
-    while (segments_[last].size() > segment_capacity(last)) {
-      const std::size_t excess =
-          segments_[last].size() -
-          static_cast<std::size_t>(segment_capacity(last));
-      segments_[last].extract_least_recent(excess, spill, ctx_, &scratch_.seg);
-      segments_.emplace_back(pools_.get());
-      ++last;
-      segments_[last].insert_front_batch(std::span<Item>(spill), ctx_,
-                                         &scratch_.seg);
-    }
-  }
-
-  /// Restores the capacity invariant for prefixes S[0..i-1], boundaries
-  /// i = upto down to 1 (restore_prefix_capacity).
-  void restore_capacity(std::size_t upto) {
-    size_ = recompute_size();  // group resolution may have deleted items
-    restore_prefix_capacity<K, V>(segments_, upto, scratch_, ctx_);
-  }
-
-  std::size_t recompute_size() const {
-    std::size_t total = 0;
-    for (const auto& seg : segments_) total += seg.size();
-    return total;
+    size_ = 0;
+    for (const auto& seg : segments_) size_ += seg.size();
   }
 
   // Pool domain first: segments (declared after) die before their pools.
@@ -281,7 +188,7 @@ class M1Map {
   std::size_t size_ = 0;
   // Per-instance batch arena; safe because execute_batch has a single
   // owner (the AsyncMap front end). Never shared across instances.
-  BatchScratch<K, V, std::size_t> scratch_;
+  BatchScratch<K, V> scratch_;
   ProbeDepthCounts probes_;
 };
 

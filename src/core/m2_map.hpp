@@ -9,7 +9,8 @@
 //         -> FINAL SLAB  S[m] -> S[m+1] -> ... -> S[l]   (pipelined)
 //
 // The interface (an asynchronous activation) is ready iff input is pending
-// and the filter holds at most one cut's worth of keys. Each run cuts
+// and the filter holds at most one cut's worth of keys (or, while a bulk
+// request waits, iff the filter has drained). Each run cuts
 // M1's ceil(log n / p) p^2-sized bunches (buffer::cut_bunches), so a deep
 // backlog moves ~p log n keys per stage run instead of p^2; with no backlog
 // the cut is the single bunch that is waiting. It sorts and combines the
@@ -35,13 +36,23 @@
 // stage j's S[m+j] in one vector, so the first-slab sweep repairs its
 // prefixes with M1's restore_prefix_capacity and the ordered read, export
 // and depth walks run over the whole vector. The interface and every stage
-// own their segment buffers (SweepScratch), single-owner through their
-// gates.
+// own their segment buffers (the interface a BatchScratch, each stage a
+// SweepScratch), single-owner through their gates.
+//
+// Bulk batches: an execute_batch point phase longer than one cut is one
+// bulk request, not a stream of submits. The interface stops cutting,
+// waits for the filter to drain, takes the full lock chain of the global
+// ordered read, and runs M1's walk (walk_point_phase) over S[0..m+terminal]
+// — the ops still waiting in input/feed first, then the request — before
+// answering parked ordered queries and releasing. Bulk ops get M1's bounds;
+// submitted ops (wire, blocking calls) keep the pipeline's.
 //
 // Simplifications vs. the paper, documented in DESIGN.md:
 //  * the cut and the filter bound are M1's ceil(log n / p) bunches, not
 //    one p^2 bunch: the paper's p callers have at most p calls
 //    outstanding, a Driver or wire server has thousands;
+//  * a bulk batch sweeps the ladder under the full lock chain instead of
+//    entering the pipeline: its caller waits for the slowest op anyway;
 //  * segments/locks are preallocated up to kMaxStages (capacities are
 //    doubly exponential, so 12 final-slab stages cover any feasible n);
 //    empty terminal segments are kept instead of removed (step 5);
@@ -70,7 +81,6 @@
 #include "core/group.hpp"
 #include "core/ladder.hpp"
 #include "core/ops.hpp"
-#include "core/scratch.hpp"
 #include "core/segment.hpp"
 #include "sched/scheduler.hpp"
 #include "sort/pesort.hpp"
@@ -153,13 +163,15 @@ class M2Map {
     activate_interface();
   }
 
-  /// Blocking convenience: submits the whole batch and waits for every
+  /// Blocking convenience: runs the whole batch and waits for every
   /// result. Per-key program order is preserved within the batch, and the
   /// batch is sliced into point/ordered phases (each awaited before the
   /// next begins) so every ordered query observes exactly the point
   /// operations that precede it in submission order — fulfillment happens
   /// under the pipeline's locks before release, so awaited results are
-  /// physically applied before the following phase's global read.
+  /// physically applied before the following phase's global read. A point
+  /// phase longer than one cut goes to the interface whole, as a bulk
+  /// request (see run_bulk); shorter phases submit op by op.
   std::vector<Result<V, K>> execute_batch(std::span<const Op<K, V>> ops) {
     std::vector<Result<V, K>> results;
     execute_batch(ops, results);
@@ -184,9 +196,17 @@ class M2Map {
     // preceding point op.
     auto phase = [&](std::size_t i, std::size_t j) {
       OpTicket<V, K>* tickets = block.ensure(j - i);
-      for (std::size_t k = i; k < j; ++k) {
-        tickets[k - i].reset();
-        submit(ops[k], &tickets[k - i]);
+      for (std::size_t k = i; k < j; ++k) tickets[k - i].reset();
+      if (!is_ordered(ops[i].type) && j - i > cut_bunches() * bunch_) {
+        in_flight_.fetch_add(j - i, std::memory_order_release);
+        {
+          std::lock_guard<std::mutex> lk(bulk_mu_);
+          bulk_.push_back(BulkRequest{ops.subspan(i, j - i), tickets});
+          bulk_pending_.store(true, std::memory_order_release);
+        }
+        activate_interface();
+      } else {
+        for (std::size_t k = i; k < j; ++k) submit(ops[k], &tickets[k - i]);
       }
       for (std::size_t k = i; k < j; ++k) {
         results[k] = tickets[k - i].wait();
@@ -328,6 +348,13 @@ class M2Map {
     std::vector<POp> pending;  // ops that arrived while the key was in flight
   };
 
+  /// A point phase execute_batch hands to the interface whole. The ops and
+  /// tickets live on the caller's side until every ticket is fulfilled.
+  struct BulkRequest {
+    std::span<const Op<K, V>> ops;
+    OpTicket<V, K>* tickets;
+  };
+
   /// Fixed-capacity block of reusable tickets. OpTicket holds an atomic,
   /// so it is neither movable nor vector-growable; the block reallocates
   /// wholesale when a larger batch arrives and otherwise reuses its slots
@@ -394,7 +421,14 @@ class M2Map {
            cut_bunches() * bunch_;
   }
 
+  bool filter_drained() const {
+    return filter_size_.load(std::memory_order_acquire) == 0;
+  }
+
+  /// While a bulk request waits the interface stops cutting, until the
+  /// filter drains (step 4e's wakeup re-activates it).
   bool interface_ready() {
+    if (bulk_pending_.load(std::memory_order_acquire)) return filter_drained();
     return (input_.pending() > 0 || !feed_.empty()) && filter_has_room();
   }
 
@@ -406,6 +440,15 @@ class M2Map {
       return;
     }
 
+    if (bulk_pending_.load(std::memory_order_acquire) && filter_drained()) {
+      // No group is in flight, so every earlier op is done or still waits
+      // in input_/the feed, which run_bulk walks first.
+      PWSS_SCHED_POINT("m2.bulk.drained");
+      bulk_tick_ = true;
+      acquire_chain_from(0);
+      return;
+    }
+
     // Step 1: flush the parallel buffer into the feed buffer; cut
     // ceil(log n / p) bunches as the batch.
     {
@@ -413,62 +456,8 @@ class M2Map {
       if (!in.empty()) feed_.append(std::move(in));
     }
     std::vector<POp> batch = feed_.take_bunches(cut_bunches());
-
-    // Terminal-status pass (the batch-cut boundary of the robustness
-    // layer): cancelled and deadline-expired ops complete here, before
-    // the pipeline touches them; emit_fn debits the in-flight claim so
-    // quiescence stays conserved.
-    {
-      auto emit = emit_fn();
-      std::uint64_t now = 0;  // lazily read: deadline-free cuts skip the clock
-      std::size_t live = 0;
-      for (std::size_t i = 0; i < batch.size(); ++i) {
-        POp& op = batch[i];
-        if (op.target->cancelled()) {
-          emit(op.target, Result<V, K>::error(ResultStatus::kCancelled));
-          continue;
-        }
-        if (op.deadline_ns != 0) {
-          if (now == 0) now = now_ns();
-          if (now >= op.deadline_ns) {
-            emit(op.target, Result<V, K>::error(ResultStatus::kTimedOut));
-            continue;
-          }
-        }
-        if (live != i) batch[live] = std::move(op);
-        ++live;
-      }
-      batch.resize(live);
-      // Injected pool exhaustion, detected before the cut enters the
-      // pipeline: the whole bunch sheds kOverloaded with every segment,
-      // the filter, and the stage inboxes untouched.
-      if (!batch.empty() && PWSS_FAULT_POINT("m2.batch.pool_reserve")) {
-        for (auto& op : batch) {
-          emit(op.target, Result<V, K>::error(ResultStatus::kOverloaded));
-        }
-        batch.clear();
-      }
-    }
-
-    // Protocol v2: ordered kinds need one consistent view of EVERY
-    // segment, which the per-key pipeline cannot give them. Park them for
-    // the global ordered read that runs after this tick's point sweep;
-    // within a concurrent bunch "point ops first, ordered reads second" is
-    // a legal linearization (no submitter of a parked op has a result
-    // yet). The interface gate makes this single-owner, so the parked
-    // batch member cannot be clobbered by a concurrent tick.
     assert(ordered_batch_.empty());
-    {
-      std::size_t w = 0;
-      for (auto& op : batch) {
-        if (is_ordered(op.type)) {
-          ordered_batch_.push_back(std::move(op));
-        } else {
-          batch[w++] = std::move(op);
-        }
-      }
-      batch.resize(w);
-    }
+    admit(batch, [](const POp& op) { return op.target; });
 
     // Step 2: entropy-sort (stable) + combine.
     sort::pesort(
@@ -490,7 +479,7 @@ class M2Map {
         flocks_[0]->release(lo_sink());
         nlocks_[0]->release(lo_sink());
         if (!ordered_batch_.empty()) {
-          start_ordered_read();
+          acquire_chain_from(0);
         } else {
           interface_epilogue();
         }
@@ -512,48 +501,106 @@ class M2Map {
     }
   }
 
-  // ---- global ordered read (protocol v2) -----------------------------------
+  /// The terminal-status pass at the batch-cut boundary (the robustness
+  /// layer), over a cut or one bulk chunk: cancelled and deadline-expired
+  /// ops complete here, before the ladder or the pipeline touches them;
+  /// emit_fn debits the in-flight claim, so quiescence stays conserved. An
+  /// injected pool exhaustion then sheds all the rest kOverloaded with
+  /// every segment, the filter and the stage inboxes untouched.
+  ///
+  /// Protocol v2: ordered kinds need one consistent view of EVERY segment,
+  /// which the per-key pipeline cannot give them, so they park for the
+  /// global ordered read that ends this tick; within a concurrent bunch
+  /// "point ops first, ordered reads second" is a legal linearization (no
+  /// submitter of a parked op has a result yet). The interface gate makes
+  /// the parked batch single-owner.
+  template <typename Target, typename TicketOf>
+  void admit(std::vector<PendingOp<K, V, Target>>& ops, TicketOf&& ticket_of) {
+    auto emit = emit_fn();
+    std::uint64_t now = 0;  // lazily read: deadline-free cuts skip the clock
+    std::size_t live = 0;
+    for (std::size_t i = 0; i < ops.size(); ++i) {
+      const Ticket t = ticket_of(ops[i]);
+      if (t->cancelled()) {
+        emit(t, Result<V, K>::error(ResultStatus::kCancelled));
+        continue;
+      }
+      if (ops[i].deadline_ns != 0) {
+        if (now == 0) now = now_ns();
+        if (now >= ops[i].deadline_ns) {
+          emit(t, Result<V, K>::error(ResultStatus::kTimedOut));
+          continue;
+        }
+      }
+      if (live != i) ops[live] = std::move(ops[i]);
+      ++live;
+    }
+    ops.resize(live);
+    if (!ops.empty() && PWSS_FAULT_POINT("m2.batch.pool_reserve")) {
+      for (const auto& op : ops) {
+        emit(ticket_of(op), Result<V, K>::error(ResultStatus::kOverloaded));
+      }
+      ops.clear();
+    }
+    std::size_t w = 0;
+    for (std::size_t i = 0; i < ops.size(); ++i) {
+      auto& op = ops[i];
+      if (is_ordered(op.type)) {
+        ordered_batch_.push_back(POp{op.type, std::move(op.key),
+                                     std::move(op.value), std::move(op.key2),
+                                     ticket_of(op), op.deadline_ns});
+      } else if (w++ != i) {
+        ops[w - 1] = std::move(op);
+      }
+    }
+    ops.resize(w);
+  }
+
+  // ---- the full lock chain: global ordered read, bulk tick ------------------
   // kPredecessor/kSuccessor/kRangeCount are answered against one
-  // consistent snapshot of every segment. The reader (always the
-  // interface, single-owner via its gate) CPS-acquires the FULL lock chain
-  // in the established global order B[0] < B[1] < ... < B[kMaxStages] <
-  // FL[kMaxStages-1] < ... < FL[0]: holding every neighbour-lock stops all
-  // stage runs, and FL[0] covers the deep-stage front sections, so the
-  // segments are immutable while the read-only queries run. Because the
-  // acquisition order matches the stages' own order, the chain cannot
+  // consistent snapshot of every segment, and a bulk tick walks them all.
+  // The interface (single-owner via its gate) CPS-acquires the FULL lock
+  // chain in the established global order B[0] < B[1] < ... < B[kMaxStages]
+  // < FL[kMaxStages-1] < ... < FL[0]: holding every neighbour-lock stops
+  // all stage runs, and FL[0] covers the deep-stage front sections and the
+  // filter, so no stage touches a segment while the chain is held. Because
+  // the acquisition order matches the stages' own order, the chain cannot
   // deadlock — any stage mid-run simply finishes and releases. Groups
   // still sitting in the filter/stage inboxes have not emitted results, so
-  // linearizing them after the read is legal. The parked batch rides the
-  // member (not the hop captures), keeping every hop on the Closure SBO
-  // path.
-
-  void start_ordered_read() { acquire_ordered_from(0); }
+  // linearizing them after an ordered read is legal; a bulk tick waits for
+  // the filter to drain, so there are none. The parked work rides members
+  // (not the hop captures), keeping every hop on the Closure SBO path.
 
   /// Chain position i covers B[i] for i <= kMaxStages, then
   /// FL[2*kMaxStages - i] for larger i (descending FL order).
-  void acquire_ordered_from(std::size_t i) {
+  void acquire_chain_from(std::size_t i) {
     constexpr std::size_t kChain = 2 * kMaxStages + 1;
     if (i == kChain) {
-      finish_ordered_read();
+      chain_held();
       return;
     }
     Lock& lk = i <= kMaxStages ? *nlocks_[i] : *flocks_[2 * kMaxStages - i];
     // B[0] / FL[0] use the interface's own keys (0 / 2); every other lock
     // has a dedicated reader key 2.
     const std::size_t key = i == 0 ? 0 : 2;
-    auto cont = [this, i] { acquire_ordered_from(i + 1); };
+    auto cont = [this, i] { acquire_chain_from(i + 1); };
     static_assert(sched::Closure::fits_inline<decltype(cont)>(),
-                  "ordered-read hops must stay on the closure SBO path");
+                  "lock-chain hops must stay on the closure SBO path");
     lk.acquire(key, std::move(cont), lo_sink());
   }
 
-  /// All locks held: answer the parked queries (identical (type, key,
-  /// key2) tuples combine — computed once, fanned out to every ticket),
-  /// release the chain, and resume the interface loop.
-  void finish_ordered_read() {
+  /// All locks held: a bulk tick walks the ladder first (run_bulk); then
+  /// the parked queries are answered (identical (type, key, key2) tuples
+  /// combine — computed once, fanned out to every ticket), the chain is
+  /// released and the interface loop resumes.
+  void chain_held() {
+    if (bulk_tick_) {
+      bulk_tick_ = false;
+      run_bulk();
+    }
     auto emit = emit_fn();
     answer_ordered<K, V>(segs_, std::span<const POp>(ordered_batch_),
-                         ordered_scratch_, /*scheduler=*/nullptr,
+                         iface_scratch_.ordered, /*scheduler=*/nullptr,
                          [&](std::size_t i, const Result<V, K>& r) {
                            emit(ordered_batch_[i].target, Result<V, K>(r));
                          });
@@ -561,6 +608,68 @@ class M2Map {
     for (std::size_t j = 0; j < kMaxStages; ++j) flocks_[j]->release(lo_sink());
     for (std::size_t j = 0; j <= kMaxStages; ++j) nlocks_[j]->release(lo_sink());
     interface_epilogue();
+  }
+
+  // ---- the bulk tick (DESIGN.md section 8, simplification 7) ----------------
+
+  /// With the filter drained and the full chain held, M1's ladder walk
+  /// runs over S[0..m+terminal]: first every op still waiting in input_
+  /// and the feed (they arrived earlier), then each queued bulk request in
+  /// order. The requests are taken before input_ is flushed, so an op its
+  /// caller submitted before execute_batch is in that flush. Bulk ops get
+  /// M1's bounds; the walk leaves M1's prefix rule, which implies Lemma 16.
+  void run_bulk() {
+    {
+      std::lock_guard<std::mutex> lk(bulk_mu_);
+      bulk_batch_.swap(bulk_);
+      bulk_pending_.store(false, std::memory_order_release);
+    }
+    {
+      std::vector<POp> in = input_.flush();
+      if (!in.empty()) feed_.append(std::move(in));
+    }
+    const std::vector<POp> early = feed_.take_bunches(feed_.bunch_count());
+    std::size_t live = m_ + terminal_.load(std::memory_order_acquire) + 1;
+    live = bulk_walk(
+        live, early.size(),
+        [&](std::size_t i) -> const POp& { return early[i]; },
+        [&](std::size_t i) { return early[i].target; });
+    for (const BulkRequest& req : bulk_batch_) {
+      live = bulk_walk(
+          live, req.ops.size(),
+          [&](std::size_t i) -> const Op<K, V>& { return req.ops[i]; },
+          [&](std::size_t i) { return &req.tickets[i]; });
+    }
+    bulk_batch_.clear();
+    assert(live <= m_ + kMaxStages && "ladder deeper than kMaxStages");
+    terminal_.store(std::max(live, m_ + 1) - m_ - 1, std::memory_order_release);
+    std::size_t total = 0;
+    for (const auto& seg : segs_) total += seg.size();
+    size_.store(total, std::memory_order_release);
+  }
+
+  /// One source of n ops (`at(i)`, delivered to `ticket_of(i)`) through
+  /// walk_point_phase, each chunk passing admit() first. Returns the new
+  /// live segment count.
+  template <typename At, typename TicketOf>
+  std::size_t bulk_walk(std::size_t live, std::size_t n, At&& at,
+                        TicketOf&& ticket_of) {
+    using Tagged = PendingOp<K, V, std::size_t>;
+    auto emit = emit_fn();
+    auto fill = [&](std::size_t b, std::size_t e, std::vector<Tagged>& tagged) {
+      for (std::size_t i = b; i < e; ++i) {
+        const auto& op = at(i);
+        tagged.push_back(
+            {op.type, op.key, op.value, op.key2, i, op.deadline_ns});
+      }
+      admit(tagged, [&](const Tagged& op) { return ticket_of(op.target); });
+    };
+    return walk_point_phase<K, V>(
+        segs_, live, &pools_, n, fill, iface_scratch_, par_ctx(),
+        [&](std::size_t i, Result<V, K>&& r) {
+          emit(ticket_of(i), std::move(r));
+        },
+        /*probes=*/nullptr);
   }
 
   /// M1-style sweep of S[0..m-2]: resolves groups that find their item.
@@ -926,7 +1035,7 @@ class M2Map {
   }
 
   auto emit_fn() {
-    return [this](Ticket t, Result<V, K> r) {
+    return [this](Ticket t, Result<V, K>&& r) {
       t->fulfill(std::move(r));
       in_flight_.fetch_sub(1, std::memory_order_release);
     };
@@ -950,13 +1059,21 @@ class M2Map {
   buffer::FeedBuffer<POp> feed_;
   sync::AsyncGate interface_gate_;
 
-  // Parked ordered queries of the current tick plus their combining
-  // scratch, and the interface's segment buffers — owned by the interface
-  // (single-owner via its gate), so the ordered-read hop closures stay
-  // small and every buffer reuses capacity across ticks.
+  // Parked ordered queries of the current tick, the bulk requests a bulk
+  // tick serves, and the interface's walk arena (the first-slab sweep uses
+  // its SweepScratch half) — owned by the interface (single-owner via its
+  // gate), so the lock-chain hop closures stay small and every buffer
+  // reuses capacity across ticks.
   std::vector<POp> ordered_batch_;
-  OrderedScratch<K, V> ordered_scratch_;
-  SweepScratch<K, V> iface_scratch_;
+  std::vector<BulkRequest> bulk_batch_;
+  bool bulk_tick_ = false;
+  BatchScratch<K, V> iface_scratch_;
+
+  // Bulk requests queued by execute_batch; bulk_pending_ mirrors
+  // !bulk_.empty() for the interface's readiness check.
+  std::mutex bulk_mu_;
+  std::vector<BulkRequest> bulk_;
+  std::atomic<bool> bulk_pending_{false};
 
   // Bulk-path ticket arena (see execute_batch); try-locked so concurrent
   // bulk callers degrade to a call-local block instead of racing.

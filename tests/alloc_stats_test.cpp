@@ -429,6 +429,12 @@ TEST(AllocStats, M2BulkBatchReusesTicketBlockAcrossBatches) {
               static_cast<unsigned long long>(steady));
   EXPECT_LT(steady, first)
       << "warm ticket-arena batches must allocate less than the first";
+  // A 512-op point phase is longer than one cut, so it runs as one bulk
+  // request through the interface's walk arena: no per-op stage tasks or
+  // continuations, so M1's steady level applies.
+  EXPECT_LE(steady, 64u)
+      << "the bulk batch is back on the per-op pipeline, or the walk arena "
+      << "stopped reusing its capacity";
 }
 
 TEST(AllocStats, EsortPositionChainsShareOneArena) {

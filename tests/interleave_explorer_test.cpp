@@ -3,8 +3,9 @@
 // Each scenario below drives one of the delicate concurrent protocols —
 // AsyncMap submission/quiescence, ParallelBuffer credit/debit, the
 // DedicatedLock handoff, NodePool ownership/refill, Segment
-// promote/demote, the WAL's group commit — while PWSS_SCHED_POINT hooks inside the protocol's
-// windows inject seed-determined yields and multi-millisecond parks. A
+// promote/demote, the WAL's group commit, M2's bulk tick — while
+// PWSS_SCHED_POINT hooks inside the protocol's windows inject
+// seed-determined yields and multi-millisecond parks. A
 // sweep runs every scenario under several seeds; a failing seed is
 // appended to the file named by $PWSS_EXPLORER_ARTIFACT (CI uploads it)
 // together with the precise invariant-validator report, so the schedule
@@ -33,6 +34,7 @@
 #include "buffer/parallel_buffer.hpp"
 #include "core/async_map.hpp"
 #include "core/m1_map.hpp"
+#include "core/m2_map.hpp"
 #include "core/ops.hpp"
 #include "sched/scheduler.hpp"
 #include "store/wal.hpp"
@@ -630,6 +632,83 @@ TEST(InterleaveExplorer, WalGroupCommit) {
   sweep("WalGroupCommit", wal_group_commit_scenario);
 }
 
+// ---- scenario 9: M2 bulk batch racing blocking submitters --------------------
+//
+// An M2 execute_batch point phase longer than one cut waits for the
+// pipeline's filter to drain, then sweeps the whole ladder under the full
+// lock chain; "m2.bulk.drained" parks between the drained check and the
+// chain acquisition, while blocking submitters keep cutting groups into
+// the pipeline on the same keys. Each key is only ever written with one
+// value, and per key the kInserted count minus the kErased count must be
+// 0 or 1 and equal the key's final presence — true of any per-key
+// linearization, broken by a lost, doubled or reordered op.
+std::string m2_bulk_scenario(std::uint64_t seed) {
+  using IntM2 = core::M2Map<std::uint64_t, std::uint64_t>;
+  constexpr std::uint64_t kKeys = 64;
+  constexpr int kRounds = 4;
+  constexpr std::size_t kBatch = 96;  // p = 2: a cut holds at most 12 ops
+  constexpr int kSubmitters = 2;
+  constexpr int kPerSubmitter = 150;
+
+  sched::Scheduler scheduler(2);
+  IntM2 m(scheduler, 2);
+  std::vector<std::atomic<std::int64_t>> net(kKeys);
+  std::atomic<bool> bad_value{false};
+  auto tally = [&](const IntOp& op, const core::Result<std::uint64_t>& r) {
+    if (r.status == core::ResultStatus::kInserted) net[op.key].fetch_add(1);
+    if (r.status == core::ResultStatus::kErased) net[op.key].fetch_sub(1);
+    if (r.value && *r.value != op.key * 3) bad_value.store(true);
+  };
+  auto random_op = [&](util::Xoshiro256& rng) {
+    const std::uint64_t key = rng.bounded(kKeys);
+    switch (rng.bounded(3)) {
+      case 0: return IntOp::insert(key, key * 3);
+      case 1: return IntOp::erase(key);
+      default: return IntOp::search(key);
+    }
+  };
+
+  std::vector<std::thread> submitters;
+  for (int t = 0; t < kSubmitters; ++t) {
+    submitters.emplace_back([&, t] {
+      util::Xoshiro256 rng(seed ^ (static_cast<std::uint64_t>(t) * 7919 + 3));
+      for (int i = 0; i < kPerSubmitter; ++i) {
+        const IntOp op = random_op(rng);
+        core::OpTicket<std::uint64_t> ticket;
+        m.submit(op, &ticket);
+        tally(op, ticket.wait());
+      }
+    });
+  }
+  util::Xoshiro256 rng(seed ^ 0xb01cULL);
+  for (int round = 0; round < kRounds; ++round) {
+    std::vector<IntOp> batch;
+    for (std::size_t i = 0; i < kBatch; ++i) batch.push_back(random_op(rng));
+    const auto results = m.execute_batch(batch);
+    for (std::size_t i = 0; i < kBatch; ++i) tally(batch[i], results[i]);
+  }
+  for (auto& th : submitters) th.join();
+
+  if (bad_value.load()) return "an op read a value no op ever wrote";
+  for (std::uint64_t key = 0; key < kKeys; ++key) {
+    const std::int64_t n = net[key].load();
+    const bool present = m.search(key).has_value();
+    if (n != (present ? 1 : 0)) {
+      std::ostringstream os;
+      os << "key " << key << ": kInserted - kErased = " << n
+         << " but the key is " << (present ? "present" : "absent");
+      return os.str();
+    }
+  }
+  m.quiesce();
+  return m.validate();
+}
+
+TEST(InterleaveExplorer, M2BulkBatchRacesBlockingSubmitters) {
+  PWSS_REQUIRE_POINTS();
+  sweep("M2BulkBatchRacesBlockingSubmitters", m2_bulk_scenario);
+}
+
 // ---- coverage: the instrumented windows actually executed --------------------
 //
 // Runs last (declaration order). A hook stranded on dead code by a
@@ -650,6 +729,7 @@ TEST(InterleaveExplorer, ZInstrumentedPointsWereExercised) {
            "segment.promote",
            "segment.demote",
            "wal.sync.leader_unlocked",
+           "m2.bulk.drained",
        }) {
     EXPECT_GT(sites::hits(name), 0u)
         << "schedule point \"" << name

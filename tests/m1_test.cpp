@@ -203,6 +203,33 @@ TEST(M1, DuplicateHeavyBatchesCombine) {
   EXPECT_EQ(m.validate(), "");
 }
 
+// A point phase longer than kBatchChunk walks the ladder one chunk at a
+// time: same-key runs that straddle a chunk boundary still resolve in
+// submission order, and the prefix rule holds after the phase.
+TEST(M1, PhaseLongerThanBatchChunkWalksInChunks) {
+  M1Map<int, int> m;
+  std::map<int, int> ref;
+  const std::vector<IntOp> mixed = testutil::scripted_ops<int, int>(
+      91, 3 * core::kBatchChunk + 17, 2048, /*with_ordered=*/false);
+  expect_equal_results(m.execute_batch(mixed), reference_results(ref, mixed),
+                       "chunked phase");
+  EXPECT_EQ(m.size(), ref.size());
+  EXPECT_EQ(m.validate(), "");
+
+  std::vector<IntOp> chain;  // one key, every chunk boundary inside the run
+  for (int i = 0; i < static_cast<int>(2 * core::kBatchChunk) + 5; ++i) {
+    switch (i % 3) {
+      case 0: chain.push_back(IntOp::upsert(7, i)); break;
+      case 1: chain.push_back(IntOp::search(7)); break;
+      default: chain.push_back(IntOp::erase(7));
+    }
+  }
+  expect_equal_results(m.execute_batch(chain), reference_results(ref, chain),
+                       "chunked chain");
+  EXPECT_EQ(m.size(), ref.size());
+  EXPECT_EQ(m.validate(), "");
+}
+
 TEST(M1, AccessedItemPromotedTowardFront) {
   M1Map<int, int> m;
   std::vector<IntOp> warm;

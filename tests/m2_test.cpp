@@ -1,6 +1,8 @@
 // Tests for M2, the pipelined parallel working-set map (Section 7):
 // functional correctness under the pipeline, filter combining, balance
-// invariants (Lemma 16, relaxed), and concurrent clients.
+// invariants (Lemma 16, relaxed), concurrent clients, and the bulk path
+// (an execute_batch point phase longer than one cut sweeps the ladder
+// under the full lock chain instead of entering the pipeline).
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -34,6 +36,20 @@ std::vector<Result<int>> reference_results(std::map<int, int>& ref,
   out.reserve(ops.size());
   for (const auto& op : ops) {
     out.push_back(testutil::reference_apply(ref, op));
+  }
+  return out;
+}
+
+/// Submits every op through M2Map::submit — the pipeline path whatever the
+/// backlog — then waits for each result, in submission order.
+std::vector<Result<int>> submit_all(M2Map<int, int>& m,
+                                    const std::vector<IntOp>& ops) {
+  auto tickets = std::make_unique<core::OpTicket<int>[]>(ops.size());
+  for (std::size_t i = 0; i < ops.size(); ++i) m.submit(ops[i], &tickets[i]);
+  std::vector<Result<int>> out;
+  out.reserve(ops.size());
+  for (std::size_t i = 0; i < ops.size(); ++i) {
+    out.push_back(tickets[i].wait());
   }
   return out;
 }
@@ -208,7 +224,7 @@ TEST(M2, FilterDrainsAtQuiescence) {
   for (int i = 0; i < 5000; ++i) {
     batch.push_back(IntOp::insert(i % 100, i));  // heavy same-key traffic
   }
-  m.execute_batch(batch);
+  submit_all(m, batch);  // through the pipeline, so the filter combines
   m.quiesce();
   EXPECT_EQ(m.filter_occupancy(), 0u);
   EXPECT_EQ(m.size(), 100u);
@@ -306,10 +322,11 @@ TEST(M2, ManyRoundsStaysSound) {
   EXPECT_EQ(m.validate(), "");
 }
 
-// Loads 2^14 keys through execute_batch in 4,096-op batches, then runs
-// mixed rounds against an oracle, deep-validating the quiescent pipeline
-// after the load and after every round. `tasks_per_op` receives the
-// scheduler tasks per op spent on the load.
+// Loads 2^14 keys through M2Map::submit in 4,096-op backlogs (submit_all:
+// execute_batch would take the bulk path), then runs mixed rounds the same
+// way against an oracle, deep-validating the quiescent pipeline after the
+// load and after every round. `tasks_per_op` receives the scheduler tasks
+// per op spent on the load.
 void bulk_load_then_mixed_rounds(unsigned p, double* tasks_per_op) {
   constexpr std::size_t kBatch = 4096;
   constexpr int kKeys = 1 << 14;
@@ -324,7 +341,7 @@ void bulk_load_then_mixed_rounds(unsigned p, double* tasks_per_op) {
       batch.push_back(IntOp::insert(k, k));
       ref[k] = k;
     }
-    for (const auto& r : m.execute_batch(batch)) {
+    for (const auto& r : submit_all(m, batch)) {
       ASSERT_EQ(r.status, ResultStatus::kInserted);
     }
   }
@@ -345,7 +362,7 @@ void bulk_load_then_mixed_rounds(unsigned p, double* tasks_per_op) {
         default: batch.push_back(IntOp::search(key));
       }
     }
-    const auto got = m.execute_batch(batch);
+    const auto got = submit_all(m, batch);
     const auto want = reference_results(ref, batch);
     for (std::size_t i = 0; i < got.size(); ++i) {
       ASSERT_EQ(got[i].status, want[i].status) << round << ":" << i;
@@ -357,8 +374,8 @@ void bulk_load_then_mixed_rounds(unsigned p, double* tasks_per_op) {
   }
 }
 
-// A bulk caller keeps thousands of ops in flight, so the interface cuts
-// ceil(log2 n / p) bunches per run (M1's rule) rather than one p^2 bunch.
+// A deep submit backlog keeps thousands of ops in flight, so the interface
+// cuts ceil(log2 n / p) bunches per run (M1's rule), not one p^2 bunch.
 // The scheduler's task count pins that: one-bunch cuts spend ~1.1 tasks
 // per op on this load, wide cuts ~0.2.
 TEST(M2, WideCutsUnderBulkBacklog) {
@@ -464,6 +481,173 @@ TEST(M2, ConcurrentOrderedAndPointClients) {
   eraser.join();
   m.quiesce();
   EXPECT_EQ(m.validate(), "");
+}
+
+// ---- the bulk path ----------------------------------------------------------
+// Every point phase below is longer than one cut (at most 4 ops with p = 1,
+// 4·ceil(log2 n / 2) with p = 2), so execute_batch hands it to the
+// interface as a bulk request.
+
+// Loads 2^14 keys in 4,096-op execute_batch calls: the interface sweeps
+// each one with M1's walk instead of cutting it through the stages (the
+// pipeline spends ~0.2 scheduler tasks per op on this load, see
+// WideCutsUnderBulkBacklog).
+TEST(M2, BulkBatchesSweepTheLadder) {
+  for (unsigned p : {1u, 2u}) {
+    sched::Scheduler scheduler(2);
+    M2Map<int, int> m(scheduler, p);
+    const std::uint64_t tasks0 = scheduler.tasks_executed();
+    constexpr int kKeys = 1 << 14;
+    for (int base = 0; base < kKeys; base += 4096) {
+      std::vector<IntOp> batch;
+      for (int k = base; k < base + 4096; ++k) {
+        batch.push_back(IntOp::insert(k, k));
+      }
+      for (const auto& r : m.execute_batch(batch)) {
+        ASSERT_EQ(r.status, ResultStatus::kInserted) << "p=" << p;
+      }
+    }
+    const double tasks_per_op =
+        static_cast<double>(scheduler.tasks_executed() - tasks0) / kKeys;
+    EXPECT_LT(tasks_per_op, 0.05)
+        << "p=" << p << ": the bulk load went through the pipeline";
+    m.quiesce();
+    EXPECT_EQ(m.size(), static_cast<std::size_t>(kKeys));
+    ASSERT_EQ(m.validate(), "") << "p=" << p;
+    for (int k = 0; k < kKeys; k += 997) EXPECT_EQ(m.search(k), k);
+  }
+}
+
+// Ops a thread submitted before execute_batch go first on their keys: the
+// bulk tick walks whatever still waits in the input buffer or the feed
+// before the batch, and the pipeline's in-flight groups drain before it.
+TEST(M2, BulkBatchFollowsEarlierAsyncSubmits) {
+  for (unsigned p : {1u, 2u}) {
+    sched::Scheduler scheduler(2);
+    M2Map<int, int> m(scheduler, p);
+    std::map<int, int> ref;
+    util::Xoshiro256 rng(31 + p);
+    for (int round = 0; round < 20; ++round) {
+      const auto early = testutil::scripted_ops<int, int>(
+          rng.bounded(1u << 30), 64, 128, /*with_ordered=*/false);
+      const auto bulk = testutil::scripted_ops<int, int>(
+          rng.bounded(1u << 30), 600, 128, /*with_ordered=*/false);
+      auto tickets = std::make_unique<core::OpTicket<int>[]>(early.size());
+      for (std::size_t i = 0; i < early.size(); ++i) {
+        m.submit(early[i], &tickets[i]);
+      }
+      const auto got = m.execute_batch(bulk);
+      const auto want_early = reference_results(ref, early);
+      const auto want = reference_results(ref, bulk);
+      for (std::size_t i = 0; i < early.size(); ++i) {
+        testutil::expect_result_eq(tickets[i].wait(), want_early[i], "early",
+                                   i);
+      }
+      for (std::size_t i = 0; i < bulk.size(); ++i) {
+        testutil::expect_result_eq(got[i], want[i], "bulk", i);
+      }
+      m.quiesce();
+      ASSERT_EQ(m.size(), ref.size()) << "p=" << p << " round " << round;
+      ASSERT_EQ(m.validate(), "") << "p=" << p << " round " << round;
+    }
+  }
+}
+
+// Bulk point phases alternate with ordered phases in one batch: each
+// ordered query sees exactly the point ops before it.
+TEST(M2, BulkPhasesInterleaveWithOrderedPhases) {
+  for (unsigned p : {1u, 2u}) {
+    sched::Scheduler scheduler(2);
+    M2Map<int, int> m(scheduler, p);
+    std::map<int, int> ref;
+    util::Xoshiro256 rng(47 + p);
+    for (int round = 0; round < 10; ++round) {
+      std::vector<IntOp> batch;
+      for (int phase = 0; phase < 6; ++phase) {
+        const auto points = testutil::scripted_ops<int, int>(
+            rng.bounded(1u << 30), 200 + rng.bounded(300), 512,
+            /*with_ordered=*/false);
+        batch.insert(batch.end(), points.begin(), points.end());
+        for (std::uint64_t q = 1 + rng.bounded(20); q > 0; --q) {
+          const int key = static_cast<int>(rng.bounded(512));
+          switch (rng.bounded(3)) {
+            case 0: batch.push_back(IntOp::predecessor(key)); break;
+            case 1: batch.push_back(IntOp::successor(key)); break;
+            default: batch.push_back(IntOp::range_count(key, key + 64));
+          }
+        }
+      }
+      const auto got = m.execute_batch(batch);
+      const auto want = reference_results(ref, batch);
+      for (std::size_t i = 0; i < batch.size(); ++i) {
+        testutil::expect_result_eq(got[i], want[i], "interleaved", i);
+      }
+      m.quiesce();
+      ASSERT_EQ(m.size(), ref.size()) << "p=" << p << " round " << round;
+      ASSERT_EQ(m.validate(), "") << "p=" << p << " round " << round;
+    }
+  }
+}
+
+// The cut's terminal-status pass covers bulk ops: an expired deadline
+// completes kTimedOut and the op never touches the ladder.
+TEST(M2, BulkOpsPastTheirDeadlineTimeOut) {
+  for (unsigned p : {1u, 2u}) {
+    sched::Scheduler scheduler(2);
+    M2Map<int, int> m(scheduler, p);
+    std::vector<IntOp> batch;
+    for (int i = 0; i < 1000; ++i) {
+      batch.push_back(i % 3 == 0 ? IntOp::insert(i, i).with_deadline(1)
+                                 : IntOp::insert(i, i));
+    }
+    const auto got = m.execute_batch(batch);
+    std::size_t inserted = 0;
+    for (int i = 0; i < 1000; ++i) {
+      const auto want =
+          i % 3 == 0 ? ResultStatus::kTimedOut : ResultStatus::kInserted;
+      ASSERT_EQ(got[i].status, want) << "p=" << p << " op " << i;
+      inserted += want == ResultStatus::kInserted;
+    }
+    m.quiesce();
+    EXPECT_EQ(m.size(), inserted);
+    EXPECT_EQ(m.search(3), std::nullopt);
+    EXPECT_EQ(m.search(4), 4);
+    m.quiesce();
+    ASSERT_EQ(m.validate(), "") << "p=" << p;
+  }
+}
+
+// Two threads issue bulk batches at once, each on its own key range with
+// its own oracle; the interface serves their requests one walk at a time.
+TEST(M2, ConcurrentBulkCallers) {
+  for (unsigned p : {1u, 2u}) {
+    sched::Scheduler scheduler(2);
+    M2Map<int, int> m(scheduler, p);
+    std::size_t sizes[2] = {0, 0};
+    auto caller = [&](int t) {
+      std::map<int, int> ref;
+      util::Xoshiro256 rng(61 + static_cast<std::uint64_t>(t));
+      const int base = t * 100000;
+      for (int round = 0; round < 15; ++round) {
+        auto batch = testutil::scripted_ops<int, int>(
+            rng.bounded(1u << 30), 800, 512, /*with_ordered=*/false);
+        for (auto& op : batch) op.key += base;
+        const auto got = m.execute_batch(batch);
+        const auto want = reference_results(ref, batch);
+        for (std::size_t i = 0; i < batch.size(); ++i) {
+          testutil::expect_result_eq(got[i], want[i], "concurrent bulk", i);
+        }
+      }
+      sizes[t] = ref.size();
+    };
+    std::thread a(caller, 0);
+    std::thread b(caller, 1);
+    a.join();
+    b.join();
+    m.quiesce();
+    EXPECT_EQ(m.size(), sizes[0] + sizes[1]) << "p=" << p;
+    ASSERT_EQ(m.validate(), "") << "p=" << p;
+  }
 }
 
 }  // namespace

@@ -5,6 +5,7 @@
 
 #include <algorithm>
 #include <map>
+#include <memory>
 #include <numeric>
 #include <set>
 #include <string>
@@ -187,7 +188,21 @@ TEST_P(M2ParamTest, DifferentialAcrossBunchSizes) {
         default: batch.push_back(IntOp::search(key));
       }
     }
-    const auto got = m2.execute_batch(batch);
+    // Odd rounds submit op by op, so the bunch size shapes every cut; even
+    // rounds run execute_batch, which sweeps a phase longer than one cut
+    // as a bulk request.
+    std::vector<core::Result<int>> got;
+    if (round % 2 == 1) {
+      auto tickets = std::make_unique<core::OpTicket<int>[]>(batch.size());
+      for (std::size_t i = 0; i < batch.size(); ++i) {
+        m2.submit(batch[i], &tickets[i]);
+      }
+      for (std::size_t i = 0; i < batch.size(); ++i) {
+        got.push_back(tickets[i].wait());
+      }
+    } else {
+      got = m2.execute_batch(batch);
+    }
     for (std::size_t i = 0; i < batch.size(); ++i) {
       const auto& op = batch[i];
       auto it = ref.find(op.key);
