@@ -44,8 +44,10 @@
 // waits for the filter to drain, takes the full lock chain of the global
 // ordered read, and runs M1's walk (walk_point_phase) over S[0..m+terminal]
 // — the ops still waiting in input/feed first, then the request — before
-// answering parked ordered queries and releasing. Bulk ops get M1's bounds;
-// submitted ops (wire, blocking calls) keep the pipeline's.
+// answering parked ordered queries and releasing. The walk writes each
+// result straight into the caller's buffer and publishes one completion
+// latch per request; tickets serve only short and ordered phases. Bulk ops
+// get M1's bounds; submitted ops (wire, blocking calls) keep the pipeline's.
 //
 // Simplifications vs. the paper, documented in DESIGN.md:
 //  * the cut and the filter bound are M1's ceil(log n / p) bunches, not
@@ -180,10 +182,12 @@ class M2Map {
 
   /// Same batch, results into a caller-owned buffer (cleared, then sized
   /// to the batch) so a steady bulk caller reuses the results capacity.
-  /// The per-batch ticket block is an instance arena reused across batches
-  /// by the steady single bulk caller; concurrent bulk callers fall back
-  /// to a call-local block on try-lock contention, so the call remains
-  /// safe from concurrent threads.
+  /// A bulk phase's results are written straight into that buffer and the
+  /// caller waits once, on the request's latch. Short and ordered phases
+  /// take tickets from an instance arena reused across batches by the
+  /// steady single caller; concurrent callers fall back to a call-local
+  /// block on try-lock contention, so the call remains safe from
+  /// concurrent threads.
   void execute_batch(std::span<const Op<K, V>> ops,
                      std::vector<Result<V, K>>& results) {
     results.clear();
@@ -191,22 +195,27 @@ class M2Map {
     std::unique_lock<std::mutex> arena_lk(tickets_mu_, std::try_to_lock);
     TicketBlock local;
     TicketBlock& block = arena_lk.owns_lock() ? tickets_ : local;
-    // Both phase kinds run the same submit-then-await round; the phase
+    // Every phase is awaited before the next is submitted; the phase
     // boundaries are what guarantees ordered queries observe every
     // preceding point op.
     auto phase = [&](std::size_t i, std::size_t j) {
-      OpTicket<V, K>* tickets = block.ensure(j - i);
-      for (std::size_t k = i; k < j; ++k) tickets[k - i].reset();
       if (!is_ordered(ops[i].type) && j - i > cut_bunches() * bunch_) {
-        in_flight_.fetch_add(j - i, std::memory_order_release);
+        OpTicket<V, K> done;
+        in_flight_.fetch_add(1, std::memory_order_release);
         {
           std::lock_guard<std::mutex> lk(bulk_mu_);
-          bulk_.push_back(BulkRequest{ops.subspan(i, j - i), tickets});
+          bulk_.push_back(
+              BulkRequest{ops.subspan(i, j - i), &results[i], &done});
           bulk_pending_.store(true, std::memory_order_release);
         }
         activate_interface();
-      } else {
-        for (std::size_t k = i; k < j; ++k) submit(ops[k], &tickets[k - i]);
+        done.wait();
+        return;
+      }
+      OpTicket<V, K>* tickets = block.ensure(j - i);
+      for (std::size_t k = i; k < j; ++k) {
+        tickets[k - i].reset();
+        submit(ops[k], &tickets[k - i]);
       }
       for (std::size_t k = i; k < j; ++k) {
         results[k] = tickets[k - i].wait();
@@ -348,17 +357,19 @@ class M2Map {
     std::vector<POp> pending;  // ops that arrived while the key was in flight
   };
 
-  /// A point phase execute_batch hands to the interface whole. The ops and
-  /// tickets live on the caller's side until every ticket is fulfilled.
+  /// A point phase execute_batch hands to the interface whole: its ops,
+  /// its slice of the caller's results and one completion latch, all on
+  /// the caller's side until the latch is published.
   struct BulkRequest {
     std::span<const Op<K, V>> ops;
-    OpTicket<V, K>* tickets;
+    Result<V, K>* out;
+    OpTicket<V, K>* done;
   };
 
-  /// Fixed-capacity block of reusable tickets. OpTicket holds an atomic,
-  /// so it is neither movable nor vector-growable; the block reallocates
-  /// wholesale when a larger batch arrives and otherwise reuses its slots
-  /// round after round.
+  /// Fixed-capacity block of reusable tickets for short and ordered phases.
+  /// OpTicket holds an atomic, so it is neither movable nor
+  /// vector-growable; the block reallocates wholesale when a larger phase
+  /// arrives and otherwise reuses its slots round after round.
   struct TicketBlock {
     std::unique_ptr<OpTicket<V, K>[]> slots;
     std::size_t cap = 0;
@@ -457,7 +468,7 @@ class M2Map {
     }
     std::vector<POp> batch = feed_.take_bunches(cut_bunches());
     assert(ordered_batch_.empty());
-    admit(batch, [](const POp& op) { return op.target; });
+    admit(batch, [](Ticket t) { return t; }, emit_fn());
 
     // Step 2: entropy-sort (stable) + combine.
     sort::pesort(
@@ -503,10 +514,11 @@ class M2Map {
 
   /// The terminal-status pass at the batch-cut boundary (the robustness
   /// layer), over a cut or one bulk chunk: cancelled and deadline-expired
-  /// ops complete here, before the ladder or the pipeline touches them;
-  /// emit_fn debits the in-flight claim, so quiescence stays conserved. An
-  /// injected pool exhaustion then sheds all the rest kOverloaded with
-  /// every segment, the filter and the stage inboxes untouched.
+  /// ops complete here, `deliver(target, result)`, before the ladder or the
+  /// pipeline touches them. `ticket_of(target)` is null for a bulk
+  /// request's ops: no ticket to cancel, never ordered. An injected pool
+  /// exhaustion then sheds all the rest kOverloaded with every segment,
+  /// the filter and the stage inboxes untouched.
   ///
   /// Protocol v2: ordered kinds need one consistent view of EVERY segment,
   /// which the per-key pipeline cannot give them, so they park for the
@@ -514,21 +526,21 @@ class M2Map {
   /// "point ops first, ordered reads second" is a legal linearization (no
   /// submitter of a parked op has a result yet). The interface gate makes
   /// the parked batch single-owner.
-  template <typename Target, typename TicketOf>
-  void admit(std::vector<PendingOp<K, V, Target>>& ops, TicketOf&& ticket_of) {
-    auto emit = emit_fn();
+  template <typename Target, typename TicketOf, typename Deliver>
+  void admit(std::vector<PendingOp<K, V, Target>>& ops, TicketOf&& ticket_of,
+             Deliver&& deliver) {
     std::uint64_t now = 0;  // lazily read: deadline-free cuts skip the clock
     std::size_t live = 0;
     for (std::size_t i = 0; i < ops.size(); ++i) {
-      const Ticket t = ticket_of(ops[i]);
-      if (t->cancelled()) {
-        emit(t, Result<V, K>::error(ResultStatus::kCancelled));
+      const Ticket t = ticket_of(ops[i].target);
+      if (t != nullptr && t->cancelled()) {
+        deliver(ops[i].target, Result<V, K>::error(ResultStatus::kCancelled));
         continue;
       }
       if (ops[i].deadline_ns != 0) {
         if (now == 0) now = now_ns();
         if (now >= ops[i].deadline_ns) {
-          emit(t, Result<V, K>::error(ResultStatus::kTimedOut));
+          deliver(ops[i].target, Result<V, K>::error(ResultStatus::kTimedOut));
           continue;
         }
       }
@@ -538,7 +550,7 @@ class M2Map {
     ops.resize(live);
     if (!ops.empty() && PWSS_FAULT_POINT("m2.batch.pool_reserve")) {
       for (const auto& op : ops) {
-        emit(ticket_of(op), Result<V, K>::error(ResultStatus::kOverloaded));
+        deliver(op.target, Result<V, K>::error(ResultStatus::kOverloaded));
       }
       ops.clear();
     }
@@ -546,9 +558,10 @@ class M2Map {
     for (std::size_t i = 0; i < ops.size(); ++i) {
       auto& op = ops[i];
       if (is_ordered(op.type)) {
+        assert(ticket_of(op.target) && "bulk requests are point phases");
         ordered_batch_.push_back(POp{op.type, std::move(op.key),
                                      std::move(op.value), std::move(op.key2),
-                                     ticket_of(op), op.deadline_ns});
+                                     ticket_of(op.target), op.deadline_ns});
       } else if (w++ != i) {
         ops[w - 1] = std::move(op);
       }
@@ -615,9 +628,11 @@ class M2Map {
   /// With the filter drained and the full chain held, M1's ladder walk
   /// runs over S[0..m+terminal]: first every op still waiting in input_
   /// and the feed (they arrived earlier), then each queued bulk request in
-  /// order. The requests are taken before input_ is flushed, so an op its
-  /// caller submitted before execute_batch is in that flush. Bulk ops get
-  /// M1's bounds; the walk leaves M1's prefix rule, which implies Lemma 16.
+  /// order, its results written straight into the caller's buffer. The
+  /// requests are taken before input_ is flushed, so an op its caller
+  /// submitted before execute_batch is in that flush. Bulk ops get M1's
+  /// bounds; the walk leaves M1's prefix rule, which implies Lemma 16.
+  /// Each latch is published once size_ is settled.
   void run_bulk() {
     {
       std::lock_guard<std::mutex> lk(bulk_mu_);
@@ -630,46 +645,53 @@ class M2Map {
     }
     const std::vector<POp> early = feed_.take_bunches(feed_.bunch_count());
     std::size_t live = m_ + terminal_.load(std::memory_order_acquire) + 1;
+    auto emit = emit_fn();
     live = bulk_walk(
         live, early.size(),
         [&](std::size_t i) -> const POp& { return early[i]; },
-        [&](std::size_t i) { return early[i].target; });
+        [&](std::size_t i) { return early[i].target; },
+        [&](std::size_t i, Result<V, K>&& r) {
+          emit(early[i].target, std::move(r));
+        });
     for (const BulkRequest& req : bulk_batch_) {
       live = bulk_walk(
           live, req.ops.size(),
           [&](std::size_t i) -> const Op<K, V>& { return req.ops[i]; },
-          [&](std::size_t i) { return &req.tickets[i]; });
+          [](std::size_t) -> Ticket { return nullptr; },
+          [&](std::size_t i, Result<V, K>&& r) { req.out[i] = std::move(r); });
     }
-    bulk_batch_.clear();
     assert(live <= m_ + kMaxStages && "ladder deeper than kMaxStages");
     terminal_.store(std::max(live, m_ + 1) - m_ - 1, std::memory_order_release);
     std::size_t total = 0;
     for (const auto& seg : segs_) total += seg.size();
     size_.store(total, std::memory_order_release);
+    for (const BulkRequest& req : bulk_batch_) {
+      PWSS_SCHED_POINT("m2.bulk.delivered");
+      // Debit before publish: the caller frees the latch once it wakes.
+      in_flight_.fetch_sub(1, std::memory_order_release);
+      req.done->fulfill(Result<V, K>{});
+    }
+    bulk_batch_.clear();
   }
 
-  /// One source of n ops (`at(i)`, delivered to `ticket_of(i)`) through
-  /// walk_point_phase, each chunk passing admit() first. Returns the new
-  /// live segment count.
-  template <typename At, typename TicketOf>
+  /// One source of n ops (`at(i)`, results to `deliver(i, r)`; `ticket_of`
+  /// as in admit) through walk_point_phase, each chunk passing admit()
+  /// first. Returns the new live segment count.
+  template <typename At, typename TicketOf, typename Deliver>
   std::size_t bulk_walk(std::size_t live, std::size_t n, At&& at,
-                        TicketOf&& ticket_of) {
+                        TicketOf&& ticket_of, Deliver&& deliver) {
     using Tagged = PendingOp<K, V, std::size_t>;
-    auto emit = emit_fn();
     auto fill = [&](std::size_t b, std::size_t e, std::vector<Tagged>& tagged) {
       for (std::size_t i = b; i < e; ++i) {
         const auto& op = at(i);
         tagged.push_back(
             {op.type, op.key, op.value, op.key2, i, op.deadline_ns});
       }
-      admit(tagged, [&](const Tagged& op) { return ticket_of(op.target); });
+      admit(tagged, ticket_of, deliver);
     };
-    return walk_point_phase<K, V>(
-        segs_, live, &pools_, n, fill, iface_scratch_, par_ctx(),
-        [&](std::size_t i, Result<V, K>&& r) {
-          emit(ticket_of(i), std::move(r));
-        },
-        /*probes=*/nullptr);
+    return walk_point_phase<K, V>(segs_, live, &pools_, n, fill,
+                                  iface_scratch_, par_ctx(), deliver,
+                                  /*probes=*/nullptr);
   }
 
   /// M1-style sweep of S[0..m-2]: resolves groups that find their item.
@@ -1075,8 +1097,8 @@ class M2Map {
   std::vector<BulkRequest> bulk_;
   std::atomic<bool> bulk_pending_{false};
 
-  // Bulk-path ticket arena (see execute_batch); try-locked so concurrent
-  // bulk callers degrade to a call-local block instead of racing.
+  // Ticket arena of short and ordered phases (see execute_batch);
+  // try-locked so concurrent callers degrade to a call-local block.
   std::mutex tickets_mu_;
   TicketBlock tickets_;
 

@@ -121,6 +121,10 @@ struct SegmentEntry {
   Link older = nullptr;  // toward the least recent end
 };
 
+// A u64 entry's node is 64 B (DESIGN.md "Cache-conscious core"): a field
+// added later fails here rather than grow every loaded key.
+static_assert(SegmentTree<std::uint64_t, std::uint64_t>::node_bytes() == 64);
+
 /// One node-pool domain for a map instance: every tree-represented segment
 /// of the instance allocates its nodes from `node_pool`. Sharing the domain
 /// across the instance's segments is what makes segment→segment batch

@@ -69,6 +69,7 @@ class JTree {
   using Handle = Node*;
   static const K& key_of(const Node* n) noexcept { return n->key; }
   static V& value_of(Node* n) noexcept { return n->value; }
+  static constexpr std::size_t node_bytes() noexcept { return sizeof(Node); }
 
   JTree() = default;
   explicit JTree(Compare cmp) : cmp_(std::move(cmp)) {}
@@ -299,15 +300,16 @@ class JTree {
   }
 
  private:
+  /// The descent reads key, left and right, so they lead; height (low 8
+  /// bits) and subtree size (high 56 bits) share one word.
   struct Node {
     Node(const K& k, V v)
         : key(k), value(std::move(v)) {}
     K key;
-    V value;
     Node* left = nullptr;
     Node* right = nullptr;
-    int height = 1;
-    std::size_t size = 1;
+    V value;
+    std::uint64_t meta = (1u << 8) | 1u;
   };
 
   // ---- node lifecycle (pooled when a pool is bound) ----------------------
@@ -345,14 +347,19 @@ class JTree {
     }
   }
 
-  static int node_height(const Node* n) noexcept { return n ? n->height : 0; }
+  static int node_height(const Node* n) noexcept {
+    return n ? static_cast<int>(n->meta & 0xff) : 0;
+  }
   static std::size_t node_size(const Node* n) noexcept {
-    return n ? n->size : 0;
+    return n ? static_cast<std::size_t>(n->meta >> 8) : 0;
   }
 
   static Node* update(Node* n) noexcept {
-    n->height = 1 + std::max(node_height(n->left), node_height(n->right));
-    n->size = 1 + node_size(n->left) + node_size(n->right);
+    const std::uint64_t height =
+        1 + std::max(node_height(n->left), node_height(n->right));
+    const std::uint64_t size = 1 + node_size(n->left) + node_size(n->right);
+    assert(size < (std::uint64_t{1} << 56) && "subtree size overflows 56 bits");
+    n->meta = (size << 8) | height;
     return n;
   }
 
@@ -582,13 +589,14 @@ class JTree {
     }
     const int want_h =
         1 + std::max(node_height(t->left), node_height(t->right));
-    if (!v.require(t->height == want_h, "height field wrong at key ", t->key,
-                   ": stored ", t->height, ", children imply ", want_h)) {
+    if (!v.require(node_height(t) == want_h, "height field wrong at key ",
+                   t->key, ": stored ", node_height(t), ", children imply ",
+                   want_h)) {
       return;
     }
     const std::size_t want_n = 1 + node_size(t->left) + node_size(t->right);
-    if (!v.require(t->size == want_n, "size field wrong at key ", t->key,
-                   ": stored ", t->size, ", children imply ", want_n)) {
+    if (!v.require(node_size(t) == want_n, "size field wrong at key ", t->key,
+                   ": stored ", node_size(t), ", children imply ", want_n)) {
       return;
     }
     const int skew = node_height(t->left) - node_height(t->right);

@@ -637,8 +637,10 @@ TEST(InterleaveExplorer, WalGroupCommit) {
 // An M2 execute_batch point phase longer than one cut waits for the
 // pipeline's filter to drain, then sweeps the whole ladder under the full
 // lock chain; "m2.bulk.drained" parks between the drained check and the
-// chain acquisition, while blocking submitters keep cutting groups into
-// the pipeline on the same keys. Each key is only ever written with one
+// chain acquisition, and "m2.bulk.delivered" between the request's last
+// result write into the caller's buffer and its latch publish, while
+// blocking submitters keep cutting groups into the pipeline on the same
+// keys. Each key is only ever written with one
 // value, and per key the kInserted count minus the kErased count must be
 // 0 or 1 and equal the key's final presence — true of any per-key
 // linearization, broken by a lost, doubled or reordered op.
@@ -730,6 +732,7 @@ TEST(InterleaveExplorer, ZInstrumentedPointsWereExercised) {
            "segment.demote",
            "wal.sync.leader_unlocked",
            "m2.bulk.drained",
+           "m2.bulk.delivered",
        }) {
     EXPECT_GT(sites::hits(name), 0u)
         << "schedule point \"" << name

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <filesystem>
 #include <map>
 #include <memory>
@@ -614,6 +615,125 @@ TEST(M2, BulkOpsPastTheirDeadlineTimeOut) {
     EXPECT_EQ(m.search(4), 4);
     m.quiesce();
     ASSERT_EQ(m.validate(), "") << "p=" << p;
+  }
+}
+
+// A bulk request whose every op is past its deadline still returns: each
+// result is kTimedOut, written into the caller's buffer, and the map is
+// untouched.
+TEST(M2, BulkRequestAllPastDeadlineReturnsTimedOut) {
+  for (unsigned p : {1u, 2u}) {
+    sched::Scheduler scheduler(2);
+    M2Map<int, int> m(scheduler, p);
+    std::map<int, int> ref;
+    std::vector<IntOp> load;
+    for (int k = 0; k < 3000; k += 3) load.push_back(IntOp::insert(k, k));
+    (void)m.execute_batch(load);
+    (void)reference_results(ref, load);
+    std::vector<IntOp> expired;
+    for (int k = 0; k < 2000; ++k) {
+      expired.push_back(k % 2 == 0 ? IntOp::erase(k).with_deadline(1)
+                                   : IntOp::insert(k, -k).with_deadline(1));
+    }
+    const auto got = m.execute_batch(expired);
+    ASSERT_EQ(got.size(), expired.size());
+    for (std::size_t i = 0; i < got.size(); ++i) {
+      ASSERT_EQ(got[i].status, ResultStatus::kTimedOut)
+          << "p=" << p << " op " << i;
+    }
+    m.quiesce();
+    ASSERT_EQ(m.size(), ref.size()) << "p=" << p;
+    for (const auto& [k, v] : ref) ASSERT_EQ(m.search(k), v) << "p=" << p;
+    m.quiesce();
+    ASSERT_EQ(m.validate(), "") << "p=" << p;
+  }
+}
+
+// One caller-owned results buffer serves bulk batches of 4,096, 100 and
+// 4,096 ops: the walk writes every slot of each batch, and a shorter batch
+// leaves no stale slot behind.
+TEST(M2, BulkRequestsReuseOneResultsBuffer) {
+  for (unsigned p : {1u, 2u}) {
+    sched::Scheduler scheduler(2);
+    M2Map<int, int> m(scheduler, p);
+    std::map<int, int> ref;
+    util::Xoshiro256 rng(83 + p);
+    std::vector<Result<int>> got;
+    for (std::size_t n : {4096u, 100u, 4096u}) {
+      const auto batch = testutil::scripted_ops<int, int>(
+          rng.bounded(1u << 30), n, 2048, /*with_ordered=*/false);
+      m.execute_batch(std::span<const IntOp>(batch), got);
+      const auto want = reference_results(ref, batch);
+      ASSERT_EQ(got.size(), n) << "p=" << p;
+      for (std::size_t i = 0; i < n; ++i) {
+        testutil::expect_result_eq(got[i], want[i], "reused buffer", i);
+      }
+      m.quiesce();
+      ASSERT_EQ(m.size(), ref.size()) << "p=" << p << " n=" << n;
+      ASSERT_EQ(m.validate(), "") << "p=" << p << " n=" << n;
+    }
+  }
+}
+
+// quiesce() from a second thread while a bulk request is pending returns
+// only once the request has completed. The scheduler's workers are held
+// until the request has been handed to the interface, so the request
+// cannot finish before the second thread starts waiting.
+TEST(M2, QuiesceWaitsForAPendingBulkRequest) {
+  for (unsigned p : {1u, 2u}) {
+    sched::Scheduler scheduler(2);
+    M2Map<int, int> m(scheduler, p);
+    std::map<int, int> ref;
+    const auto load = testutil::scripted_ops<int, int>(
+        91 + p, 4096, 2048, /*with_ordered=*/false);
+    (void)m.execute_batch(load);
+    (void)reference_results(ref, load);
+    m.quiesce();
+
+    std::atomic<int> held{0};
+    std::atomic<bool> release{false};
+    for (int w = 0; w < 2; ++w) {
+      scheduler.spawn(
+          [&] {
+            held.fetch_add(1);
+            while (!release.load()) std::this_thread::yield();
+          },
+          sched::Priority::kHigh);
+    }
+    while (held.load() < 2) std::this_thread::yield();
+
+    std::vector<IntOp> batch;
+    for (int k = 10000; k < 14096; ++k) batch.push_back(IntOp::insert(k, k));
+    (void)reference_results(ref, batch);
+    std::atomic<bool> entered{false};
+    std::vector<Result<int>> got;
+    std::thread caller([&] {
+      entered.store(true);
+      m.execute_batch(std::span<const IntOp>(batch), got);
+    });
+    while (!entered.load()) std::this_thread::yield();
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+
+    std::size_t seen = 0;
+    std::string verdict;
+    std::thread quiescer([&] {
+      // A return while the workers are held came before the request was
+      // claimed (nothing can have run): wait again.
+      bool was_released = false;
+      while (!was_released) {
+        m.quiesce();
+        was_released = release.load();
+      }
+      seen = m.size();
+      verdict = m.validate();
+    });
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    release.store(true);
+    caller.join();
+    quiescer.join();
+    EXPECT_EQ(seen, ref.size()) << "p=" << p << ": quiesce() returned early";
+    EXPECT_EQ(verdict, "") << "p=" << p;
+    for (const auto& r : got) ASSERT_EQ(r.status, ResultStatus::kInserted);
   }
 }
 

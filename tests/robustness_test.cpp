@@ -504,6 +504,40 @@ TEST_F(FaultInjectTest, SeededSweepEveryOpTerminalStructureClean) {
   }
 }
 
+TEST_F(FaultInjectTest, M2BulkRunShedsEveryOpOnPoolReserveFault) {
+  PWSS_REQUIRE_FAULTS();
+  // A Driver::run batch longer than one cut reaches m2 as bulk requests;
+  // with m2.batch.pool_reserve failing, each chunk's terminal-status pass
+  // sheds every op kOverloaded into the caller's buffer before the ladder
+  // is touched, and the run still returns.
+  auto d = driver::make_driver<std::uint64_t, std::uint64_t>("m2",
+                                                             two_workers());
+  std::vector<IntOp> load;
+  for (std::uint64_t k = 0; k < 2000; ++k) load.push_back(IntOp::insert(k, k));
+  (void)d->run(load);
+  d->quiesce();
+  const std::size_t before = d->size();
+  ASSERT_EQ(before, 2000u);
+
+  std::vector<IntOp> batch;
+  for (std::uint64_t k = 0; k < 10000; ++k) {
+    batch.push_back(k % 2 == 0 ? IntOp::insert(k + 5000, k) : IntOp::erase(k));
+  }
+  const std::uint64_t fires0 = util::sites::fires("m2.batch.pool_reserve");
+  util::sites::arm("m2.batch.pool_reserve", util::sites::Action::kFail, 1000);
+  const auto got = d->run(batch);
+  util::sites::clear();
+  EXPECT_GE(util::sites::fires("m2.batch.pool_reserve") - fires0, 3u)
+      << "a 10,000-op run walks at least three chunks";
+  ASSERT_EQ(got.size(), batch.size());
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    ASSERT_EQ(got[i].status, core::ResultStatus::kOverloaded) << "op " << i;
+  }
+  d->quiesce();
+  EXPECT_EQ(d->size(), before);
+  EXPECT_EQ(d->validate(), "");
+}
+
 TEST_F(FaultInjectTest, BlockingPathRetriesThroughInjectedRejections) {
   PWSS_REQUIRE_FAULTS();
   // Injected buffer rejections surface as kOverloaded, which the blocking
