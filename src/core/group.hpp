@@ -1,5 +1,5 @@
 #pragma once
-// Group-operations (Section 6.1): after entropy-sorting a batch, all
+// Group-operations (Section 6.1): after stably sorting a batch by key, all
 // operations on the same key are combined into one group-operation that is
 // "treated as a single operation with the same effect as the whole group of
 // operations in the given order". Resolving a group against the key's state
@@ -98,8 +98,8 @@ std::optional<V> resolve_ops(std::optional<V> initial,
   return cur;
 }
 
-/// Coalesces a key-sorted batch (per-key program order preserved — callers
-/// use the stable PESort) into `groups`, numbering them by arrival order.
+/// Coalesces a key-sorted batch (per-key program order preserved — the
+/// caller's sort is stable) into `groups`, numbering them by arrival order.
 /// `sorted`'s elements are consumed; `groups` is cleared first, so a
 /// caller-owned buffer keeps its capacity across batches.
 template <typename K, typename V, typename Target>

@@ -14,8 +14,10 @@
 // the span parameter.
 
 #include <algorithm>
+#include <cassert>
 #include <cstddef>
 #include <cstdint>
+#include <iterator>
 #include <optional>
 #include <span>
 #include <string>
@@ -322,6 +324,48 @@ void answer_ordered(std::span<const Segment<K, V>> segs,
   }
 }
 
+/// One op of a chunk being sorted: its key and its position in the chunk.
+/// The merge passes move these 16-B pairs (for a u64 key), not the ops.
+template <typename K>
+struct KeyPos {
+  K key;
+  std::uint32_t pos;
+};
+
+/// Stable merge sort of `v` by key, with `buf` as the second merge buffer
+/// (resized, so a reused buffer keeps its capacity): insertion-sorted
+/// runs of 16, then bottom-up merge passes that alternate between the two.
+template <typename K>
+void stable_sort_by_key(std::vector<KeyPos<K>>& v,
+                        std::vector<KeyPos<K>>& buf) {
+  constexpr std::size_t kRun = 16;
+  const std::size_t n = v.size();
+  auto less = [](const KeyPos<K>& a, const KeyPos<K>& b) {
+    return a.key < b.key;
+  };
+  for (std::size_t b = 0; b < n; b += kRun) {
+    sort::detail::insertion_sort(
+        std::span<KeyPos<K>>(v).subspan(b, std::min(kRun, n - b)),
+        [](const KeyPos<K>& p) { return p.key; });
+  }
+  buf.resize(n);
+  KeyPos<K>* src = v.data();
+  KeyPos<K>* dst = buf.data();
+  for (std::size_t w = kRun; w < n; w *= 2) {
+    for (std::size_t lo = 0; lo < n; lo += 2 * w) {
+      const std::size_t mid = std::min(lo + w, n);
+      const std::size_t hi = std::min(lo + 2 * w, n);
+      // std::merge takes the first range's element on ties: stable.
+      std::merge(std::make_move_iterator(src + lo),
+                 std::make_move_iterator(src + mid),
+                 std::make_move_iterator(src + mid),
+                 std::make_move_iterator(src + hi), dst + lo, less);
+    }
+    std::swap(src, dst);
+  }
+  if (src != v.data()) std::move(src, src + n, v.data());
+}
+
 /// The per-instance arena of the point-phase walk (DESIGN.md "Allocation
 /// discipline"): the sweep buffers plus the tagged, sorted and coalesced
 /// chunk, and the ordered-phase combining buffers. One per M1 instance and
@@ -331,11 +375,15 @@ template <typename K, typename V>
 struct BatchScratch : SweepScratch<K, V> {
   using Tagged = PendingOp<K, V, std::size_t>;
 
-  /// The current chunk, tagged with source indices, then entropy-sorted.
-  /// Groups reference it by position, so it stays unmoved for the chunk.
+  /// The current chunk, tagged with source indices, then sorted by (key,
+  /// index). Groups reference it by position, so it stays unmoved for the
+  /// chunk once sorted.
   std::vector<Tagged> tagged;
-  /// PESort partition + classification + pivot-median buffers.
-  sort::PESortScratch<Tagged, K> sort;
+  /// The chunk sort's buffers: (key, position) pairs, their merge buffer,
+  /// and the gathered chunk (swapped with `tagged`).
+  std::vector<KeyPos<K>> order;
+  std::vector<KeyPos<K>> order_buf;
+  std::vector<Tagged> gathered;
   /// Coalesced index groups still looking for their item.
   std::vector<IndexGroup<K>> pending;
   /// Groups that continue past the current segment (swapped with pending).
@@ -356,18 +404,54 @@ struct BatchScratch : SweepScratch<K, V> {
 /// 65,536-op load took 0.49-0.56 s unchunked, 0.39-0.43 s chunked.
 inline constexpr std::size_t kBatchChunk = 4096;
 
+/// Puts a chunk whose source indices ascend into (key, source index)
+/// order, which keeps per-key submission order (Definition 8). A chunk
+/// already in key order (one pass checks) is left alone; any other gets
+/// a stable sort by key. Chunks are at most kBatchChunk ops, so this is
+/// O(b log b) <= 12b comparisons per chunk (DESIGN.md section 8,
+/// simplification 8).
+template <typename K, typename V>
+void sort_chunk(BatchScratch<K, V>& sc) {
+  using Tagged = PendingOp<K, V, std::size_t>;
+  auto& tagged = sc.tagged;
+  assert(std::adjacent_find(tagged.begin(), tagged.end(),
+                            [](const Tagged& a, const Tagged& b) {
+                              return !(a.target < b.target);
+                            }) == tagged.end() &&
+         "fill must tag ascending source indices");
+  if (std::is_sorted(tagged.begin(), tagged.end(),
+                     [](const Tagged& a, const Tagged& b) {
+                       return a.key < b.key;
+                     })) {
+    return;
+  }
+  sc.order.clear();
+  sc.order.reserve(tagged.size());
+  for (std::uint32_t i = 0; i < tagged.size(); ++i) {
+    sc.order.push_back({tagged[i].key, i});
+  }
+  stable_sort_by_key(sc.order, sc.order_buf);
+  sc.gathered.clear();
+  sc.gathered.reserve(tagged.size());
+  for (const auto& kp : sc.order) {
+    sc.gathered.push_back(std::move(tagged[kp.pos]));
+  }
+  tagged.swap(sc.gathered);
+}
+
 /// M1's point phase (Section 6.1) over the ladder's first `live` segments,
 /// for source ops [0, n) taken kBatchChunk at a time. Per chunk:
 /// `fill(b, e, tagged)` appends the ops of [b, e) it admits, tagged with
-/// their source index (an earlier index = earlier arrival); they are
-/// entropy-sorted (stable, so per-key order holds) and coalesced; each
-/// depth k sweeps S[k] and repairs the prefixes up to it; groups missing
-/// everywhere resolve against an absent item and their net insertions go
-/// to the back of the last segment, overflow carved into fresh segments
-/// (`segs` grows, drawing on `pools`, only past its end); a final repair
-/// restores the whole prefix rule. Results go out as `emit(index, result)`;
-/// `probes` (nullable) counts hits per depth and misses. Returns the new
-/// live count: the segments past it are empty.
+/// their source index (an earlier index = earlier arrival), in ascending
+/// index order; sort_chunk puts them in (key, index) order, so per-key
+/// order holds, and they are coalesced; each depth k sweeps S[k] and
+/// repairs the prefixes up to it; groups missing everywhere resolve
+/// against an absent item and their net insertions go to the back of the
+/// last segment, overflow carved into fresh segments (`segs` grows,
+/// drawing on `pools`, only past its end); a final repair restores the
+/// whole prefix rule. Results go out as `emit(index, result)`; `probes`
+/// (nullable) counts hits per depth and misses. Returns the new live
+/// count: the segments past it are empty.
 template <typename K, typename V, typename Fill, typename Emit>
 std::size_t walk_point_phase(std::vector<Segment<K, V>>& segs,
                              std::size_t live, SegmentPools<K, V>* pools,
@@ -379,9 +463,7 @@ std::size_t walk_point_phase(std::vector<Segment<K, V>>& segs,
   for (std::size_t b = 0; b < n; b += kBatchChunk) {
     tagged.clear();
     fill(b, std::min(n, b + kBatchChunk), tagged);
-    sort::pesort(
-        tagged, [](const Tagged& p) { return p.key; }, ctx.scheduler, {},
-        &sc.sort);
+    sort_chunk(sc);
     coalesce_sorted_index(std::span<const Tagged>(tagged), sc.pending);
     auto ops_of = [&](const IndexGroup<K>& g) {
       return std::span<const Tagged>(tagged).subspan(g.begin, g.end - g.begin);

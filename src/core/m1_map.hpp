@@ -3,8 +3,10 @@
 //
 // A batch's point phase is processed (walk_point_phase in core/ladder.hpp,
 // shared with M2's bulk batches, at most kBatchChunk ops at a time) as:
-//   1. parallel-entropy-sort the batch by key (stable: per-key program
-//      order preserved) and coalesce duplicate keys into group-operations;
+//   1. sort the chunk by (key, submission index), so per-key program
+//      order is preserved (a chunk already in key order is not sorted;
+//      DESIGN.md Section-8 simplification 8), and coalesce duplicate keys
+//      into group-operations;
 //   2. sweep the segments S[0]..S[l]: at S[k], batch-extract the groups'
 //      keys; groups that find their item resolve there (successful
 //      searches/updates shift to the front of S[k-1], net deletions remove
@@ -157,9 +159,9 @@ class M1Map {
 
  private:
   /// One point phase [begin, end): the ladder walk (walk_point_phase)
-  /// tags each chunk with result indices, entropy-sorts, coalesces and
-  /// sweeps it through the instance arena, so a steady stream of batches
-  /// reuses capacity.
+  /// tags each chunk with result indices, sorts, coalesces and sweeps it
+  /// through the instance arena, so a steady stream of batches reuses
+  /// capacity.
   void point_phase(std::span<const Op<K, V>> ops, std::size_t begin,
                    std::size_t end, std::vector<Result<V, K>>& results) {
     auto fill = [&](std::size_t b, std::size_t e,

@@ -230,15 +230,17 @@ class Segment {
   }
 
   /// Inserts a batch at the front, preserving the arrivals' relative
-  /// recency (larger incoming stamp stays more recent). Items may be in any
-  /// order; sorted by key internally. The span's items are consumed
-  /// (moved-from); the caller keeps the backing buffer for reuse.
+  /// recency (larger incoming stamp stays more recent). Items must be
+  /// sorted by key and absent from the segment (asserted in debug builds);
+  /// every ladder transfer already produces them in key order. The span's
+  /// items are consumed (moved-from); the caller keeps the backing buffer
+  /// for reuse.
   void insert_front_batch(std::span<Item> items, const tree::ParCtx& ctx = {},
                           SegmentScratch<K, V>* s = nullptr) {
     insert_batch(items, /*front=*/true, ctx, s);
   }
 
-  /// Inserts a batch at the back, preserving relative recency.
+  /// Inserts a key-sorted batch at the back, preserving relative recency.
   void insert_back_batch(std::span<Item> items, const tree::ParCtx& ctx = {},
                          SegmentScratch<K, V>* s = nullptr) {
     insert_batch(items, /*front=*/false, ctx, s);
@@ -460,17 +462,20 @@ class Segment {
     front ? link_front(n) : link_back(n);
   }
 
-  /// Restamps a batch onto one end, sorts it by key and inserts it. The
-  /// tree side is one multi_insert that reports each item's node; the list
-  /// side links those nodes at that end in stamp order. restamp() hands a
-  /// batch consecutive stamps, so a stamp's offset from the batch's least
-  /// is the node's place in that order.
+  /// Restamps a key-sorted batch onto one end and inserts it. The tree
+  /// side is one multi_insert that reports each item's node; the list side
+  /// links those nodes at that end in stamp order. restamp() hands a batch
+  /// consecutive stamps, so a stamp's offset from the batch's least is the
+  /// node's place in that order.
   void insert_batch(std::span<Item> items, bool front,
                     const tree::ParCtx& ctx, SegmentScratch<K, V>* s) {
     if (items.empty()) return;
+    assert(std::adjacent_find(items.begin(), items.end(),
+                              [](const Item& a, const Item& b) {
+                                return !(a.key < b.key);
+                              }) == items.end() &&
+           "batch must be sorted by key and duplicate-free");
     restamp(items, front, s);
-    std::sort(items.begin(), items.end(),
-              [](const Item& a, const Item& b) { return a.key < b.key; });
     if (!is_tree_) {
       if (flat_.size() + items.size() <= kFlatSegmentMax) {
         flat_.merge_insert(items);
@@ -602,26 +607,43 @@ class Segment {
   /// Reassigns stamps so arrivals land at the front (above every stamp in
   /// this segment) or at the back (below), preserving the arrivals'
   /// relative order as given by their incoming stamps. The batch receives
-  /// consecutive stamps.
+  /// consecutive stamps. Incoming stamps that already ascend or descend
+  /// along the batch (a load's fresh keys) skip the index sort.
   void restamp(std::span<Item> items, bool front,
                SegmentScratch<K, V>* s = nullptr) {
-    // Order of (index, old stamp) ascending by old stamp.
+    const std::size_t n = items.size();
+    // Visits the arrivals from least to most recent: `at(r)` is the index
+    // of the r-th least recent.
+    auto stamp_in_order = [&](auto&& at) {
+      if (front) {
+        // Least recent arrival gets the smallest fresh-front stamp.
+        for (std::size_t r = 0; r < n; ++r) {
+          items[at(r)].stamp = stamps_.fresh_front();
+        }
+      } else {
+        // Most recent arrival gets the largest fresh-back stamp.
+        for (std::size_t r = n; r > 0; --r) {
+          items[at(r - 1)].stamp = stamps_.fresh_back();
+        }
+      }
+    };
+    auto older = [](const Item& a, const Item& b) { return a.stamp < b.stamp; };
+    if (std::is_sorted(items.begin(), items.end(), older)) {
+      stamp_in_order([](std::size_t r) { return r; });
+      return;
+    }
+    if (std::is_sorted(items.rbegin(), items.rend(), older)) {
+      stamp_in_order([n](std::size_t r) { return n - 1 - r; });
+      return;
+    }
     SegmentScratch<K, V> local;
     std::vector<std::size_t>& idx = (s ? *s : local).idx;
-    idx.resize(items.size());
-    for (std::size_t i = 0; i < idx.size(); ++i) idx[i] = i;
+    idx.resize(n);
+    for (std::size_t i = 0; i < n; ++i) idx[i] = i;
     std::sort(idx.begin(), idx.end(), [&](std::size_t a, std::size_t b) {
       return items[a].stamp < items[b].stamp;
     });
-    if (front) {
-      // Least recent arrival gets the smallest fresh-front stamp.
-      for (const std::size_t i : idx) items[i].stamp = stamps_.fresh_front();
-    } else {
-      // Most recent arrival gets the largest fresh-back stamp.
-      for (auto it = idx.rbegin(); it != idx.rend(); ++it) {
-        items[*it].stamp = stamps_.fresh_back();
-      }
-    }
+    stamp_in_order([&](std::size_t r) { return idx[r]; });
   }
 
   FlatSegment<K, V> flat_;

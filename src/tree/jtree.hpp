@@ -28,6 +28,7 @@
 // deletes. The pool must outlive the tree. A pool-less JTree (tests,
 // ad-hoc use) falls back to plain new/delete.
 
+#include <algorithm>
 #include <cassert>
 #include <cstddef>
 #include <cstdint>
@@ -228,18 +229,15 @@ class JTree {
   // debug builds. These correspond to the "normal batch operation" of the
   // paper's parallel 2-3 tree.
 
-  /// Looks up every key; out[i] is its node or nullptr.
+  /// Looks up every key; out[i] is its node or nullptr. One batch descent:
+  /// each node splits the key span around its key, so the batch costs the
+  /// union of its search paths (a batch past either end of the tree's
+  /// range walks one spine).
   void multi_find(std::span<const K> keys, std::vector<Handle>& out,
                   const ParCtx& ctx = {}) const {
+    assert_sorted_keys(keys);
     out.assign(keys.size(), nullptr);
-    auto body = [&](std::size_t lo, std::size_t hi) {
-      for (std::size_t i = lo; i < hi; ++i) out[i] = find_node(keys[i]);
-    };
-    if (ctx.scheduler && keys.size() > ctx.grain) {
-      ctx.scheduler->parallel_for(0, keys.size(), ctx.grain, body);
-    } else {
-      body(0, keys.size());
-    }
+    multi_find_rec(root_, keys, out.data(), ctx);
   }
 
   /// Inserts every (key, value); existing keys get their value overwritten.
@@ -470,6 +468,36 @@ class JTree {
     Node* r = t->right;
     t->left = t->right = nullptr;
     return {l, t, r};
+  }
+
+  /// `out` is parallel to `keys` and starts all null. The right half
+  /// continues in the loop; the halves fork only when both exceed the
+  /// grain.
+  void multi_find_rec(Node* t, std::span<const K> keys, Handle* out,
+                      const ParCtx& ctx) const {
+    while (t != nullptr && !keys.empty()) {
+      const auto it = std::lower_bound(keys.begin(), keys.end(), t->key, cmp_);
+      const auto lo = static_cast<std::size_t>(it - keys.begin());
+      const bool hit = it != keys.end() && !cmp_(t->key, *it);
+      if (hit) out[lo] = t;
+      const std::size_t skip = lo + (hit ? 1 : 0);
+      const std::span<const K> left = keys.first(lo);
+      const std::span<const K> right = keys.subspan(skip);
+      if (ctx.scheduler && left.size() > ctx.grain &&
+          right.size() > ctx.grain) {
+        auto left_work = [&] { multi_find_rec(t->left, left, out, ctx); };
+        auto right_work = [&] {
+          multi_find_rec(t->right, right, out + skip, ctx);
+        };
+        ctx.scheduler->parallel_invoke(sched::FnView(left_work),
+                                       sched::FnView(right_work));
+        return;
+      }
+      multi_find_rec(t->left, left, out, ctx);
+      t = t->right;
+      keys = right;
+      out += skip;
+    }
   }
 
   /// `nodes` is null or parallel to `items` (see multi_insert).

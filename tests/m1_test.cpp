@@ -230,6 +230,28 @@ TEST(M1, PhaseLongerThanBatchChunkWalksInChunks) {
   EXPECT_EQ(m.validate(), "");
 }
 
+// The walk sorts each chunk by (key, source index) itself, skipping a
+// chunk already in key order: a non-monotone, a key-descending and an
+// already key-sorted chunk, each with several upserts, erases and
+// searches per key, all resolve in submission order.
+TEST(M1, WalkChunksInEveryArrivalOrderResolveInSubmissionOrder) {
+  sched::Scheduler scheduler(2);
+  for (sched::Scheduler* s : {static_cast<sched::Scheduler*>(nullptr),
+                              &scheduler}) {
+    M1Map<int, int> m(s);
+    std::map<int, int> ref;
+    for (std::uint64_t round = 0; round < 3; ++round) {
+      const std::vector<IntOp> phase = testutil::walk_order_phase(
+          17 + round, core::kBatchChunk, 3, 1 << 13);
+      ASSERT_GT(phase.size(), core::kBatchChunk);
+      expect_equal_results(m.execute_batch(phase),
+                           reference_results(ref, phase), "walk order");
+      EXPECT_EQ(m.size(), ref.size());
+      ASSERT_EQ(m.validate(), "") << "round " << round;
+    }
+  }
+}
+
 TEST(M1, AccessedItemPromotedTowardFront) {
   M1Map<int, int> m;
   std::vector<IntOp> warm;

@@ -519,6 +519,31 @@ TEST(M2, BulkBatchesSweepTheLadder) {
   }
 }
 
+// M2's bulk path runs the same walk, so it sorts each chunk the same way:
+// a non-monotone, a key-descending and an already key-sorted chunk, each
+// with several upserts, erases and searches per key, all resolve in
+// submission order.
+TEST(M2, BulkWalkChunksInEveryArrivalOrderResolveInSubmissionOrder) {
+  for (unsigned p : {1u, 2u}) {
+    sched::Scheduler scheduler(2);
+    M2Map<int, int> m(scheduler, p);
+    std::map<int, int> ref;
+    for (std::uint64_t round = 0; round < 3; ++round) {
+      const std::vector<IntOp> phase = testutil::walk_order_phase(
+          29 + round, core::kBatchChunk, 3, 1 << 13);
+      const auto got = m.execute_batch(phase);
+      const auto want = reference_results(ref, phase);
+      ASSERT_EQ(got.size(), want.size());
+      for (std::size_t i = 0; i < got.size(); ++i) {
+        testutil::expect_result_eq(got[i], want[i], "bulk walk order", i);
+      }
+      m.quiesce();
+      ASSERT_EQ(m.size(), ref.size()) << "p=" << p << " round " << round;
+      ASSERT_EQ(m.validate(), "") << "p=" << p << " round " << round;
+    }
+  }
+}
+
 // Ops a thread submitted before execute_batch go first on their keys: the
 // bulk tick walks whatever still waits in the input buffer or the feed
 // before the batch, and the pipeline's in-flight groups drain before it.

@@ -106,6 +106,52 @@ TEST(Segment, InsertFrontBatch) {
   EXPECT_EQ(s.least_recent_key(), 1);  // first stamped = least recent
 }
 
+// A key-sorted batch whose incoming stamps ascend, descend or are mixed
+// lands at either end in incoming-stamp order (restamp skips its index
+// sort for the monotone two), in a flat and in a tree segment.
+TEST(Segment, BatchInsertKeepsIncomingStampOrder) {
+  enum class Stamps { kAscending, kDescending, kMixed };
+  for (const int n : {10, 200}) {  // 200 promotes the segment to a tree
+    for (const bool front : {true, false}) {
+      for (const Stamps order :
+           {Stamps::kAscending, Stamps::kDescending, Stamps::kMixed}) {
+        Seg s;
+        for (int k : {-1, -3, -5}) s.insert_front({k, k, 0});
+        std::vector<Item> items;
+        for (int i = 0; i < n; ++i) {
+          const int stamp = order == Stamps::kAscending    ? i + 1
+                            : order == Stamps::kDescending ? n - i
+                                                           : i * 7 % n + 1;
+          items.push_back({2 * i, i, static_cast<std::uint64_t>(stamp)});
+        }
+        // Expected recency, most recent first: the batch by falling
+        // incoming stamp, before the residents at the front, after them
+        // at the back.
+        std::vector<Item> by_stamp = items;
+        std::sort(by_stamp.begin(), by_stamp.end(),
+                  [](const Item& a, const Item& b) {
+                    return a.stamp > b.stamp;
+                  });
+        std::vector<int> want;
+        if (!front) want = {-5, -3, -1};
+        for (const Item& it : by_stamp) want.push_back(it.key);
+        if (front) want.insert(want.end(), {-5, -3, -1});
+
+        if (front) {
+          s.insert_front_batch(std::span<Item>(items));
+        } else {
+          s.insert_back_batch(std::span<Item>(items));
+        }
+        ASSERT_EQ(s.validate(), "") << "n=" << n << " front=" << front;
+        std::vector<int> got;
+        while (auto it = s.extract_most_recent()) got.push_back(it->key);
+        EXPECT_EQ(got, want) << "n=" << n << " front=" << front
+                             << " order=" << static_cast<int>(order);
+      }
+    }
+  }
+}
+
 TEST(Segment, ExtractLeastRecentBatchReturnsKeySorted) {
   Seg s;
   // Insert in "recency order" 9, 2, 7, 5: least recent are 9 then 2.

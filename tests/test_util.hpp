@@ -3,6 +3,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstddef>
 #include <cstdint>
 #include <map>
 #include <string>
@@ -140,6 +142,62 @@ std::vector<core::Op<K, V>> scripted_ops(std::uint64_t seed, std::size_t count,
             key, static_cast<K>(key + rng.bounded(universe / 4 + 1))));
     }
   }
+  return ops;
+}
+
+/// A point phase of `chunks` chunks of `chunk_ops` ops each, then a short
+/// scripted tail, over keys [0, universe): each chunk holds 8 upserts,
+/// erases and searches on each of chunk_ops / 8 distinct keys, laid out
+/// in one of three arrival orders, chunk c taking order c % 3:
+///   0: non-monotone (8 rounds over the keys, each round shuffled);
+///   1: key-descending (each key's 8 ops in a run, runs by falling key);
+///   2: already key-sorted (the runs by rising key).
+/// The walk-order tests pass the walk's chunk size, so every chunk lines
+/// up with one walk chunk.
+inline std::vector<core::Op<int, int>> walk_order_phase(std::uint64_t seed,
+                                                        std::size_t chunk_ops,
+                                                        std::size_t chunks,
+                                                        int universe) {
+  constexpr std::size_t kOpsPerKey = 8;
+  util::Xoshiro256 rng(seed);
+  auto shuffle = [&](std::vector<int>& v) {
+    for (std::size_t i = v.size(); i > 1; --i) {
+      std::swap(v[i - 1], v[rng.bounded(i)]);
+    }
+  };
+  std::vector<int> pool(static_cast<std::size_t>(universe));
+  for (int k = 0; k < universe; ++k) pool[static_cast<std::size_t>(k)] = k;
+  std::vector<core::Op<int, int>> ops;
+  int value = 0;
+  auto op_on = [&](int key) {
+    switch (rng.bounded(3)) {
+      case 0: return core::Op<int, int>::upsert(key, ++value);
+      case 1: return core::Op<int, int>::erase(key);
+      default: return core::Op<int, int>::search(key);
+    }
+  };
+  for (std::size_t c = 0; c < chunks; ++c) {
+    shuffle(pool);
+    std::vector<int> keys(pool.begin(),
+                          pool.begin() + static_cast<std::ptrdiff_t>(
+                                             chunk_ops / kOpsPerKey));
+    if (c % 3 == 0) {
+      for (std::size_t round = 0; round < kOpsPerKey; ++round) {
+        shuffle(keys);
+        for (int k : keys) ops.push_back(op_on(k));
+      }
+      continue;
+    }
+    std::sort(keys.begin(), keys.end());
+    if (c % 3 == 1) std::reverse(keys.begin(), keys.end());
+    for (int k : keys) {
+      for (std::size_t i = 0; i < kOpsPerKey; ++i) ops.push_back(op_on(k));
+    }
+  }
+  const auto tail = scripted_ops<int, int>(
+      seed, chunk_ops / 8, static_cast<std::uint64_t>(universe),
+      /*with_ordered=*/false);
+  ops.insert(ops.end(), tail.begin(), tail.end());
   return ops;
 }
 

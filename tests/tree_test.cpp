@@ -185,6 +185,51 @@ TEST(JTree, MultiFindDoesNotMutate) {
   EXPECT_EQ(t.size(), 32u);
 }
 
+// The batch descent agrees with a point lookup per key, sequentially and
+// forked on a 2-worker scheduler (grain 32, run on a worker so the halves
+// really fork).
+TEST(JTree, MultiFindMatchesFindNode) {
+  constexpr int kTreeKeys = 5000;  // the even keys 0, 2, ..., 9998
+  IntTree empty;
+  IntTree t;
+  std::vector<std::pair<int, int>> items;
+  for (int i = 0; i < kTreeKeys; ++i) items.emplace_back(2 * i, i);
+  t.multi_insert(items);
+
+  auto range = [](int lo, int hi) {
+    std::vector<int> keys;
+    for (int k = lo; k < hi; ++k) keys.push_back(k);
+    return keys;
+  };
+  const std::vector<std::pair<std::string, std::vector<int>>> batches = {
+      {"empty batch", {}},
+      {"one hit", {4242}},
+      {"one miss", {4243}},
+      {"all below", range(-300, 0)},
+      {"all above", range(2 * kTreeKeys, 2 * kTreeKeys + 300)},
+      {"hits and misses", range(-5, 2 * kTreeKeys + 5)},
+  };
+  sched::Scheduler scheduler(2);
+  for (const IntTree* tree : {&empty, &t}) {
+    for (const auto& [name, keys] : batches) {
+      std::vector<IntTree::Handle> seq;
+      tree->multi_find(keys, seq);
+      std::vector<IntTree::Handle> par;
+      scheduler.run_sync(
+          [&] { tree->multi_find(keys, par, tree::ParCtx{&scheduler, 32}); });
+      ASSERT_EQ(seq.size(), keys.size()) << name;
+      ASSERT_EQ(par.size(), keys.size()) << name;
+      for (std::size_t i = 0; i < keys.size(); ++i) {
+        const IntTree::Handle want = tree->find_node(keys[i]);
+        ASSERT_EQ(seq[i], want) << name << " key " << keys[i];
+        ASSERT_EQ(par[i], want) << name << " key " << keys[i];
+      }
+    }
+  }
+  EXPECT_EQ(t.size(), static_cast<std::size_t>(kTreeKeys));
+  EXPECT_EQ(t.validate(), "");
+}
+
 TEST(JTree, ToVectorInKeyOrder) {
   IntTree t;
   for (int i : {5, 2, 9, 1, 7}) t.insert(i, i);
