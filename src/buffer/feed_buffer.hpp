@@ -37,7 +37,6 @@ class FeedBuffer {
   bool empty() const noexcept { return bunches_.empty(); }
   std::size_t size() const noexcept { return total_; }
   std::size_t bunch_count() const noexcept { return bunches_.size(); }
-  std::size_t bunch_capacity() const noexcept { return bunch_cap_; }
 
   /// Cuts `input` into the last bunch + fresh bunches (Section 6.1's "cut
   /// and store" step).

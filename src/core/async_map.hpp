@@ -42,10 +42,9 @@ struct OpTicket {
   Result<V, K> result;
   void (*on_complete)(OpTicket*) = nullptr;
   /// Admission-window release hook (driver layer): runs on the fulfilling
-  /// thread after the result is published, before on_complete, so the
-  /// window slot frees no later than the waiter wakes. Cached before the
-  /// ready publish like on_complete (the ticket may die the moment ready
-  /// is observed).
+  /// thread just before the result is published, so the window slot
+  /// frees no later than the waiter wakes — a blocking caller's next
+  /// admission never sees its own previous slot still held.
   void (*on_release)(void*) = nullptr;
   void* release_ctx = nullptr;
 
@@ -61,18 +60,16 @@ struct OpTicket {
   }
 
   void fulfill(Result<V, K>&& r) {
-    // Cache the hooks BEFORE publishing: the moment ready is true a
+    // Cache the hook BEFORE publishing: the moment ready is true a
     // spin-waiting owner may return and reuse/destroy a stack ticket, so
     // no field may be read afterwards. Hooked tickets (FutureState) stay
     // alive past the store — the producer reference is released by the
     // hook itself.
     void (*hook)(OpTicket*) = on_complete;
-    void (*release)(void*) = on_release;
-    void* rctx = release_ctx;
     result = std::move(r);
+    if (on_release != nullptr) on_release(release_ctx);
     ready.store(true, std::memory_order_release);
     ready.notify_all();
-    if (release != nullptr) release(rctx);
     if (hook != nullptr) hook(this);
   }
   Result<V, K> wait() {

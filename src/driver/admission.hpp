@@ -16,8 +16,8 @@
 //
 // The window is one shared atomic counter: admit is a CAS-increment,
 // release a fetch_sub fired by the ticket's on_release hook on the
-// fulfilling thread (after the result is published, before any waiter
-// can free the ticket). max_in_flight == 0 disables the window entirely
+// fulfilling thread (just before the result is published, so before any
+// waiter wakes). max_in_flight == 0 disables the window entirely
 // — no counting, no hook, zero cost on the default path.
 //
 // ShardedDriver deliberately runs its own controller DISABLED and lets
@@ -58,7 +58,6 @@ class AdmissionController {
   AdmissionController& operator=(const AdmissionController&) = delete;
 
   bool bounded() const noexcept { return cfg_.max_in_flight != 0; }
-  const AdmissionConfig& config() const noexcept { return cfg_; }
 
   /// Admitted ops currently holding a window slot (0 when unbounded).
   std::size_t in_flight() const noexcept {
@@ -66,9 +65,8 @@ class AdmissionController {
   }
 
   /// The accept/shed decision for one op. An admitted op holds a window
-  /// slot until release() — callers arm the ticket's on_release hook (or
-  /// call release() directly on synchronous paths) exactly when bounded()
-  /// is true and the verdict is kAdmitted.
+  /// slot until release() — callers arm the ticket's on_release hook
+  /// exactly when bounded() is true and the verdict is kAdmitted.
   Admit try_admit(std::uint64_t deadline_ns) noexcept {
     return count(try_admit_impl(deadline_ns));
   }
@@ -88,8 +86,7 @@ class AdmissionController {
     return expired_.load(std::memory_order_relaxed);
   }
 
-  /// Frees one window slot. No-op when unbounded, so synchronous paths
-  /// may call it unconditionally after an admitted op completes.
+  /// Frees one window slot. No-op when unbounded.
   void release() noexcept {
     if (cfg_.max_in_flight != 0) {
       window_.fetch_sub(1, std::memory_order_release);

@@ -18,11 +18,13 @@
 // iacono), the backend's own submit (m2), or the calling thread (locked).
 //
 // Every backend executes the full protocol, ordered kinds included. The
-// public run/step/submit entry points pass admission control
-// (driver/admission.hpp: bounded in-flight window, shed or bounded-block
-// on overflow; blocking conveniences absorb transient kOverloaded via
-// driver/retry.hpp backoff), and then forward to the do_* virtuals
-// BackendDriver implements per wiring.
+// submit forms pass admission control (driver/admission.hpp: bounded
+// in-flight window, shed or bounded-block on overflow); the blocking
+// conveniences are submit + wait on a stack ticket, retried on transient
+// kOverloaded via driver/retry.hpp backoff. With durability armed,
+// submit, step and run log their mutations through the one write-ahead
+// sequence (write_ahead) before the backend sees them. BackendDriver
+// implements the do_submit/do_run/do_step virtuals per wiring.
 //
 // The bulk path must not race with concurrent blocking callers on
 // AsyncMap-wrapped backends (it quiesces the front end, then batches
@@ -210,43 +212,23 @@ class Driver {
     return run_blocking(core::Op<K, V>::range_count(lo, hi)).count;
   }
 
-  /// One op through the blocking path: admission control and the retry
-  /// loop that absorbs transient kOverloaded results (deadline-aware,
-  /// capped attempts). The terminal result is exact: kTimedOut when the
+  /// One op through the blocking path: submit on a stack ticket and
+  /// wait, retrying transient kOverloaded results with deadline-aware,
+  /// capped backoff. The terminal result is exact: kTimedOut when the
   /// deadline passed before execution, kOverloaded when the retry budget
   /// ran out, the executed result otherwise.
   core::Result<V, K> run_blocking(core::Op<K, V> op) {
     retry::Backoff backoff;
     for (;;) {
-      switch (admission_.try_admit(op.deadline_ns)) {
-        case Admit::kExpired:
-          return core::Result<V, K>::error(core::ResultStatus::kTimedOut);
-        case Admit::kShed:
-          if (backoff.next(op.deadline_ns)) {
-            retries_.fetch_add(1, std::memory_order_relaxed);
-            continue;
-          }
-          return core::Result<V, K>::error(core::ResultStatus::kOverloaded);
-        case Admit::kAdmitted:
-          break;
+      // A kOverloaded op never executed, so each attempt submits a copy.
+      Ticket ticket;
+      submit_admitted(core::Op<K, V>(op), &ticket);
+      core::Result<V, K> r = ticket.wait();
+      if (r.status != core::ResultStatus::kOverloaded ||
+          !backoff.next(op.deadline_ns)) {
+        return r;
       }
-      // The op is retried on transient overload, so the attempt gets a
-      // copy; the window slot is held across the attempt and released
-      // before any backoff sleep.
-      core::Result<V, K> r =
-          durable() && core::is_mutation(op.type)
-              ? durable_one(core::Op<K, V>(op),
-                            [this](core::Op<K, V> o) {
-                              return run_one(std::move(o));
-                            })
-              : run_one(core::Op<K, V>(op));
-      admission_.release();
-      if (r.status == core::ResultStatus::kOverloaded &&
-          backoff.next(op.deadline_ns)) {
-        retries_.fetch_add(1, std::memory_order_relaxed);
-        continue;
-      }
-      return r;
+      retries_.fetch_add(1, std::memory_order_relaxed);
     }
   }
 
@@ -303,11 +285,9 @@ class Driver {
   /// mutation slots complete with kReadOnly.
   void run(const std::vector<core::Op<K, V>>& ops,
            std::vector<core::Result<V, K>>& out) {
-    if (durable() && batch_has_mutation(ops)) {
-      run_durable(ops, out);
-      return;
+    if (!write_ahead(ops, [&] { do_run(ops, out); })) {
+      run_read_only_split(ops, out);
     }
-    do_run(ops, out);
   }
 
   /// Single-owner sequential fast path: executes one operation
@@ -316,12 +296,12 @@ class Driver {
   /// Benchmarks use this to measure per-op structure cost without
   /// batching overhead.
   core::Result<V, K> step(core::Op<K, V> op) {
-    if (durable() && core::is_mutation(op.type)) {
-      return durable_one(std::move(op), [this](core::Op<K, V> o) {
-        return do_step(std::move(o));
-      });
+    core::Result<V, K> r;
+    if (!write_ahead(std::span<const core::Op<K, V>>(&op, 1),
+                     [&] { r = do_step(std::move(op)); })) {
+      r = core::Result<V, K>::error(core::ResultStatus::kReadOnly);
     }
-    return do_step(std::move(op));
+    return r;
   }
 
   /// Segment index (recency depth) currently holding `key` for
@@ -448,17 +428,17 @@ class Driver {
     return durability_ != nullptr && durability_->armed();
   }
 
-  virtual core::Result<V, K> run_one(core::Op<K, V> op) = 0;
   virtual void do_submit(core::Op<K, V> op, Ticket* ticket) = 0;
   virtual void do_run(const std::vector<core::Op<K, V>>& ops,
                       std::vector<core::Result<V, K>>& out) = 0;
   virtual core::Result<V, K> do_step(core::Op<K, V> op) = 0;
 
  private:
-  /// Shared body of the three async submit forms: the deadline screen
-  /// and the admission decision, each delivered as a completed ticket;
-  /// admitted ops arm the ticket's release hook so the window slot frees
-  /// on the fulfilling thread.
+  /// Shared body of the submit forms and the blocking path: the deadline
+  /// screen and the admission decision, each delivered as a completed
+  /// ticket. An admitted op arms the ticket's release hook first, so the
+  /// window slot frees on whichever thread fulfills it — a kReadOnly shed
+  /// from write_ahead included.
   void submit_admitted(core::Op<K, V> op, Ticket* ticket) {
     switch (admission_.try_admit(op.deadline_ns)) {
       case Admit::kExpired:
@@ -472,100 +452,58 @@ class Driver {
       case Admit::kAdmitted:
         break;
     }
-    if (durable() && core::is_mutation(op.type)) {
-      // Write-ahead: the record must be as durable as the mode promises
-      // BEFORE the op can execute (the ack necessarily follows
-      // do_submit, so acked ⇒ logged ⇒ fsynced under sync). A shed here
-      // releases the admission slot by hand — the release hook is not
-      // armed yet — so the window stays conserved.
-      if (durability_->read_only()) {
-        admission_.release();
-        ticket->fulfill(
-            core::Result<V, K>::error(core::ResultStatus::kReadOnly));
-        return;
-      }
-      std::shared_lock<std::shared_mutex> gate(store_gate_);
-      try {
-        const std::uint64_t seq =
-            durability_->log(op.type, op.key, op.value);
-        durability_->commit(seq);
-      } catch (const store::StoreError&) {
-        admission_.release();
-        ticket->fulfill(
-            core::Result<V, K>::error(core::ResultStatus::kReadOnly));
-        return;
-      }
-      if (admission_.bounded()) {
-        ticket->on_release = &AdmissionController::release_hook;
-        ticket->release_ctx = &admission_;
-      }
-      // Enqueue under the gate: once checkpoint() holds the gate
-      // exclusively and quiesces, every logged op is fully applied.
-      do_submit(std::move(op), ticket);
-      return;
-    }
     if (admission_.bounded()) {
       ticket->on_release = &AdmissionController::release_hook;
       ticket->release_ctx = &admission_;
     }
-    do_submit(std::move(op), ticket);
+    // Enqueued under the gate: once checkpoint() holds the gate
+    // exclusively and quiesces, every logged op is fully applied.
+    if (!write_ahead(std::span<const core::Op<K, V>>(&op, 1),
+                     [&] { do_submit(std::move(op), ticket); })) {
+      ticket->fulfill(core::Result<V, K>::error(core::ResultStatus::kReadOnly));
+    }
   }
 
-  /// One mutation through the write-ahead sequence (read-only screen,
-  /// log, mode-level commit, then execute under the shared gate).
-  /// Returns kReadOnly without executing when the persistence path is
-  /// (or just became) unusable. NOTE the documented corner: an op can be
-  /// logged durably and THEN shed (commit raced a concurrent failure) —
-  /// it did not execute in this process, but recovery will replay it
-  /// after a restart. The contract callers rely on is one-sided:
-  /// acked ⇒ durable; shed ⇒ not executed here.
+  /// The write-ahead sequence, the one place it lives: read-only screen,
+  /// then — under the shared writer gate — log every mutation in `ops`,
+  /// ONE mode-level commit (the group fsync under sync), and exec(). The
+  /// record is as durable as the mode promises BEFORE the op can execute,
+  /// so acked ⇒ logged ⇒ fsynced under sync. Runs exec() directly when
+  /// durability is off or `ops` holds no mutation. Returns false without
+  /// running exec() when the store is (or just became) read-only. NOTE
+  /// the documented corner: an op can be logged durably and THEN shed
+  /// (commit raced a concurrent failure) — it did not execute in this
+  /// process, but recovery will replay it after a restart. The contract
+  /// callers rely on is one-sided: acked ⇒ durable; shed ⇒ not executed
+  /// here.
   template <typename Exec>
-  core::Result<V, K> durable_one(core::Op<K, V> op, Exec&& exec) {
-    if (durability_->read_only()) {
-      return core::Result<V, K>::error(core::ResultStatus::kReadOnly);
+  bool write_ahead(std::span<const core::Op<K, V>> ops, Exec&& exec) {
+    if (!durable() || !has_mutation(ops)) {
+      exec();
+      return true;
     }
+    if (durability_->read_only()) return false;
     std::shared_lock<std::shared_mutex> gate(store_gate_);
     try {
-      const std::uint64_t seq = durability_->log(op.type, op.key, op.value);
-      durability_->commit(seq);
+      std::uint64_t last_seq = 0;
+      for (const auto& op : ops) {
+        if (core::is_mutation(op.type)) {
+          last_seq = durability_->log(op.type, op.key, op.value);
+        }
+      }
+      durability_->commit(last_seq);
     } catch (const store::StoreError&) {
-      return core::Result<V, K>::error(core::ResultStatus::kReadOnly);
+      return false;
     }
-    return exec(std::move(op));
+    exec();
+    return true;
   }
 
-  static bool batch_has_mutation(const std::vector<core::Op<K, V>>& ops) {
+  static bool has_mutation(std::span<const core::Op<K, V>> ops) {
     for (const auto& op : ops) {
       if (core::is_mutation(op.type)) return true;
     }
     return false;
-  }
-
-  /// Bulk path with durability armed: log the batch's mutations, ONE
-  /// group commit at the batch boundary, then execute — or, degraded,
-  /// split the batch so reads still serve.
-  void run_durable(const std::vector<core::Op<K, V>>& ops,
-                   std::vector<core::Result<V, K>>& out) {
-    if (!durability_->read_only()) {
-      std::shared_lock<std::shared_mutex> gate(store_gate_);
-      bool logged = true;
-      std::uint64_t last_seq = 0;
-      try {
-        for (const auto& op : ops) {
-          if (core::is_mutation(op.type)) {
-            last_seq = durability_->log(op.type, op.key, op.value);
-          }
-        }
-        durability_->commit(last_seq);
-      } catch (const store::StoreError&) {
-        logged = false;
-      }
-      if (logged) {
-        do_run(ops, out);
-        return;
-      }
-    }
-    run_read_only_split(ops, out);
   }
 
   /// Degraded bulk execution: mutation slots complete with kReadOnly,
@@ -715,16 +653,6 @@ class BackendDriver final : public Driver<K, V> {
   }
 
  protected:
-  core::Result<V, K> run_one(core::Op<K, V> op) override {
-    if constexpr (W == Wiring::kCaller) {
-      return detail::point_apply<K, V>(front_, std::move(op));
-    } else {
-      core::OpTicket<V, K> ticket;
-      front_.submit(std::move(op), &ticket);
-      return ticket.wait();
-    }
-  }
-
   void do_submit(core::Op<K, V> op, Ticket* ticket) override {
     if constexpr (W == Wiring::kCaller) {
       // No async front end: execute inline and fulfill on the calling
@@ -743,10 +671,13 @@ class BackendDriver final : public Driver<K, V> {
   }
 
   core::Result<V, K> do_step(core::Op<K, V> op) override {
-    if constexpr (W == Wiring::kAsyncMap) {
-      return detail::point_apply<K, V>(backend(), std::move(op));
+    if constexpr (W == Wiring::kNative) {
+      // The backend's own front end IS its sequential path.
+      Ticket ticket;
+      front_.submit(std::move(op), &ticket);
+      return ticket.wait();
     } else {
-      return run_one(std::move(op));  // the front end IS the sequential path
+      return detail::point_apply<K, V>(backend(), std::move(op));
     }
   }
 

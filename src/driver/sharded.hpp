@@ -39,6 +39,7 @@
 #include <memory>
 #include <mutex>
 #include <optional>
+#include <ranges>
 #include <string>
 #include <string_view>
 #include <thread>
@@ -271,17 +272,10 @@ class ShardedDriver final : public Driver<K, V> {
   core::Result<V, K> do_step(core::Op<K, V> op) override {
     if (core::is_ordered(op.type)) {
       // Single-owner path: consult every shard synchronously and reduce.
-      // An errored sub-answer poisons the reduce (see sub_done).
-      core::Result<V, K> best;
-      for (auto& s : shards_) {
-        core::Result<V, K> shard_r = s->step(op);
-        if (shard_r.is_error()) return shard_r;
-        reduce_ordered(op.type, best, std::move(shard_r));
-      }
-      if (op.type == core::OpType::kRangeCount) {
-        best.status = core::ResultStatus::kFound;
-      }
-      return best;
+      std::vector<core::Result<V, K>> answers;
+      answers.reserve(shards_.size());
+      for (auto& s : shards_) answers.push_back(s->step(op));
+      return reduce_ordered(op.type, answers);
     }
     return shards_[shard_of(op.key)]->step(std::move(op));
   }
@@ -300,12 +294,6 @@ class ShardedDriver final : public Driver<K, V> {
       gather->subs[s].on_complete = &OrderedGather::sub_done;
       shards_[s]->submit(op, &gather->subs[s]);
     }
-  }
-
-  core::Result<V, K> run_one(core::Op<K, V> op) override {
-    core::OpTicket<V, K> ticket;
-    do_submit(std::move(op), &ticket);
-    return ticket.wait();
   }
 
  private:
@@ -329,46 +317,45 @@ class ShardedDriver final : public Driver<K, V> {
       auto* sub = static_cast<SubTicket*>(t);
       auto* g = static_cast<OrderedGather*>(sub->owner);
       if (g->remaining.fetch_sub(1, std::memory_order_acq_rel) != 1) return;
-      // Last shard in: reduce and deliver. Any errored sub-query (a shard
-      // shed it, or its deadline passed) poisons the whole gather — a
-      // reduce over fewer than all shards would silently return a wrong
-      // answer, and an errored op must surface as errored (the blocking
-      // path's retry resubmits the full scatter).
-      core::Result<V, K> best;
-      for (auto& s : g->subs) {
-        if (s.result.is_error()) {
-          best = core::Result<V, K>::error(s.result.status);
-          g->target->fulfill(std::move(best));
-          delete g;
-          return;
-        }
-      }
-      for (auto& s : g->subs) {
-        reduce_ordered(g->type, best, std::move(s.result));
-      }
-      if (g->type == core::OpType::kRangeCount) {
-        best.status = core::ResultStatus::kFound;
-      }
-      g->target->fulfill(std::move(best));
+      // Last shard in: reduce and deliver.
+      g->target->fulfill(reduce_ordered(
+          g->type, g->subs | std::views::transform(
+                                 [](SubTicket& s) -> core::Result<V, K>& {
+                                   return s.result;
+                                 })));
       delete g;
     }
   };
 
-  /// Folds one shard's answer into the running best: predecessor keeps the
-  /// max matched key, successor the min, range-count the sum.
-  static void reduce_ordered(core::OpType type, core::Result<V, K>& best,
-                             core::Result<V, K> shard_r) {
-    if (type == core::OpType::kRangeCount) {
-      best.count += shard_r.count;
-      return;
+  /// The ordered reduce over every shard's answer to one query:
+  /// predecessor keeps the max matched key, successor the min,
+  /// range-count the sum. Any errored answer (a shard shed it, or its
+  /// deadline passed) poisons the whole reduce — a reduce over fewer
+  /// than all shards would silently return a wrong answer, and an
+  /// errored op must surface as errored (the blocking path's retry
+  /// resubmits the full scatter).
+  template <typename Answers>
+  static core::Result<V, K> reduce_ordered(core::OpType type,
+                                           Answers&& answers) {
+    for (const core::Result<V, K>& r : answers) {
+      if (r.is_error()) return core::Result<V, K>::error(r.status);
     }
-    if (shard_r.status != core::ResultStatus::kFound) return;
-    const bool better =
-        !best.matched_key.has_value() ||
-        (type == core::OpType::kPredecessor
-             ? *best.matched_key < *shard_r.matched_key
-             : *shard_r.matched_key < *best.matched_key);
-    if (better) best = std::move(shard_r);
+    core::Result<V, K> best;
+    for (core::Result<V, K>& r : answers) {
+      if (type == core::OpType::kRangeCount) {
+        best.count += r.count;
+      } else if (r.status == core::ResultStatus::kFound &&
+                 (!best.matched_key.has_value() ||
+                  (type == core::OpType::kPredecessor
+                       ? *best.matched_key < *r.matched_key
+                       : *r.matched_key < *best.matched_key))) {
+        best = std::move(r);
+      }
+    }
+    if (type == core::OpType::kRangeCount) {
+      best.status = core::ResultStatus::kFound;
+    }
+    return best;
   }
 
   /// One point phase scattered by shard; per-shard run()s go on the

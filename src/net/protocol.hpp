@@ -391,9 +391,6 @@ constexpr std::string_view to_string(ProtoError e) noexcept {
 /// first protocol error it proves. The buffer is compacted lazily.
 class FrameReader {
  public:
-  explicit FrameReader(std::size_t max_frame = kMaxFrameBytes)
-      : max_frame_(max_frame) {}
-
   void feed(const void* data, std::size_t len) {
     const auto* p = static_cast<const std::uint8_t*>(data);
     buf_.insert(buf_.end(), p, p + len);
@@ -410,7 +407,7 @@ class FrameReader {
     std::uint32_t crc = 0;
     std::memcpy(&len, buf_.data() + pos_, sizeof(len));
     std::memcpy(&crc, buf_.data() + pos_ + sizeof(len), sizeof(crc));
-    if (len > max_frame_) {
+    if (len > kMaxFrameBytes) {
       err_ = ProtoError::kOversized;
       return std::nullopt;
     }
@@ -437,7 +434,6 @@ class FrameReader {
     pos_ = 0;
   }
 
-  std::size_t max_frame_;
   std::vector<std::uint8_t> buf_;
   std::size_t pos_ = 0;
   ProtoError err_ = ProtoError::kNone;

@@ -69,8 +69,6 @@ struct ServerConfig {
   /// Driver::submit() and not yet responded. Requests beyond it are
   /// answered kOverloaded on the wire (never dropped, never queued).
   std::size_t pipeline_window = 64;
-  /// Largest frame payload accepted before the connection is refused.
-  std::size_t max_frame = kMaxFrameBytes;
 };
 
 /// Wire-side counters (Driver::stats() carries them via add_stats()).
@@ -187,8 +185,7 @@ class Server {
   };
 
   struct Conn {
-    explicit Conn(Server* s, OwnedFd socket, std::size_t max_frame)
-        : server(s), fd(std::move(socket)), reader(max_frame) {}
+    Conn(Server* s, OwnedFd socket) : server(s), fd(std::move(socket)) {}
 
     Server* server;
     OwnedFd fd;
@@ -318,8 +315,7 @@ class Server {
       if (stopping_.load(std::memory_order_acquire)) {
         continue;  // raced stop(): owned closes it
       }
-      auto conn = std::make_unique<Conn>(this, std::move(owned),
-                                         cfg_.max_frame);
+      auto conn = std::make_unique<Conn>(this, std::move(owned));
       accepted_.fetch_add(1, std::memory_order_relaxed);
       active_.fetch_add(1, std::memory_order_relaxed);
       conns_.push_back(std::move(conn));

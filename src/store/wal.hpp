@@ -119,7 +119,6 @@ class Wal {
     buf_first_seq_ = 0;
   }
 
-  bool is_open() const noexcept { return fd_.valid(); }
   const std::string& path() const noexcept { return path_; }
 
   /// Sticky failure flag: true once any append/flush/fsync failed. The

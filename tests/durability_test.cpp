@@ -7,6 +7,7 @@
 // validate() assertions on every recovery (tests/crash_harness.hpp).
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstdint>
 #include <cstdio>
 #include <filesystem>
@@ -432,6 +433,59 @@ TEST(DriverDurability, InjectedWalFaultDrivesStickyReadOnly) {
       EXPECT_EQ(results[2].status, core::ResultStatus::kNotFound)
           << site << " " << backend;
     }
+  }
+}
+
+TEST(DriverDurability, DegradedDriverShedsEverySubmitFormAndStep) {
+  if (!util::sites::kCompiled) {
+    GTEST_SKIP() << "build without -DPWSS_SITES=ON";
+  }
+  for (const std::string backend : {"m1", "m2", "locked"}) {
+    ScratchDir d;
+    driver::Options opts =
+        durable_opts(d.file("store"), store::DurabilityMode::kSync);
+    opts.max_in_flight = 4;
+    auto drv = driver::make_driver<K, V>(backend, opts);
+    for (std::uint64_t i = 0; i < 16; ++i) ASSERT_TRUE(drv->insert(i, i));
+
+    util::sites::arm("wal.append", util::sites::Action::kFail, 1);
+    const core::ResultStatus hit =
+        drv->run_blocking(IntOp::upsert(7, 50)).status;
+    util::sites::clear();
+    ASSERT_EQ(hit, core::ResultStatus::kReadOnly) << backend;
+    ASSERT_TRUE(drv->read_only()) << backend;
+    const std::uint64_t appends = drv->stats().wal_appends;
+
+    // Every single-op entry point sheds a mutation with kReadOnly before
+    // it logs or executes, and an admitted submission gives its window
+    // slot back when it is shed.
+    core::OpTicket<V, K> ticket;
+    drv->submit(IntOp::upsert(7, 51), &ticket);
+    EXPECT_EQ(ticket.wait().status, core::ResultStatus::kReadOnly) << backend;
+    EXPECT_EQ(drv->admission().in_flight(), 0u) << backend;
+
+    auto future = drv->submit(IntOp::upsert(7, 52));
+    EXPECT_EQ(future.get().status, core::ResultStatus::kReadOnly) << backend;
+    EXPECT_EQ(drv->admission().in_flight(), 0u) << backend;
+
+    std::atomic<bool> called{false};
+    core::ResultStatus seen = core::ResultStatus::kInserted;
+    drv->submit(IntOp::erase(7), [&](core::Result<V, K>&& r) {
+      seen = r.status;
+      called.store(true, std::memory_order_release);
+    });
+    ASSERT_TRUE(called.load(std::memory_order_acquire)) << backend;
+    EXPECT_EQ(seen, core::ResultStatus::kReadOnly) << backend;
+    EXPECT_EQ(drv->admission().in_flight(), 0u) << backend;
+
+    EXPECT_EQ(drv->step(IntOp::upsert(7, 53)).status,
+              core::ResultStatus::kReadOnly)
+        << backend;
+
+    EXPECT_EQ(drv->stats().wal_appends, appends) << backend;
+    EXPECT_EQ(drv->search(7), std::uint64_t{7}) << backend;
+    EXPECT_EQ(drv->admission().in_flight(), 0u) << backend;
+    EXPECT_EQ(drv->validate(), "") << backend;
   }
 }
 
