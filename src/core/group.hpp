@@ -117,14 +117,6 @@ void coalesce_sorted_into(std::vector<PendingOp<K, V, Target>>& sorted,
   }
 }
 
-template <typename K, typename V, typename Target>
-std::vector<GroupOp<K, V, Target>> coalesce_sorted(
-    std::vector<PendingOp<K, V, Target>> sorted) {
-  std::vector<GroupOp<K, V, Target>> groups;
-  coalesce_sorted_into(sorted, groups);
-  return groups;
-}
-
 /// Index-based group: the ops live at positions [begin, end) of the
 /// stable-sorted batch they were coalesced from (same-key ops are
 /// contiguous after the sort). 16 bytes, trivially movable, no per-group

@@ -28,7 +28,6 @@
 #include "core/ops.hpp"
 #include "core/segment.hpp"
 #include "sched/scheduler.hpp"
-#include "sort/pesort.hpp"
 #include "util/validate.hpp"
 
 namespace pwss::core {
@@ -344,9 +343,13 @@ void stable_sort_by_key(std::vector<KeyPos<K>>& v,
     return a.key < b.key;
   };
   for (std::size_t b = 0; b < n; b += kRun) {
-    sort::detail::insertion_sort(
-        std::span<KeyPos<K>>(v).subspan(b, std::min(kRun, n - b)),
-        [](const KeyPos<K>& p) { return p.key; });
+    for (std::size_t i = b + 1; i < std::min(b + kRun, n); ++i) {
+      KeyPos<K> tmp = std::move(v[i]);
+      std::size_t j = i;
+      // Strict < keeps equal keys in place: stable.
+      for (; j > b && tmp.key < v[j - 1].key; --j) v[j] = std::move(v[j - 1]);
+      v[j] = std::move(tmp);
+    }
   }
   buf.resize(n);
   KeyPos<K>* src = v.data();

@@ -3,7 +3,7 @@
 //
 // Structure (Figure 2):
 //
-//   input -> feed buffer --cut batch--> [ESort+Combine]
+//   input -> feed buffer --cut batch--> [PESort+Combine]
 //         -> FIRST SLAB  S[0..m-1]   (m = ceil(log log 2p^2) + 1)
 //         -> FILTER  (admission bound = one cut; one in-flight group per key)
 //         -> FINAL SLAB  S[m] -> S[m+1] -> ... -> S[l]   (pipelined)
@@ -13,12 +13,13 @@
 // request waits, iff the filter has drained). Each run cuts
 // M1's ceil(log n / p) p^2-sized bunches (buffer::cut_bunches), so a deep
 // backlog moves ~p log n keys per stage run instead of p^2; with no backlog
-// the cut is the single bunch that is waiting. It sorts and combines the
-// cut, sweeps the first slab like M1 (successful searches/updates finish
-// immediately; successful deletions are tagged and continue; everything
-// else continues), then — holding the neighbour-lock
+// the cut is the single bunch that is waiting. It screens, sorts and
+// combines the cut, sweeps the first slab like M1 (successful
+// searches/updates finish immediately; successful deletions are tagged and
+// continue; everything else continues), then — holding the neighbour-lock
 // B[0] shared with S[m] and the front-lock FL[0] — processes S[m-1], passes
-// the unfinished groups through the filter and hands them to S[m].
+// the unfinished groups through the filter and hands them to S[m]. The
+// submit, the input and feed buffers and the cut are AsyncMap's FrontEnd.
 //
 // Final-slab segments are pipeline stages. Stage k runs under its two
 // neighbour-locks; finished items are shifted to the front of S[m'] with
@@ -77,7 +78,6 @@
 #include <vector>
 
 #include "buffer/feed_buffer.hpp"
-#include "buffer/parallel_buffer.hpp"
 #include "core/async_map.hpp"
 #include "core/backend.hpp"
 #include "core/group.hpp"
@@ -108,7 +108,7 @@ class M2Map {
             1, static_cast<std::size_t>(segment_capacity(m_)) / bunch_)),
         pools_(&scheduler),
         filter_pool_(&scheduler),
-        feed_(bunch_),
+        front_(bunch_),
         stages_(kMaxStages) {
     // All segments (first slab + pipeline stages) share this instance's
     // pool domain: stage k's extractions recycle exactly the nodes the
@@ -152,17 +152,7 @@ class M2Map {
   /// future bounded-capacity policy) completes the ticket kOverloaded
   /// right here on the submitting thread.
   void submit(Op<K, V> op, OpTicket<V, K>* ticket) {
-    in_flight_.fetch_add(1, std::memory_order_release);
-    if (!input_.submit(POp{op.type, std::move(op.key), std::move(op.value),
-                           std::move(op.key2), ticket, op.deadline_ns})) {
-      // Not buffered: undo the claim (nobody else can have seen the op)
-      // and shed. Debit before fulfill: a waiter may free the ticket the
-      // moment it wakes, and the counter update must not race that.
-      in_flight_.fetch_sub(1, std::memory_order_release);
-      ticket->fulfill(Result<V, K>::error(ResultStatus::kOverloaded));
-      return;
-    }
-    activate_interface();
+    if (front_.submit(std::move(op), ticket)) activate_interface();
   }
 
   /// Blocking convenience: runs the whole batch and waits for every
@@ -201,7 +191,7 @@ class M2Map {
     auto phase = [&](std::size_t i, std::size_t j) {
       if (!is_ordered(ops[i].type) && j - i > cut_bunches() * bunch_) {
         OpTicket<V, K> done;
-        in_flight_.fetch_add(1, std::memory_order_release);
+        front_.claim();
         {
           std::lock_guard<std::mutex> lk(bulk_mu_);
           bulk_.push_back(
@@ -228,36 +218,30 @@ class M2Map {
   }
 
   std::optional<V> search(const K& key) {
-    OpTicket<V, K> t;
-    submit(Op<K, V>::search(key), &t);
-    return t.wait().value;
+    return run_op(Op<K, V>::search(key)).value;
   }
   bool insert(const K& key, V value) {
-    OpTicket<V, K> t;
-    submit(Op<K, V>::insert(key, std::move(value)), &t);
-    return t.wait().success();
+    return run_op(Op<K, V>::insert(key, std::move(value))).success();
   }
   std::optional<V> erase(const K& key) {
-    OpTicket<V, K> t;
-    submit(Op<K, V>::erase(key), &t);
-    return t.wait().value;
+    return run_op(Op<K, V>::erase(key)).value;
   }
 
   // Ordered blocking conveniences (protocol v2).
   std::optional<std::pair<K, V>> predecessor(const K& key) {
-    return ordered_pair(run_ordered(Op<K, V>::predecessor(key)));
+    return ordered_pair(run_op(Op<K, V>::predecessor(key)));
   }
   std::optional<std::pair<K, V>> successor(const K& key) {
-    return ordered_pair(run_ordered(Op<K, V>::successor(key)));
+    return ordered_pair(run_op(Op<K, V>::successor(key)));
   }
   std::uint64_t range_count(const K& lo, const K& hi) {
-    return run_ordered(Op<K, V>::range_count(lo, hi)).count;
+    return run_op(Op<K, V>::range_count(lo, hi)).count;
   }
 
   /// Blocks until every submitted operation has completed and the pipeline
   /// is idle.
   void quiesce() {
-    while (in_flight_.load(std::memory_order_acquire) != 0 || pipeline_busy()) {
+    while (front_.in_flight() != 0 || pipeline_busy()) {
       std::this_thread::yield();
     }
   }
@@ -382,7 +366,7 @@ class M2Map {
     }
   };
 
-  Result<V, K> run_ordered(Op<K, V> op) {
+  Result<V, K> run_op(Op<K, V> op) {
     OpTicket<V, K> t;
     submit(std::move(op), &t);
     return t.wait();
@@ -440,7 +424,7 @@ class M2Map {
   /// filter drains (step 4e's wakeup re-activates it).
   bool interface_ready() {
     if (bulk_pending_.load(std::memory_order_acquire)) return filter_drained();
-    return (input_.pending() > 0 || !feed_.empty()) && filter_has_room();
+    return front_.pending() && filter_has_room();
   }
 
   void interface_tick() {
@@ -453,7 +437,7 @@ class M2Map {
 
     if (bulk_pending_.load(std::memory_order_acquire) && filter_drained()) {
       // No group is in flight, so every earlier op is done or still waits
-      // in input_/the feed, which run_bulk walks first.
+      // in the front end's buffers, which run_bulk walks first.
       PWSS_SCHED_POINT("m2.bulk.drained");
       bulk_tick_ = true;
       acquire_chain_from(0);
@@ -462,18 +446,17 @@ class M2Map {
 
     // Step 1: flush the parallel buffer into the feed buffer; cut
     // ceil(log n / p) bunches as the batch.
-    {
-      std::vector<POp> in = input_.flush();
-      if (!in.empty()) feed_.append(std::move(in));
-    }
-    std::vector<POp> batch = feed_.take_bunches(cut_bunches());
+    std::vector<POp> batch = front_.cut(cut_bunches());
     assert(ordered_batch_.empty());
     admit(batch, [](Ticket t) { return t; }, emit_fn());
 
-    // Step 2: entropy-sort (stable) + combine.
+    // Step 2: stable sort + combine. PESort, not the walk's sort_chunk: on
+    // the wire's cuts of 1-40 ops its small-input insertion sort is faster
+    // (EXPERIMENTS.md "M2's cut sort").
     sort::pesort(
         batch, [](const POp& op) { return op.key; }, &scheduler_);
-    std::vector<Group> groups = coalesce_sorted(std::move(batch));
+    std::vector<Group> groups;
+    coalesce_sorted_into(batch, groups);
 
     // Step 3 (part 1): sweep S[0..m-2] — exclusively owned by the interface.
     groups = first_slab_sweep(std::move(groups));
@@ -512,13 +495,12 @@ class M2Map {
     }
   }
 
-  /// The terminal-status pass at the batch-cut boundary (the robustness
-  /// layer), over a cut or one bulk chunk: cancelled and deadline-expired
-  /// ops complete here, `deliver(target, result)`, before the ladder or the
-  /// pipeline touches them. `ticket_of(target)` is null for a bulk
-  /// request's ops: no ticket to cancel, never ordered. An injected pool
-  /// exhaustion then sheds all the rest kOverloaded with every segment,
-  /// the filter and the stage inboxes untouched.
+  /// The batch-cut boundary, over a cut or one bulk chunk: screen_cut
+  /// completes the cancelled and expired ops, or on an injected pool
+  /// exhaustion every op, through `deliver(target, result)`, with every
+  /// segment, the filter and the stage inboxes untouched.
+  /// `ticket_of(target)` is null for a bulk request's ops: no ticket to
+  /// cancel, never ordered.
   ///
   /// Protocol v2: ordered kinds need one consistent view of EVERY segment,
   /// which the per-key pipeline cannot give them, so they park for the
@@ -529,31 +511,8 @@ class M2Map {
   template <typename Target, typename TicketOf, typename Deliver>
   void admit(std::vector<PendingOp<K, V, Target>>& ops, TicketOf&& ticket_of,
              Deliver&& deliver) {
-    std::uint64_t now = 0;  // lazily read: deadline-free cuts skip the clock
-    std::size_t live = 0;
-    for (std::size_t i = 0; i < ops.size(); ++i) {
-      const Ticket t = ticket_of(ops[i].target);
-      if (t != nullptr && t->cancelled()) {
-        deliver(ops[i].target, Result<V, K>::error(ResultStatus::kCancelled));
-        continue;
-      }
-      if (ops[i].deadline_ns != 0) {
-        if (now == 0) now = now_ns();
-        if (now >= ops[i].deadline_ns) {
-          deliver(ops[i].target, Result<V, K>::error(ResultStatus::kTimedOut));
-          continue;
-        }
-      }
-      if (live != i) ops[live] = std::move(ops[i]);
-      ++live;
-    }
-    ops.resize(live);
-    if (!ops.empty() && PWSS_FAULT_POINT("m2.batch.pool_reserve")) {
-      for (const auto& op : ops) {
-        deliver(op.target, Result<V, K>::error(ResultStatus::kOverloaded));
-      }
-      ops.clear();
-    }
+    screen_cut(ops, ticket_of, deliver,
+               [] { return PWSS_FAULT_POINT("m2.batch.pool_reserve"); });
     std::size_t w = 0;
     for (std::size_t i = 0; i < ops.size(); ++i) {
       auto& op = ops[i];
@@ -626,10 +585,10 @@ class M2Map {
   // ---- the bulk tick (DESIGN.md section 8, simplification 7) ----------------
 
   /// With the filter drained and the full chain held, M1's ladder walk
-  /// runs over S[0..m+terminal]: first every op still waiting in input_
-  /// and the feed (they arrived earlier), then each queued bulk request in
+  /// runs over S[0..m+terminal]: first every op still waiting in the front
+  /// end's buffers (they arrived earlier), then each queued bulk request in
   /// order, its results written straight into the caller's buffer. The
-  /// requests are taken before input_ is flushed, so an op its caller
+  /// requests are taken before the buffers are flushed, so an op its caller
   /// submitted before execute_batch is in that flush. Bulk ops get M1's
   /// bounds; the walk leaves M1's prefix rule, which implies Lemma 16.
   /// Each latch is published once size_ is settled.
@@ -639,11 +598,7 @@ class M2Map {
       bulk_batch_.swap(bulk_);
       bulk_pending_.store(false, std::memory_order_release);
     }
-    {
-      std::vector<POp> in = input_.flush();
-      if (!in.empty()) feed_.append(std::move(in));
-    }
-    const std::vector<POp> early = feed_.take_bunches(feed_.bunch_count());
+    const std::vector<POp> early = front_.cut(~std::size_t{0});  // every bunch
     std::size_t live = m_ + terminal_.load(std::memory_order_acquire) + 1;
     auto emit = emit_fn();
     live = bulk_walk(
@@ -668,7 +623,7 @@ class M2Map {
     for (const BulkRequest& req : bulk_batch_) {
       PWSS_SCHED_POINT("m2.bulk.delivered");
       // Debit before publish: the caller frees the latch once it wakes.
-      in_flight_.fetch_sub(1, std::memory_order_release);
+      front_.debit(1);
       req.done->fulfill(Result<V, K>{});
     }
     bulk_batch_.clear();
@@ -1059,7 +1014,7 @@ class M2Map {
   auto emit_fn() {
     return [this](Ticket t, Result<V, K>&& r) {
       t->fulfill(std::move(r));
-      in_flight_.fetch_sub(1, std::memory_order_release);
+      front_.debit(1);
     };
   }
 
@@ -1077,8 +1032,7 @@ class M2Map {
   SegmentPools<K, V> pools_;
   typename tree::JTree<K, FilterEntry>::Pool filter_pool_;
 
-  buffer::ParallelBuffer<POp> input_;
-  buffer::FeedBuffer<POp> feed_;
+  FrontEnd<K, V> front_;
   sync::AsyncGate interface_gate_;
 
   // Parked ordered queries of the current tick, the bulk requests a bulk
@@ -1115,7 +1069,6 @@ class M2Map {
   std::vector<std::unique_ptr<Lock>> flocks_;  // FL[0..kMaxStages-1]
 
   std::atomic<std::size_t> size_{0};
-  std::atomic<std::size_t> in_flight_{0};
 };
 
 static_assert(MapBackend<M2Map<int, int>, int, int>);

@@ -132,10 +132,6 @@ class Wal {
     std::lock_guard<std::mutex> lk(mu_);
     return last_seq_;
   }
-  std::uint64_t synced_seq() const noexcept {
-    std::lock_guard<std::mutex> lk(mu_);
-    return synced_seq_;
-  }
 
   std::uint64_t appends() const noexcept {
     std::lock_guard<std::mutex> lk(mu_);

@@ -18,13 +18,4 @@ inline void prefetch_read(const void* p) noexcept {
 #endif
 }
 
-/// Write prefetch (for lines about to be mutated, e.g. in-place compaction).
-inline void prefetch_write(const void* p) noexcept {
-#if defined(__GNUC__) || defined(__clang__)
-  __builtin_prefetch(p, /*rw=*/1, /*locality=*/3);
-#else
-  (void)p;
-#endif
-}
-
 }  // namespace pwss::util
