@@ -465,17 +465,17 @@ class Driver {
   }
 
   /// The write-ahead sequence, the one place it lives: read-only screen,
-  /// then — under the shared writer gate — log every mutation in `ops`,
-  /// ONE mode-level commit (the group fsync under sync), and exec(). The
-  /// record is as durable as the mode promises BEFORE the op can execute,
-  /// so acked ⇒ logged ⇒ fsynced under sync. Runs exec() directly when
-  /// durability is off or `ops` holds no mutation. Returns false without
-  /// running exec() when the store is (or just became) read-only. NOTE
-  /// the documented corner: an op can be logged durably and THEN shed
-  /// (commit raced a concurrent failure) — it did not execute in this
-  /// process, but recovery will replay it after a restart. The contract
-  /// callers rely on is one-sided: acked ⇒ durable; shed ⇒ not executed
-  /// here.
+  /// then — under the shared writer gate — ONE log_batch() of `ops`'s
+  /// mutations, ONE mode-level commit (the group fsync under sync), and
+  /// exec(). The record is as durable as the mode promises BEFORE the op
+  /// can execute, so acked ⇒ logged ⇒ fsynced under sync. Runs exec()
+  /// directly when durability is off or `ops` holds no mutation. Returns
+  /// false without running exec() when the store is (or just became)
+  /// read-only. NOTE the documented corner: an op can be logged durably
+  /// and THEN shed (commit raced a concurrent failure) — it did not
+  /// execute in this process, but recovery will replay it after a
+  /// restart. The contract callers rely on is one-sided: acked ⇒
+  /// durable; shed ⇒ not executed here.
   template <typename Exec>
   bool write_ahead(std::span<const core::Op<K, V>> ops, Exec&& exec) {
     if (!durable() || !has_mutation(ops)) {
@@ -485,13 +485,7 @@ class Driver {
     if (durability_->read_only()) return false;
     std::shared_lock<std::shared_mutex> gate(store_gate_);
     try {
-      std::uint64_t last_seq = 0;
-      for (const auto& op : ops) {
-        if (core::is_mutation(op.type)) {
-          last_seq = durability_->log(op.type, op.key, op.value);
-        }
-      }
-      durability_->commit(last_seq);
+      durability_->commit(durability_->log_batch(ops));
     } catch (const store::StoreError&) {
       return false;
     }

@@ -11,9 +11,10 @@
 //                with logging still disarmed);
 //   arm()      — open the WAL for append; from here every mutation the
 //                driver admits is logged before it executes;
-//   log()+commit() — the two-phase append (see wal.hpp): commit() is a
-//                group fsync under sync mode, a threshold flush under
-//                async mode, free under off (never constructed);
+//   log_batch()+commit() — the two-phase append (see wal.hpp): one
+//                log_batch() per op or batch, then commit(), a group
+//                fsync under sync mode, a threshold flush under async
+//                mode, free under off (never constructed);
 //   checkpoint() — snapshot the exported contents and rotate the log
 //                (caller holds the driver's writer gate, quiesced);
 //   close()    — final flush.
@@ -25,9 +26,11 @@
 // broken by un-degrading onto a failed log.
 
 #include <atomic>
+#include <cassert>
 #include <cstddef>
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <string>
 #include <string_view>
 #include <type_traits>
@@ -124,15 +127,24 @@ class Durability {
     read_only_.store(true, std::memory_order_release);
   }
 
-  /// Appends one mutation record; returns its sequence number. Flips
-  /// read-only and rethrows on failure.
-  std::uint64_t log(core::OpType kind, const K& key, const V& value) {
+  /// Appends a record for every mutation of `ops` (Wal::log_batch);
+  /// returns the last sequence number, 0 when `ops` holds no mutation.
+  /// Flips read-only and rethrows on failure.
+  std::uint64_t log_batch(std::span<const core::Op<K, V>> ops) {
     try {
-      return wal_.log(kind, key, value);
+      return wal_.log_batch(ops);
     } catch (const StoreError&) {
       enter_read_only();
       throw;
     }
+  }
+
+  /// Appends one mutation record; returns its sequence number. `kind`
+  /// must be a mutation (a read would log nothing and return 0).
+  std::uint64_t log(core::OpType kind, const K& key, const V& value) {
+    assert(core::is_mutation(kind));
+    const core::Op<K, V> op{kind, key, value};
+    return log_batch(std::span<const core::Op<K, V>>(&op, 1));
   }
 
   /// Makes everything up to `seq` as durable as the mode promises:
@@ -220,8 +232,8 @@ class NoDurability {
   bool armed() const noexcept { return false; }
   bool read_only() const noexcept { return false; }
   void enter_read_only() noexcept {}
-  template <typename K, typename V>
-  std::uint64_t log(core::OpType, const K&, const V&) {
+  template <typename Op>
+  std::uint64_t log_batch(std::span<const Op>) {
     throw StoreError("durability requires trivially copyable key/value");
   }
   void commit(std::uint64_t) {}

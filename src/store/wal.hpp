@@ -8,30 +8,37 @@
 //   records  u32 payload_len | u32 payload_crc | payload
 //            (payload = u64 seq | u8 op kind | K key | V value)
 //
-// Appends are two-phase to support group commit: log() assigns the next
-// sequence number and buffers the record under the mutex; sync(seq)
-// makes everything up to seq durable with ONE write+fsync for however
-// many records accumulated — concurrent committers elect a leader, the
-// rest park on a condvar until the leader's fsync covers their seq.
-// This is the batch-cut-boundary group commit: a driver bulk run logs
-// its whole mutation slice with one sync() call.
+// Appends are two-phase to support group commit: log_batch() takes the
+// mutex once per batch, grows the buffer once, and encodes the batch's
+// mutations in place with consecutive sequence numbers (log() is a batch
+// of one); sync(seq) makes everything up to seq durable with ONE
+// write+fsync for however many records accumulated — concurrent
+// committers elect a leader, the rest park on a condvar until the
+// leader's fsync covers their seq. This is the batch-cut-boundary group
+// commit: a driver bulk run logs its whole mutation slice with one
+// log_batch() and one sync() call. The leader takes the buffer itself,
+// so no batch-sized allocation outlives its commit.
 //
 // A crash mid-append leaves a torn tail: a record whose frame or payload
 // is short or whose CRC does not match. WalReader::scan() stops at the
-// first such record and reports the byte offset of the last good one;
-// recovery truncates there and the log keeps working — a torn tail is
-// the EXPECTED crash artifact, never a reason to refuse startup.
+// first such record and reports the byte offset of the last good one
+// (it reads the file kScanBlock bytes at a time and parses records out
+// of the block, so a record may straddle two reads). Recovery truncates
+// there and the log keeps working — a torn tail is the EXPECTED crash
+// artifact, never a reason to refuse startup.
 //
 // Failure stickiness: any IO error or injected fault (wal.append /
-// wal.fsync sites) marks the log failed(); every later log()/sync()
-// call fails fast. The driver maps that to sticky read-only mode —
-// mutations shed kReadOnly, reads keep serving.
+// wal.fsync sites) marks the log failed(); every later log_batch(),
+// log() or sync() call fails fast. The driver maps that to sticky
+// read-only mode — mutations shed kReadOnly, reads keep serving.
 
+#include <cassert>
 #include <condition_variable>
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
 #include <mutex>
+#include <span>
 #include <string>
 #include <type_traits>
 #include <vector>
@@ -116,7 +123,6 @@ class Wal {
     synced_seq_ = last_seq;
     failed_ = false;
     buf_.clear();
-    buf_first_seq_ = 0;
   }
 
   const std::string& path() const noexcept { return path_; }
@@ -142,22 +148,53 @@ class Wal {
     return fsyncs_;
   }
 
-  /// Phase one: assigns the next sequence number and buffers the record.
-  /// Throws StoreError on injected append failure or if the log already
-  /// failed. Durable only after sync() covers the returned seq (or, in
-  /// async mode, on a best-effort flush).
-  std::uint64_t log(core::OpType kind, const K& key, const V& value) {
+  /// Phase one: assigns the mutations of `ops` consecutive sequence
+  /// numbers, in span order, and buffers their records; reads are
+  /// skipped. Returns the last seq, or 0 (nothing logged, nothing
+  /// checked) when `ops` holds no mutation. Throws StoreError on
+  /// injected append failure or if the log already failed. Durable only
+  /// after sync() covers the returned seq (or, in async mode, on a
+  /// best-effort flush).
+  std::uint64_t log_batch(std::span<const core::Op<K, V>> ops) {
+    std::size_t n = 0;
+    for (const auto& op : ops) n += core::is_mutation(op.type) ? 1 : 0;
+    if (n == 0) return 0;
     std::unique_lock<std::mutex> lk(mu_);
     if (failed_) throw StoreError("wal failed earlier: " + path_);
     if (PWSS_FAULT_POINT("wal.append")) {
       fail_locked();
       throw StoreError("wal append failed (injected): " + path_);
     }
-    const std::uint64_t seq = ++last_seq_;
-    if (buf_.empty()) buf_first_seq_ = seq;
-    encode_record(buf_, seq, kind, key, value);
-    ++appends_;
+    const std::size_t off = buf_.size();
+    buf_.resize(off + n * kRecordBytes);
+    char* out = buf_.data() + off;
+    std::uint64_t seq = last_seq_;
+    for (const auto& op : ops) {
+      if (!core::is_mutation(op.type)) continue;
+      ++seq;
+      // Frame: u32 payload_len | u32 payload_crc | payload.
+      char* payload = out + 8;
+      std::memcpy(payload, &seq, 8);
+      payload[8] = static_cast<char>(op.type);
+      std::memcpy(payload + 9, &op.key, sizeof(K));
+      std::memcpy(payload + 9 + sizeof(K), &op.value, sizeof(V));
+      const std::uint32_t len = kPayloadBytes;
+      const std::uint32_t crc = crc32(payload, kPayloadBytes);
+      std::memcpy(out, &len, 4);
+      std::memcpy(out + 4, &crc, 4);
+      out += kRecordBytes;
+    }
+    last_seq_ = seq;
+    appends_ += n;
     return seq;
+  }
+
+  /// One mutation record: log_batch() of a single op. `kind` must be a
+  /// mutation (a read would log nothing and return 0).
+  std::uint64_t log(core::OpType kind, const K& key, const V& value) {
+    assert(core::is_mutation(kind));
+    const core::Op<K, V> op{kind, key, value};
+    return log_batch(std::span<const core::Op<K, V>>(&op, 1));
   }
 
   /// Phase two: everything up to `seq` is on disk when this returns
@@ -285,22 +322,6 @@ class Wal {
   }
 
  private:
-  static void encode_record(std::vector<char>& out, std::uint64_t seq,
-                            core::OpType kind, const K& key, const V& value) {
-    char payload[kPayloadBytes];
-    std::memcpy(payload, &seq, 8);
-    payload[8] = static_cast<char>(kind);
-    std::memcpy(payload + 9, &key, sizeof(K));
-    std::memcpy(payload + 9 + sizeof(K), &value, sizeof(V));
-    const std::uint32_t len = kPayloadBytes;
-    const std::uint32_t crc = crc32(payload, kPayloadBytes);
-    const std::size_t off = out.size();
-    out.resize(off + kRecordBytes);
-    std::memcpy(out.data() + off, &len, 4);
-    std::memcpy(out.data() + off + 4, &crc, 4);
-    std::memcpy(out.data() + off + 8, payload, kPayloadBytes);
-  }
-
   /// One kernel write of a record batch, with the crash points that
   /// model power loss before / halfway through the write. On the armed
   /// wal.write.partial hit, half the batch's bytes reach the file and the
@@ -324,10 +345,9 @@ class Wal {
   std::condition_variable follower_cv_;
   Fd fd_;
   std::string path_;
-  std::vector<char> buf_;            // encoded-but-unwritten records
-  std::uint64_t buf_first_seq_ = 0;  // seq of buf_'s first record
-  std::uint64_t last_seq_ = 0;       // highest assigned seq
-  std::uint64_t synced_seq_ = 0;     // highest fsync-covered seq
+  std::vector<char> buf_;         // encoded-but-unwritten records
+  std::uint64_t last_seq_ = 0;    // highest assigned seq
+  std::uint64_t synced_seq_ = 0;  // highest fsync-covered seq
   bool leader_active_ = false;
   bool failed_ = false;
   std::uint64_t appends_ = 0;
@@ -340,6 +360,9 @@ class Wal {
 template <typename K, typename V>
 class WalReader {
  public:
+  /// Bytes scan() reads per read(2) call.
+  static constexpr std::size_t kScanBlock = std::size_t{1} << 20;
+
   struct Scanned {
     std::uint64_t start_seq = 0;
     std::vector<WalRecord<K, V>> records;  // ascending, verified
@@ -377,15 +400,38 @@ class WalReader {
     out.valid_bytes = sizeof(h);
 
     constexpr std::size_t kPayloadBytes = Wal<K, V>::kPayloadBytes;
+    constexpr std::size_t kRecordBytes = Wal<K, V>::kRecordBytes;
     std::uint64_t prev_seq = h.start_seq;
     const std::uint64_t file_size = fd.size();
-    char payload[kPayloadBytes];
-    for (;;) {
+    // buf[begin, end) holds the unparsed bytes read so far; a record cut
+    // by the block's end moves to the front before the next read. The
+    // block is bounded, and `records` grows only with records that pass
+    // the checks, so a corrupt or foreign tail costs no memory beyond it.
+    static_assert(kRecordBytes <= kScanBlock);
+    std::vector<char> buf(kScanBlock);
+    std::size_t begin = 0;
+    std::size_t end = 0;
+    bool eof = false;
+    auto have = [&](std::size_t need) {
+      if (end - begin >= need) return true;
+      if (eof) return false;
+      std::memmove(buf.data(), buf.data() + begin, end - begin);
+      end -= begin;
+      begin = 0;
+      const std::size_t want = buf.size() - end;
+      const std::size_t got = fd.read_some(buf.data() + end, want);
+      end += got;
+      eof = got < want;
+      return end - begin >= need;
+    };
+    while (have(kRecordBytes)) {
+      const char* frame = buf.data() + begin;
       std::uint32_t len = 0;
       std::uint32_t crc = 0;
-      if (fd.read_some(&len, 4) != 4 || fd.read_some(&crc, 4) != 4) break;
+      std::memcpy(&len, frame, 4);
+      std::memcpy(&crc, frame + 4, 4);
       if (len != kPayloadBytes) break;  // torn or foreign frame
-      if (fd.read_some(payload, kPayloadBytes) != kPayloadBytes) break;
+      const char* payload = frame + 8;
       if (crc32(payload, kPayloadBytes) != crc) break;
       WalRecord<K, V> rec;
       std::memcpy(&rec.seq, payload, 8);
@@ -396,7 +442,8 @@ class WalReader {
       std::memcpy(&rec.key, payload + 9, sizeof(K));
       std::memcpy(&rec.value, payload + 9 + sizeof(K), sizeof(V));
       out.records.push_back(rec);
-      out.valid_bytes += 8 + kPayloadBytes;
+      out.valid_bytes += kRecordBytes;
+      begin += kRecordBytes;
       prev_seq = rec.seq;
     }
     out.torn_tail = out.valid_bytes < file_size;

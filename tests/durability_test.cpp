@@ -7,11 +7,14 @@
 // validate() assertions on every recovery (tests/crash_harness.hpp).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <bit>
 #include <cstdint>
 #include <cstdio>
 #include <filesystem>
 #include <map>
+#include <span>
 #include <sstream>
 #include <string>
 #include <utility>
@@ -24,6 +27,7 @@
 #include "store/snapshot.hpp"
 #include "store/wal.hpp"
 #include "test_util.hpp"
+#include "util/rng.hpp"
 #include "util/sites.hpp"
 
 namespace pwss {
@@ -173,6 +177,166 @@ TEST(WalFormat, TornHeaderIsMissingButBadMagicRefuses) {
   // artifact: refuse.
   write_file(d.file("foreign.log"), std::vector<char>(64, 'X'));
   EXPECT_THROW(IntWalReader::scan(d.file("foreign.log")), store::StoreError);
+}
+
+/// Nine ops, five of them mutations (inserts, upserts, an erase), the
+/// rest reads of every kind.
+std::vector<IntOp> mixed_ops() {
+  return {IntOp::search(1),      IntOp::insert(1, 10), IntOp::upsert(2, 20),
+          IntOp::predecessor(5), IntOp::erase(1),      IntOp::range_count(0, 9),
+          IntOp::upsert(1, 11),  IntOp::successor(3),  IntOp::insert(7, 70)};
+}
+
+TEST(WalFormat, LogBatchMatchesPerRecordLog) {
+  ScratchDir d;
+  const std::vector<IntOp> ops = mixed_ops();
+  const auto mutations = static_cast<std::uint64_t>(
+      std::count_if(ops.begin(), ops.end(), [](const IntOp& op) {
+        return core::is_mutation(op.type);
+      }));
+  ASSERT_EQ(mutations, 5u);
+  {
+    IntWal wal;
+    wal.open(d.file("batch.log"), 0, 0, 0);
+    EXPECT_EQ(wal.log_batch(ops), mutations);
+    EXPECT_EQ(wal.appends(), mutations) << "reads are not counted";
+    // A span without mutations returns 0 and logs nothing.
+    const std::vector<IntOp> reads = {IntOp::search(1), IntOp::successor(2)};
+    EXPECT_EQ(wal.log_batch(reads), 0u);
+    EXPECT_EQ(wal.log_batch(std::span<const IntOp>()), 0u);
+    EXPECT_EQ(wal.appends(), mutations);
+    EXPECT_EQ(wal.last_seq(), mutations);
+    EXPECT_EQ(wal.log_batch(ops), 2 * mutations) << "seqs continue";
+    wal.sync(2 * mutations);
+    wal.close();
+  }
+  {
+    IntWal wal;
+    wal.open(d.file("single.log"), 0, 0, 0);
+    for (int round = 0; round < 2; ++round) {
+      for (const auto& op : ops) {
+        if (core::is_mutation(op.type)) wal.log(op.type, op.key, op.value);
+      }
+    }
+    wal.sync(2 * mutations);
+    wal.close();
+  }
+  EXPECT_EQ(read_file(d.file("batch.log")), read_file(d.file("single.log")));
+  EXPECT_EQ(IntWalReader::scan(d.file("batch.log")).records.size(),
+            2 * mutations);
+}
+
+// The version-1 WAL bytes for a fixed op span, pinned by the CRC32 of
+// the whole file (header and five records) as the table-driven bytewise
+// encoder wrote it. The format is native-endian; the figure is for
+// little-endian hosts.
+TEST(WalFormat, VersionOneFileBytesArePinned) {
+  if constexpr (std::endian::native != std::endian::little) {
+    GTEST_SKIP() << "pinned bytes are little-endian";
+  }
+  ScratchDir d;
+  const std::vector<IntOp> ops = mixed_ops();
+  IntWal wal;
+  wal.open(d.file("wal.log"), 3, 3, 0);
+  EXPECT_EQ(wal.log_batch(ops), 8u);
+  wal.sync(8);
+  wal.close();
+  const std::vector<char> bytes = read_file(d.file("wal.log"));
+  EXPECT_EQ(store::kWalVersion, 1u);
+  EXPECT_EQ(bytes.size(), sizeof(store::WalHeader) + 5 * IntWal::kRecordBytes);
+  EXPECT_EQ(store::crc32(bytes.data(), bytes.size()), 0x821EA287u);
+}
+
+// scan() reads kScanBlock bytes at a time: a record cut by the first
+// block's end must parse when intact and stop the scan, at the record
+// before it, when torn or corrupt.
+TEST(WalFormat, BadRecordAcrossScanBlockBoundaryStopsScan) {
+  ScratchDir d;
+  const std::string path = d.file("wal.log");
+  const std::size_t rec = IntWal::kRecordBytes;
+  const std::size_t hdr = sizeof(store::WalHeader);
+  const std::size_t block = IntWalReader::kScanBlock;
+  const std::size_t straddler = (block - hdr) / rec;
+  const std::size_t start = hdr + straddler * rec;
+  ASSERT_LT(start, block);
+  ASSERT_GT(start + rec, block);
+  const std::size_t n = straddler + 100;
+  write_wal(path, n);
+  const std::vector<char> full = read_file(path);
+  ASSERT_EQ(full.size(), hdr + n * rec);
+
+  auto s = IntWalReader::scan(path);
+  ASSERT_EQ(s.records.size(), n);
+  EXPECT_FALSE(s.torn_tail);
+  EXPECT_EQ(s.valid_bytes, full.size());
+  EXPECT_EQ(s.records[straddler].seq, straddler + 1);
+  EXPECT_EQ(s.records[straddler].key, straddler);
+  EXPECT_EQ(s.records[straddler].value, 100 + straddler);
+
+  auto expect_stops_at_straddler = [&](const std::vector<char>& bytes,
+                                       const std::string& what) {
+    write_file(path, bytes);
+    const auto t = IntWalReader::scan(path);
+    EXPECT_EQ(t.records.size(), straddler) << what;
+    EXPECT_EQ(t.valid_bytes, start) << what;
+    EXPECT_TRUE(t.torn_tail) << what;
+  };
+  for (std::size_t off = 1; off < rec; ++off) {
+    expect_stops_at_straddler(
+        std::vector<char>(full.begin(), full.begin() + start + off),
+        "cut at +" + std::to_string(off));
+  }
+  for (const std::size_t at : {start, block - 1, block, start + rec - 1}) {
+    std::vector<char> bytes = full;
+    bytes[at] ^= 0x40;
+    expect_stops_at_straddler(bytes, "flip at " + std::to_string(at));
+  }
+}
+
+// ---- CRC32 -------------------------------------------------------------------
+
+// One bit at a time, no tables: the definition crc32 must keep.
+std::uint32_t crc32_bitwise(const unsigned char* p, std::size_t len) {
+  std::uint32_t c = 0xFFFFFFFFu;
+  for (std::size_t i = 0; i < len; ++i) {
+    c ^= p[i];
+    for (int k = 0; k < 8; ++k) c = (c & 1u) ? 0xEDB88320u ^ (c >> 1) : c >> 1;
+  }
+  return c ^ 0xFFFFFFFFu;
+}
+
+std::vector<unsigned char> crc_input() {
+  std::vector<unsigned char> bytes(72);
+  util::Xoshiro256 rng(99);
+  for (auto& b : bytes) b = static_cast<unsigned char>(rng.bounded(256));
+  return bytes;
+}
+
+TEST(Crc32, KnownAnswer) {
+  EXPECT_EQ(store::crc32("123456789", 9), 0xCBF43926u);
+  EXPECT_EQ(store::crc32("", 0), 0u);
+}
+
+TEST(Crc32, MatchesBitwiseReferenceAtEveryLengthAndOffset) {
+  const auto bytes = crc_input();
+  for (std::size_t off = 0; off < 8; ++off) {
+    for (std::size_t len = 0; len <= 64; ++len) {
+      EXPECT_EQ(store::crc32(bytes.data() + off, len),
+                crc32_bitwise(bytes.data() + off, len))
+          << "offset " << off << ", length " << len;
+    }
+  }
+}
+
+TEST(Crc32, SeedChainingEqualsOneShot) {
+  const auto bytes = crc_input();
+  const std::uint32_t whole = store::crc32(bytes.data(), bytes.size());
+  for (std::size_t split = 0; split <= bytes.size(); ++split) {
+    const std::uint32_t head = store::crc32(bytes.data(), split);
+    EXPECT_EQ(store::crc32(bytes.data() + split, bytes.size() - split, head),
+              whole)
+        << "split at " << split;
+  }
 }
 
 // ---- snapshot format ---------------------------------------------------------
@@ -387,6 +551,35 @@ TEST(DriverDurability, BlockingPathCountsAppendsPerMutation) {
   EXPECT_EQ(s.wal_appends, 32u);
   EXPECT_GE(s.wal_fsyncs, 1u);
   EXPECT_GE(s.admitted, 33u);
+}
+
+// A bulk run logs its mutations with one log_batch() and, unsharded,
+// covers them with one group commit.
+TEST(DriverDurability, RunLogsOneBatchPerCall) {
+  const auto ops = testutil::scripted_ops<K, V>(51, 10000, 1024, true);
+  std::map<K, V> oracle;
+  for (const auto& op : ops) testutil::reference_apply(oracle, op);
+  const auto mutations = static_cast<std::uint64_t>(
+      std::count_if(ops.begin(), ops.end(), [](const IntOp& op) {
+        return core::is_mutation(op.type);
+      }));
+  for (const std::string backend : {"m1", "m2", "sharded:m1"}) {
+    ScratchDir d;
+    const auto opts =
+        durable_opts(d.file("store"), store::DurabilityMode::kSync);
+    {
+      auto drv = driver::make_driver<K, V>(backend, opts);
+      const auto before = drv->stats();
+      drv->run(ops);
+      const auto after = drv->stats();
+      EXPECT_EQ(after.wal_appends - before.wal_appends, mutations) << backend;
+      if (backend.rfind("sharded:", 0) != 0) {
+        EXPECT_EQ(after.wal_fsyncs - before.wal_fsyncs, 1u) << backend;
+      }
+    }
+    auto drv = driver::make_driver<K, V>(backend, opts);
+    expect_matches_oracle(*drv, oracle, backend.c_str());
+  }
 }
 
 // ---- fault injection: sticky read-only degradation ---------------------------

@@ -564,11 +564,13 @@ TEST(InterleaveExplorer, InjectedPoolExhaustionMidBatch) {
 
 // ---- scenario 8: WAL group commit --------------------------------------------
 //
-// Committers log() a record and sync() it: one becomes leader and writes
-// and fsyncs every buffered record outside the lock while the rest park
-// on its round. "wal.sync.leader_unlocked" parks the leader inside that
-// window, so later records miss its batch and their committers must wait
-// for (or lead) the next round. Acked => durable: once sync(s) returns,
+// Committers log a record with log(), or two with one log_batch() over a
+// small mixed span (reads ride along unlogged), alternately, and sync()
+// the returned seq: one becomes leader and writes and fsyncs every
+// buffered record outside the lock while the rest park on its round.
+// "wal.sync.leader_unlocked" parks the leader inside that window, so
+// later records miss its batch and their committers must wait for (or
+// lead) the next round. Acked => durable: once sync(s) returns,
 // the file holds every record up to s; after a clean close it holds
 // exactly the records logged, in seq order, with no torn tail.
 std::string wal_group_commit_scenario(std::uint64_t seed) {
@@ -589,10 +591,20 @@ std::string wal_group_commit_scenario(std::uint64_t seed) {
   for (std::uint64_t c = 0; c < kCommitters; ++c) {
     committers.emplace_back([&, c] {
       try {
-        for (std::uint64_t i = 0; i < kPerCommitter; ++i) {
+        for (std::uint64_t i = 0; i < kPerCommitter;) {
           const std::uint64_t key = c * kPerCommitter + i;
-          const std::uint64_t seq =
-              wal.log(core::OpType::kInsert, key, key * 7);
+          std::uint64_t seq = 0;
+          if (i % 3 == 0) {
+            seq = wal.log(core::OpType::kInsert, key, key * 7);
+            i += 1;
+          } else {
+            const IntOp span[] = {IntOp::search(key),
+                                  IntOp::upsert(key, key * 7),
+                                  IntOp::successor(key),
+                                  IntOp::insert(key + 1, (key + 1) * 7)};
+            seq = wal.log_batch(span);
+            i += 2;
+          }
           wal.sync(seq);
           const std::size_t on_disk = IntWalReader::scan(path).records.size();
           if (on_disk < seq) {

@@ -413,5 +413,49 @@ TEST(Ladder, DepthAndExportWalks) {
   }
 }
 
+// sort_chunk must leave a chunk exactly as a stable sort by key would,
+// for sizes on both sides of its 16-op insertion-sorted runs.
+TEST(Ladder, SortChunkMatchesStableSortByKey) {
+  using Tagged = core::PendingOp<int, int, std::size_t>;
+  util::Xoshiro256 rng(2024);
+  enum class Shape { kRandom, kDescending, kDuplicateHeavy };
+  for (const Shape shape :
+       {Shape::kRandom, Shape::kDescending, Shape::kDuplicateHeavy}) {
+    for (std::size_t n = 0; n <= 64; ++n) {
+      SCOPED_TRACE(::testing::Message()
+                   << "shape " << static_cast<int>(shape) << ", n " << n);
+      core::BatchScratch<int, int> sc;
+      for (std::size_t i = 0; i < n; ++i) {
+        int key = 0;
+        switch (shape) {
+          case Shape::kRandom:
+            key = static_cast<int>(rng.bounded(1000));
+            break;
+          case Shape::kDescending:
+            key = static_cast<int>(n - i);
+            break;
+          case Shape::kDuplicateHeavy:
+            key = static_cast<int>(rng.bounded(3));
+            break;
+        }
+        sc.tagged.push_back(Tagged{core::OpType::kUpsert, key,
+                                   static_cast<int>(i), 0, i});
+      }
+      std::vector<Tagged> expected = sc.tagged;
+      std::stable_sort(expected.begin(), expected.end(),
+                       [](const Tagged& a, const Tagged& b) {
+                         return a.key < b.key;
+                       });
+      core::sort_chunk(sc);
+      ASSERT_EQ(sc.tagged.size(), n);
+      for (std::size_t i = 0; i < n; ++i) {
+        EXPECT_EQ(sc.tagged[i].key, expected[i].key) << i;
+        EXPECT_EQ(sc.tagged[i].target, expected[i].target) << i;
+        EXPECT_EQ(sc.tagged[i].value, expected[i].value) << i;
+      }
+    }
+  }
+}
+
 }  // namespace
 }  // namespace pwss
