@@ -32,7 +32,8 @@
 
 namespace pwss::core {
 
-/// The buffers one runner needs to sweep the ladder: keys probed, items
+/// The buffers one runner needs to sweep the ladder: keys probed (one
+/// segment's key window of the pending groups), items
 /// found, items shifting forward, capacity-repair transfers and the
 /// segments' own scratch. Used by one runner at a time (the BatchScratch
 /// of M1 or M2's interface, or one M2 stage).
@@ -89,33 +90,50 @@ void export_ladder(std::span<const Segment<K, V>> segs,
             [](const auto& a, const auto& b) { return a.first < b.first; });
 }
 
-/// One segment of a batch sweep (Section 6.1; M2's first slab): extracts
-/// the key-sorted `pending` groups' keys from S[k]. A group that finds its
-/// item gets `resolve(g, value)`, which returns the group's final value or
-/// nullopt for a net deletion; surviving items shift to the front of
-/// S[k-1] (S[0] stays put), keeping their S[k] recency order. Groups that
-/// miss S[k] are appended to `unfinished`, still key-sorted.
+/// One segment of a batch sweep (Section 6.1; M2's first slab) over the
+/// key-sorted `pending` groups. Only the window of groups whose keys lie
+/// within S[k]'s key bounds (inclusive) is probed: no other key can be in
+/// S[k], so an empty segment or an empty window costs two binary searches
+/// and no probe. A group that finds its item gets `resolve(g, value)`,
+/// which returns the group's final value or nullopt for a net deletion;
+/// surviving items shift to the front of S[k-1] (S[0] stays put), keeping
+/// their S[k] recency order. Found groups are compacted out of `pending`
+/// in place — except net deletions when `keep_deletions` is set (M2's
+/// tagged deletions, which flow on) — so it stays key-sorted.
 template <typename K, typename V, typename Group, typename Resolve>
 void sweep_segment(std::span<Segment<K, V>> segs, std::size_t k,
-                   std::vector<Group>& pending, std::vector<Group>& unfinished,
+                   std::vector<Group>& pending, bool keep_deletions,
                    SweepScratch<K, V>& sc, const tree::ParCtx& ctx,
                    Resolve&& resolve) {
+  const auto [least, greatest] = segs[k].key_bounds();
+  if (least == nullptr) return;
+  const auto lo = std::lower_bound(
+      pending.begin(), pending.end(), *least,
+      [](const Group& g, const K& key) { return g.key < key; });
+  const auto hi = std::upper_bound(
+      lo, pending.end(), *greatest,
+      [](const K& key, const Group& g) { return key < g.key; });
+  if (lo == hi) return;
   sc.keys.clear();
-  for (const auto& g : pending) sc.keys.push_back(g.key);
+  for (auto g = lo; g != hi; ++g) sc.keys.push_back(g->key);
   segs[k].extract_by_keys(sc.keys, sc.found, ctx, &sc.seg);
   sc.promote.clear();
   std::size_t fi = 0;
-  for (auto& g : pending) {
-    if (fi < sc.found.size() && sc.found[fi].key == g.key) {
+  auto kept = lo;
+  for (auto g = lo; g != hi; ++g) {
+    if (fi < sc.found.size() && sc.found[fi].key == g->key) {
       auto& item = sc.found[fi++];
-      if (std::optional<V> fin = resolve(g, std::move(item.value))) {
+      if (std::optional<V> fin = resolve(*g, std::move(item.value))) {
         item.value = std::move(*fin);
         sc.promote.push_back(std::move(item));
+        continue;
       }
-    } else {
-      unfinished.push_back(std::move(g));
+      if (!keep_deletions) continue;
     }
+    if (kept != g) *kept = std::move(*g);
+    ++kept;
   }
+  pending.erase(kept, hi);  // shifts the groups past the window down
   if (!sc.promote.empty()) {
     segs[k == 0 ? 0 : k - 1].insert_front_batch(std::span(sc.promote), ctx,
                                                 &sc.seg);
@@ -387,10 +405,9 @@ struct BatchScratch : SweepScratch<K, V> {
   std::vector<KeyPos<K>> order;
   std::vector<KeyPos<K>> order_buf;
   std::vector<Tagged> gathered;
-  /// Coalesced index groups still looking for their item.
+  /// Coalesced index groups still looking for their item; each sweep step
+  /// compacts its finds out in place.
   std::vector<IndexGroup<K>> pending;
-  /// Groups that continue past the current segment (swapped with pending).
-  std::vector<IndexGroup<K>> unfinished;
   /// Ordered-phase duplicate combining (answer_ordered).
   OrderedScratch<K, V> ordered;
 
@@ -447,14 +464,16 @@ void sort_chunk(BatchScratch<K, V>& sc) {
 /// `fill(b, e, tagged)` appends the ops of [b, e) it admits, tagged with
 /// their source index (an earlier index = earlier arrival), in ascending
 /// index order; sort_chunk puts them in (key, index) order, so per-key
-/// order holds, and they are coalesced; each depth k sweeps S[k] and
-/// repairs the prefixes up to it; groups missing everywhere resolve
+/// order holds, and they are coalesced; each depth k sweeps the groups
+/// within S[k]'s key window (none, for a chunk wholly outside S[k]'s key
+/// range, as in a key-ordered load) and repairs the prefixes up to it,
+/// skipped segment or not; groups missing everywhere resolve
 /// against an absent item and their net insertions go to the back of the
 /// last segment, overflow carved into fresh segments (`segs` grows,
 /// drawing on `pools`, only past its end); a final repair restores the
 /// whole prefix rule. Results go out as `emit(index, result)`; `probes`
-/// (nullable) counts hits per depth and misses. Returns the new live
-/// count: the segments past it are empty.
+/// (nullable) counts hits per depth and misses, in ops. Returns the new
+/// live count: the segments past it are empty.
 template <typename K, typename V, typename Fill, typename Emit>
 std::size_t walk_point_phase(std::vector<Segment<K, V>>& segs,
                              std::size_t live, SegmentPools<K, V>* pools,
@@ -477,23 +496,24 @@ std::size_t walk_point_phase(std::vector<Segment<K, V>>& segs,
       // Overlap memory latency: the sweep order is static, so S[k+1]'s
       // entry lines are never fetched for a mispredicted target.
       if (k + 1 < live) segs[k + 1].prefetch();
-      // Found groups resolve here; a net deletion leaves its item removed.
-      sc.unfinished.clear();
-      sweep_segment<K, V>(ladder, k, sc.pending, sc.unfinished, sc, ctx,
-                          [&](const IndexGroup<K>& g, V value) {
-                            if (probes != nullptr) probes->note_hit(k);
+      // Found groups resolve here and leave sc.pending; a net deletion
+      // leaves its item removed.
+      sweep_segment<K, V>(ladder, k, sc.pending, /*keep_deletions=*/false, sc,
+                          ctx, [&](const IndexGroup<K>& g, V value) {
+                            if (probes != nullptr) {
+                              probes->note_hit(k, g.end - g.begin);
+                            }
                             return resolve_ops<K, V, std::size_t>(
                                 std::move(value), ops_of(g), emit);
                           });
       restore_prefix_capacity<K, V>(ladder, k, sc, ctx);
-      std::swap(sc.pending, sc.unfinished);
     }
 
     // Groups whose keys are absent everywhere.
     auto& fresh = sc.promote;
     fresh.clear();
     for (const auto& g : sc.pending) {
-      if (probes != nullptr) probes->note_miss();
+      if (probes != nullptr) probes->note_miss(g.end - g.begin);
       if (std::optional<V> fin =
               resolve_ops<K, V, std::size_t>(std::nullopt, ops_of(g), emit)) {
         // M0's rule: each insertion goes *behind* the previous one, so an

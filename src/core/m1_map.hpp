@@ -7,11 +7,14 @@
 //      order is preserved (a chunk already in key order is not sorted;
 //      DESIGN.md Section-8 simplification 8), and coalesce duplicate keys
 //      into group-operations;
-//   2. sweep the segments S[0]..S[l]: at S[k], batch-extract the groups'
-//      keys; groups that find their item resolve there (successful
+//   2. sweep the segments S[0]..S[l]: at S[k], batch-extract the keys of
+//      the groups inside S[k]'s key range (two binary searches over the
+//      sorted groups; a segment whose range holds none is not probed);
+//      groups that find their item resolve there (successful
 //      searches/updates shift to the front of S[k-1], net deletions remove
-//      the item); then the capacity invariant of S[0..k-1] is restored by
-//      transfers across segment boundaries; unfinished groups continue;
+//      the item) and leave the pending list in place; then the capacity
+//      invariant of S[0..k-1] is restored by transfers across segment
+//      boundaries, swept or not; unfinished groups continue;
 //   3. groups that reach the end unfound resolve against an absent item;
 //      their net insertions append at the back of the last segment,
 //      overflowing into newly created segments.
@@ -121,9 +124,9 @@ class M1Map {
     return execute_batch(std::span<const Op<K, V>>(ops));
   }
 
-  /// Per-depth accounting of batch group resolution (one hit per group
-  /// resolved at S[k], one miss per group whose key was absent
-  /// everywhere). Owned by the batch path's single owner — plain
+  /// Per-depth accounting of batch resolution, in ops: a group resolved
+  /// at S[k] adds one hit per op, a group whose key was absent everywhere
+  /// one miss per op. Owned by the batch path's single owner — plain
   /// counters, same contract as the instance arena.
   const ProbeDepthCounts& probe_depth_counts() const noexcept {
     return probes_;
@@ -134,6 +137,9 @@ class M1Map {
   std::optional<std::size_t> segment_of(const K& key) const {
     return depth_of<K, V>(segments_, key);
   }
+
+  /// The ladder S[0..l], for inspection between batches.
+  const std::vector<Segment<K, V>>& segments() const { return segments_; }
 
   /// Deep structural check with a precise failure description: every
   /// segment's own invariants, the size_ accounting, the restore-capacity

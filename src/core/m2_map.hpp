@@ -308,6 +308,10 @@ class M2Map {
     return depth_of<K, V>(segs_, key);
   }
 
+  /// The whole ladder S[0..m+kMaxStages-1], empty terminal segments
+  /// included, for inspection; quiescent only.
+  const std::vector<Segment<K, V>>& segments() const { return segs_; }
+
  private:
   static constexpr std::size_t kMaxStages = 12;
 
@@ -459,7 +463,7 @@ class M2Map {
     coalesce_sorted_into(batch, groups);
 
     // Step 3 (part 1): sweep S[0..m-2] — exclusively owned by the interface.
-    groups = first_slab_sweep(std::move(groups));
+    first_slab_sweep(groups);
 
     // Step 3 (part 2) to step 5: S[m-1], the filter, and S[m]'s buffer are
     // shared with the final slab, guarded by B[0] and FL[0]. The groups
@@ -467,9 +471,8 @@ class M2Map {
     // captures); a parked continuation carries them past this frame.
     auto boundary_cont = [this, groups = std::move(groups)]() mutable {
       auto front_cont = [this, groups = std::move(groups)]() mutable {
-        std::vector<Group> unfinished =
-            sweep_first_slab(m_ - 1, std::move(groups));
-        filter_and_feed_stage0(std::move(unfinished));
+        sweep_first_slab(m_ - 1, groups);
+        filter_and_feed_stage0(std::move(groups));
         flocks_[0]->release(lo_sink());
         nlocks_[0]->release(lo_sink());
         if (!ordered_batch_.empty()) {
@@ -649,27 +652,25 @@ class M2Map {
                                   /*probes=*/nullptr);
   }
 
-  /// M1-style sweep of S[0..m-2]: resolves groups that find their item.
-  std::vector<Group> first_slab_sweep(std::vector<Group> pending) {
+  /// M1-style sweep of S[0..m-2]: resolves groups that find their item,
+  /// leaving the unfinished ones in `pending`.
+  void first_slab_sweep(std::vector<Group>& pending) {
     for (std::size_t k = 0; k + 1 < m_ && !pending.empty(); ++k) {
       // The sweep order is static, so request the next segment's entry
       // lines while this one is being processed (the interface thread
       // holds every first-slab lock here, so touching S[k+1] is safe).
       if (k + 2 < m_) segs_[k + 1].prefetch();
-      pending = sweep_first_slab(k, std::move(pending));
+      sweep_first_slab(k, pending);
     }
-    return pending;
   }
 
   /// Sweeps first-slab segment S[k], then restores the first-slab prefixes
   /// S[0..i-1] for boundaries i = k..1 — never S[m-1]'s boundary with
   /// S[m]: holes accumulate in S[m-1] and are repaired by stage 0 (Lemma 16
   /// invariant 2). Successful searches/updates finish immediately (shifted
-  /// one segment forward); net deletions are tagged and continue with the
-  /// groups that missed S[k].
-  std::vector<Group> sweep_first_slab(std::size_t k,
-                                      std::vector<Group> pending) {
-    std::vector<Group> unfinished;
+  /// one segment forward) and leave `pending`; net deletions are tagged
+  /// and keep their place among the groups that missed S[k].
+  void sweep_first_slab(std::size_t k, std::vector<Group>& pending) {
     auto resolve = [&](Group& g, V value) {
       std::optional<V> fin =
           resolve_ops<K, V, Ticket>(std::move(value), g.ops, emit_fn());
@@ -678,17 +679,13 @@ class M2Map {
         size_.fetch_sub(1, std::memory_order_release);
         g.ops.clear();  // results already emitted
         g.deletion_succeeded = true;
-        unfinished.push_back(std::move(g));
       }
       return fin;
     };
-    if (!pending.empty()) {
-      sweep_segment<K, V>(segs_, k, pending, unfinished, iface_scratch_,
-                          par_ctx(), resolve);
-    }
+    sweep_segment<K, V>(segs_, k, pending, /*keep_deletions=*/true,
+                        iface_scratch_, par_ctx(), resolve);
     restore_prefix_capacity<K, V>(std::span(segs_).first(m_), k,
                                   iface_scratch_, par_ctx());
-    return unfinished;
   }
 
   /// Step 4: pass unfinished groups through the filter; keys already in

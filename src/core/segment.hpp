@@ -81,19 +81,21 @@ constexpr std::uint64_t segment_capacity(std::size_t k) noexcept {
   return 1ULL << exponent;
 }
 
-/// Per-depth probe accounting: hits[b] counts probes answered at segment
-/// depth b (bucket 3 aggregates every depth >= 3, i.e. the tree-backed
-/// deep segments), misses counts probes for absent keys. Plain counters —
-/// the owner is the structure's single-owner operation path (M0's
-/// sequential contract, M1's batch owner), never concurrent writers.
+/// Per-depth probe accounting, in operations: hits[b] counts ops answered
+/// at segment depth b (bucket 3 aggregates every depth >= 3, i.e. the
+/// tree-backed deep segments), misses counts ops on absent keys. A batch's
+/// group-operation adds all of its ops, so M1's shares compare with M0's
+/// one-op-at-a-time counts. Plain counters — the owner is the structure's
+/// single-owner operation path (M0's sequential contract, M1's batch
+/// owner), never concurrent writers.
 struct ProbeDepthCounts {
   std::uint64_t hits[4] = {0, 0, 0, 0};
   std::uint64_t misses = 0;
 
-  void note_hit(std::size_t depth) noexcept {
-    ++hits[depth < 3 ? depth : 3];
+  void note_hit(std::size_t depth, std::uint64_t ops = 1) noexcept {
+    hits[depth < 3 ? depth : 3] += ops;
   }
-  void note_miss() noexcept { ++misses; }
+  void note_miss(std::uint64_t ops = 1) noexcept { misses += ops; }
   void reset() noexcept {
     hits[0] = hits[1] = hits[2] = hits[3] = 0;
     misses = 0;
@@ -262,6 +264,15 @@ class Segment {
     if (!is_tree_) return flat_.successor(key);
     auto [k, e] = tree_.successor(key);
     return {k, e != nullptr ? &e->value : nullptr};
+  }
+
+  /// The least and greatest keys held, as {&least, &greatest}; {nullptr,
+  /// nullptr} when empty. The flat arrays' ends, or the tree's outermost
+  /// nodes. A batch sweep probes only the keys inside this window.
+  std::pair<const K*, const K*> key_bounds() const noexcept {
+    if (is_tree_) return tree_.key_bounds();
+    if (flat_.empty()) return {nullptr, nullptr};
+    return {&flat_.key_at(0), &flat_.key_at(flat_.size() - 1)};
   }
 
   /// Number of this segment's keys in the inclusive range [lo, hi].

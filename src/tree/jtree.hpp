@@ -197,6 +197,17 @@ class JTree {
     return {&best->key, &best->value};
   }
 
+  /// The least and greatest keys, as {&least, &greatest}; {nullptr,
+  /// nullptr} when empty. One walk down each spine, O(log n).
+  std::pair<const K*, const K*> key_bounds() const noexcept {
+    if (root_ == nullptr) return {nullptr, nullptr};
+    const Node* lo = root_;
+    while (lo->left != nullptr) lo = lo->left;
+    const Node* hi = root_;
+    while (hi->right != nullptr) hi = hi->right;
+    return {&lo->key, &hi->key};
+  }
+
   /// Number of keys in the inclusive range [lo, hi] (0 when hi < lo):
   /// two rank descents plus one membership probe, O(log n).
   std::size_t range_count(const K& lo, const K& hi) const {

@@ -3,6 +3,7 @@
 // capacity invariants, and parallel/sequential equivalence.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <filesystem>
 #include <map>
 #include <memory>
@@ -394,6 +395,158 @@ TEST(M1, ArenaReuseManyBatchesDifferentialVsM0) {
     ASSERT_EQ(m1.validate(), "") << "round " << round;
   }
   ASSERT_EQ(m0.validate(), "");
+}
+
+// The golden ladder state: a seeded stream (ascending load, working-set
+// searches, upserts, erases) leaves the same segments, keys and recency
+// order after every batch as the walk that probed every pending group at
+// every segment. The pinned chain was recorded from that walk.
+TEST(M1, GoldenLadderStateChain) {
+  sched::Scheduler scheduler(2);
+  M1Map<int, int> m(&scheduler);
+  std::map<int, int> ref;
+  std::uint64_t chain = 0xcbf29ce484222325ULL;
+  for (const std::vector<IntOp>& batch : testutil::golden_ladder_stream(5)) {
+    expect_equal_results(m.execute_batch(batch), reference_results(ref, batch),
+                         "golden");
+    chain = testutil::chain_ladder_state(chain, m.segments());
+  }
+  EXPECT_EQ(m.size(), ref.size());
+  EXPECT_EQ(m.validate(), "");
+  EXPECT_EQ(chain, 0xab32c11121d13343ULL) << std::hex << "chain 0x" << chain;
+}
+
+// Probe-depth counts are per op: a group of five searches on one key
+// counts five hits, three searches on an absent key three misses.
+TEST(M1, ProbeDepthCountsCountOpsNotGroups) {
+  M1Map<int, int> m;
+  m.insert(5, 50);
+  m.reset_probe_depth_counts();
+  std::vector<IntOp> batch(5, IntOp::search(5));
+  for (int i = 0; i < 3; ++i) batch.push_back(IntOp::search(99));
+  const auto results = m.execute_batch(batch);
+  for (int i = 0; i < 5; ++i) EXPECT_EQ(results[i].value, 50);
+  const core::ProbeDepthCounts& pc = m.probe_depth_counts();
+  EXPECT_EQ(pc.hits[0], 5u);
+  EXPECT_EQ(pc.misses, 3u);
+  EXPECT_EQ(pc.total(), 8u);
+}
+
+// A sweep probes only the groups inside a segment's key range, bounds
+// included: searches and upserts on each segment's least and greatest key
+// must find their item there, batch after batch.
+TEST(M1, SweepWindowIncludesSegmentBounds) {
+  M1Map<int, int> m;
+  std::map<int, int> ref;
+  std::vector<IntOp> load;
+  for (int k = 0; k < 5000; k += 2) load.push_back(IntOp::insert(k, k));
+  expect_equal_results(m.execute_batch(load), reference_results(ref, load),
+                       "load");
+  for (int round = 0; round < 40; ++round) {
+    std::vector<IntOp> batch;
+    for (const auto& seg : m.segments()) {
+      const auto [least, greatest] = seg.key_bounds();
+      ASSERT_NE(least, nullptr);
+      if (round % 2 == 0) {
+        batch.push_back(IntOp::search(*least));
+        batch.push_back(IntOp::upsert(*greatest, round));
+      } else {
+        batch.push_back(IntOp::upsert(*least, round));
+        batch.push_back(IntOp::search(*greatest));
+      }
+    }
+    if (round % 5 == 4) {
+      batch.push_back(IntOp::erase(*m.segments()[1].key_bounds().first));
+    }
+    expect_equal_results(m.execute_batch(batch), reference_results(ref, batch),
+                         "bounds");
+    ASSERT_EQ(m.size(), ref.size());
+    ASSERT_EQ(m.validate(), "") << "round " << round;
+  }
+}
+
+// A segment whose window is empty is not swept, but its prefix repair
+// still runs. Ladder after loading 0..299: S[0] = {0, 1}, S[1] = {2..5},
+// S[2] = {6..21}, S[3] = the rest. Erasing 3 (in S[1]) underfills
+// S[0..1]; S[2]'s window is empty, and its repair pulls S[2]'s most
+// recent item, 6, into S[1] before S[3]'s hit, 100, moves to S[2]'s front.
+TEST(M1, SkippedSegmentStillRepairsItsPrefix) {
+  M1Map<int, int> m;
+  std::vector<IntOp> load;
+  for (int k = 0; k < 300; ++k) load.push_back(IntOp::insert(k, k));
+  m.execute_batch(load);
+  ASSERT_EQ(m.segment_of(1), 0u);
+  ASSERT_EQ(m.segment_of(5), 1u);
+  ASSERT_EQ(m.segment_of(6), 2u);
+  ASSERT_EQ(m.segment_of(21), 2u);
+  ASSERT_EQ(m.segment_of(100), 3u);
+  const auto results =
+      m.execute_batch({IntOp::erase(3), IntOp::search(100)});
+  EXPECT_EQ(results[0].status, ResultStatus::kErased);
+  EXPECT_EQ(results[1].value, 100);
+  EXPECT_EQ(m.segment_of(6), 1u);
+  EXPECT_EQ(m.segment_of(100), 2u);
+  EXPECT_EQ(m.validate(), "");
+}
+
+// Chunks wholly below, wholly above and straddling the ladder's key range,
+// each with fresh keys, hits and erases, against the oracle.
+TEST(M1, ChunksBelowAboveAndStraddlingTheKeyRange) {
+  M1Map<int, int> m;
+  std::map<int, int> ref;
+  std::vector<IntOp> load;
+  for (int k = 10000; k < 20000; ++k) load.push_back(IntOp::insert(k, k));
+  expect_equal_results(m.execute_batch(load), reference_results(ref, load),
+                       "load");
+  util::Xoshiro256 rng(8);
+  const std::pair<int, int> spans[] = {
+      {0, 5000}, {30000, 35000}, {9000, 11000}, {19000, 21000}, {0, 40000}};
+  for (int round = 0; round < 30; ++round) {
+    const auto [lo, hi] = spans[round % 5];
+    std::vector<IntOp> batch;
+    for (int i = 0; i < 600; ++i) {
+      const int key = lo + static_cast<int>(rng.bounded(
+                               static_cast<std::uint64_t>(hi - lo)));
+      switch (rng.bounded(4)) {
+        case 0: batch.push_back(IntOp::upsert(key, round)); break;
+        case 1: batch.push_back(IntOp::erase(key)); break;
+        default: batch.push_back(IntOp::search(key));
+      }
+    }
+    expect_equal_results(m.execute_batch(batch), reference_results(ref, batch),
+                         "span");
+    ASSERT_EQ(m.size(), ref.size());
+    ASSERT_EQ(m.validate(), "") << "round " << round;
+  }
+}
+
+// Key-ordered loads, ascending and descending, in multi-chunk batches:
+// each chunk lies wholly above (or below) every segment's range, so no
+// segment is probed. Every key is then found, and the first key loaded is
+// the most recent, in S[0].
+TEST(M1, AscendingAndDescendingSortedLoads) {
+  constexpr int kKeys = 3 * static_cast<int>(core::kBatchChunk) + 5;
+  for (const bool ascending : {true, false}) {
+    M1Map<int, int> m;
+    for (int b = 0; b < kKeys; b += 5000) {
+      std::vector<IntOp> batch;
+      for (int i = b; i < std::min(kKeys, b + 5000); ++i) {
+        const int key = ascending ? i : kKeys - 1 - i;
+        batch.push_back(IntOp::insert(key, key));
+      }
+      for (const auto& r : m.execute_batch(batch)) {
+        ASSERT_EQ(r.status, ResultStatus::kInserted);
+      }
+    }
+    ASSERT_EQ(m.size(), static_cast<std::size_t>(kKeys));
+    ASSERT_EQ(m.validate(), "");
+    EXPECT_EQ(m.segment_of(ascending ? 0 : kKeys - 1), 0u);
+    std::vector<IntOp> probe;
+    for (int k = 0; k < kKeys; ++k) probe.push_back(IntOp::search(k));
+    const auto results = m.execute_batch(probe);
+    for (int k = 0; k < kKeys; ++k) ASSERT_EQ(results[k].value, k) << k;
+    EXPECT_EQ(m.validate(), "");
+  }
 }
 
 // Parameterized: parallel execution must match sequential execution exactly.

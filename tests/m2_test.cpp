@@ -795,5 +795,143 @@ TEST(M2, ConcurrentBulkCallers) {
   }
 }
 
+// The golden ladder state of the bulk path: every batch of the seeded
+// stream is longer than one cut, so it runs M1's walk, and after each one
+// the whole ladder's segments, keys and recency order must match the walk
+// that probed every pending group at every segment. The pinned chain was
+// recorded from that walk.
+TEST(M2, BulkGoldenLadderStateChain) {
+  sched::Scheduler scheduler(2);
+  M2Map<int, int> m(scheduler, 2);
+  std::map<int, int> ref;
+  std::uint64_t chain = 0xcbf29ce484222325ULL;
+  for (const std::vector<IntOp>& batch : testutil::golden_ladder_stream(5)) {
+    const auto got = m.execute_batch(batch);
+    const auto want = reference_results(ref, batch);
+    for (std::size_t i = 0; i < batch.size(); ++i) {
+      testutil::expect_result_eq(got[i], want[i], "golden", i);
+    }
+    m.quiesce();
+    chain = testutil::chain_ladder_state(chain, m.segments());
+  }
+  EXPECT_EQ(m.size(), ref.size());
+  EXPECT_EQ(m.validate(), "");
+  EXPECT_EQ(chain, 0x89868f8ca6d29e0bULL) << std::hex << "chain 0x" << chain;
+}
+
+// The first-slab sweep probes only the groups inside each segment's key
+// range, bounds included: submitted searches, upserts and erases on every
+// segment's least and greatest key must resolve there (an erase flows on
+// tagged), round after round.
+TEST(M2, FirstSlabSweepIncludesSegmentBounds) {
+  for (unsigned p : {1u, 2u}) {
+    sched::Scheduler scheduler(2);
+    M2Map<int, int> m(scheduler, p);
+    std::map<int, int> ref;
+    std::vector<IntOp> load;
+    for (int k = 0; k < 6000; k += 2) load.push_back(IntOp::insert(k, k));
+    const auto loaded = m.execute_batch(load);
+    for (const auto& r : loaded) ASSERT_EQ(r.status, ResultStatus::kInserted);
+    reference_results(ref, load);
+    for (int round = 0; round < 30; ++round) {
+      m.quiesce();
+      std::vector<IntOp> batch;
+      for (const auto& seg : m.segments()) {
+        const auto [least, greatest] = seg.key_bounds();
+        if (least == nullptr) continue;
+        switch (round % 3) {
+          case 0:
+            batch.push_back(IntOp::search(*least));
+            batch.push_back(IntOp::upsert(*greatest, round));
+            break;
+          case 1:
+            batch.push_back(IntOp::upsert(*least, round));
+            batch.push_back(IntOp::search(*greatest));
+            break;
+          default:
+            batch.push_back(IntOp::erase(*least));
+            batch.push_back(IntOp::search(*greatest));
+        }
+      }
+      const auto got = submit_all(m, batch);
+      const auto want = reference_results(ref, batch);
+      for (std::size_t i = 0; i < batch.size(); ++i) {
+        testutil::expect_result_eq(got[i], want[i], "bounds", i);
+      }
+      m.quiesce();
+      ASSERT_EQ(m.size(), ref.size()) << "p=" << p << " round " << round;
+      ASSERT_EQ(m.validate(), "") << "p=" << p << " round " << round;
+    }
+  }
+}
+
+// A first-slab segment whose window is empty is not swept, but its prefix
+// repair still runs. After a bulk load of 0..299 (p = 2, first slab
+// S[0..2]): S[1] = {2..5}, S[2] = {6..21}. A lone erase(3) is tagged in
+// S[1] and flows on; S[2]'s window is empty, and its repair pulls S[2]'s
+// most recent item, 6, to the back of S[1].
+TEST(M2, SkippedFirstSlabSegmentStillRepairsItsPrefix) {
+  sched::Scheduler scheduler(2);
+  M2Map<int, int> m(scheduler, 2);
+  ASSERT_EQ(m.first_slab_width(), 3u);
+  std::vector<IntOp> load;
+  for (int k = 0; k < 300; ++k) load.push_back(IntOp::insert(k, k));
+  m.execute_batch(load);
+  m.quiesce();
+  ASSERT_EQ(m.segment_of(5), 1u);
+  ASSERT_EQ(m.segment_of(6), 2u);
+  EXPECT_EQ(m.erase(3), 3);
+  m.quiesce();
+  EXPECT_EQ(m.segment_of(6), 1u);
+  EXPECT_EQ(m.segments()[1].size(), 4u);
+  EXPECT_EQ(m.validate(), "");
+}
+
+// Key-ordered loads, ascending and descending, as bulk batches and as
+// submitted ops, then chunks wholly below, wholly above and straddling
+// the held keys through both paths, all against the oracle.
+TEST(M2, SortedLoadsAndChunksOutsideTheKeyRange) {
+  for (const bool ascending : {true, false}) {
+    sched::Scheduler scheduler(2);
+    M2Map<int, int> m(scheduler, 2);
+    std::map<int, int> ref;
+    auto check = [&](const std::vector<IntOp>& batch, bool bulk) {
+      const auto got = bulk ? m.execute_batch(batch) : submit_all(m, batch);
+      const auto want = reference_results(ref, batch);
+      for (std::size_t i = 0; i < batch.size(); ++i) {
+        testutil::expect_result_eq(got[i], want[i], "sorted", i);
+      }
+      m.quiesce();
+      ASSERT_EQ(m.size(), ref.size());
+      ASSERT_EQ(m.validate(), "");
+    };
+    for (int b = 0; b < 12000; b += 3000) {
+      std::vector<IntOp> batch;
+      for (int i = b; i < b + 3000; ++i) {
+        const int key = 10000 + (ascending ? i : 11999 - i);
+        batch.push_back(IntOp::insert(key, key));
+      }
+      ASSERT_NO_FATAL_FAILURE(check(batch, /*bulk=*/b % 6000 == 0));
+    }
+    util::Xoshiro256 rng(ascending ? 3 : 4);
+    const std::pair<int, int> spans[] = {
+        {0, 5000}, {30000, 35000}, {9000, 11000}, {21000, 23000}};
+    for (int round = 0; round < 16; ++round) {
+      const auto [lo, hi] = spans[round % 4];
+      std::vector<IntOp> batch;
+      for (int i = 0; i < 400; ++i) {
+        const int key = lo + static_cast<int>(rng.bounded(
+                                 static_cast<std::uint64_t>(hi - lo)));
+        switch (rng.bounded(4)) {
+          case 0: batch.push_back(IntOp::upsert(key, round)); break;
+          case 1: batch.push_back(IntOp::erase(key)); break;
+          default: batch.push_back(IntOp::search(key));
+        }
+      }
+      ASSERT_NO_FATAL_FAILURE(check(batch, /*bulk=*/round % 2 == 0));
+    }
+  }
+}
+
 }  // namespace
 }  // namespace pwss

@@ -5,8 +5,10 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <initializer_list>
 #include <optional>
 #include <span>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -453,6 +455,179 @@ TEST(Ladder, SortChunkMatchesStableSortByKey) {
         EXPECT_EQ(sc.tagged[i].target, expected[i].target) << i;
         EXPECT_EQ(sc.tagged[i].value, expected[i].value) << i;
       }
+    }
+  }
+}
+
+
+// ---- the sweep's key window -------------------------------------------------
+
+TEST(Segment, KeyBoundsFlatAndTree) {
+  for (const bool tree : {false, true}) {
+    SCOPED_TRACE(tree ? "tree" : "flat");
+    Seg s;
+    if (tree) s.debug_force_tree();
+    auto bounds = [&] {
+      const auto [lo, hi] = s.key_bounds();
+      EXPECT_EQ(lo == nullptr, hi == nullptr);
+      return lo == nullptr ? std::pair<int, int>{-1, -1}
+                           : std::pair<int, int>{*lo, *hi};
+    };
+    EXPECT_EQ(bounds(), (std::pair<int, int>{-1, -1})) << "empty";
+    s.insert_front({7, 70, 0});
+    EXPECT_EQ(bounds(), (std::pair<int, int>{7, 7})) << "one item";
+    s.insert_back({3, 30, 0});
+    s.insert_front({12, 120, 0});
+    s.insert_front({9, 90, 0});
+    EXPECT_EQ(bounds(), (std::pair<int, int>{3, 12}));
+    s.extract(3);
+    s.extract(12);
+    EXPECT_EQ(bounds(), (std::pair<int, int>{7, 9}));
+    s.extract(7);
+    s.extract(9);
+    EXPECT_EQ(bounds(), (std::pair<int, int>{-1, -1})) << "emptied";
+  }
+  // A flat segment that outgrows kFlatSegmentMax promotes to a tree.
+  Seg s;
+  const int n = static_cast<int>(core::kFlatSegmentMax) + 9;
+  for (int k = n; k > 0; --k) s.insert_front({2 * k, k, 0});
+  ASSERT_FALSE(s.is_flat());
+  const auto [lo, hi] = s.key_bounds();
+  ASSERT_NE(lo, nullptr);
+  EXPECT_EQ(*lo, 2);
+  EXPECT_EQ(*hi, 2 * n);
+}
+
+// One group on a key, optionally a net deletion.
+struct SweepGroup {
+  int key;
+  bool erase = false;
+};
+
+std::vector<SweepGroup> groups_on(std::initializer_list<int> keys,
+                                  std::initializer_list<int> erased = {}) {
+  std::vector<SweepGroup> out;
+  for (int k : keys) {
+    out.push_back({k, std::find(erased.begin(), erased.end(), k) !=
+                          erased.end()});
+  }
+  return out;
+}
+
+std::vector<int> keys_of(const std::vector<SweepGroup>& groups) {
+  std::vector<int> out;
+  for (const auto& g : groups) out.push_back(g.key);
+  return out;
+}
+
+// Sweeps S[k] with `pending`; returns the keys that resolved, in order.
+std::vector<int> sweep(std::vector<Seg>& segs, std::size_t k,
+                       std::vector<SweepGroup>& pending, bool keep_deletions,
+                       core::SweepScratch<int, int>& sc) {
+  std::vector<int> resolved;
+  core::sweep_segment<int, int>(
+      segs, k, pending, keep_deletions, sc, {},
+      [&](SweepGroup& g, int value) -> std::optional<int> {
+        EXPECT_EQ(value, g.key * 10);
+        resolved.push_back(g.key);
+        if (g.erase) return std::nullopt;
+        return value;
+      });
+  return resolved;
+}
+
+// S[2] of make_ladder({2, 4, 16}) holds keys 6..21: groups on both bounds
+// resolve there, and only the groups inside [6, 21] are probed.
+TEST(Ladder, SweepWindowIncludesBothBounds) {
+  for (const bool tree : {false, true}) {
+    SCOPED_TRACE(tree ? "tree" : "flat");
+    auto segs = make_ladder({2, 4, 16}, tree);
+    core::SweepScratch<int, int> sc;
+    auto pending = groups_on({1, 6, 10, 21, 22, 30});
+    EXPECT_EQ(sweep(segs, 2, pending, false, sc),
+              (std::vector<int>{6, 10, 21}));
+    EXPECT_EQ(keys_of(pending), (std::vector<int>{1, 22, 30}));
+    EXPECT_EQ(sc.keys, (std::vector<int>{6, 10, 21})) << "keys probed";
+    EXPECT_EQ(sizes_of(segs), (std::vector<std::size_t>{2, 7, 13}));
+    for (int k : {6, 10, 21}) EXPECT_EQ(depth(segs, k), 1u) << k;
+    for (const auto& seg : segs) EXPECT_EQ(seg.validate(), "");
+  }
+}
+
+// Pending keys wholly below, wholly above, or straddling S[2]'s range
+// [6, 21]: a window with no key probes nothing and leaves the segment and
+// the pending list as they were.
+TEST(Ladder, SweepWindowBelowAboveAndStraddling) {
+  for (const bool tree : {false, true}) {
+    SCOPED_TRACE(tree ? "tree" : "flat");
+    auto segs = make_ladder({2, 4, 16}, tree);
+    const auto before = recency_list(segs);
+    core::SweepScratch<int, int> sc;
+    for (auto pending : {groups_on({0, 3, 5}), groups_on({22, 40, 41})}) {
+      const auto keys = keys_of(pending);
+      sc.keys = {-1};
+      EXPECT_TRUE(sweep(segs, 2, pending, false, sc).empty());
+      EXPECT_EQ(keys_of(pending), keys);
+      EXPECT_EQ(sc.keys, (std::vector<int>{-1})) << "an empty window probed";
+      EXPECT_EQ(recency_list(segs), before);
+    }
+    auto pending = groups_on({3, 8, 25});
+    EXPECT_EQ(sweep(segs, 2, pending, false, sc), (std::vector<int>{8}));
+    EXPECT_EQ(keys_of(pending), (std::vector<int>{3, 25}));
+    EXPECT_EQ(sc.keys, (std::vector<int>{8}));
+  }
+}
+
+// Empty and one-item segments, flat and tree: an empty segment is never
+// probed; a one-item segment's window is its one key.
+TEST(Ladder, SweepEmptyAndOneItemSegments) {
+  for (const bool tree : {false, true}) {
+    SCOPED_TRACE(tree ? "tree" : "flat");
+    core::SweepScratch<int, int> sc;
+    auto empty = make_ladder({0}, tree);
+    auto pending = groups_on({-1, 0, 1});
+    sc.keys = {-1};
+    EXPECT_TRUE(sweep(empty, 0, pending, false, sc).empty());
+    EXPECT_EQ(keys_of(pending), (std::vector<int>{-1, 0, 1}));
+    EXPECT_EQ(sc.keys, (std::vector<int>{-1}));
+
+    auto one = make_ladder({1}, tree);  // S[0] = {0}
+    EXPECT_EQ(sweep(one, 0, pending, false, sc), (std::vector<int>{0}));
+    EXPECT_EQ(keys_of(pending), (std::vector<int>{-1, 1}));
+    EXPECT_EQ(sizes_of(one), (std::vector<std::size_t>{1}));
+
+    auto pair = make_ladder({2, 1}, tree);  // S[1] = {2}
+    pending = groups_on({1, 2, 3});
+    EXPECT_EQ(sweep(pair, 1, pending, false, sc), (std::vector<int>{2}));
+    EXPECT_EQ(keys_of(pending), (std::vector<int>{1, 3}));
+    EXPECT_EQ(sizes_of(pair), (std::vector<std::size_t>{3, 0}));
+    EXPECT_EQ(depth(pair, 2), 0u);
+    for (const auto& seg : pair) EXPECT_EQ(seg.validate(), "");
+  }
+}
+
+// Found groups leave the pending list in place and the groups past the
+// window shift down behind the misses, key order kept; with
+// keep_deletions, a net deletion keeps its slot. Only the surviving
+// finds move to S[k-1]'s front.
+TEST(Ladder, SweepCompactsFoundGroupsInPlace) {
+  for (const bool tree : {false, true}) {
+    for (const bool keep : {false, true}) {
+      SCOPED_TRACE(std::string(tree ? "tree" : "flat") +
+                   (keep ? ", keep deletions" : ""));
+      auto segs = make_ladder({2, 4, 16}, tree);
+      for (int k : {7, 9, 15}) ASSERT_TRUE(segs[2].extract(k));
+      core::SweepScratch<int, int> sc;
+      auto pending =
+          groups_on({3, 6, 7, 8, 9, 10, 15, 21, 22, 23, 24}, {6, 8});
+      EXPECT_EQ(sweep(segs, 2, pending, keep, sc),
+                (std::vector<int>{6, 8, 10, 21}));
+      EXPECT_EQ(keys_of(pending),
+                keep ? (std::vector<int>{3, 6, 7, 8, 9, 15, 22, 23, 24})
+                     : (std::vector<int>{3, 7, 9, 15, 22, 23, 24}));
+      EXPECT_EQ(sizes_of(segs), (std::vector<std::size_t>{2, 6, 9}));
+      for (int k : {10, 21}) EXPECT_EQ(depth(segs, k), 1u) << k;
+      for (int k : {6, 8}) EXPECT_FALSE(depth(segs, k)) << k;
     }
   }
 }

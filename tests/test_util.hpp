@@ -230,4 +230,67 @@ inline std::vector<core::Op<int, int>> ordered_batch_with_duplicates(
   return ops;
 }
 
+/// Extends an FNV-1a hash chain with one ladder's logical state: for each
+/// segment in order, its index and size, then its keys from most to least
+/// recent, which fixes each key's recency position. Stamps themselves are
+/// left out, so only the order they encode is pinned.
+template <typename Segments>
+std::uint64_t chain_ladder_state(std::uint64_t chain, const Segments& segs) {
+  auto mix = [&chain](std::uint64_t x) {
+    for (int b = 0; b < 8; ++b) {
+      chain ^= (x >> (8 * b)) & 0xff;
+      chain *= 0x100000001b3ULL;
+    }
+  };
+  std::vector<std::pair<std::uint64_t, std::uint64_t>> by_stamp;
+  for (std::size_t k = 0; k < segs.size(); ++k) {
+    by_stamp.clear();
+    segs[k].for_each([&](const auto& key, const auto&, std::uint64_t stamp) {
+      by_stamp.emplace_back(stamp, static_cast<std::uint64_t>(key));
+    });
+    std::sort(by_stamp.rbegin(), by_stamp.rend());
+    mix(k);
+    mix(by_stamp.size());
+    for (const auto& [stamp, key] : by_stamp) mix(key);
+  }
+  return chain;
+}
+
+/// The golden ladder-state stream, as batches: an ascending load of 2^14
+/// keys in 2,048-op batches, then 48 batches of 1,024 ops over a sliding
+/// 512-key working set (searches), with upserts (a fifth of them on keys
+/// past the load) and erases mixed in.
+inline std::vector<std::vector<core::Op<int, int>>> golden_ladder_stream(
+    std::uint64_t seed) {
+  constexpr int kLoad = 1 << 14;
+  util::Xoshiro256 rng(seed);
+  std::vector<std::vector<core::Op<int, int>>> batches;
+  for (int b = 0; b < kLoad; b += 2048) {
+    auto& batch = batches.emplace_back();
+    for (int k = b; k < b + 2048; ++k) {
+      batch.push_back(core::Op<int, int>::insert(k, 3 * k));
+    }
+  }
+  for (int r = 0; r < 48; ++r) {
+    auto& batch = batches.emplace_back();
+    const int window = r * 256;
+    for (int i = 0; i < 1024; ++i) {
+      const auto u = rng.bounded(100);
+      const int ws_key = window + static_cast<int>(rng.bounded(512));
+      if (u < 60) {
+        batch.push_back(core::Op<int, int>::search(ws_key));
+      } else if (u < 80) {
+        const int key = static_cast<int>(rng.bounded(kLoad + kLoad / 4));
+        batch.push_back(core::Op<int, int>::upsert(key, r * 1024 + i));
+      } else if (u < 95) {
+        batch.push_back(core::Op<int, int>::erase(ws_key));
+      } else {
+        const int key = static_cast<int>(rng.bounded(kLoad));
+        batch.push_back(core::Op<int, int>::search(key));
+      }
+    }
+  }
+  return batches;
+}
+
 }  // namespace pwss::testutil
