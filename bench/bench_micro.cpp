@@ -205,6 +205,72 @@ void BM_SegmentExtractByKeys(benchmark::State& state) {
 }
 BENCHMARK(BM_SegmentExtractByKeys)->Arg(64)->Arg(1024);
 
+// Batch extraction from a deep segment: a pooled 2^14-item tree segment
+// (keys 0, 10, 20, ...) and a batch spread over its whole key range. Unlike
+// the row above, only the extraction is timed: the segment is built once,
+// and the hits go back in with timing paused. The mostly-absent shape (every
+// tenth key present) is a deep segment's sweep window; the all-present one
+// is the hit side.
+void SegmentExtractByKeysOnly(benchmark::State& state, bool all_present) {
+  const std::size_t batch = static_cast<std::size_t>(state.range(0));
+  constexpr std::uint64_t kItems = 1u << 14;
+  pwss::core::SegmentPools<std::uint64_t, std::uint64_t> pools;
+  pwss::core::Segment<std::uint64_t, std::uint64_t> seg(&pools);
+  pwss::core::SegmentScratch<std::uint64_t, std::uint64_t> scratch;
+  std::vector<decltype(seg)::Item> out;
+  for (std::uint64_t i = 0; i < kItems; ++i) out.push_back({i * 10, i, 0});
+  seg.insert_front_batch(out, {}, &scratch);
+  // With the +1, key_j = j * (10m + 1) is a multiple of 10 exactly when j is.
+  const std::uint64_t step = 10 * (kItems / batch) + (all_present ? 0 : 1);
+  std::vector<std::uint64_t> keys;
+  for (std::size_t j = 0; j < batch; ++j) keys.push_back(j * step);
+  for (auto _ : state) {
+    seg.extract_by_keys(keys, out, {}, &scratch);
+    benchmark::DoNotOptimize(out.data());
+    state.PauseTiming();
+    seg.insert_front_batch(out, {}, &scratch);
+    state.ResumeTiming();
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(batch));
+}
+void BM_SegmentExtractByKeysMostlyAbsent(benchmark::State& state) {
+  SegmentExtractByKeysOnly(state, false);
+}
+void BM_SegmentExtractByKeysAllPresent(benchmark::State& state) {
+  SegmentExtractByKeysOnly(state, true);
+}
+BENCHMARK(BM_SegmentExtractByKeysMostlyAbsent)->Arg(64)->Arg(1024);
+BENCHMARK(BM_SegmentExtractByKeysAllPresent)->Arg(64)->Arg(1024);
+
+// Point extracts from a deep segment (M0's per-access removal, the
+// ladder's erase): a pooled tree segment of n items, 256 present keys
+// spread over its range, each removed with extract(key); only the extracts
+// are timed.
+void BM_SegmentPointExtract(benchmark::State& state) {
+  const std::uint64_t n = static_cast<std::uint64_t>(state.range(0));
+  constexpr std::uint64_t kKeys = 256;
+  pwss::core::SegmentPools<std::uint64_t, std::uint64_t> pools;
+  pwss::core::Segment<std::uint64_t, std::uint64_t> seg(&pools);
+  pwss::core::SegmentScratch<std::uint64_t, std::uint64_t> scratch;
+  std::vector<decltype(seg)::Item> out;
+  for (std::uint64_t i = 0; i < n; ++i) out.push_back({i * 10, i, 0});
+  seg.insert_front_batch(out, {}, &scratch);
+  for (auto _ : state) {
+    out.clear();
+    for (std::uint64_t j = 0; j < kKeys; ++j) {
+      out.push_back(std::move(*seg.extract(j * 10 * (n / kKeys))));
+    }
+    benchmark::DoNotOptimize(out.data());
+    state.PauseTiming();
+    seg.insert_front_batch(out, {}, &scratch);
+    state.ResumeTiming();
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(kKeys));
+}
+BENCHMARK(BM_SegmentPointExtract)->Arg(1 << 14)->Arg(1 << 16);
+
 void BM_PESortSequential(benchmark::State& state) {
   const double theta = static_cast<double>(state.range(0)) / 100.0;
   const auto base =

@@ -26,9 +26,10 @@
 //    tail_ — the paper's leaf-to-leaf direct pointers. A node keeps its
 //    address across split and join, so batch tree work never disturbs the
 //    list. Every arrival is linked at an end (insert_front*/insert_back*
-//    restamp), so the list stays in stamp order without an ordered splice;
-//    recency extraction walks c nodes from one end, and key extraction
-//    unlinks the nodes it found before the tree drops them.
+//    restamp), so the list stays in stamp order without an ordered splice.
+//    Every removal is one JTree::multi_extract descent, by key batch, by
+//    the c keys at one end of the list, or by one key; the segment then
+//    unlinks each detached node from the list before releasing it.
 //
 // Dispatch rules: a segment starts flat; an insert that would push it past
 // kFlatSegmentMax first *promotes* (bulk-builds the tree from the already
@@ -153,10 +154,9 @@ struct SegmentPools {
 template <typename K, typename V>
 struct SegmentScratch {
   using Link = typename SegmentTree<K, V>::Handle;
-  std::vector<std::optional<SegmentEntry<K, V>>> entries;
   std::vector<K> keys;
   std::vector<std::pair<K, SegmentEntry<K, V>>> key_entries;
-  std::vector<Link> nodes;     // parallel to keys / key_entries
+  std::vector<Link> nodes;     // parallel to the batch's keys / key_entries
   std::vector<Link> by_stamp;  // new nodes in recency order
   std::vector<std::size_t> idx;
 };
@@ -214,9 +214,7 @@ class Segment {
   /// Removes the item with `key` if present.
   std::optional<Item> extract(const K& key) {
     if (!is_tree_) return flat_.extract(key);
-    const Link n = tree_.find_node(key);
-    if (n == nullptr) return std::nullopt;
-    return extract_node(n);
+    return extract_one(key);
   }
 
   /// Inserts one item at the front (most recent); the stamp is reassigned.
@@ -283,13 +281,13 @@ class Segment {
   std::optional<Item> extract_least_recent() {
     if (empty()) return std::nullopt;
     if (!is_tree_) return flat_.extract_at(flat_.least_recent_idx());
-    return extract_node(tail_);
+    return extract_one(Tree::key_of(tail_));
   }
 
   std::optional<Item> extract_most_recent() {
     if (empty()) return std::nullopt;
     if (!is_tree_) return flat_.extract_at(flat_.most_recent_idx());
-    return extract_node(head_);
+    return extract_one(Tree::key_of(head_));
   }
 
   /// Key of the least-recent item (for inspection/tests).
@@ -313,15 +311,7 @@ class Segment {
       return;
     }
     SegmentScratch<K, V> local;
-    SegmentScratch<K, V>& sc = s ? *s : local;
-    tree_.multi_find(keys, sc.nodes, ctx);
-    sc.keys.clear();
-    for (std::size_t i = 0; i < keys.size(); ++i) {
-      if (sc.nodes[i] == nullptr) continue;
-      unlink(sc.nodes[i]);
-      sc.keys.push_back(keys[i]);
-    }
-    extract_unlinked(sc, out, ctx);
+    extract_keys(keys, out, ctx, s ? *s : local);
   }
 
   /// Removes the `c` least-recent items into `out` (cleared), sorted by key.
@@ -520,53 +510,61 @@ class Segment {
     for (const Link n : sc.by_stamp) front ? link_front(n) : link_back(n);
   }
 
-  /// Removes one node found by key or at a list end.
-  Item extract_node(Link n) {
-    unlink(n);
-    K key = Tree::key_of(n);  // copy: erase frees the node
-    auto e = tree_.erase(key);
-    Item out{std::move(key), std::move(e->value), e->stamp};
+  /// Removes `key` if present. `key` may be a tree node's own key: a
+  /// detached node stays intact until release.
+  std::optional<Item> extract_one(const K& key) {
+    Link n = nullptr;
+    tree_.multi_extract(std::span(&key, 1), std::span(&n, 1));
+    if (n == nullptr) return std::nullopt;
+    Item out = take(n);
     maybe_demote();
     return out;
   }
 
   /// Removes the `c` items at one end of the recency order into `out`
-  /// (cleared), sorted by key. A tree segment unlinks c nodes from that end
-  /// of its list — an O(c) sequential walk (DESIGN.md, Section-8
-  /// simplification 6) — then runs one multi_extract.
+  /// (cleared), sorted by key. A tree segment collects the keys of c nodes
+  /// from that end of its list — an O(c) sequential walk (DESIGN.md,
+  /// Section-8 simplification 6) — and extracts them as a key batch.
   void extract_end(std::size_t c, bool least, std::vector<Item>& out,
                    const tree::ParCtx& ctx, SegmentScratch<K, V>* s) {
+    out.clear();
     if (!is_tree_) {
-      out.clear();
       flat_.extract_by_recency(c, least, out);
       return;
     }
     SegmentScratch<K, V> local;
     SegmentScratch<K, V>& sc = s ? *s : local;
     sc.keys.clear();
+    Link n = least ? tail_ : head_;
     for (c = std::min(c, size()); c > 0; --c) {
-      const Link n = least ? tail_ : head_;
       sc.keys.push_back(Tree::key_of(n));
-      unlink(n);
+      n = least ? entry(n).newer : entry(n).older;
     }
     std::sort(sc.keys.begin(), sc.keys.end());
-    extract_unlinked(sc, out, ctx);
+    extract_keys(sc.keys, out, ctx, sc);
+    assert(out.size() == sc.keys.size() && "listed key missing from the tree");
   }
 
-  /// Extracts `sc.keys` (sorted, present, already off the list) into `out`
-  /// (cleared) in key order.
-  void extract_unlinked(SegmentScratch<K, V>& sc, std::vector<Item>& out,
-                        const tree::ParCtx& ctx) {
-    out.clear();
-    tree_.multi_extract(sc.keys, sc.entries, ctx);
-    out.reserve(sc.keys.size());
-    for (std::size_t i = 0; i < sc.keys.size(); ++i) {
-      assert(sc.entries[i] && "unlinked key missing from the tree");
-      out.push_back(Item{std::move(sc.keys[i]),
-                         std::move(sc.entries[i]->value),
-                         sc.entries[i]->stamp});
+  /// Appends the items of every present key of `keys` (sorted, distinct)
+  /// to `out` in key order. The multi_extract may fork; unlinking runs
+  /// after it, so no forked half ever writes the list's links.
+  void extract_keys(std::span<const K> keys, std::vector<Item>& out,
+                    const tree::ParCtx& ctx, SegmentScratch<K, V>& sc) {
+    sc.nodes.resize(keys.size());
+    tree_.multi_extract(keys, sc.nodes, ctx);
+    for (const Link n : sc.nodes) {
+      if (n != nullptr) out.push_back(take(n));
     }
     maybe_demote();
+  }
+
+  /// Unlinks a detached node, moves its item out and releases the node.
+  Item take(Link n) {
+    unlink(n);
+    Entry& e = entry(n);
+    Item out{Tree::key_of(n), std::move(e.value), e.stamp};
+    tree_.release(n);
+    return out;
   }
 
   // ---- representation changes --------------------------------------------

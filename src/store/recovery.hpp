@@ -99,9 +99,9 @@ RecoveredState<K, V> recover_dir(const std::string& dir) {
 
 /// Streams the recovered state through `apply` (a callable taking
 /// const std::vector<core::Op<K, V>>&) in replay order: snapshot entries
-/// first as sorted upsert batches (the bulk pooled from_sorted-style
-/// rebuild), then the WAL suffix in sequence order. Returns the count of
-/// WAL ops replayed.
+/// first as sorted upsert batches of `chunk` ops, which the caller runs
+/// through its ordinary batch path, then the WAL suffix in sequence order.
+/// Returns the count of WAL ops replayed.
 template <typename K, typename V, typename ApplyBatch>
 std::size_t replay_into(const RecoveredState<K, V>& rec, ApplyBatch&& apply,
                         std::size_t chunk = 4096) {

@@ -9,14 +9,15 @@
 //            (payload = packed K,V entry pairs, ascending key order,
 //             at most kEntriesPerBlock entries per block)
 //
-// The writer drains the map via the backend's sorted-export surface
-// (export_entries — the multi_extract machinery underneath), streams
-// blocks into <dir>/snapshot.tmp, fsyncs, renames over <dir>/snapshot,
-// and fsyncs the directory: a crash anywhere in the sequence leaves
-// either the complete old snapshot or the complete new one, never a
-// half-file under the live name. The loader verifies the header and
-// every block CRC and returns the sorted entries for a from_sorted-style
-// bulk pooled rebuild; any mismatch throws StoreError — a snapshot is
+// The writer reads the map through the backend's sorted-export surface
+// (export_entries — for the working-set maps, core::export_ladder's
+// in-order walk of every segment, then one key sort), streams blocks into
+// <dir>/snapshot.tmp, fsyncs, renames over <dir>/snapshot, and fsyncs the
+// directory: a crash anywhere in the sequence leaves either the complete
+// old snapshot or the complete new one, never a half-file under the live
+// name. The loader verifies the header and every block CRC and returns
+// the sorted entries, which recovery replays as sorted upsert batches
+// (store/recovery.hpp); any mismatch throws StoreError — a snapshot is
 // trusted ground truth for recovery, so corruption there refuses
 // service rather than guessing (unlike the WAL tail, which is truncated).
 

@@ -16,17 +16,19 @@
 // direct pointers that way).
 //
 // Concurrency contract: a JTree is externally synchronized (the maps
-// guarantee exclusive access via the paper's locking schemes). Batch reads
-// (multi_find) may run concurrently with each other but not with mutation.
+// guarantee exclusive access via the paper's locking schemes). Const
+// queries may run concurrently with each other but not with mutation; a
+// batch operation forks only inside its own recursion, over disjoint
+// subtrees.
 //
 // Allocation contract: a JTree constructed over a util::NodePool (the
 // production configuration — see core::SegmentPools) draws every node from
 // that pool and returns every node to it: point insert/erase churn is
-// heap-free once the pool is warm, multi_extract hands extracted nodes
-// straight back, and teardown (clear, destructor, dropped subtrees)
-// recycles iteratively as ONE spliced free chain instead of node-by-node
-// deletes. The pool must outlive the tree. A pool-less JTree (tests,
-// ad-hoc use) falls back to plain new/delete.
+// heap-free once the pool is warm, a node multi_extract detaches goes back
+// through release() once the caller has read it, and teardown (clear and
+// the destructor) recycles iteratively as ONE spliced free chain instead of
+// node-by-node deletes. The pool must outlive the tree. A pool-less JTree
+// (tests, ad-hoc use) falls back to plain new/delete.
 
 #include <algorithm>
 #include <cassert>
@@ -150,13 +152,10 @@ class JTree {
 
   /// Removes key if present; returns the removed value.
   std::optional<V> erase(const K& key) {
-    auto [l, m, r] = split(root_, key);
-    std::optional<V> out;
-    if (m) {
-      out = std::move(m->value);
-      dispose_node(m);
-    }
-    root_ = join2(l, r);
+    Node* m = detach_one(root_, key);
+    if (m == nullptr) return std::nullopt;
+    std::optional<V> out = std::move(m->value);
+    dispose_node(m);
     return out;
   }
 
@@ -240,17 +239,6 @@ class JTree {
   // debug builds. These correspond to the "normal batch operation" of the
   // paper's parallel 2-3 tree.
 
-  /// Looks up every key; out[i] is its node or nullptr. One batch descent:
-  /// each node splits the key span around its key, so the batch costs the
-  /// union of its search paths (a batch past either end of the tree's
-  /// range walks one spine).
-  void multi_find(std::span<const K> keys, std::vector<Handle>& out,
-                  const ParCtx& ctx = {}) const {
-    assert_sorted_keys(keys);
-    out.assign(keys.size(), nullptr);
-    multi_find_rec(root_, keys, out.data(), ctx);
-  }
-
   /// Inserts every (key, value); existing keys get their value overwritten.
   /// A non-empty `nodes` (one slot per item) receives each item's node.
   void multi_insert(std::span<const std::pair<K, V>> items,
@@ -261,14 +249,22 @@ class JTree {
                              nodes.empty() ? nullptr : nodes.data(), ctx);
   }
 
-  /// Removes every present key; out[i] receives the removed value.
-  void multi_extract(std::span<const K> keys,
-                     std::vector<std::optional<V>>& out,
+  /// Removes every present key in one batch descent: each node splits the
+  /// key span around its key, so the batch costs the union of its search
+  /// paths. `out` has one slot per key; out[i] receives the node detached
+  /// for keys[i], or nullptr when the key is absent. A detached node is off
+  /// the tree but still allocated, key and value intact: read it, then hand
+  /// it to release().
+  void multi_extract(std::span<const K> keys, std::span<Handle> out,
                      const ParCtx& ctx = {}) {
     assert_sorted_keys(keys);
-    out.assign(keys.size(), std::nullopt);
-    root_ = multi_extract_rec(root_, keys, 0, out, ctx);
+    assert(out.size() == keys.size());
+    std::fill(out.begin(), out.end(), nullptr);
+    multi_extract_rec(root_, keys, out.data(), ctx);
   }
+
+  /// Gives a node multi_extract detached back to the pool (or the heap).
+  void release(Handle n) noexcept { dispose_node(n); }
 
   /// In-order traversal.
   template <typename Fn>
@@ -481,36 +477,6 @@ class JTree {
     return {l, t, r};
   }
 
-  /// `out` is parallel to `keys` and starts all null. The right half
-  /// continues in the loop; the halves fork only when both exceed the
-  /// grain.
-  void multi_find_rec(Node* t, std::span<const K> keys, Handle* out,
-                      const ParCtx& ctx) const {
-    while (t != nullptr && !keys.empty()) {
-      const auto it = std::lower_bound(keys.begin(), keys.end(), t->key, cmp_);
-      const auto lo = static_cast<std::size_t>(it - keys.begin());
-      const bool hit = it != keys.end() && !cmp_(t->key, *it);
-      if (hit) out[lo] = t;
-      const std::size_t skip = lo + (hit ? 1 : 0);
-      const std::span<const K> left = keys.first(lo);
-      const std::span<const K> right = keys.subspan(skip);
-      if (ctx.scheduler && left.size() > ctx.grain &&
-          right.size() > ctx.grain) {
-        auto left_work = [&] { multi_find_rec(t->left, left, out, ctx); };
-        auto right_work = [&] {
-          multi_find_rec(t->right, right, out + skip, ctx);
-        };
-        ctx.scheduler->parallel_invoke(sched::FnView(left_work),
-                                       sched::FnView(right_work));
-        return;
-      }
-      multi_find_rec(t->left, left, out, ctx);
-      t = t->right;
-      keys = right;
-      out += skip;
-    }
-  }
-
   /// `nodes` is null or parallel to `items` (see multi_insert).
   Node* multi_insert_rec(Node* t, std::span<const std::pair<K, V>> items,
                          Handle* nodes, const ParCtx& ctx) {
@@ -543,32 +509,79 @@ class JTree {
     return join(nl, m, nr);
   }
 
-  Node* multi_extract_rec(Node* t, std::span<const K> keys, std::size_t base,
-                          std::vector<std::optional<V>>& out,
-                          const ParCtx& ctx) {
-    if (keys.empty() || !t) return t;
-    const std::size_t mid = keys.size() / 2;
-    auto [l, m, r] = split(t, keys[mid]);
-    if (m) {
-      out[base + mid] = std::move(m->value);
-      dispose_node(m);  // straight back to the instance pool
+  /// Removes `keys` from the subtree t, replacing t in place; returns how
+  /// many nodes it detached (`out` is parallel to `keys`, all null on
+  /// entry). A hit closes its gap with join2, a node above a hit rejoins
+  /// with join, and a subtree that lost nothing is not touched again. The
+  /// halves fork only when both exceed the grain, and the sequential case
+  /// calls the children directly. A one-key span goes to detach_one.
+  std::size_t multi_extract_rec(Node*& t, std::span<const K> keys,
+                                Handle* out, const ParCtx& ctx) {
+    if (t == nullptr || keys.empty()) return 0;
+    if (keys.size() == 1) {
+      out[0] = detach_one(t, keys[0]);
+      return out[0] != nullptr ? 1 : 0;
     }
-    Node* nl = nullptr;
-    Node* nr = nullptr;
-    auto left_work = [&] {
-      nl = multi_extract_rec(l, keys.subspan(0, mid), base, out, ctx);
-    };
-    auto right_work = [&] {
-      nr = multi_extract_rec(r, keys.subspan(mid + 1), base + mid + 1, out, ctx);
-    };
-    if (ctx.scheduler && keys.size() > ctx.grain) {
+    const auto it = std::lower_bound(keys.begin(), keys.end(), t->key, cmp_);
+    const auto lo = static_cast<std::size_t>(it - keys.begin());
+    const bool hit = it != keys.end() && !cmp_(t->key, *it);
+    const std::size_t skip = lo + (hit ? 1 : 0);
+    const std::span<const K> left = keys.first(lo);
+    const std::span<const K> right = keys.subspan(skip);
+    Node* l = t->left;
+    Node* r = t->right;
+    std::size_t gone_l = 0;
+    std::size_t gone_r = 0;
+    if (ctx.scheduler && left.size() > ctx.grain &&
+        right.size() > ctx.grain) {
+      auto left_work = [&] { gone_l = multi_extract_rec(l, left, out, ctx); };
+      auto right_work = [&] {
+        gone_r = multi_extract_rec(r, right, out + skip, ctx);
+      };
       ctx.scheduler->parallel_invoke(sched::FnView(left_work),
                                      sched::FnView(right_work));
     } else {
-      left_work();
-      right_work();
+      if (!left.empty()) gone_l = multi_extract_rec(l, left, out, ctx);
+      if (!right.empty()) gone_r = multi_extract_rec(r, right, out + skip, ctx);
     }
-    return join2(nl, nr);
+    if (hit) {
+      out[lo] = t;
+      t->left = t->right = nullptr;
+      t = join2(l, r);
+    } else if (gone_l + gone_r != 0) {
+      t = join(l, t, r);
+    }
+    return gone_l + gone_r + (hit ? 1 : 0);
+  }
+
+  /// An AVL tree this deep would hold more than 2^64 nodes.
+  static constexpr int kMaxDepth = 96;
+
+  /// Removes `key` from the subtree t, replacing t in place; returns the
+  /// detached node or nullptr. One walk down records the path; a miss leaves
+  /// t untouched, and a hit rejoins the recorded ancestors bottom-up.
+  Node* detach_one(Node*& t, const K& key) {
+    assert(node_height(t) <= kMaxDepth);
+    Node* path[kMaxDepth];
+    int depth = 0;
+    Node* n = t;
+    while (n != nullptr) {
+      const bool left = cmp_(key, n->key);
+      if (!left && !cmp_(n->key, key)) break;
+      path[depth++] = n;
+      n = left ? n->left : n->right;
+    }
+    if (n == nullptr) return nullptr;
+    Node* sub = join2(n->left, n->right);
+    n->left = n->right = nullptr;
+    Node* child = n;
+    while (depth > 0) {
+      Node* p = path[--depth];
+      sub = p->left == child ? join(sub, p, p->right) : join(p->left, p, sub);
+      child = p;
+    }
+    t = sub;
+    return n;
   }
 
   Node* build_balanced(std::span<const std::pair<K, V>> items,

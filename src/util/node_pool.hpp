@@ -30,7 +30,7 @@
 //    list on refill) or the global spine (spilling past the cap), which
 //    bounds how many free nodes a claimant can strand;
 //  * a global overflow spine rebalances memory: a shard past its cap (and
-//    every bulk `recycle_chain` of a dropped subtree) splices nodes to the
+//    every bulk `recycle_chain` of a torn-down tree) splices nodes to the
 //    spine in O(1), and an empty shard refills from the spine before
 //    growing a new chunk.
 //

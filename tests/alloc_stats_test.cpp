@@ -152,25 +152,69 @@ TEST(AllocStats, JTreeWarmPoolInsertEraseChurnIsAllocationFree) {
 }
 
 TEST(AllocStats, JTreeWarmPoolBatchChurnIsAllocationFree) {
-  // Batch shape: multi_extract returns nodes to the pool, multi_insert
-  // re-draws them; with warmed output buffers the whole cycle is heap-free.
-  tree::JTree<std::uint64_t, std::uint64_t>::Pool pool;
-  tree::JTree<std::uint64_t, std::uint64_t> t(&pool);
+  // Batch shape: multi_extract detaches the nodes, release returns them to
+  // the pool, multi_insert re-draws them; with a warmed handle buffer the
+  // whole cycle is heap-free.
+  using Tree = tree::JTree<std::uint64_t, std::uint64_t>;
+  Tree::Pool pool;
+  Tree t(&pool);
   std::vector<std::pair<std::uint64_t, std::uint64_t>> items;
   for (std::uint64_t i = 0; i < 4096; ++i) items.emplace_back(i, i);
   std::vector<std::uint64_t> keys;
   for (std::uint64_t i = 0; i < 4096; ++i) keys.push_back(i);
-  std::vector<std::optional<std::uint64_t>> out;
+  std::vector<Tree::Handle> out(keys.size());
+  auto extract_all = [&] {
+    t.multi_extract(keys, out);
+    for (const Tree::Handle n : out) t.release(n);
+  };
   t.multi_insert(items);
-  t.multi_extract(keys, out);
-  t.multi_insert(items);  // warm: buffers sized, pool at high-water
+  extract_all();
+  t.multi_insert(items);  // warm: pool at high-water
   const std::uint64_t before = alloc_count();
   for (int round = 0; round < 4; ++round) {
-    t.multi_extract(keys, out);
+    extract_all();
     t.multi_insert(items);
   }
   EXPECT_EQ(alloc_count() - before, 0u)
       << "warm-pool multi_extract/multi_insert churn must be allocation-free";
+}
+
+TEST(AllocStats, TreeSegmentWarmTransferIsAllocationFree) {
+  // The ladder's transfer shape on tree segments: two segments of one pool
+  // domain trade items by key batch (to the front) and by recency (to the
+  // back) through one SegmentScratch. The extract side releases exactly
+  // the nodes the insert side re-draws, and every buffer is sized by the
+  // warm-up rounds, so steady rounds touch no heap.
+  using Seg = core::Segment<std::uint64_t, std::uint64_t>;
+  core::SegmentPools<std::uint64_t, std::uint64_t> pools;
+  Seg a(&pools), b(&pools);
+  a.debug_force_tree();
+  b.debug_force_tree();
+  core::SegmentScratch<std::uint64_t, std::uint64_t> scratch;
+  std::vector<Seg::Item> moved;
+  for (std::uint64_t i = 0; i < 4096; ++i) moved.push_back({i, i, 0});
+  a.insert_front_batch(moved, {}, &scratch);
+  std::vector<std::uint64_t> keys;  // a third of a's keys, then misses
+  for (std::uint64_t k = 0; k < 6144; k += 3) keys.push_back(k);
+  auto transfer = [&](Seg& src, Seg& dst) {
+    src.extract_by_keys(keys, moved, {}, &scratch);
+    dst.insert_front_batch(moved, {}, &scratch);
+    src.extract_least_recent(512, moved, {}, &scratch);
+    dst.insert_back_batch(moved, {}, &scratch);
+  };
+  for (int round = 0; round < 4; ++round) {
+    transfer(round % 2 == 0 ? a : b, round % 2 == 0 ? b : a);
+  }
+  const std::uint64_t before = alloc_count();
+  for (int round = 0; round < 8; ++round) {
+    transfer(round % 2 == 0 ? a : b, round % 2 == 0 ? b : a);
+  }
+  EXPECT_EQ(alloc_count() - before, 0u)
+      << "warm tree-segment transfers must be allocation-free";
+  EXPECT_EQ(a.size() + b.size(), 4096u);
+  EXPECT_EQ(pools.node_pool.live_nodes(), 4096u);
+  EXPECT_EQ(a.validate(), "");
+  EXPECT_EQ(b.validate(), "");
 }
 
 TEST(AllocStats, FlatSegmentProbeIsAllocationFree) {

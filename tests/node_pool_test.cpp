@@ -112,11 +112,12 @@ TEST(NodePool, CrossTreeRecyclingWithinOneDomain) {
   const auto warm = pool.stats();
   std::vector<int> keys;
   for (int i = 0; i < 4096; ++i) keys.push_back(i);
-  std::vector<std::optional<int>> out;
+  std::vector<IntTree::Handle> out(keys.size());
   for (int round = 0; round < 4; ++round) {
     IntTree& src = round % 2 == 0 ? a : b;
     IntTree& dst = round % 2 == 0 ? b : a;
     src.multi_extract(keys, out);
+    for (const IntTree::Handle n : out) src.release(n);
     dst.multi_insert(items);
     ASSERT_EQ(dst.size(), 4096u);
     ASSERT_EQ(dst.validate(), "");
@@ -127,8 +128,8 @@ TEST(NodePool, CrossTreeRecyclingWithinOneDomain) {
 }
 
 // Differential fuzz vs std::map: mixed point ops, multi_insert, and
-// multi_extract of random keys and of contiguous key windows (which drop
-// whole subtrees through split + join2), all with recycling on.
+// multi_extract of random keys and of contiguous key windows (which empty
+// whole subtrees), all with recycling on.
 TEST(NodePool, DifferentialFuzzWithRecycling) {
   util::Xoshiro256 rng(2024);
   IntPool pool;
@@ -177,13 +178,14 @@ TEST(NodePool, DifferentialFuzzWithRecycling) {
           key_set.insert(static_cast<int>(rng.bounded(800)));
         }
         std::vector<int> keys(key_set.begin(), key_set.end());
-        std::vector<std::optional<int>> out;
+        std::vector<IntTree::Handle> out(keys.size());
         t.multi_extract(keys, out);
         for (std::size_t i = 0; i < keys.size(); ++i) {
           auto it = ref.find(keys[i]);
-          ASSERT_EQ(out[i].has_value(), it != ref.end());
+          ASSERT_EQ(out[i] != nullptr, it != ref.end());
           if (it != ref.end()) {
-            ASSERT_EQ(*out[i], it->second);
+            ASSERT_EQ(IntTree::value_of(out[i]), it->second);
+            t.release(out[i]);
             ref.erase(it);
           }
         }
@@ -191,19 +193,20 @@ TEST(NodePool, DifferentialFuzzWithRecycling) {
       }
       case 4:
       default: {
-        // multi_extract of a contiguous key window: drops whole subtrees
-        // through split + join2.
+        // multi_extract of a contiguous key window: detaches whole
+        // subtrees' worth of nodes and closes each gap with join2.
         const int lo = static_cast<int>(rng.bounded(800));
         const int width = 1 + static_cast<int>(rng.bounded(200));
         std::vector<int> keys;
         for (int k = lo; k < lo + width; ++k) keys.push_back(k);
-        std::vector<std::optional<int>> out;
+        std::vector<IntTree::Handle> out(keys.size());
         t.multi_extract(keys, out);
         for (std::size_t i = 0; i < keys.size(); ++i) {
           auto it = ref.find(keys[i]);
-          ASSERT_EQ(out[i].has_value(), it != ref.end());
+          ASSERT_EQ(out[i] != nullptr, it != ref.end());
           if (it != ref.end()) {
-            ASSERT_EQ(*out[i], it->second);
+            ASSERT_EQ(IntTree::value_of(out[i]), it->second);
+            t.release(out[i]);
             ref.erase(it);
           }
         }
@@ -255,8 +258,9 @@ TEST(NodePool, DifferentialFuzzWithRecycling) {
   EXPECT_EQ(v, rv);
 }
 
-// Parallel batch ops over a pooled tree: the fork/join halves allocate and
-// free on per-worker shards concurrently. Run under TSan in CI.
+// Parallel batch ops over a pooled tree: multi_insert's fork/join halves
+// allocate on per-worker shards concurrently, and multi_extract's forked
+// halves detach nodes from disjoint subtrees. Run under TSan in CI.
 TEST(NodePool, ParallelMultiInsertExtractStress) {
   sched::Scheduler scheduler(4);
   IntPool pool(&scheduler);
@@ -284,12 +288,15 @@ TEST(NodePool, ParallelMultiInsertExtractStress) {
     for (std::size_t i = 0; i < items.size(); i += 2) {
       keys.push_back(items[i].first);
     }
-    std::vector<std::optional<int>> out;
+    std::vector<IntTree::Handle> out(keys.size());
     scheduler.run_sync([&] { t.multi_extract(keys, out, ctx); });
     for (std::size_t i = 0; i < keys.size(); ++i) {
       auto it = ref.find(keys[i]);
-      ASSERT_EQ(out[i].has_value(), it != ref.end());
-      if (it != ref.end()) ref.erase(it);
+      ASSERT_EQ(out[i] != nullptr, it != ref.end());
+      if (it != ref.end()) {
+        t.release(out[i]);
+        ref.erase(it);
+      }
     }
     ASSERT_EQ(t.size(), ref.size());
     ASSERT_EQ(pool.live_nodes(), ref.size());

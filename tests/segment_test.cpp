@@ -5,6 +5,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <deque>
 #include <initializer_list>
 #include <optional>
 #include <span>
@@ -14,6 +15,7 @@
 
 #include "core/ladder.hpp"
 #include "core/segment.hpp"
+#include "sched/scheduler.hpp"
 #include "util/rng.hpp"
 
 namespace pwss {
@@ -241,6 +243,145 @@ TEST(Segment, RandomizedRecencyOrderMatchesModel) {
     ASSERT_EQ(s.size(), model.size());
   }
   EXPECT_EQ(s.validate(), "");
+}
+
+// Every tree-side removal (key windows, recency batches, point extracts)
+// against a recency model, on a pooled tree segment whose batch work runs
+// on a 2-worker scheduler with grain 4, so multi_extract really forks
+// while the list is unlinked afterwards. Pool accounting after every step
+// catches a detached node that was never released.
+TEST(Segment, ForkedTreeRemovalsMatchRecencyModel) {
+  sched::Scheduler scheduler(2);
+  core::SegmentPools<int, int> pools(&scheduler);
+  Seg s(&pools);
+  s.debug_force_tree();
+  core::SegmentScratch<int, int> scratch;
+  const tree::ParCtx ctx{&scheduler, 4};
+  constexpr int kUniverse = 6000;
+  auto value_of = [](int key) { return key * 7 + 1; };
+  std::deque<int> model;  // front = most recent
+  util::Xoshiro256 rng(25);
+  std::vector<Item> out;
+
+  // Drops `removed` from the model and checks `out` holds exactly those
+  // keys, in key order, with their values.
+  auto expect_removed = [&](std::vector<int> removed) {
+    std::sort(removed.begin(), removed.end());
+    ASSERT_EQ(out.size(), removed.size());
+    for (std::size_t i = 0; i < removed.size(); ++i) {
+      ASSERT_EQ(out[i].key, removed[i]);
+      ASSERT_EQ(out[i].value, value_of(removed[i]));
+    }
+    std::erase_if(model, [&](int k) {
+      return std::binary_search(removed.begin(), removed.end(), k);
+    });
+  };
+
+  for (int step = 0; step < 400; ++step) {
+    core::SegmentScratch<int, int>* sc = step % 2 == 0 ? &scratch : nullptr;
+    const auto action = model.size() < 64 ? 0 : rng.bounded(6);
+    switch (action) {
+      case 0: {  // key-sorted batch of absent keys, at either end
+        std::vector<int> fresh;
+        const std::size_t want = 1 + rng.bounded(400);
+        for (std::size_t tries = 0; fresh.size() < want && tries < 2 * want;
+             ++tries) {
+          const int k = static_cast<int>(rng.bounded(kUniverse));
+          if (std::find(model.begin(), model.end(), k) == model.end() &&
+              std::find(fresh.begin(), fresh.end(), k) == fresh.end()) {
+            fresh.push_back(k);
+          }
+        }
+        // Incoming stamps in arrival order: fresh[0] is the least recent.
+        std::vector<Item> batch;
+        for (std::size_t i = 0; i < fresh.size(); ++i) {
+          batch.push_back({fresh[i], value_of(fresh[i]), 100 + i});
+        }
+        std::sort(batch.begin(), batch.end(),
+                  [](const Item& a, const Item& b) { return a.key < b.key; });
+        const bool front = rng.bounded(2) == 0;
+        scheduler.run_sync([&] {
+          front ? s.insert_front_batch(batch, ctx, sc)
+                : s.insert_back_batch(batch, ctx, sc);
+        });
+        // Either way the arrivals read most recent first: fresh.back()
+        // down to fresh[0].
+        if (front) {
+          for (const int k : fresh) model.push_front(k);
+        } else {
+          model.insert(model.end(), fresh.rbegin(), fresh.rend());
+        }
+        break;
+      }
+      case 1: {  // a key window: present keys mixed with absent ones
+        const int lo = static_cast<int>(rng.bounded(kUniverse));
+        const int width = 1 + static_cast<int>(rng.bounded(600));
+        const int stride = 1 + static_cast<int>(rng.bounded(3));
+        std::vector<int> keys, removed;
+        for (int k = lo; k < lo + width; k += stride) {
+          keys.push_back(k);
+          if (std::find(model.begin(), model.end(), k) != model.end()) {
+            removed.push_back(k);
+          }
+        }
+        scheduler.run_sync([&] { s.extract_by_keys(keys, out, ctx, sc); });
+        expect_removed(removed);
+        break;
+      }
+      case 2:
+      case 3: {  // c items from one end of the recency order
+        const bool least = action == 2;
+        const std::size_t c = rng.bounded(model.size() / 2);
+        const std::vector<int> removed =
+            least ? std::vector<int>(model.end() - static_cast<std::ptrdiff_t>(c),
+                                     model.end())
+                  : std::vector<int>(model.begin(),
+                                     model.begin() + static_cast<std::ptrdiff_t>(c));
+        scheduler.run_sync([&] {
+          least ? s.extract_least_recent(c, out, ctx, sc)
+                : s.extract_most_recent(c, out, ctx, sc);
+        });
+        expect_removed(removed);
+        break;
+      }
+      case 4: {  // point extract of a key that may be absent
+        const int k = static_cast<int>(rng.bounded(kUniverse));
+        const bool present =
+            std::find(model.begin(), model.end(), k) != model.end();
+        const auto item = s.extract(k);
+        ASSERT_EQ(item.has_value(), present) << "key " << k;
+        out.clear();
+        if (item) out.push_back(*item);
+        expect_removed(present ? std::vector<int>{k} : std::vector<int>{});
+        break;
+      }
+      default: {  // point extract at either end
+        const bool least = rng.bounded(2) == 0;
+        const int want = least ? model.back() : model.front();
+        const auto item =
+            least ? s.extract_least_recent() : s.extract_most_recent();
+        ASSERT_TRUE(item.has_value());
+        out.assign(1, *item);
+        expect_removed({want});
+        break;
+      }
+    }
+    ASSERT_EQ(s.validate(), "") << "step " << step;
+    ASSERT_EQ(s.size(), model.size()) << "step " << step;
+    ASSERT_EQ(pools.node_pool.live_nodes(), s.size())
+        << "a detached node was not released, step " << step;
+    std::vector<std::pair<std::uint64_t, int>> by_stamp;
+    s.for_each([&](const int& k, const int&, std::uint64_t stamp) {
+      by_stamp.emplace_back(stamp, k);
+    });
+    std::sort(by_stamp.rbegin(), by_stamp.rend());
+    ASSERT_EQ(by_stamp.size(), model.size());
+    for (std::size_t i = 0; i < model.size(); ++i) {
+      ASSERT_EQ(by_stamp[i].second, model[i])
+          << "recency position " << i << ", step " << step;
+    }
+  }
+  EXPECT_EQ(pools.node_pool.validate(), "");
 }
 
 // ---- ladder walks (core/ladder.hpp) ----------------------------------------

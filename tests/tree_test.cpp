@@ -7,6 +7,7 @@
 #include <map>
 #include <optional>
 #include <set>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -156,77 +157,66 @@ TEST(JTree, MultiInsertMergesAndOverwrites) {
 TEST(JTree, MultiExtractRemovesAndReports) {
   IntTree t;
   for (int i = 0; i < 50; ++i) t.insert(i, i * 3);
+  const IntTree::Handle node7 = t.find_node(7);
   std::vector<int> keys = {3, 7, 49, 50, 51};  // last two absent
-  std::vector<std::optional<int>> out;
+  std::vector<IntTree::Handle> out(keys.size());
   t.multi_extract(keys, out);
-  EXPECT_EQ(out[0], 9);
-  EXPECT_EQ(out[1], 21);
-  EXPECT_EQ(out[2], 147);
-  EXPECT_FALSE(out[3].has_value());
-  EXPECT_FALSE(out[4].has_value());
+  ASSERT_NE(out[0], nullptr);
+  EXPECT_EQ(IntTree::key_of(out[0]), 3);
+  EXPECT_EQ(IntTree::value_of(out[0]), 9);
+  EXPECT_EQ(out[1], node7);  // the node itself, not a copy
+  EXPECT_EQ(IntTree::value_of(out[1]), 21);
+  ASSERT_NE(out[2], nullptr);
+  EXPECT_EQ(IntTree::value_of(out[2]), 147);
+  EXPECT_EQ(out[3], nullptr);
+  EXPECT_EQ(out[4], nullptr);
+  for (const IntTree::Handle n : out) {
+    if (n != nullptr) t.release(n);
+  }
   EXPECT_EQ(t.size(), 47u);
   EXPECT_EQ(t.find(3), nullptr);
   EXPECT_EQ(t.validate(), "");
-}
 
-TEST(JTree, MultiFindDoesNotMutate) {
-  IntTree t;
-  for (int i = 0; i < 32; ++i) t.insert(i, i);
-  std::vector<int> keys = {0, 16, 31, 99};
-  std::vector<IntTree::Handle> out;
-  t.multi_find(keys, out);
-  ASSERT_EQ(out.size(), 4u);
-  EXPECT_EQ(IntTree::key_of(out[0]), 0);
-  EXPECT_EQ(IntTree::value_of(out[0]), 0);
-  EXPECT_EQ(IntTree::value_of(out[1]), 16);
-  EXPECT_EQ(IntTree::value_of(out[2]), 31);
-  EXPECT_EQ(out[2], t.find_node(31));
-  EXPECT_EQ(out[3], nullptr);
-  EXPECT_EQ(t.size(), 32u);
-}
-
-// The batch descent agrees with a point lookup per key, sequentially and
-// forked on a 2-worker scheduler (grain 32, run on a worker so the halves
-// really fork).
-TEST(JTree, MultiFindMatchesFindNode) {
-  constexpr int kTreeKeys = 5000;  // the even keys 0, 2, ..., 9998
   IntTree empty;
-  IntTree t;
-  std::vector<std::pair<int, int>> items;
-  for (int i = 0; i < kTreeKeys; ++i) items.emplace_back(2 * i, i);
-  t.multi_insert(items);
+  empty.multi_extract(keys, out);
+  for (const IntTree::Handle n : out) EXPECT_EQ(n, nullptr);
+}
 
-  auto range = [](int lo, int hi) {
-    std::vector<int> keys;
-    for (int k = lo; k < hi; ++k) keys.push_back(k);
-    return keys;
-  };
-  const std::vector<std::pair<std::string, std::vector<int>>> batches = {
-      {"empty batch", {}},
-      {"one hit", {4242}},
-      {"one miss", {4243}},
-      {"all below", range(-300, 0)},
-      {"all above", range(2 * kTreeKeys, 2 * kTreeKeys + 300)},
-      {"hits and misses", range(-5, 2 * kTreeKeys + 5)},
-  };
-  sched::Scheduler scheduler(2);
-  for (const IntTree* tree : {&empty, &t}) {
-    for (const auto& [name, keys] : batches) {
-      std::vector<IntTree::Handle> seq;
-      tree->multi_find(keys, seq);
-      std::vector<IntTree::Handle> par;
-      scheduler.run_sync(
-          [&] { tree->multi_find(keys, par, tree::ParCtx{&scheduler, 32}); });
-      ASSERT_EQ(seq.size(), keys.size()) << name;
-      ASSERT_EQ(par.size(), keys.size()) << name;
-      for (std::size_t i = 0; i < keys.size(); ++i) {
-        const IntTree::Handle want = tree->find_node(keys[i]);
-        ASSERT_EQ(seq[i], want) << name << " key " << keys[i];
-        ASSERT_EQ(par[i], want) << name << " key " << keys[i];
-      }
+// Counts key comparisons, to bound the work of one descent.
+std::size_t g_compares = 0;
+struct CountingLess {
+  bool operator()(int a, int b) const {
+    ++g_compares;
+    return a < b;
+  }
+};
+
+TEST(JTree, OneKeyExtractWalksItsPathOnce) {
+  // Even keys present, odd keys absent; 2^16 nodes are at most
+  // 1.44 log2(n + 2) < 24 levels deep. A one-key extract walks its path
+  // once, at two comparisons a level, and the rejoins compare no keys; a
+  // miss screen ahead of the detach would double that, and a screen at
+  // every level would cost O(depth^2).
+  using CountTree = tree::JTree<int, int, CountingLess>;
+  constexpr int kN = 1 << 16;
+  constexpr std::size_t kDepth = 24;
+  std::vector<std::pair<int, int>> items;
+  for (int i = 0; i < kN; ++i) items.emplace_back(2 * i, i);
+  auto t = CountTree::from_sorted(items);
+  std::size_t left = t.size();
+  for (int k = 1; k < 2 * kN; k += 997) {
+    CountTree::Handle n = nullptr;
+    g_compares = 0;
+    t.multi_extract(std::span(&k, 1), std::span(&n, 1));
+    EXPECT_LE(g_compares, 2 * kDepth) << "key " << k;
+    ASSERT_EQ(n != nullptr, k % 2 == 0) << "key " << k;
+    if (n != nullptr) {
+      EXPECT_EQ(CountTree::key_of(n), k);
+      t.release(n);
+      --left;
     }
   }
-  EXPECT_EQ(t.size(), static_cast<std::size_t>(kTreeKeys));
+  EXPECT_EQ(t.size(), left);
   EXPECT_EQ(t.validate(), "");
 }
 
@@ -306,13 +296,14 @@ TEST(JTree, RandomizedBatchDifferential) {
       for (int k : key_set) ref[k] = round;
     } else {
       std::vector<int> keys(key_set.begin(), key_set.end());
-      std::vector<std::optional<int>> out;
+      std::vector<IntTree::Handle> out(keys.size());
       t.multi_extract(keys, out);
       for (std::size_t i = 0; i < keys.size(); ++i) {
         auto it = ref.find(keys[i]);
-        ASSERT_EQ(out[i].has_value(), it != ref.end());
+        ASSERT_EQ(out[i] != nullptr, it != ref.end());
         if (it != ref.end()) {
-          EXPECT_EQ(*out[i], it->second);
+          EXPECT_EQ(IntTree::value_of(out[i]), it->second);
+          t.release(out[i]);
           ref.erase(it);
         }
       }
@@ -326,7 +317,9 @@ TEST(JTree, RandomizedBatchDifferential) {
   EXPECT_EQ(v, rv);
 }
 
-// Parallel batch ops give identical results to sequential ones.
+// Parallel batch ops give identical results to sequential ones, and a
+// forked multi_extract hands back exactly the nodes a point lookup finds
+// (run on a worker so the halves really fork).
 class JTreeParallelTest : public ::testing::TestWithParam<std::size_t> {};
 
 TEST_P(JTreeParallelTest, ParallelMatchesSequential) {
@@ -348,16 +341,32 @@ TEST_P(JTreeParallelTest, ParallelMatchesSequential) {
     par.insert(static_cast<int>(i * 7919 % (1 << 20)), i);
   }
   seq.multi_insert(items);
-  par.multi_insert(items, ctx);
+  scheduler.run_sync([&] { par.multi_insert(items, ctx); });
   EXPECT_EQ(seq.to_vector(), par.to_vector());
   EXPECT_EQ(par.validate(), "");
 
+  // Misses below and above the tree's range around every other batch key.
   std::vector<int> keys;
+  for (int k = -64; k < 0; ++k) keys.push_back(k);
   for (std::size_t i = 0; i < items.size(); i += 2) keys.push_back(items[i].first);
-  std::vector<std::optional<int>> out_seq, out_par;
+  for (int k = 1 << 20; k < (1 << 20) + 64; ++k) keys.push_back(k);
+  std::vector<IntTree::Handle> want_seq, want_par;
+  for (const int k : keys) {
+    want_seq.push_back(seq.find_node(k));
+    want_par.push_back(par.find_node(k));
+  }
+  std::vector<IntTree::Handle> out_seq(keys.size()), out_par(keys.size());
   seq.multi_extract(keys, out_seq);
-  par.multi_extract(keys, out_par, ctx);
-  EXPECT_EQ(out_seq, out_par);
+  scheduler.run_sync([&] { par.multi_extract(keys, out_par, ctx); });
+  EXPECT_EQ(out_seq, want_seq);
+  EXPECT_EQ(out_par, want_par);
+  for (std::size_t i = 0; i < keys.size(); ++i) {
+    ASSERT_EQ(out_par[i] != nullptr, out_seq[i] != nullptr) << keys[i];
+    if (out_par[i] == nullptr) continue;
+    EXPECT_EQ(IntTree::value_of(out_par[i]), IntTree::value_of(out_seq[i]));
+    seq.release(out_seq[i]);
+    par.release(out_par[i]);
+  }
   EXPECT_EQ(seq.to_vector(), par.to_vector());
   EXPECT_EQ(par.validate(), "");
 }
