@@ -183,32 +183,10 @@ void BM_JTreeMultiInsertPooled(benchmark::State& state) {
 }
 BENCHMARK(BM_JTreeMultiInsertPooled)->Arg(64)->Arg(1024)->Arg(16384);
 
-void BM_SegmentExtractByKeys(benchmark::State& state) {
-  const std::size_t batch = static_cast<std::size_t>(state.range(0));
-  for (auto _ : state) {
-    state.PauseTiming();
-    pwss::core::Segment<std::uint64_t, std::uint64_t> seg;
-    for (std::uint64_t i = 0; i < (1u << 14); ++i) {
-      seg.insert_front({i, i, 0});
-    }
-    std::vector<std::uint64_t> keys;
-    for (std::size_t i = 0; i < batch; ++i) {
-      keys.push_back(static_cast<std::uint64_t>(i * 3));
-    }
-    std::vector<decltype(seg)::Item> out;
-    state.ResumeTiming();
-    seg.extract_by_keys(keys, out);
-    benchmark::DoNotOptimize(out.size());
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(batch));
-}
-BENCHMARK(BM_SegmentExtractByKeys)->Arg(64)->Arg(1024);
-
 // Batch extraction from a deep segment: a pooled 2^14-item tree segment
-// (keys 0, 10, 20, ...) and a batch spread over its whole key range. Unlike
-// the row above, only the extraction is timed: the segment is built once,
-// and the hits go back in with timing paused. The mostly-absent shape (every
+// (keys 0, 10, 20, ...) and a batch spread over its whole key range. Only
+// the extraction is timed: the segment is built once, and the hits go back
+// in with timing paused. The mostly-absent shape (every
 // tenth key present) is a deep segment's sweep window; the all-present one
 // is the hit side.
 void SegmentExtractByKeysOnly(benchmark::State& state, bool all_present) {
@@ -501,7 +479,6 @@ int main(int argc, char** argv) {
   for (int i = 1; i < argc; ++i) {
     if (std::strncmp(argv[i], "--backend", 9) == 0 ||
         std::strncmp(argv[i], "--workers", 9) == 0 ||
-        std::strncmp(argv[i], "--p=", 4) == 0 ||
         std::strcmp(argv[i], "--list-backends") == 0) {
       ours.push_back(argv[i]);
     } else {

@@ -12,7 +12,7 @@ repeated runs appended to the same file) are median-reduced.
 
 Metric direction is inferred from the name: *_per_sec is higher-better,
 ns_* / *_ns is lower-better. Counter-shaped metrics (hits_*, misses,
-share_*, shed_*) are NEUTRAL: they describe workload shape (e.g. the per-segment-
+share_*) are NEUTRAL: they describe workload shape (e.g. the per-segment-
 depth probe counters from bench_micro's probe_depth panel), not speed, so
 they are shown informationally and never flagged as regressions. The exit
 code is nonzero when any shared series regressed by more than the
@@ -61,22 +61,15 @@ def load(path):
     return series
 
 
-def is_neutral(panel, metric, bench="?"):
+def is_neutral(panel, metric):
     """Workload-shape counters: reported, never gated on.
 
-    Shed rates (bench_e10_overload) are policy outcomes — a higher shed
-    rate under a tighter window is the admission controller WORKING, not a
-    performance regression — so they are informational by construction.
     The recovery panel (bench_micro) is single-shot, fsync-bound
-    wall-clock bandwidth — far too machine-dependent to gate on. Every
-    e11 series (bench_e11_serve) is loopback socket round-trip time —
-    scheduler- and kernel-noise-bound, recorded for trend plots only
-    (its correctness claims are enforced by the harness's own exit code,
-    not here).
+    wall-clock bandwidth — far too machine-dependent to gate on.
     """
-    return (bench == "e11" or panel == "recovery"
+    return (panel == "recovery"
             or metric.startswith("hits_") or metric.startswith("share_")
-            or metric.startswith("shed_") or metric == "misses")
+            or metric == "misses")
 
 
 def higher_is_better(metric):
@@ -136,7 +129,7 @@ def main(argv):
         else:
             delta = (b - c) / b  # improvement positive for lower-better too
         flag = ""
-        if is_neutral(key[1], metric, key[0]):
+        if is_neutral(key[1], metric):
             flag = "  (info)"
         elif delta < -threshold:
             flag = "  << REGRESSION"

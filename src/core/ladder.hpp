@@ -28,6 +28,7 @@
 #include "core/ops.hpp"
 #include "core/segment.hpp"
 #include "sched/scheduler.hpp"
+#include "sort/parallel_primitives.hpp"
 #include "util/validate.hpp"
 
 namespace pwss::core {
@@ -361,13 +362,8 @@ void stable_sort_by_key(std::vector<KeyPos<K>>& v,
     return a.key < b.key;
   };
   for (std::size_t b = 0; b < n; b += kRun) {
-    for (std::size_t i = b + 1; i < std::min(b + kRun, n); ++i) {
-      KeyPos<K> tmp = std::move(v[i]);
-      std::size_t j = i;
-      // Strict < keeps equal keys in place: stable.
-      for (; j > b && tmp.key < v[j - 1].key; --j) v[j] = std::move(v[j - 1]);
-      v[j] = std::move(tmp);
-    }
+    sort::insertion_sort(std::span(v).subspan(b, std::min(kRun, n - b)),
+                         [](const KeyPos<K>& kp) -> const K& { return kp.key; });
   }
   buf.resize(n);
   KeyPos<K>* src = v.data();
@@ -387,6 +383,54 @@ void stable_sort_by_key(std::vector<KeyPos<K>>& v,
   if (src != v.data()) std::move(src, src + n, v.data());
 }
 
+/// sort_chunk's buffers for inputs past kInPlaceSortMax: (key, position)
+/// pairs, their merge buffer, and the gathered ops. Each map keeps its own.
+template <typename K, typename V, typename Target>
+struct ChunkSortScratch {
+  std::vector<KeyPos<K>> order;
+  std::vector<KeyPos<K>> order_buf;
+  std::vector<PendingOp<K, V, Target>> gathered;
+};
+
+/// Out-of-order inputs of at most this many ops are insertion-sorted in
+/// place; longer ones take the (key, position) merge sort and a gather.
+/// Measured on 48-B PendingOps with random keys (EXPERIMENTS.md "One cut
+/// sort for both maps"): in place won by 2.9-4.4 ns/op up to 64 ops in
+/// every run, and the pairs won from 112 ops.
+inline constexpr std::size_t kInPlaceSortMax = 64;
+
+/// The one sort of a cut or a walk chunk (either map): a stable sort by
+/// key, so same-key ops keep their order in `ops` — arrival order, which
+/// is per-key submission order (Definition 8). An input already in key
+/// order (one pass checks) is left alone. Inputs are at most kBatchChunk
+/// walk ops or one M2 cut, so this is O(b log b) comparisons per input
+/// (DESIGN.md section 8, simplification 8).
+template <typename K, typename V, typename Target>
+void sort_chunk(std::vector<PendingOp<K, V, Target>>& ops,
+                ChunkSortScratch<K, V, Target>& sc) {
+  using Op = PendingOp<K, V, Target>;
+  auto key_of = [](const Op& op) -> const K& { return op.key; };
+  if (std::is_sorted(ops.begin(), ops.end(),
+                     [](const Op& a, const Op& b) { return a.key < b.key; })) {
+    return;
+  }
+  if (ops.size() <= kInPlaceSortMax) {
+    sort::insertion_sort(std::span<Op>(ops), key_of);
+    return;
+  }
+  assert(ops.size() <= 0xffffffffu && "input exceeds KeyPos positions");
+  sc.order.clear();
+  sc.order.reserve(ops.size());
+  for (std::uint32_t i = 0; i < ops.size(); ++i) {
+    sc.order.push_back({ops[i].key, i});
+  }
+  stable_sort_by_key(sc.order, sc.order_buf);
+  sc.gathered.clear();
+  sc.gathered.reserve(ops.size());
+  for (const auto& kp : sc.order) sc.gathered.push_back(std::move(ops[kp.pos]));
+  ops.swap(sc.gathered);
+}
+
 /// The per-instance arena of the point-phase walk (DESIGN.md "Allocation
 /// discipline"): the sweep buffers plus the tagged, sorted and coalesced
 /// chunk, and the ordered-phase combining buffers. One per M1 instance and
@@ -400,11 +444,8 @@ struct BatchScratch : SweepScratch<K, V> {
   /// index). Groups reference it by position, so it stays unmoved for the
   /// chunk once sorted.
   std::vector<Tagged> tagged;
-  /// The chunk sort's buffers: (key, position) pairs, their merge buffer,
-  /// and the gathered chunk (swapped with `tagged`).
-  std::vector<KeyPos<K>> order;
-  std::vector<KeyPos<K>> order_buf;
-  std::vector<Tagged> gathered;
+  /// sort_chunk's buffers.
+  ChunkSortScratch<K, V, std::size_t> sort;
   /// Coalesced index groups still looking for their item; each sweep step
   /// compacts its finds out in place.
   std::vector<IndexGroup<K>> pending;
@@ -423,41 +464,6 @@ struct BatchScratch : SweepScratch<K, V> {
 /// unchunked and 73.3 / 74.5 / 75.5 / 79.6 B/key with this chunk, and the
 /// 65,536-op load took 0.49-0.56 s unchunked, 0.39-0.43 s chunked.
 inline constexpr std::size_t kBatchChunk = 4096;
-
-/// Puts a chunk whose source indices ascend into (key, source index)
-/// order, which keeps per-key submission order (Definition 8). A chunk
-/// already in key order (one pass checks) is left alone; any other gets
-/// a stable sort by key. Chunks are at most kBatchChunk ops, so this is
-/// O(b log b) <= 12b comparisons per chunk (DESIGN.md section 8,
-/// simplification 8).
-template <typename K, typename V>
-void sort_chunk(BatchScratch<K, V>& sc) {
-  using Tagged = PendingOp<K, V, std::size_t>;
-  auto& tagged = sc.tagged;
-  assert(std::adjacent_find(tagged.begin(), tagged.end(),
-                            [](const Tagged& a, const Tagged& b) {
-                              return !(a.target < b.target);
-                            }) == tagged.end() &&
-         "fill must tag ascending source indices");
-  if (std::is_sorted(tagged.begin(), tagged.end(),
-                     [](const Tagged& a, const Tagged& b) {
-                       return a.key < b.key;
-                     })) {
-    return;
-  }
-  sc.order.clear();
-  sc.order.reserve(tagged.size());
-  for (std::uint32_t i = 0; i < tagged.size(); ++i) {
-    sc.order.push_back({tagged[i].key, i});
-  }
-  stable_sort_by_key(sc.order, sc.order_buf);
-  sc.gathered.clear();
-  sc.gathered.reserve(tagged.size());
-  for (const auto& kp : sc.order) {
-    sc.gathered.push_back(std::move(tagged[kp.pos]));
-  }
-  tagged.swap(sc.gathered);
-}
 
 /// M1's point phase (Section 6.1) over the ladder's first `live` segments,
 /// for source ops [0, n) taken kBatchChunk at a time. Per chunk:
@@ -485,7 +491,12 @@ std::size_t walk_point_phase(std::vector<Segment<K, V>>& segs,
   for (std::size_t b = 0; b < n; b += kBatchChunk) {
     tagged.clear();
     fill(b, std::min(n, b + kBatchChunk), tagged);
-    sort_chunk(sc);
+    assert(std::adjacent_find(tagged.begin(), tagged.end(),
+                              [](const Tagged& a, const Tagged& b) {
+                                return !(a.target < b.target);
+                              }) == tagged.end() &&
+           "fill must tag ascending source indices");
+    sort_chunk(tagged, sc.sort);
     coalesce_sorted_index(std::span<const Tagged>(tagged), sc.pending);
     auto ops_of = [&](const IndexGroup<K>& g) {
       return std::span<const Tagged>(tagged).subspan(g.begin, g.end - g.begin);

@@ -3,7 +3,7 @@
 //
 // Structure (Figure 2):
 //
-//   input -> feed buffer --cut batch--> [PESort+Combine]
+//   input -> feed buffer --cut batch--> [sort_chunk+Combine]
 //         -> FIRST SLAB  S[0..m-1]   (m = ceil(log log 2p^2) + 1)
 //         -> FILTER  (admission bound = one cut; one in-flight group per key)
 //         -> FINAL SLAB  S[m] -> S[m+1] -> ... -> S[l]   (pipelined)
@@ -85,7 +85,6 @@
 #include "core/ops.hpp"
 #include "core/segment.hpp"
 #include "sched/scheduler.hpp"
-#include "sort/pesort.hpp"
 #include "sync/async_gate.hpp"
 #include "sync/dedicated_lock.hpp"
 #include "util/sites.hpp"
@@ -454,11 +453,8 @@ class M2Map {
     assert(ordered_batch_.empty());
     admit(batch, [](Ticket t) { return t; }, emit_fn());
 
-    // Step 2: stable sort + combine. PESort, not the walk's sort_chunk: on
-    // the wire's cuts of 1-40 ops its small-input insertion sort is faster
-    // (EXPERIMENTS.md "M2's cut sort").
-    sort::pesort(
-        batch, [](const POp& op) { return op.key; }, &scheduler_);
+    // Step 2: stable sort + combine.
+    sort_chunk(batch, cut_sort_);
     std::vector<Group> groups;
     coalesce_sorted_into(batch, groups);
 
@@ -1033,14 +1029,15 @@ class M2Map {
   sync::AsyncGate interface_gate_;
 
   // Parked ordered queries of the current tick, the bulk requests a bulk
-  // tick serves, and the interface's walk arena (the first-slab sweep uses
-  // its SweepScratch half) — owned by the interface (single-owner via its
-  // gate), so the lock-chain hop closures stay small and every buffer
-  // reuses capacity across ticks.
+  // tick serves, the interface's walk arena (the first-slab sweep uses
+  // its SweepScratch half) and its cut sort's buffers — owned by the
+  // interface (single-owner via its gate), so the lock-chain hop closures
+  // stay small and every buffer reuses capacity across ticks.
   std::vector<POp> ordered_batch_;
   std::vector<BulkRequest> bulk_batch_;
   bool bulk_tick_ = false;
   BatchScratch<K, V> iface_scratch_;
+  ChunkSortScratch<K, V, Ticket> cut_sort_;
 
   // Bulk requests queued by execute_batch; bulk_pending_ mirrors
   // !bulk_.empty() for the interface's readiness check.

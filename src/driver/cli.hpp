@@ -6,7 +6,6 @@
 //   --backend=NAME[,NAME...]   backends to run (default: binary-specific)
 //   --backend=all              every registered backend
 //   --workers=N                scheduler worker count (0 = hardware)
-//   --p=N                      M2 bunch parameter p (0 = worker count)
 //   --shards=N                 shard count for sharded:* backends (0 = 4)
 //   --max-in-flight=N          admission window: max admitted-but-not-
 //                              completed ops (0 = unbounded; per shard on
@@ -171,7 +170,7 @@ CliOptions parse(int argc, char** argv,
     const std::string_view arg = argv[i];
     if (arg == "--help" || arg == "-h") {
       std::printf(
-          "usage: %s [--backend=NAME[,NAME...]|all] [--workers=N] [--p=N]\n"
+          "usage: %s [--backend=NAME[,NAME...]|all] [--workers=N]\n"
           "          [--shards=N] [--max-in-flight=N] "
           "[--admission=reject|block]\n"
           "          [--mix=S,I,E[,P,Su,R]] [--range-span=N]\n"
@@ -207,9 +206,6 @@ CliOptions parse(int argc, char** argv,
       cli.driver.workers = detail::parse_unsigned(
           argv[0], "--workers",
           arg.substr(std::string_view("--workers=").size()));
-    } else if (arg.starts_with("--p=")) {
-      cli.driver.p = detail::parse_unsigned(
-          argv[0], "--p", arg.substr(std::string_view("--p=").size()));
     } else if (arg.starts_with("--shards=")) {
       cli.driver.shards = detail::parse_unsigned(
           argv[0], "--shards",
@@ -263,9 +259,8 @@ CliOptions parse(int argc, char** argv,
     }
   }
 
-  if (cli.driver.workers > 4096 || cli.driver.p > 4096 ||
-      cli.driver.shards > 4096) {
-    std::fprintf(stderr, "%s: --workers/--p/--shards must be at most 4096\n",
+  if (cli.driver.workers > 4096 || cli.driver.shards > 4096) {
+    std::fprintf(stderr, "%s: --workers/--shards must be at most 4096\n",
                  argv[0]);
     std::exit(2);
   }

@@ -61,8 +61,6 @@ struct Options {
   /// Scheduler worker count; 0 = hardware concurrency. Ignored by
   /// schedulerless backends.
   unsigned workers = 0;
-  /// M2's p (bunch size p^2); 0 = the scheduler's worker count.
-  unsigned p = 0;
   /// Shard count for sharded:* backends; 0 = kDefaultShards. Ignored by
   /// unsharded backends.
   unsigned shards = 0;
@@ -616,7 +614,7 @@ class BackendDriver final : public Driver<K, V> {
   BackendDriver(std::string name, const Options& opts)
       : Driver<K, V>(std::move(name), admission_config(opts)),
         scheduler_(opts, W != Wiring::kCaller),
-        front_(make_front(scheduler_.ptr, opts)) {}
+        front_(make_front(scheduler_.ptr)) {}
 
   std::optional<std::size_t> depth_of(const K& key) override {
     B& b = backend();
@@ -679,9 +677,9 @@ class BackendDriver final : public Driver<K, V> {
   using Front = std::conditional_t<W == Wiring::kAsyncMap,
                                    core::AsyncMap<K, V, B>, B>;
 
-  static Front make_front(sched::Scheduler* s, const Options& opts) {
+  static Front make_front(sched::Scheduler* s) {
     if constexpr (W == Wiring::kNative) {
-      return Front(*s, opts.p);
+      return Front(*s);
     } else if constexpr (W == Wiring::kCaller) {
       return Front();
     } else if constexpr (std::constructible_from<B, sched::Scheduler*>) {

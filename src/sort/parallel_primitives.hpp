@@ -1,17 +1,33 @@
 #pragma once
-// Parallel primitives used by the entropy sort and the batch machinery:
-// exclusive prefix sums and stable three-way partition (the "standard
-// prefix-sum technique" of Definition 32).
+// Primitives used by the entropy sort and the batch machinery: exclusive
+// prefix sums, stable three-way partition (the "standard prefix-sum
+// technique" of Definition 32) and the one stable insertion sort.
 
 #include <cassert>
 #include <cstddef>
 #include <cstdint>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "sched/scheduler.hpp"
 
 namespace pwss::sort {
+
+/// Stable insertion sort of `v` by `key_of(v[i])`: PESort's base case and
+/// small-input path, the walk's 16-op merge runs, and core::sort_chunk's
+/// in-place path. Unlike std::stable_sort it never allocates.
+template <typename T, typename KeyFn>
+void insertion_sort(std::span<T> v, const KeyFn& key_of) {
+  for (std::size_t i = 1; i < v.size(); ++i) {
+    T tmp = std::move(v[i]);
+    const auto& key = key_of(tmp);
+    std::size_t j = i;
+    // Strict < keeps equal keys in place: stable.
+    for (; j > 0 && key < key_of(v[j - 1]); --j) v[j] = std::move(v[j - 1]);
+    v[j] = std::move(tmp);
+  }
+}
 
 /// Exclusive prefix sum of `v` in place; returns the total. Two-pass
 /// blocked algorithm: O(n) work, O(n / p + log p) span in practice.

@@ -55,23 +55,6 @@ struct PESortScratch {
 
 namespace detail {
 
-/// Stable insertion sort for tiny ranges — the base case of the recursion
-/// and the whole-input small cutoff. Unlike std::stable_sort it never
-/// allocates (libstdc++/libc++ stable_sort buys a temporary merge buffer
-/// per call), which keeps point-op batches and recursion leaves off the
-/// allocator entirely.
-template <typename T, typename KeyFn>
-void insertion_sort(std::span<T> v, const KeyFn& key_of) {
-  for (std::size_t i = 1; i < v.size(); ++i) {
-    T tmp = std::move(v[i]);
-    const auto key = key_of(tmp);
-    std::size_t j = i;
-    // Strict < keeps equal keys in place: stable.
-    for (; j > 0 && key < key_of(v[j - 1]); --j) v[j] = std::move(v[j - 1]);
-    v[j] = std::move(tmp);
-  }
-}
-
 /// Parallel Pivot Algorithm (Lemma 34): split into blocks of size ~log k,
 /// take each block's median, return the median of medians — always within
 /// the middle two quartiles. `med` is the caller's median buffer, sliced
@@ -206,7 +189,7 @@ void pesort(std::vector<T>& v, const KeyFn& key_of,
             PESortScratch<T, Key>* scratch = nullptr) {
   if (v.size() <= 1) return;
   if (v.size() <= 2 * opts.base_case) {
-    detail::insertion_sort(std::span<T>(v), key_of);
+    insertion_sort(std::span<T>(v), key_of);
     return;
   }
   PESortScratch<T, Key> local;

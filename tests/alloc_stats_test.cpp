@@ -305,17 +305,14 @@ TEST(AllocStats, M1BatchAllocsDropOnceArenaIsWarm) {
 }
 
 TEST(AllocStats, M1SteadyStateBatchWithReusedResultsIsAllocationLean) {
-  // The full batch loop with every reuse layer on: instance arena (PR 3),
-  // node pools, the caller-owned results buffer, and — closing the last
-  // gap — the PESort pivot machinery. The ~690 steady allocations/batch
-  // this shape used to pay (misattributed to "esort position lists" in
-  // earlier notes; a backtrace census pinned them to ppivot's per-level
-  // medians/block vectors and three_way_partition's per-call count
-  // vectors) are gone: medians live in PESortScratch sliced like the
-  // classification bytes, block medians on the stack, and the sequential
-  // partition path uses scalar counters. Measured 4/batch on the PR
-  // machine; the bound leaves headroom for stdlib variance while
-  // catching any reintroduced per-level allocation.
+  // The full batch loop with every reuse layer on: the instance arena
+  // (BatchScratch, whose chunk sort keeps its pair, merge and gather
+  // buffers), the node pools and the caller-owned results buffer. The ~690
+  // steady allocations/batch this shape once paid came from PESort's
+  // per-level pivot and partition buffers, back when M1's walk sorted
+  // with it; the walk's sort_chunk allocates nothing once its buffers are
+  // warm. Measured 4/batch; the bound leaves headroom for stdlib variance
+  // while catching any reintroduced per-batch allocation.
   core::M1Map<int, int> m;
   std::vector<IntOp> warm;
   warm.reserve(4096);
@@ -345,8 +342,8 @@ TEST(AllocStats, M1SteadyStateBatchWithReusedResultsIsAllocationLean) {
               static_cast<unsigned long long>(steady));
   EXPECT_LE(steady, 64u)
       << "steady-state M1 batch allocations regressed — check the node "
-      << "pools, the arena, the results-buffer reuse, and the PESort "
-      << "scratch (medians/partition counters)";
+      << "pools, the arena, the results-buffer reuse, and the chunk sort's "
+      << "scratch (pair, merge and gather buffers)";
 }
 
 TEST(AllocStats, DriverRunReusesResultsBuffer) {

@@ -370,8 +370,8 @@ TEST(M1, EraseEverything) {
 
 TEST(M1, ArenaReuseManyBatchesDifferentialVsM0) {
   // The per-instance BatchScratch arena is reused by every execute_batch;
-  // a long stream of batches with wildly varying sizes (straddling the
-  // pesort small-sort cutoff and shrinking/growing the arena's buffers)
+  // a long stream of batches with wildly varying sizes (straddling
+  // sort_chunk's in-place bound and shrinking/growing the arena's buffers)
   // must stay exactly equivalent to M0's sequential reference semantics.
   util::Xoshiro256 rng(77);
   M1Map<int, int> m1;

@@ -396,6 +396,15 @@ TEST(M2, DeepPipelineStaysSoundUnderBulkBacklog) {
   ASSERT_NO_FATAL_FAILURE(bulk_load_then_mixed_rounds(1, &tasks_per_op));
 }
 
+// p = 8 cuts 2 bunches of 64 = 128 ops per interface run at 2^14 keys,
+// past sort_chunk's in-place bound, so the mixed rounds' random cuts take
+// its (key, position) merge sort and gather.
+TEST(M2, WideCutsTakeThePairSort) {
+  static_assert(2 * 8 * 8 > core::kInPlaceSortMax);
+  double tasks_per_op = 0;
+  ASSERT_NO_FATAL_FAILURE(bulk_load_then_mixed_rounds(8, &tasks_per_op));
+}
+
 TEST(M2, OrderedQueriesSeeTheWholePipeline) {
   // Items deliberately spread across the first slab AND deep final-slab
   // stages; the global ordered read must snapshot every segment under the

@@ -13,6 +13,7 @@
 #include <utility>
 #include <vector>
 
+#include "core/async_map.hpp"
 #include "core/ladder.hpp"
 #include "core/segment.hpp"
 #include "sched/scheduler.hpp"
@@ -556,18 +557,27 @@ TEST(Ladder, DepthAndExportWalks) {
   }
 }
 
-// sort_chunk must leave a chunk exactly as a stable sort by key would,
-// for sizes on both sides of its 16-op insertion-sorted runs.
-TEST(Ladder, SortChunkMatchesStableSortByKey) {
-  using Tagged = core::PendingOp<int, int, std::size_t>;
+// sort_chunk must leave its input exactly as a stable sort by key would:
+// on both sides of its in-place bound and of the merge sort's 16-op runs,
+// on a full 4,096-op walk chunk, and for M1's index-tagged ops and M2's
+// ticket-target ops, whose targets need not ascend.
+template <typename Target, typename TargetOf>
+void expect_sort_chunk_is_stable(TargetOf&& target_of) {
+  using Op = core::PendingOp<int, int, Target>;
   util::Xoshiro256 rng(2024);
+  std::vector<std::size_t> sizes;
+  for (std::size_t n = 0; n <= 2 * core::kInPlaceSortMax + 2; ++n) {
+    sizes.push_back(n);
+  }
+  sizes.push_back(core::kBatchChunk);
   enum class Shape { kRandom, kDescending, kDuplicateHeavy };
   for (const Shape shape :
        {Shape::kRandom, Shape::kDescending, Shape::kDuplicateHeavy}) {
-    for (std::size_t n = 0; n <= 64; ++n) {
+    for (const std::size_t n : sizes) {
       SCOPED_TRACE(::testing::Message()
                    << "shape " << static_cast<int>(shape) << ", n " << n);
-      core::BatchScratch<int, int> sc;
+      core::ChunkSortScratch<int, int, Target> sc;
+      std::vector<Op> ops;
       for (std::size_t i = 0; i < n; ++i) {
         int key = 0;
         switch (shape) {
@@ -581,22 +591,34 @@ TEST(Ladder, SortChunkMatchesStableSortByKey) {
             key = static_cast<int>(rng.bounded(3));
             break;
         }
-        sc.tagged.push_back(Tagged{core::OpType::kUpsert, key,
-                                   static_cast<int>(i), 0, i});
+        ops.push_back(Op{core::OpType::kUpsert, key, static_cast<int>(i), 0,
+                         target_of(i)});
       }
-      std::vector<Tagged> expected = sc.tagged;
+      std::vector<Op> expected = ops;
       std::stable_sort(expected.begin(), expected.end(),
-                       [](const Tagged& a, const Tagged& b) {
-                         return a.key < b.key;
-                       });
-      core::sort_chunk(sc);
-      ASSERT_EQ(sc.tagged.size(), n);
+                       [](const Op& a, const Op& b) { return a.key < b.key; });
+      core::sort_chunk(ops, sc);
+      ASSERT_EQ(ops.size(), n);
       for (std::size_t i = 0; i < n; ++i) {
-        EXPECT_EQ(sc.tagged[i].key, expected[i].key) << i;
-        EXPECT_EQ(sc.tagged[i].target, expected[i].target) << i;
-        EXPECT_EQ(sc.tagged[i].value, expected[i].value) << i;
+        ASSERT_EQ(ops[i].key, expected[i].key) << i;
+        ASSERT_EQ(ops[i].target, expected[i].target) << i;
+        ASSERT_EQ(ops[i].value, expected[i].value) << i;
       }
     }
+  }
+}
+
+TEST(Ladder, SortChunkMatchesStableSortByKey) {
+  {
+    SCOPED_TRACE("index targets");
+    expect_sort_chunk_is_stable<std::size_t>([](std::size_t i) { return i; });
+  }
+  {
+    SCOPED_TRACE("ticket targets");
+    // Tickets in an arena, handed out in an order that is not ascending.
+    std::vector<core::OpTicket<int, int>> tickets(core::kBatchChunk);
+    expect_sort_chunk_is_stable<core::OpTicket<int, int>*>(
+        [&](std::size_t i) { return &tickets[(i * 2731) % tickets.size()]; });
   }
 }
 
