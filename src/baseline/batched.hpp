@@ -21,6 +21,7 @@
 #include "baseline/locked_map.hpp"
 #include "baseline/splay_tree.hpp"
 #include "core/backend.hpp"
+#include "core/future.hpp"
 #include "core/ops.hpp"
 
 namespace pwss::baseline {
@@ -33,67 +34,25 @@ namespace pwss::baseline {
 /// range_count(K lo, K hi) -> the size of [lo, hi], for_each over
 /// (key, value), and validate() -> "" when sound.
 template <typename K, typename V, typename PointMap>
-class Batched {
+class Batched : public core::MapCalls<Batched<K, V, PointMap>, K, V> {
  public:
   Batched() = default;
   explicit Batched(PointMap map) : map_(std::move(map)) {}
 
   std::size_t size() const { return map_.size(); }
 
-  std::vector<core::Result<V, K>> execute_batch(
-      std::span<const core::Op<K, V>> ops) {
-    std::vector<core::Result<V, K>> results;
-    execute_batch(ops, results);
-    return results;
-  }
-
   /// Results into a caller-owned buffer (capacity reused across batches).
   void execute_batch(std::span<const core::Op<K, V>> ops,
                      std::vector<core::Result<V, K>>& results) {
     results.clear();
     results.reserve(ops.size());
-    for (const auto& op : ops) {
-      core::Result<V, K> r;
-      switch (op.type) {
-        case core::OpType::kSearch: {
-          auto v = search(op.key);
-          r.status = v.has_value() ? core::ResultStatus::kFound
-                                   : core::ResultStatus::kNotFound;
-          r.value = std::move(v);
-          break;
-        }
-        case core::OpType::kInsert:
-        case core::OpType::kUpsert:
-          r.status = insert(op.key, op.value)
-                         ? core::ResultStatus::kInserted
-                         : core::ResultStatus::kUpdated;
-          break;
-        case core::OpType::kErase: {
-          auto v = erase(op.key);
-          r.status = v.has_value() ? core::ResultStatus::kErased
-                                   : core::ResultStatus::kNotFound;
-          r.value = std::move(v);
-          break;
-        }
-        case core::OpType::kPredecessor:
-        case core::OpType::kSuccessor: {
-          auto hit = op.type == core::OpType::kPredecessor
-                         ? predecessor(op.key)
-                         : successor(op.key);
-          if (hit) {
-            r.status = core::ResultStatus::kFound;
-            r.matched_key = std::move(hit->first);
-            r.value = std::move(hit->second);
-          }
-          break;
-        }
-        case core::OpType::kRangeCount:
-          r.status = core::ResultStatus::kFound;
-          r.count = range_count(op.key, op.key2);
-          break;
-      }
-      results.push_back(std::move(r));
-    }
+    for (const auto& op : ops) results.push_back(core::apply_point(*this, op));
+  }
+  using core::MapCalls<Batched, K, V>::execute_batch;
+
+  /// One op through the point passthroughs below.
+  core::Result<V, K> run_blocking(const core::Op<K, V>& op) {
+    return core::apply_point(*this, op);
   }
 
   // Point passthroughs, normalized to the optional<V> shape.

@@ -10,12 +10,12 @@
 
 #include <atomic>
 #include <cstddef>
-#include <optional>
 #include <vector>
 
 #include "buffer/feed_buffer.hpp"
 #include "buffer/parallel_buffer.hpp"
 #include "core/backend.hpp"
+#include "core/future.hpp"
 #include "core/group.hpp"
 #include "core/ops.hpp"
 #include "sched/scheduler.hpp"
@@ -23,76 +23,6 @@
 #include "util/sites.hpp"
 
 namespace pwss::core {
-
-/// Completion slot for one asynchronous operation — the zero-allocation
-/// token of the submission API. Typically lives on the caller's stack; the
-/// map's front end fulfills it and wakes any waiter. `on_complete` (when
-/// set) is invoked after the result is published, on the fulfilling
-/// thread — the hook the driver layer's Future/completion surfaces build
-/// on without costing the plain blocking path anything.
-template <typename V, typename K = V>
-struct OpTicket {
-  std::atomic<bool> ready{false};
-  /// Cancellation REQUEST flag (overload-robustness layer). cancel() never
-  /// fulfills the ticket itself: only the executing side fulfills, after
-  /// checking this flag at a batch-cut boundary. That single-fulfiller
-  /// rule is what makes the terminal status exact — an op is either
-  /// executed (fulfilled with its real result) or completed kCancelled,
-  /// never both, and the in-flight accounting debits exactly once either
-  /// way. A cancel() that loses the race to the executor is a no-op.
-  std::atomic<bool> cancel_requested{false};
-  Result<V, K> result;
-  void (*on_complete)(OpTicket*) = nullptr;
-  /// Admission-window release hook (driver layer): runs on the fulfilling
-  /// thread just before the result is published, so the window slot
-  /// frees no later than the waiter wakes — a blocking caller's next
-  /// admission never sees its own previous slot still held.
-  void (*on_release)(void*) = nullptr;
-  void* release_ctx = nullptr;
-
-  /// Requests cancellation. Best-effort: the op completes kCancelled only
-  /// if the request is observed before it is cut into an executing batch;
-  /// otherwise it completes with its real result. Either way it reaches a
-  /// terminal status.
-  void cancel() noexcept {
-    cancel_requested.store(true, std::memory_order_release);
-  }
-  bool cancelled() const noexcept {
-    return cancel_requested.load(std::memory_order_acquire);
-  }
-
-  void fulfill(Result<V, K>&& r) {
-    // Cache the hook BEFORE publishing: the moment ready is true a
-    // spin-waiting owner may return and reuse/destroy a stack ticket, so
-    // no field may be read afterwards. Hooked tickets (FutureState) stay
-    // alive past the store — the producer reference is released by the
-    // hook itself.
-    void (*hook)(OpTicket*) = on_complete;
-    result = std::move(r);
-    if (on_release != nullptr) on_release(release_ctx);
-    ready.store(true, std::memory_order_release);
-    ready.notify_all();
-    if (hook != nullptr) hook(this);
-  }
-  Result<V, K> wait() {
-    // Short spin for the common fast path, then futex-wait.
-    for (int i = 0; i < 128; ++i) {
-      if (ready.load(std::memory_order_acquire)) return result;
-    }
-    ready.wait(false, std::memory_order_acquire);
-    return result;
-  }
-
-  /// Re-arms a fulfilled ticket for reuse (ticket-arena batch paths).
-  /// Only legal when no waiter can still observe the previous round.
-  void reset() noexcept {
-    ready.store(false, std::memory_order_relaxed);
-    cancel_requested.store(false, std::memory_order_relaxed);
-    result = Result<V, K>{};
-    on_release = nullptr;
-    release_ctx = nullptr;
-  }
-};
 
 /// The submission side of the implicit-batching front end, shared by
 /// AsyncMap and M2Map's interface: the parallel buffer (Appendix A.1), the
@@ -200,10 +130,10 @@ void screen_cut(std::vector<PendingOp<K, V, Target>>& ops,
   }
 }
 
-/// MapT must provide execute_batch(span<const Op<K,V>>) -> vector<Result<V, K>>
+/// MapT must provide execute_batch(span<const Op<K,V>>, vector<Result<V, K>>&)
 /// and size(). The wrapper owns the map.
 template <typename K, typename V, typename MapT>
-class AsyncMap {
+class AsyncMap : public MapCalls<AsyncMap<K, V, MapT>, K, V> {
  public:
   AsyncMap(MapT map, sched::Scheduler& scheduler)
       : map_(std::move(map)),
@@ -215,21 +145,12 @@ class AsyncMap {
 
   MapT& map() { return map_; }  // safe only when quiescent
 
-  std::optional<V> search(const K& key) {
-    return run_op(Op<K, V>::search(key)).value;
-  }
-  bool insert(const K& key, V value) {
-    return run_op(Op<K, V>::insert(key, std::move(value))).success();
-  }
-  std::optional<V> erase(const K& key) {
-    return run_op(Op<K, V>::erase(key)).value;
-  }
-
   /// Submits without blocking; the caller later waits on the ticket, which
   /// always gets a terminal result (FrontEnd::submit).
   void submit(Op<K, V> op, OpTicket<V, K>* ticket) {
     if (front_.submit(std::move(op), ticket)) poke();
   }
+  using MapCalls<AsyncMap, K, V>::submit;
 
   /// Operations claimed but not yet fulfilled (FrontEnd::in_flight).
   std::size_t in_flight() const noexcept { return front_.in_flight(); }
@@ -243,12 +164,6 @@ class AsyncMap {
 
  private:
   using Ticket = OpTicket<V, K>*;
-
-  Result<V, K> run_op(Op<K, V> op) {
-    OpTicket<V, K> ticket;
-    submit(std::move(op), &ticket);
-    return ticket.wait();
-  }
 
   void poke() {
     if (gate_.begin()) {
@@ -288,8 +203,8 @@ class AsyncMap {
                                         std::move(op.value),
                                         std::move(op.key2)});
       }
-      execute_batch_into<K, V>(map_, std::span<const Op<K, V>>(ops_scratch_),
-                               results_scratch_);
+      map_.execute_batch(std::span<const Op<K, V>>(ops_scratch_),
+                         results_scratch_);
       for (std::size_t i = 0; i < batch.size(); ++i) {
         batch[i].target->fulfill(std::move(results_scratch_[i]));
       }

@@ -22,6 +22,7 @@
 #include <vector>
 
 #include "core/backend.hpp"
+#include "core/future.hpp"
 #include "core/ladder.hpp"
 #include "core/ops.hpp"
 #include "core/segment.hpp"
@@ -30,7 +31,7 @@
 namespace pwss::core {
 
 template <typename K, typename V>
-class M0Map {
+class M0Map : public MapCalls<M0Map<K, V>, K, V> {
  public:
   using Item = typename Segment<K, V>::Item;
 
@@ -140,49 +141,20 @@ class M0Map {
     return ordered(OpType::kRangeCount, lo, hi).count;
   }
 
-  /// Executes a batch sequentially (reference semantics for M1/M2 tests).
-  std::vector<Result<V, K>> execute_batch(std::span<const Op<K, V>> ops) {
-    std::vector<Result<V, K>> results;
-    execute_batch(ops, results);
-    return results;
-  }
-
-  /// Same batch, results into a caller-owned buffer whose capacity is
-  /// reused across batches (cleared first).
+  /// Executes a batch sequentially (reference semantics for M1/M2 tests),
+  /// results into a caller-owned buffer whose capacity is reused across
+  /// batches (cleared first).
   void execute_batch(std::span<const Op<K, V>> ops,
                      std::vector<Result<V, K>>& results) {
     results.clear();
     results.reserve(ops.size());
-    for (const auto& op : ops) {
-      Result<V, K> r;
-      switch (op.type) {
-        case OpType::kSearch: {
-          auto v = search(op.key);
-          r.status = v.has_value() ? ResultStatus::kFound
-                                   : ResultStatus::kNotFound;
-          r.value = std::move(v);
-          break;
-        }
-        case OpType::kInsert:
-        case OpType::kUpsert:
-          r.status = insert(op.key, op.value) ? ResultStatus::kInserted
-                                              : ResultStatus::kUpdated;
-          break;
-        case OpType::kErase: {
-          auto v = erase(op.key);
-          r.status = v.has_value() ? ResultStatus::kErased
-                                   : ResultStatus::kNotFound;
-          r.value = std::move(v);
-          break;
-        }
-        case OpType::kPredecessor:
-        case OpType::kSuccessor:
-        case OpType::kRangeCount:
-          r = ordered(op.type, op.key, op.key2);
-          break;
-      }
-      results.push_back(std::move(r));
-    }
+    for (const auto& op : ops) results.push_back(apply_point(*this, op));
+  }
+  using MapCalls<M0Map, K, V>::execute_batch;
+
+  /// One op through the point calls above.
+  Result<V, K> run_blocking(const Op<K, V>& op) {
+    return apply_point(*this, op);
   }
 
   /// Index of the segment currently holding `key` (for rank-invariant

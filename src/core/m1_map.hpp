@@ -36,6 +36,7 @@
 #include <vector>
 
 #include "core/backend.hpp"
+#include "core/future.hpp"
 #include "core/group.hpp"
 #include "core/ladder.hpp"
 #include "core/ops.hpp"
@@ -47,7 +48,7 @@
 namespace pwss::core {
 
 template <typename K, typename V>
-class M1Map {
+class M1Map : public MapCalls<M1Map<K, V>, K, V> {
  public:
   /// scheduler may be null for a fully sequential map (used in tests to
   /// differentiate logic bugs from concurrency bugs).
@@ -71,23 +72,17 @@ class M1Map {
     export_ladder<K, V>(segments_, out);
   }
 
-  /// Executes one batch; results returned in submission order. Operations
-  /// on the same key take effect in submission order; operations on
-  /// different keys commute (they are on distinct items). Ordered kinds do
-  /// NOT commute with mutations on other keys, so the batch is sliced into
-  /// maximal point/ordered phases executed in submission order: every
-  /// ordered query observes exactly the point operations that precede it.
-  /// The result is a legal linearization of the batch (Definition 8)
-  /// matching a sequential replay in submission order.
-  std::vector<Result<V, K>> execute_batch(std::span<const Op<K, V>> ops) {
-    std::vector<Result<V, K>> results;
-    execute_batch(ops, results);
-    return results;
-  }
-
-  /// Same batch, results into a caller-owned buffer (cleared, then sized
-  /// to the batch): a steady stream of batches reuses the results
-  /// capacity the same way it reuses the instance arena.
+  /// Executes one batch; results into a caller-owned buffer (cleared,
+  /// then sized to the batch), in submission order, so a steady stream of
+  /// batches reuses the results capacity the same way it reuses the
+  /// instance arena. Operations on the same key take effect in submission
+  /// order; operations on different keys commute (they are on distinct
+  /// items). Ordered kinds do NOT commute with mutations on other keys, so
+  /// the batch is sliced into maximal point/ordered phases executed in
+  /// submission order: every ordered query observes exactly the point
+  /// operations that precede it. The result is a legal linearization of
+  /// the batch (Definition 8) matching a sequential replay in submission
+  /// order.
   void execute_batch(std::span<const Op<K, V>> ops,
                      std::vector<Result<V, K>>& results) {
     results.clear();
@@ -104,24 +99,14 @@ class M1Map {
                                });
         });
   }
+  using MapCalls<M1Map, K, V>::execute_batch;
 
-  /// Convenience point ops (each a singleton batch on the caller's stack —
-  /// no per-op vector) — for tests/examples and the driver's step path.
-  std::optional<V> search(const K& key) {
-    const Op<K, V> one[1] = {Op<K, V>::search(key)};
-    return execute_batch(std::span<const Op<K, V>>(one))[0].value;
-  }
-  bool insert(const K& key, V value) {
-    const Op<K, V> one[1] = {Op<K, V>::insert(key, std::move(value))};
-    return execute_batch(std::span<const Op<K, V>>(one))[0].success();
-  }
-  std::optional<V> erase(const K& key) {
-    const Op<K, V> one[1] = {Op<K, V>::erase(key)};
-    return execute_batch(std::span<const Op<K, V>>(one))[0].value;
-  }
-
-  std::vector<Result<V, K>> execute_batch(const std::vector<Op<K, V>>& ops) {
-    return execute_batch(std::span<const Op<K, V>>(ops));
+  /// One op as a singleton batch on the caller's stack (no per-op ops
+  /// vector): the per-op calls for tests, examples and the driver's step
+  /// path.
+  Result<V, K> run_blocking(Op<K, V> op) {
+    const Op<K, V> one[1] = {std::move(op)};
+    return std::move(execute_batch(std::span<const Op<K, V>>(one))[0]);
   }
 
   /// Per-depth accounting of batch resolution, in ops: a group resolved

@@ -93,7 +93,7 @@
 namespace pwss::core {
 
 template <typename K, typename V>
-class M2Map {
+class M2Map : public MapCalls<M2Map<K, V>, K, V> {
  public:
   /// p defaults to the scheduler's worker count. The bunch size is p^2;
   /// the cut and the filter bound are ceil(log2 n / p) bunches; the first
@@ -153,30 +153,24 @@ class M2Map {
   void submit(Op<K, V> op, OpTicket<V, K>* ticket) {
     if (front_.submit(std::move(op), ticket)) activate_interface();
   }
+  using MapCalls<M2Map, K, V>::submit;
 
-  /// Blocking convenience: runs the whole batch and waits for every
-  /// result. Per-key program order is preserved within the batch, and the
-  /// batch is sliced into point/ordered phases (each awaited before the
-  /// next begins) so every ordered query observes exactly the point
-  /// operations that precede it in submission order — fulfillment happens
-  /// under the pipeline's locks before release, so awaited results are
-  /// physically applied before the following phase's global read. A point
-  /// phase longer than one cut goes to the interface whole, as a bulk
-  /// request (see run_bulk); shorter phases submit op by op.
-  std::vector<Result<V, K>> execute_batch(std::span<const Op<K, V>> ops) {
-    std::vector<Result<V, K>> results;
-    execute_batch(ops, results);
-    return results;
-  }
-
-  /// Same batch, results into a caller-owned buffer (cleared, then sized
-  /// to the batch) so a steady bulk caller reuses the results capacity.
-  /// A bulk phase's results are written straight into that buffer and the
-  /// caller waits once, on the request's latch. Short and ordered phases
-  /// take tickets from an instance arena reused across batches by the
-  /// steady single caller; concurrent callers fall back to a call-local
-  /// block on try-lock contention, so the call remains safe from
-  /// concurrent threads.
+  /// Runs the whole batch and waits for every result, written into a
+  /// caller-owned buffer (cleared, then sized to the batch) so a steady
+  /// bulk caller reuses the results capacity. Per-key program order is
+  /// preserved within the batch, and the batch is sliced into
+  /// point/ordered phases (each awaited before the next begins) so every
+  /// ordered query observes exactly the point operations that precede it
+  /// in submission order — fulfillment happens under the pipeline's locks
+  /// before release, so awaited results are physically applied before the
+  /// following phase's global read. A point phase longer than one cut goes
+  /// to the interface whole, as a bulk request (see run_bulk): its results
+  /// are written straight into the buffer and the caller waits once, on
+  /// the request's latch. Shorter and ordered phases submit op by op, on
+  /// tickets from an instance arena reused across batches by the steady
+  /// single caller; concurrent callers fall back to a call-local block on
+  /// try-lock contention, so the call remains safe from concurrent
+  /// threads.
   void execute_batch(std::span<const Op<K, V>> ops,
                      std::vector<Result<V, K>>& results) {
     results.clear();
@@ -212,30 +206,7 @@ class M2Map {
     };
     for_each_phase(ops, phase, phase);
   }
-  std::vector<Result<V, K>> execute_batch(const std::vector<Op<K, V>>& ops) {
-    return execute_batch(std::span<const Op<K, V>>(ops));
-  }
-
-  std::optional<V> search(const K& key) {
-    return run_op(Op<K, V>::search(key)).value;
-  }
-  bool insert(const K& key, V value) {
-    return run_op(Op<K, V>::insert(key, std::move(value))).success();
-  }
-  std::optional<V> erase(const K& key) {
-    return run_op(Op<K, V>::erase(key)).value;
-  }
-
-  // Ordered blocking conveniences (protocol v2).
-  std::optional<std::pair<K, V>> predecessor(const K& key) {
-    return ordered_pair(run_op(Op<K, V>::predecessor(key)));
-  }
-  std::optional<std::pair<K, V>> successor(const K& key) {
-    return ordered_pair(run_op(Op<K, V>::successor(key)));
-  }
-  std::uint64_t range_count(const K& lo, const K& hi) {
-    return run_op(Op<K, V>::range_count(lo, hi)).count;
-  }
+  using MapCalls<M2Map, K, V>::execute_batch;
 
   /// Blocks until every submitted operation has completed and the pipeline
   /// is idle.
@@ -368,12 +339,6 @@ class M2Map {
       return slots.get();
     }
   };
-
-  Result<V, K> run_op(Op<K, V> op) {
-    OpTicket<V, K> t;
-    submit(std::move(op), &t);
-    return t.wait();
-  }
 
   // ---- activation plumbing -------------------------------------------------
 

@@ -196,11 +196,13 @@ struct Result {
 };
 
 /// An ordered query's result as the blocking APIs' optional (key, value)
-/// pair: the matched entry on kFound, nullopt otherwise.
+/// pair: the matched entry on kFound, nullopt otherwise. A result decoded
+/// off the wire may lack the matched key, which also reads as nullopt.
 template <typename V, typename K>
 std::optional<std::pair<K, V>> ordered_pair(Result<V, K> r) {
-  if (r.status != ResultStatus::kFound) return std::nullopt;
-  return std::pair<K, V>{std::move(*r.matched_key), std::move(*r.value)};
+  if (r.status != ResultStatus::kFound || !r.matched_key) return std::nullopt;
+  return std::pair<K, V>{std::move(*r.matched_key),
+                         std::move(r.value).value_or(V{})};
 }
 
 /// Splits a batch into maximal same-phase runs (point vs ordered kinds)

@@ -34,7 +34,6 @@
 #include <concepts>
 #include <cstddef>
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <optional>
 #include <shared_mutex>
@@ -171,44 +170,17 @@ inline AdmissionConfig admission_config(const Options& opts) {
 
 /// Type-erased handle to a wired backend. Obtained from BackendRegistry.
 template <typename K, typename V>
-class Driver {
+class Driver : public core::MapCalls<Driver<K, V>, K, V> {
  public:
   using Ticket = core::OpTicket<V, K>;
-  using Completion = std::function<void(core::Result<V, K>&&)>;
 
   virtual ~Driver() = default;
   Driver(const Driver&) = delete;
   Driver& operator=(const Driver&) = delete;
 
-  /// Blocking per-op API; thread-safe. Passes admission control with
-  /// transparent retry: transient kOverloaded results (a shed window, an
-  /// injected buffer rejection) are absorbed by capped exponential
-  /// backoff — see run_blocking().
-  std::optional<V> search(const K& key) {
-    return run_blocking(core::Op<K, V>::search(key)).value;
-  }
-  bool insert(const K& key, V value) {
-    return run_blocking(core::Op<K, V>::insert(key, std::move(value)))
-        .success();
-  }
-  /// Write-either-way; returns the status (kInserted or kUpdated).
-  core::ResultStatus upsert(const K& key, V value) {
-    return run_blocking(core::Op<K, V>::upsert(key, std::move(value))).status;
-  }
-  std::optional<V> erase(const K& key) {
-    return run_blocking(core::Op<K, V>::erase(key)).value;
-  }
-
-  /// Ordered blocking API (protocol v2).
-  std::optional<std::pair<K, V>> predecessor(const K& key) {
-    return ordered_pair(run_blocking(core::Op<K, V>::predecessor(key)));
-  }
-  std::optional<std::pair<K, V>> successor(const K& key) {
-    return ordered_pair(run_blocking(core::Op<K, V>::successor(key)));
-  }
-  std::uint64_t range_count(const K& lo, const K& hi) {
-    return run_blocking(core::Op<K, V>::range_count(lo, hi)).count;
-  }
+  // The blocking per-op calls (search ... range_count) and the Future and
+  // completion submit forms come from core::MapCalls, built on
+  // run_blocking() and submit(op, ticket) below; all are thread-safe.
 
   /// One op through the blocking path: submit on a stack ticket and
   /// wait, retrying transient kOverloaded results with deadline-aware,
@@ -241,24 +213,7 @@ class Driver {
   void submit(core::Op<K, V> op, Ticket* ticket) {
     submit_admitted(std::move(op), ticket);
   }
-
-  /// Future form: one heap-shared state per call; wait with get(), poll
-  /// with ready(), or drop the future (the operation still completes).
-  core::Future<V, K> submit(core::Op<K, V> op) {
-    auto* state = new core::detail::FutureState<V, K>();
-    submit_admitted(std::move(op), state);
-    return core::Future<V, K>(state);
-  }
-
-  /// Completion form: `done` runs on the fulfilling thread with the
-  /// result (batched delivery — the front end fulfills whole cut batches,
-  /// so completions of one batch run back-to-back without a wakeup each).
-  void submit(core::Op<K, V> op, Completion done) {
-    auto* state = new core::detail::FutureState<V, K>();
-    state->completion = std::move(done);
-    state->refs.store(1, std::memory_order_relaxed);  // producer only
-    submit_admitted(std::move(op), state);
-  }
+  using core::MapCalls<Driver, K, V>::submit;
 
   /// The admission window this driver enforces (inert when unbounded).
   const AdmissionController& admission() const noexcept { return admission_; }
@@ -555,36 +510,6 @@ struct SchedulerHandle {
   sched::Scheduler* ptr;
 };
 
-/// One op through the backend's point surface (no per-op vector
-/// allocations); ordered kinds take a singleton batch.
-template <typename K, typename V, typename B>
-core::Result<V, K> point_apply(B& backend, core::Op<K, V> op) {
-  core::Result<V, K> r;
-  switch (op.type) {
-    case core::OpType::kSearch:
-      r.value = backend.search(op.key);
-      r.status = r.value.has_value() ? core::ResultStatus::kFound
-                                     : core::ResultStatus::kNotFound;
-      return r;
-    case core::OpType::kInsert:
-    case core::OpType::kUpsert:
-      r.status = backend.insert(op.key, std::move(op.value))
-                     ? core::ResultStatus::kInserted
-                     : core::ResultStatus::kUpdated;
-      return r;
-    case core::OpType::kErase:
-      r.value = backend.erase(op.key);
-      r.status = r.value.has_value() ? core::ResultStatus::kErased
-                                     : core::ResultStatus::kNotFound;
-      return r;
-    default:
-      break;
-  }
-  // Singleton batch on the stack — no per-op vector allocation.
-  const core::Op<K, V> one[1] = {std::move(op)};
-  return backend.execute_batch(std::span<const core::Op<K, V>>(one))[0];
-}
-
 }  // namespace detail
 
 /// The front end a BackendDriver puts in front of its backend. Chosen on
@@ -649,7 +574,7 @@ class BackendDriver final : public Driver<K, V> {
     if constexpr (W == Wiring::kCaller) {
       // No async front end: execute inline and fulfill on the calling
       // thread (the submission API stays uniform; completion runs here).
-      ticket->fulfill(detail::point_apply<K, V>(front_, std::move(op)));
+      ticket->fulfill(front_.run_blocking(std::move(op)));
     } else {
       front_.submit(std::move(op), ticket);
     }
@@ -658,19 +583,14 @@ class BackendDriver final : public Driver<K, V> {
   void do_run(const std::vector<core::Op<K, V>>& ops,
               std::vector<core::Result<V, K>>& out) override {
     if constexpr (W == Wiring::kAsyncMap) front_.quiesce();
-    core::execute_batch_into<K, V>(map(), std::span<const core::Op<K, V>>(ops),
-                                   out);
+    map().execute_batch(std::span<const core::Op<K, V>>(ops), out);
   }
 
   core::Result<V, K> do_step(core::Op<K, V> op) override {
-    if constexpr (W == Wiring::kNative) {
-      // The backend's own front end IS its sequential path.
-      Ticket ticket;
-      front_.submit(std::move(op), &ticket);
-      return ticket.wait();
-    } else {
-      return detail::point_apply<K, V>(backend(), std::move(op));
-    }
+    // The native backend's own front end IS its sequential path; the
+    // others run the op on the quiesced backend directly.
+    B& b = W == Wiring::kNative ? map() : backend();
+    return b.run_blocking(std::move(op));
   }
 
  private:

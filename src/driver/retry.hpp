@@ -24,7 +24,11 @@ namespace pwss::driver::retry {
 struct BackoffPolicy {
   std::uint64_t initial_delay_ns = 10'000;  ///< first retry: ~10 us
   std::uint64_t max_delay_ns = 2'000'000;   ///< cap each delay at ~2 ms
-  unsigned max_attempts = 12;               ///< retries before giving up
+  /// Wall-clock time from the first retry after which no further retry
+  /// starts (~1 s). Measured in time, not attempts: on a CPU-starved
+  /// machine a window can stay full for many short sleeps, and an attempt
+  /// count gave up on ops that a moment later would have been admitted.
+  std::uint64_t budget_ns = 1'000'000'000;
 };
 
 /// One retry loop's state. Usage:
@@ -37,8 +41,9 @@ struct BackoffPolicy {
 ///   }
 ///
 /// next() sleeps the jittered delay and returns true, or returns false
-/// without sleeping when the attempt budget is spent or the next delay
-/// would cross the deadline.
+/// without sleeping when the nominal step would end past the time budget
+/// (judged before jitter, so once spent the budget stays spent) or the
+/// jittered delay would cross the deadline.
 class Backoff {
  public:
   explicit Backoff(BackoffPolicy policy = {}) : policy_(policy) {}
@@ -46,13 +51,14 @@ class Backoff {
   unsigned attempts() const noexcept { return attempt_; }
 
   bool next(std::uint64_t deadline_ns) noexcept {
-    if (attempt_ >= policy_.max_attempts) return false;
-    ++attempt_;
+    const std::uint64_t now = core::now_ns();
+    if (attempt_ == 0) start_ns_ = now;
     std::uint64_t delay = policy_.initial_delay_ns;
-    for (unsigned i = 1; i < attempt_ && delay < policy_.max_delay_ns; ++i) {
+    for (unsigned i = 0; i < attempt_ && delay < policy_.max_delay_ns; ++i) {
       delay <<= 1;
     }
     if (delay > policy_.max_delay_ns) delay = policy_.max_delay_ns;
+    if (now + delay - start_ns_ > policy_.budget_ns) return false;
     // Full jitter over [delay/2, delay]: enough spread to decorrelate
     // herds, never less than half the nominal step so the sequence still
     // backs off.
@@ -60,9 +66,8 @@ class Backoff {
         std::hash<std::thread::id>{}(std::this_thread::get_id()));
     const std::uint64_t h = util::mix64(salt ^ (seq_ += 0x9e37));
     const std::uint64_t jittered = delay / 2 + h % (delay / 2 + 1);
-    if (deadline_ns != 0 && core::now_ns() + jittered >= deadline_ns) {
-      return false;
-    }
+    if (deadline_ns != 0 && now + jittered >= deadline_ns) return false;
+    ++attempt_;
     std::this_thread::sleep_for(std::chrono::nanoseconds(jittered));
     return true;
   }
@@ -70,6 +75,7 @@ class Backoff {
  private:
   BackoffPolicy policy_;
   unsigned attempt_ = 0;
+  std::uint64_t start_ns_ = 0;  ///< clock when the first retry was asked for
   std::uint64_t seq_ = 0;
 };
 

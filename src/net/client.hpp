@@ -1,10 +1,11 @@
 #pragma once
 // net::Client — the C++ client library of the network serving layer.
-// Mirrors the Driver API over a socket: blocking conveniences
-// (search/insert/upsert/erase + the ordered kinds) and an async pipelined
-// surface shaped exactly like Driver::submit() — caller-owned OpTicket,
-// refcounted Future, or completion callback — so code written against a
-// local driver ports to the wire by swapping the object.
+// Mirrors the Driver API over a socket: the same core::MapCalls surface —
+// blocking conveniences (search/insert/upsert/erase + the ordered kinds)
+// and an async pipelined submit — caller-owned OpTicket, refcounted
+// Future, or completion callback (which runs on the reader thread, so it
+// should be short) — so code written against a local driver ports to the
+// wire by swapping the object.
 //
 // One socket, two threads: callers serialize request frames under a write
 // mutex (the socket is blocking; write_all is the send path), and a
@@ -31,7 +32,6 @@
 #include <atomic>
 #include <condition_variable>
 #include <cstdint>
-#include <functional>
 #include <mutex>
 #include <optional>
 #include <string>
@@ -47,10 +47,9 @@
 
 namespace pwss::net {
 
-class Client {
+class Client : public core::MapCalls<Client, Key, Value> {
  public:
   using Ticket = core::OpTicket<Value, Key>;
-  using Completion = std::function<void(WireResult&&)>;
 
   /// Connects over TCP ("host:port") and completes the hello/welcome
   /// handshake; throws NetError when the connection or handshake fails
@@ -141,31 +140,12 @@ class Client {
     }
   }
 
-  /// Future form (one heap-shared state per call).
-  core::Future<Value, Key> submit(const WireOp& op) {
-    auto* state = new core::detail::FutureState<Value, Key>();
-    submit(op, static_cast<Ticket*>(state));
-    return core::Future<Value, Key>(state);
-  }
+  using MapCalls::submit;
 
-  /// Completion form: `done` runs on the reader thread with the result
-  /// (or on the caller for locally-fulfilled ops). Keep it short — it
-  /// blocks response dispatch for the whole connection.
-  void submit(const WireOp& op, Completion done) {
-    auto* state = new core::detail::FutureState<Value, Key>();
-    state->completion = std::move(done);
-    state->refs.store(1, std::memory_order_relaxed);  // producer only
-    submit(op, static_cast<Ticket*>(state));
-  }
-
-  /// One op, blocking — the wire analogue of Driver::run_blocking (minus
-  /// the retry loop: the server's blocking paths already absorbed theirs,
-  /// and a shed window is an explicit signal callers may want to see).
-  WireResult run_blocking(const WireOp& op) {
-    Ticket t;
-    submit(op, &t);
-    return t.wait();
-  }
+  // run_blocking() and the blocking conveniences come from
+  // core::MapCalls: submit + wait, without Driver::run_blocking's retry
+  // loop (the server's blocking paths already absorbed theirs, and a shed
+  // window is an explicit signal callers may want to see).
 
   /// Pipelined bulk execution: streams `ops` through a sliding window of
   /// min(server window, ops.size()) outstanding tickets and collects
@@ -196,31 +176,6 @@ class Client {
     std::vector<WireResult> out;
     run(ops, out);
     return out;
-  }
-
-  // ---- blocking conveniences (mirror Driver's) -----------------------------
-
-  std::optional<Value> search(Key key) {
-    return run_blocking(WireOp::search(key)).value;
-  }
-  bool insert(Key key, Value value) {
-    return run_blocking(WireOp::insert(key, value)).success();
-  }
-  core::ResultStatus upsert(Key key, Value value) {
-    return run_blocking(WireOp::upsert(key, value)).status;
-  }
-  std::optional<Value> erase(Key key) {
-    return run_blocking(WireOp::erase(key)).value;
-  }
-
-  std::optional<std::pair<Key, Value>> predecessor(Key key) {
-    return ordered_pair(run_blocking(WireOp::predecessor(key)));
-  }
-  std::optional<std::pair<Key, Value>> successor(Key key) {
-    return ordered_pair(run_blocking(WireOp::successor(key)));
-  }
-  std::uint64_t range_count(Key lo, Key hi) {
-    return run_blocking(WireOp::range_count(lo, hi)).count;
   }
 
   /// Graceful close: sends goodbye, waits for every outstanding ticket to
@@ -382,11 +337,6 @@ class Client {
     for (const auto& [id, t] : orphans) {
       t->fulfill(WireResult::error(core::ResultStatus::kCancelled));
     }
-  }
-
-  static std::optional<std::pair<Key, Value>> ordered_pair(WireResult r) {
-    if (!r.matched_key.has_value()) return std::nullopt;
-    return std::make_pair(*r.matched_key, r.value.value_or(Value{}));
   }
 
   OwnedFd fd_;

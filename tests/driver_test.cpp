@@ -207,46 +207,8 @@ TEST_P(DriverBackendTest, BulkAndBlockingAgreeWithReference) {
       const auto want = reference_apply(ref, ops[i]);
       testutil::expect_result_eq(got[i], want, name, i);
       // The blocking per-op path must produce the identical result.
-      switch (ops[i].type) {
-        case core::OpType::kSearch: {
-          ASSERT_EQ(blocking->search(ops[i].key), want.value)
-              << name << " op " << i;
-          break;
-        }
-        case core::OpType::kInsert:
-          ASSERT_EQ(blocking->insert(ops[i].key, ops[i].value),
-                    want.status == core::ResultStatus::kInserted)
-              << name << " op " << i;
-          break;
-        case core::OpType::kUpsert:
-          ASSERT_EQ(blocking->upsert(ops[i].key, ops[i].value), want.status)
-              << name << " op " << i;
-          break;
-        case core::OpType::kErase: {
-          ASSERT_EQ(blocking->erase(ops[i].key), want.value)
-              << name << " op " << i;
-          break;
-        }
-        case core::OpType::kPredecessor:
-        case core::OpType::kSuccessor: {
-          const auto hit = ops[i].type == core::OpType::kPredecessor
-                               ? blocking->predecessor(ops[i].key)
-                               : blocking->successor(ops[i].key);
-          if (want.status == core::ResultStatus::kFound) {
-            ASSERT_TRUE(hit.has_value()) << name << " op " << i;
-            ASSERT_EQ(hit->first, want.matched_key) << name << " op " << i;
-            ASSERT_EQ(hit->second, want.value) << name << " op " << i;
-          } else {
-            ASSERT_FALSE(hit.has_value()) << name << " op " << i;
-          }
-          break;
-        }
-        case core::OpType::kRangeCount:
-          ASSERT_EQ(blocking->range_count(ops[i].key, ops[i].key2),
-                    want.count)
-              << name << " op " << i;
-          break;
-      }
+      ASSERT_NO_FATAL_FAILURE(
+          testutil::expect_call_matches(*blocking, ops[i], want, name, i));
     }
     ASSERT_EQ(bulk->size(), ref.size()) << name;
     ASSERT_EQ(blocking->size(), ref.size()) << name;

@@ -53,6 +53,20 @@ void expect_equal_results(const std::vector<Result<int>>& got,
   }
 }
 
+TEST(M1, PerOpCallsAgreeWithReference) {
+  // The per-op calls M1Map inherits from core::MapCalls, upsert and the
+  // ordered kinds included, each run as a one-op batch.
+  sched::Scheduler scheduler(2);
+  M1Map<int, int> m(&scheduler);
+  std::map<int, int> ref;
+  const auto ops = testutil::scripted_ops<int, int>(0xCA11, 600, 200,
+                                                    /*with_ordered=*/true);
+  ASSERT_NO_FATAL_FAILURE(
+      testutil::expect_calls_match_reference(m, ref, ops, "m1"));
+  EXPECT_EQ(m.size(), ref.size());
+  EXPECT_EQ(m.validate(), "");
+}
+
 TEST(M1, EmptyBatch) {
   M1Map<int, int> m;
   EXPECT_TRUE(m.execute_batch(std::vector<IntOp>{}).empty());

@@ -20,6 +20,7 @@
 #include <cstdint>
 #include <cstdlib>
 #include <filesystem>
+#include <future>
 #include <map>
 #include <memory>
 #include <optional>
@@ -140,6 +141,38 @@ TEST_P(NetWireTest, OracleWorkloadOverTheWire) {
   for (const auto& [key, value] : oracle) {
     EXPECT_EQ(driver_->search(key), std::optional<V>(value));
   }
+}
+
+// The client's share of the driver's call surface (core::MapCalls): every
+// blocking per-op call, upsert and the ordered kinds included, then one
+// Future submit and one completion submit, each against the oracle.
+TEST_P(NetWireTest, PerOpCallsAgreeWithReference) {
+  net::Client client = dial();
+  std::map<K, V> oracle;
+  const auto ops =
+      testutil::scripted_ops<K, V>(0xCA11, 300, 128, /*with_ordered=*/true);
+  ASSERT_NO_FATAL_FAILURE(
+      testutil::expect_calls_match_reference(client, oracle, ops, "wire"));
+
+  const WireOp future_op = WireOp::predecessor(64);
+  core::Future<V, K> future = client.submit(future_op);
+  testutil::expect_result_eq(future.get(),
+                             testutil::reference_apply(oracle, future_op),
+                             "future", 0);
+
+  const WireOp callback_op = WireOp::upsert(7, 77);
+  std::promise<WireResult> delivered;
+  client.submit(callback_op,
+                [&](WireResult&& r) { delivered.set_value(std::move(r)); });
+  testutil::expect_result_eq(delivered.get_future().get(),
+                             testutil::reference_apply(oracle, callback_op),
+                             "completion", 0);
+
+  client.close();
+  server_->stop();
+  EXPECT_EQ(server_->stats().protocol_errors, 0u);
+  EXPECT_EQ(driver_->size(), oracle.size());
+  EXPECT_EQ(driver_->validate(), "");
 }
 
 // Two concurrent client connections, disjoint key ranges: both oracles

@@ -319,17 +319,29 @@ TEST(Admission, ShardedDriversShedPerShard) {
 
 // ---- retry / backoff ---------------------------------------------------------
 
-TEST(Retry, BackoffStopsAtAttemptBudget) {
+TEST(Retry, BackoffStopsAtTimeBudget) {
+  // The budget is wall-clock time from the first retry, not a count: a
+  // budget of 20 ms at 50-100 us steps allows many retries, then stops.
   driver::retry::BackoffPolicy policy;
-  policy.initial_delay_ns = 100;  // keep the test fast
-  policy.max_delay_ns = 200;
-  policy.max_attempts = 3;
+  policy.initial_delay_ns = 100'000;
+  policy.max_delay_ns = 100'000;
+  policy.budget_ns = 20'000'000;
   driver::retry::Backoff backoff(policy);
-  EXPECT_TRUE(backoff.next(0));
-  EXPECT_TRUE(backoff.next(0));
-  EXPECT_TRUE(backoff.next(0));
-  EXPECT_FALSE(backoff.next(0));  // budget spent
-  EXPECT_EQ(backoff.attempts(), 3u);
+  const std::uint64_t start = core::now_ns();
+  while (backoff.next(0)) {
+    ASSERT_LT(backoff.attempts(), 1000u) << "the time budget never ran out";
+  }
+  const std::uint64_t elapsed = core::now_ns() - start;
+  EXPECT_GT(backoff.attempts(), 1u);
+  // It stops only once the next step would end past the budget.
+  EXPECT_GE(elapsed, policy.budget_ns - policy.max_delay_ns);
+  EXPECT_FALSE(backoff.next(0));  // stays spent
+
+  // A zero budget refuses even the first retry.
+  policy.budget_ns = 0;
+  driver::retry::Backoff none(policy);
+  EXPECT_FALSE(none.next(0));
+  EXPECT_EQ(none.attempts(), 0u);
 }
 
 TEST(Retry, BackoffRefusesToSleepPastTheDeadline) {

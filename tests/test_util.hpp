@@ -104,6 +104,64 @@ void expect_result_eq(const core::Result<V, K>& got,
   ASSERT_EQ(got.count, want.count) << what << " op " << i;
 }
 
+/// Runs `op` through the per-op call of `map` that matches its kind
+/// (search, insert, upsert, erase, predecessor, successor, range_count)
+/// and checks that call's return value against the oracle's result `want`
+/// for the same op. `map` is anything with the core::MapCalls surface: a
+/// map, a front end, a driver or a wire client.
+template <typename Map, typename K, typename V>
+void expect_call_matches(Map& map, const core::Op<K, V>& op,
+                         const core::Result<V, K>& want, const char* what,
+                         std::size_t i) {
+  switch (op.type) {
+    case core::OpType::kSearch:
+      ASSERT_EQ(map.search(op.key), want.value) << what << " op " << i;
+      break;
+    case core::OpType::kInsert:
+      ASSERT_EQ(map.insert(op.key, op.value),
+                want.status == core::ResultStatus::kInserted)
+          << what << " op " << i;
+      break;
+    case core::OpType::kUpsert:
+      ASSERT_EQ(map.upsert(op.key, op.value), want.status)
+          << what << " op " << i;
+      break;
+    case core::OpType::kErase:
+      ASSERT_EQ(map.erase(op.key), want.value) << what << " op " << i;
+      break;
+    case core::OpType::kPredecessor:
+    case core::OpType::kSuccessor: {
+      const auto hit = op.type == core::OpType::kPredecessor
+                           ? map.predecessor(op.key)
+                           : map.successor(op.key);
+      if (want.status == core::ResultStatus::kFound) {
+        ASSERT_TRUE(hit.has_value()) << what << " op " << i;
+        ASSERT_EQ(hit->first, want.matched_key) << what << " op " << i;
+        ASSERT_EQ(hit->second, want.value) << what << " op " << i;
+      } else {
+        ASSERT_FALSE(hit.has_value()) << what << " op " << i;
+      }
+      break;
+    }
+    case core::OpType::kRangeCount:
+      ASSERT_EQ(map.range_count(op.key, op.key2), want.count)
+          << what << " op " << i;
+      break;
+  }
+}
+
+/// Runs each of `ops` through expect_call_matches, one call at a time,
+/// against the sequential oracle `ref`, which it advances.
+template <typename Map, typename K, typename V>
+void expect_calls_match_reference(Map& map, std::map<K, V>& ref,
+                                  const std::vector<core::Op<K, V>>& ops,
+                                  const char* what) {
+  for (std::size_t i = 0; i < ops.size(); ++i) {
+    const core::Result<V, K> want = reference_apply(ref, ops[i]);
+    ASSERT_NO_FATAL_FAILURE(expect_call_matches(map, ops[i], want, what, i));
+  }
+}
+
 /// Deterministic mixed-op script over a bounded key universe. With
 /// `with_ordered`, roughly a third of the ops are the v2 ordered kinds
 /// (predecessor/successor/range-count) plus occasional upserts.
