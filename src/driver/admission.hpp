@@ -5,14 +5,10 @@
 //
 // A Driver owns one AdmissionController; every asynchronous submission
 // and every blocking per-op call passes its accept/shed decision before
-// the backend sees the op. Two policies:
-//
-//   * kReject — a full window sheds immediately with kOverloaded (the
-//     caller decides: retry with backoff, drop, or surface the error);
-//   * kBlock  — a full window parks the submitting thread until a slot
-//     frees or the op's deadline passes (bounded-block). With no
-//     deadline it blocks until a slot frees — admitted ops always
-//     complete (terminal-status invariant), so a slot always frees.
+// the backend sees the op. A full window sheds immediately with
+// kOverloaded; the caller decides whether to retry with backoff, drop, or
+// surface the error. It never parks the submitter: under the server one
+// reactor thread submits for every connection.
 //
 // The window is one shared atomic counter: admit is a CAS-increment,
 // release a fetch_sub fired by the ticket's on_release hook on the
@@ -28,22 +24,15 @@
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
-#include <thread>
 
 #include "core/ops.hpp"
 
 namespace pwss::driver {
 
-enum class AdmissionPolicy : std::uint8_t {
-  kReject,  ///< full window => shed with kOverloaded
-  kBlock,   ///< full window => park until a slot frees or deadline passes
-};
-
 struct AdmissionConfig {
   /// Maximum admitted-but-not-yet-completed ops; 0 = unbounded (the
   /// controller is inert: no counting, no release hooks).
   std::size_t max_in_flight = 0;
-  AdmissionPolicy policy = AdmissionPolicy::kReject;
 };
 
 /// Per-submit verdict. kExpired outranks the window: an op whose
@@ -104,25 +93,15 @@ class AdmissionController {
       return Admit::kExpired;
     }
     if (cfg_.max_in_flight == 0) return Admit::kAdmitted;
-    for (;;) {
-      std::size_t cur = window_.load(std::memory_order_relaxed);
-      while (cur < cfg_.max_in_flight) {
-        if (window_.compare_exchange_weak(cur, cur + 1,
-                                          std::memory_order_acq_rel,
-                                          std::memory_order_relaxed)) {
-          return Admit::kAdmitted;
-        }
+    std::size_t cur = window_.load(std::memory_order_relaxed);
+    while (cur < cfg_.max_in_flight) {
+      if (window_.compare_exchange_weak(cur, cur + 1,
+                                        std::memory_order_acq_rel,
+                                        std::memory_order_relaxed)) {
+        return Admit::kAdmitted;
       }
-      if (cfg_.policy == AdmissionPolicy::kReject) return Admit::kShed;
-      // Bounded-block: the slot we are waiting for frees when some
-      // admitted op completes, which the terminal-status invariant
-      // guarantees happens — so this loop always exits (or the deadline
-      // does it for us).
-      if (deadline_ns != 0 && core::now_ns() >= deadline_ns) {
-        return Admit::kExpired;
-      }
-      std::this_thread::yield();
     }
+    return Admit::kShed;
   }
 
   Admit count(Admit verdict) noexcept {

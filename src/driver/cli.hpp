@@ -9,10 +9,8 @@
 //   --shards=N                 shard count for sharded:* backends (0 = 4)
 //   --max-in-flight=N          admission window: max admitted-but-not-
 //                              completed ops (0 = unbounded; per shard on
-//                              sharded:* backends)
-//   --admission=reject|block   full-window policy: shed with kOverloaded
-//                              (default) or park until a slot frees /
-//                              the op's deadline passes
+//                              sharded:* backends; a full window sheds
+//                              with kOverloaded)
 //   --mix=S,I,E[,P,Su,R]       op mix fractions (search,insert,erase and
 //                              optionally predecessor,successor,range-count;
 //                              must sum to 1)
@@ -171,8 +169,7 @@ CliOptions parse(int argc, char** argv,
     if (arg == "--help" || arg == "-h") {
       std::printf(
           "usage: %s [--backend=NAME[,NAME...]|all] [--workers=N]\n"
-          "          [--shards=N] [--max-in-flight=N] "
-          "[--admission=reject|block]\n"
+          "          [--shards=N] [--max-in-flight=N]\n"
           "          [--mix=S,I,E[,P,Su,R]] [--range-span=N]\n"
           "          [--durability=off|async|sync] [--durability-dir=PATH]\n"
           "          [--serve=[host]:port] [--socket=PATH] [--net-window=N]\n"
@@ -240,18 +237,6 @@ CliOptions parse(int argc, char** argv,
       cli.print_stats = true;
     } else if (arg == "--validate") {
       cli.validate = true;
-    } else if (arg.starts_with("--admission=")) {
-      const std::string_view val =
-          arg.substr(std::string_view("--admission=").size());
-      if (val == "reject") {
-        cli.driver.admission = AdmissionPolicy::kReject;
-      } else if (val == "block") {
-        cli.driver.admission = AdmissionPolicy::kBlock;
-      } else {
-        std::fprintf(stderr, "%s: --admission expects reject|block, got '%.*s'\n",
-                     argv[0], static_cast<int>(val.size()), val.data());
-        std::exit(2);
-      }
     } else {
       std::fprintf(stderr, "%s: unknown argument '%s' (try --help)\n",
                    argv[0], argv[i]);

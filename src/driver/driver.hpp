@@ -72,9 +72,6 @@ struct Options {
   /// applies PER SHARD — one hot shard sheds its overflow while the
   /// others keep accepting.
   std::size_t max_in_flight = 0;
-  /// What a full window does to a submission: shed (kOverloaded) or
-  /// park the submitter until a slot frees / the op's deadline passes.
-  AdmissionPolicy admission = AdmissionPolicy::kReject;
   /// Persistence mode (store/durability.hpp): kOff (default; zero
   /// hot-path cost), kAsync (WAL flushed at thresholds), or kSync
   /// (acked ⇒ fsynced via group commit). For sharded:* backends every
@@ -165,7 +162,7 @@ inline DriverStats& DriverStats::operator+=(const DriverStats& o) {
 /// The admission window a single (non-sharded) driver enforces for the
 /// given options.
 inline AdmissionConfig admission_config(const Options& opts) {
-  return AdmissionConfig{opts.max_in_flight, opts.admission};
+  return AdmissionConfig{opts.max_in_flight};
 }
 
 /// Type-erased handle to a wired backend. Obtained from BackendRegistry.

@@ -54,16 +54,16 @@ TaskBase* ChaseLevDeque::pop() {
   // relaxed (both loads): owner reads its own bottom_/buffer_ stores.
   const std::int64_t b = bottom_.load(std::memory_order_relaxed) - 1;
   Buffer* buf = buffer_.load(std::memory_order_relaxed);
-  // relaxed store + seq_cst fence: the PPoPP'13 form — the fence orders
-  // the bottom_ reservation against the top_ read below globally, which
-  // a plain release store would not.
-  bottom_.store(b, std::memory_order_relaxed);
-  std::atomic_thread_fence(std::memory_order_seq_cst);
-  // relaxed: ordered by the seq_cst fence above, per PPoPP'13.
-  std::int64_t t = top_.load(std::memory_order_relaxed);
+  // seq_cst store and load: the bottom_ reservation and the top_ read
+  // below sit in the single total order that steal()'s seq_cst loads also
+  // join, so an owner and a thief racing for the last element cannot both
+  // miss each other. PPoPP'13 writes this as a relaxed store + seq_cst
+  // fence + relaxed load; ThreadSanitizer does not model fences.
+  bottom_.store(b, std::memory_order_seq_cst);
+  std::int64_t t = top_.load(std::memory_order_seq_cst);
   if (t > b) {
-    // Deque was empty; restore. relaxed: only the owner reads bottom_
-    // unfenced, and thieves re-validate through the CAS on top_.
+    // Deque was empty; restore. relaxed: thieves re-validate through
+    // the CAS on top_.
     bottom_.store(b + 1, std::memory_order_relaxed);
     return nullptr;
   }
@@ -82,9 +82,10 @@ TaskBase* ChaseLevDeque::pop() {
 }
 
 TaskBase* ChaseLevDeque::steal() {
-  std::int64_t t = top_.load(std::memory_order_acquire);
-  std::atomic_thread_fence(std::memory_order_seq_cst);
-  const std::int64_t b = bottom_.load(std::memory_order_acquire);
+  // seq_cst loads: the fence-free form of PPoPP'13's acquire load +
+  // seq_cst fence + acquire load (see pop()); on x86 both are plain loads.
+  std::int64_t t = top_.load(std::memory_order_seq_cst);
+  const std::int64_t b = bottom_.load(std::memory_order_seq_cst);
   if (t >= b) return nullptr;
   // acquire (upgraded from the paper's consume): the thief dereferences
   // the buffer it loads, and every mainstream compiler promotes consume

@@ -1,7 +1,10 @@
 #pragma once
 // Chase–Lev work-stealing deque (SPAA 2005), with the C11 memory orderings
-// from Lê et al., "Correct and Efficient Work-Stealing for Weak Memory
-// Models" (PPoPP 2013). The owner pushes/pops at the bottom; thieves steal
+// of Lê et al., "Correct and Efficient Work-Stealing for Weak Memory
+// Models" (PPoPP 2013), except that the two seq_cst fences there (in pop
+// and steal) are written as seq_cst accesses to bottom_ and top_: the same
+// ordering in a form ThreadSanitizer models, which the TSan build enforces
+// with -Werror=tsan. The owner pushes/pops at the bottom; thieves steal
 // from the top. The buffer grows geometrically and old buffers are retired
 // on destruction (a deque outlives all concurrent access in our usage:
 // workers join before the scheduler frees its deques).

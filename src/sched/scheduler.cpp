@@ -288,9 +288,4 @@ void Scheduler::worker_loop(unsigned index) {
   tls_worker.worker = nullptr;
 }
 
-Scheduler& default_scheduler() {
-  static Scheduler instance;
-  return instance;
-}
-
 }  // namespace pwss::sched

@@ -193,8 +193,4 @@ class Scheduler {
   std::atomic<std::uint64_t> tasks_executed_{0};
 };
 
-/// Process-wide default scheduler (hardware concurrency), created on first
-/// use. Data structures take a Scheduler& so tests can pin worker counts.
-Scheduler& default_scheduler();
-
 }  // namespace pwss::sched

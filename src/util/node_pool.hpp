@@ -7,32 +7,25 @@
 // into pointer pushes on a worker-local free list.
 //
 // Structure:
-//  * storage comes from chunk allocations (kDefaultChunkNodes nodes per
-//    heap call), tracked on an intrusive chunk list and released only when
-//    the pool dies — individual node lifecycles never touch the heap;
-//  * free nodes live on per-worker shards, indexed by the owning
-//    scheduler's worker id (`Scheduler::worker_slot`): the two halves of a
-//    `parallel_invoke` recursion allocate and free on different shards, so
-//    batch ops scale without contending on one lock. Slot 0 serves every
-//    external (non-worker) thread; each shard carries its own spinlock so
-//    the pool stays safe under any threading, the sharding only makes the
-//    fork/join case contention-free;
-//  * each shard additionally carries an OWNER-PRIVATE free list: the first
-//    thread to touch a shard claims it (one CAS on a thread-identity
-//    cookie, never released), and from then on that thread's node churn is
-//    plain pointer pushes/pops with no atomics at all — the fast path that
-//    makes tiny-tree insert/erase cost what an unpooled `new`-free loop
-//    would. Worker shards are single-thread-mapped by construction, so in
-//    practice every worker runs the private path; on slot 0 the first
-//    external thread wins the claim and later external threads fall back
-//    to the shard's locked list. Nodes cross between the private list and
-//    the rest of the pool only through the shard lock (draining the shared
-//    list on refill) or the global spine (spilling past the cap), which
-//    bounds how many free nodes a claimant can strand;
-//  * a global overflow spine rebalances memory: a shard past its cap (and
-//    every bulk `recycle_chain` of a torn-down tree) splices nodes to the
-//    spine in O(1), and an empty shard refills from the spine before
-//    growing a new chunk.
+//  * storage comes from chunk allocations (kChunkNodes nodes per heap
+//    call), tracked on an intrusive chunk list and released only when the
+//    pool dies — individual node lifecycles never touch the heap;
+//  * each shard has one free list, private to its owner: the first thread
+//    to touch a shard claims it (one CAS on a thread-identity cookie,
+//    never released), and from then on that thread's node churn is plain
+//    pointer pushes/pops with no lock and no atomic RMW. Shards are indexed
+//    by the scheduler's worker id (`Scheduler::worker_slot`), so the two
+//    halves of a `parallel_invoke` recursion allocate and free on
+//    different shards and every worker owns its own; slot 0 serves every
+//    external (non-worker) thread, and the first of those claims it;
+//  * a global overflow spine, under one spinlock, is the only shared free
+//    list. A thread that does not own its home shard (the other external
+//    threads on slot 0) allocates and frees there, one node per critical
+//    section, carving a fresh chunk onto the spine when it is empty. An
+//    owner refills its empty list with a chunk's worth from the spine (or
+//    a fresh chunk), and spills a chunk's worth back past kShardCapChunks,
+//    which bounds how many free nodes an owner can strand; every bulk
+//    `recycle_chain` of a torn-down tree splices there in O(1).
 //
 // Ownership contract: one pool domain per map instance (SegmentPools in
 // core/segment.hpp); trees must die before their pool. The pool never
@@ -56,7 +49,7 @@
 
 namespace pwss::util {
 
-/// Thrown by NodePool::acquire_chunk when the "node_pool.chunk_alloc"
+/// Thrown by NodePool::grow_spine when the "node_pool.chunk_alloc"
 /// fault site fires: injected heap exhaustion. Derives from
 /// std::bad_alloc so code written for the real failure handles it too.
 struct PoolExhausted : std::bad_alloc {
@@ -65,9 +58,9 @@ struct PoolExhausted : std::bad_alloc {
   }
 };
 
-/// Tiny test-and-test-and-set lock for the pool shards: uncontended
-/// acquire/release is two atomic ops, and per-worker sharding makes
-/// contention the exception, not the rule.
+/// Tiny test-and-test-and-set lock for the pool's overflow spine:
+/// uncontended acquire/release is two atomic ops, and owner-private shards
+/// make contention the exception, not the rule.
 class SpinLock {
  public:
   void lock() noexcept {
@@ -96,17 +89,15 @@ class NodePool {
 
  public:
   /// Nodes carved per heap allocation.
-  static constexpr std::size_t kDefaultChunkNodes = 64;
+  static constexpr std::size_t kChunkNodes = 64;
 
   /// A shard holding more than this many free nodes spills a chunk's worth
   /// to the overflow spine, so memory freed by one worker reaches the
   /// others instead of pinning to the freeing shard.
   static constexpr std::size_t kShardCapChunks = 4;
 
-  explicit NodePool(sched::Scheduler* scheduler = nullptr,
-                    std::size_t chunk_nodes = kDefaultChunkNodes)
+  explicit NodePool(sched::Scheduler* scheduler = nullptr)
       : scheduler_(scheduler),
-        chunk_nodes_(chunk_nodes == 0 ? 1 : chunk_nodes),
         shards_(scheduler ? scheduler->worker_count() + 1 : 1) {}
 
   NodePool(const NodePool&) = delete;
@@ -141,6 +132,13 @@ class NodePool {
 
    private:
     friend NodePool;
+    FreeLink* pop() noexcept {
+      FreeLink* p = head_;
+      head_ = p->next;
+      if (--count_ == 0) tail_ = nullptr;
+      return p;
+    }
+
     FreeLink* head_ = nullptr;
     FreeLink* tail_ = nullptr;
     std::size_t count_ = 0;
@@ -166,43 +164,23 @@ class NodePool {
   }
 
   /// Recycles a chain of already-destructed node storage in O(1) splices:
-  /// chains of at least a chunk go straight to the overflow spine (one
-  /// global-lock splice), small chains land on the calling thread's shard.
+  /// a small chain freed by its shard's owner lands on the private list;
+  /// any other chain goes to the overflow spine in one global-lock splice.
   void recycle_chain(FreeChain chain) noexcept {
     if (chain.empty()) return;
-    if (chain.count_ >= chunk_nodes_) {
-      // relaxed: pure statistic — nothing is published through frees_;
-      // totals are only read exactly from quiescent states.
-      frees_.fetch_add(chain.count_, std::memory_order_relaxed);
-      std::lock_guard<SpinLock> lk(global_mu_);
-      splice_into_overflow(chain);
-      return;
-    }
     Shard& s = home_shard();
-    if (owns(s)) {
+    if (chain.count_ < kChunkNodes && owns(s)) {
       bump(s.priv_frees, chain.count_);
-      chain.tail_->next = s.priv_head;
-      s.priv_head = chain.head_;
-      // relaxed: priv_count has a single writer (this owner); atomicity
-      // exists only for cross-thread stats reads, which are approximate.
-      const std::size_t n =
-          s.priv_count.load(std::memory_order_relaxed) + chain.count_;
-      s.priv_count.store(n, std::memory_order_relaxed);
-      if (n > kShardCapChunks * chunk_nodes_) spill_private(s);
+      if (splice_private(s, chain) > kShardCapChunks * kChunkNodes) {
+        spill_private(s);
+      }
       return;
     }
-    // relaxed: pure statistic (see above); the list splice itself is
-    // ordered by the shard lock, not by this counter.
+    // relaxed: pure statistic — nothing is published through frees_;
+    // totals are only read exactly from quiescent states.
     frees_.fetch_add(chain.count_, std::memory_order_relaxed);
-    FreeChain spill;
-    {
-      std::lock_guard<SpinLock> lk(s.lock);
-      chain.tail_->next = s.head;
-      s.head = chain.head_;
-      s.count += chain.count_;
-      maybe_spill(s, spill);
-    }
-    flush_spill(spill);
+    std::lock_guard<SpinLock> lk(global_mu_);
+    splice_into_overflow(chain);
   }
 
   /// Uninitialized storage for one node (for callers doing their own
@@ -223,21 +201,12 @@ class NodePool {
       bump(s.priv_allocs, 1);
       return static_cast<void*>(p);
     }
-    for (;;) {
-      {
-        std::lock_guard<SpinLock> lk(s.lock);
-        if (s.head != nullptr) {
-          FreeLink* p = s.head;
-          s.head = p->next;
-          --s.count;
-          // relaxed: pure statistic; the node handoff is ordered by the
-          // shard lock held here.
-          allocs_.fetch_add(1, std::memory_order_relaxed);
-          return static_cast<void*>(p);
-        }
-      }
-      refill(s);
-    }
+    // Not the shard's owner: one node off the spine.
+    std::lock_guard<SpinLock> lk(global_mu_);
+    if (overflow_.head_ == nullptr) grow_spine();
+    // relaxed: pure statistic; the node handoff is ordered by global_mu_.
+    allocs_.fetch_add(1, std::memory_order_relaxed);
+    return static_cast<void*>(overflow_.pop());
   }
 
   /// Recycles storage whose T was already destructed.
@@ -252,26 +221,18 @@ class NodePool {
       const std::size_t n =
           s.priv_count.load(std::memory_order_relaxed) + 1;
       s.priv_count.store(n, std::memory_order_relaxed);
-      if (n > kShardCapChunks * chunk_nodes_) spill_private(s);
+      if (n > kShardCapChunks * kChunkNodes) spill_private(s);
       return;
     }
-    // relaxed: pure statistic; the push below is ordered by the shard lock.
+    // relaxed: pure statistic; the push below is ordered by global_mu_.
     frees_.fetch_add(1, std::memory_order_relaxed);
-    FreeChain spill;
-    {
-      std::lock_guard<SpinLock> lk(s.lock);
-      auto* link = static_cast<FreeLink*>(p);
-      link->next = s.head;
-      s.head = link;
-      ++s.count;
-      maybe_spill(s, spill);
-    }
-    flush_spill(spill);
+    std::lock_guard<SpinLock> lk(global_mu_);
+    overflow_.push(p);
   }
 
   /// Counting hook for tests and the perf trajectory. `free_nodes` walks
-  /// no lists (per-shard counters), but takes every shard lock — call it
-  /// from quiescent states only if exactness matters.
+  /// no lists (per-shard counters) — call it from quiescent states only if
+  /// exactness matters.
   struct Stats {
     std::uint64_t node_allocs = 0;   // create/allocate_raw calls
     std::uint64_t node_frees = 0;    // destroy/recycle calls (chain-weighted)
@@ -289,8 +250,6 @@ class NodePool {
       // shard's owner; reading them here is approximate unless the pool
       // is quiescent.
       st.free_nodes += s.priv_count.load(std::memory_order_relaxed);
-      std::lock_guard<SpinLock> lk(s.lock);
-      st.free_nodes += s.count;
     }
     {
       std::lock_guard<SpinLock> lk(global_mu_);
@@ -306,14 +265,14 @@ class NodePool {
 
   /// Deep accounting check — QUIESCENT POOLS ONLY (it walks the
   /// owner-private lists from this thread). Verifies, with bounded walks
-  /// so a cycle cannot hang it: every shard's locked and private list
-  /// lengths match their counters, the overflow spine's length matches
-  /// its count, the chunk list matches chunk_count_, and conservation:
-  /// free nodes + live nodes == chunks * nodes-per-chunk. Empty = OK.
+  /// so a cycle cannot hang it: every shard's private list length matches
+  /// its counter, the overflow spine's length matches its count, the chunk
+  /// list matches chunk_count_, and conservation: free nodes + live nodes
+  /// == chunks * nodes-per-chunk. Empty = OK.
   std::string validate() const {
     util::Validator v("node_pool: ");
     const std::uint64_t chunks = chunk_count_.load(std::memory_order_relaxed);
-    const std::uint64_t slots = chunks * chunk_nodes_;
+    const std::uint64_t slots = chunks * kChunkNodes;
     // One past every slot: a healthy list can never be longer.
     const std::uint64_t walk_cap = slots + 1;
     auto walk = [walk_cap](const FreeLink* head) {
@@ -328,17 +287,6 @@ class NodePool {
     std::uint64_t free_total = 0;
     for (std::size_t i = 0; i < shards_.size(); ++i) {
       const Shard& s = shards_[i];
-      std::uint64_t shared_len = 0;
-      {
-        std::lock_guard<SpinLock> lk(s.lock);
-        shared_len = walk(s.head);
-        if (!v.require(shared_len == s.count, "shard ", i,
-                       ": locked free list holds ", shared_len,
-                       " nodes (walk capped at ", walk_cap,
-                       ") but count says ", s.count)) {
-          return std::move(v).take();
-        }
-      }
       const std::uint64_t priv_len = walk(s.priv_head);
       const std::uint64_t priv_count =
           s.priv_count.load(std::memory_order_relaxed);
@@ -348,7 +296,7 @@ class NodePool {
                      ") but priv_count says ", priv_count)) {
         return std::move(v).take();
       }
-      free_total += shared_len + priv_len;
+      free_total += priv_len;
     }
     {
       std::lock_guard<SpinLock> lk(global_mu_);
@@ -379,7 +327,7 @@ class NodePool {
     const std::uint64_t live = allocs - frees;
     v.require(free_total + live == slots, "node conservation broken: ",
               free_total, " free + ", live, " live != ", chunks,
-              " chunks * ", chunk_nodes_, " nodes");
+              " chunks * ", kChunkNodes, " nodes");
     return std::move(v).take();
   }
 
@@ -389,10 +337,6 @@ class NodePool {
   };
 
   struct alignas(64) Shard {
-    mutable SpinLock lock;
-    FreeLink* head = nullptr;
-    std::size_t count = 0;  // guarded by lock
-
     // Owner-private free list: claimed once (owner CAS below), then
     // touched only by the claiming thread — no lock, no atomics on the
     // list itself. The counters are atomic solely so stats() can read
@@ -451,15 +395,15 @@ class NodePool {
   bool owns(Shard& s) noexcept {
     void* const me = thread_cookie();
     // relaxed: `cur == me` reads this thread's OWN earlier CAS (a thread
-    // always sees its own writes); `cur != nullptr` routes to the locked
-    // path, which carries its own ordering — no data flows through owner.
+    // always sees its own writes); `cur != nullptr` routes to the spine,
+    // whose lock carries its own ordering — no data flows through owner.
     void* cur = s.owner.load(std::memory_order_relaxed);
     if (cur == me) return true;
     if (cur != nullptr) return false;
     // acq_rel claim: acquire pairs with a previous claimant's release in
     // the cookie-reuse case (inheriting its priv list state); release
     // publishes the claim before this thread's private-list writes.
-    // relaxed on failure: we fall back to the locked path regardless.
+    // relaxed on failure: we fall back to the spine regardless.
     const bool claimed = s.owner.compare_exchange_strong(
         cur, me, std::memory_order_acq_rel, std::memory_order_relaxed);
     if (claimed) {
@@ -497,26 +441,6 @@ class NodePool {
     return shards_[slot];
   }
 
-  /// Moves a chunk's worth of nodes off an over-full shard (caller holds
-  /// the shard lock); the actual overflow splice happens after the shard
-  /// lock drops, via flush_spill.
-  void maybe_spill(Shard& s, FreeChain& spill) noexcept {
-    const std::size_t cap = kShardCapChunks * chunk_nodes_;
-    if (s.count <= cap) return;
-    for (std::size_t i = 0; i < chunk_nodes_ && s.head != nullptr; ++i) {
-      FreeLink* p = s.head;
-      s.head = p->next;
-      --s.count;
-      spill.push(static_cast<void*>(p));
-    }
-  }
-
-  void flush_spill(FreeChain& spill) noexcept {
-    if (spill.empty()) return;
-    std::lock_guard<SpinLock> lk(global_mu_);
-    splice_into_overflow(spill);
-  }
-
   /// Caller holds global_mu_.
   void splice_into_overflow(FreeChain& chain) noexcept {
     chain.tail_->next = overflow_.head_;
@@ -527,94 +451,64 @@ class NodePool {
     chain.count_ = 0;
   }
 
-  /// One chunk's worth of free nodes from the overflow spine (preferred)
-  /// or a fresh heap chunk. Takes and releases global_mu_.
-  FreeChain acquire_chunk() {
-    // Injected heap exhaustion. Placed BEFORE the lock and before any
-    // state changes so a failed acquisition leaves the pool exactly as
-    // it was — the same guarantee the real ::operator new failure gives
-    // (create() is exception-safe), just deterministic and recoverable.
+  /// Caller holds global_mu_ and saw the spine empty: carves one fresh
+  /// heap chunk onto it.
+  void grow_spine() {
+    // Injected heap exhaustion. Placed before any state changes so a
+    // failed growth leaves the pool exactly as it was — the same
+    // guarantee the real ::operator new failure gives (create() is
+    // exception-safe), just deterministic and recoverable.
     if (PWSS_FAULT_POINT("node_pool.chunk_alloc")) throw PoolExhausted{};
-    FreeChain chain;
-    std::lock_guard<SpinLock> lk(global_mu_);
-    if (overflow_.head_ != nullptr) {
-      for (std::size_t i = 0; i < chunk_nodes_ && overflow_.head_ != nullptr;
-           ++i) {
-        FreeLink* p = overflow_.head_;
-        overflow_.head_ = p->next;
-        --overflow_.count_;
-        chain.push(static_cast<void*>(p));
-      }
-      if (overflow_.head_ == nullptr) overflow_.tail_ = nullptr;
-    } else {
-      const std::size_t bytes = header_span() + chunk_nodes_ * slot_size();
-      auto* raw = static_cast<unsigned char*>(
-          ::operator new(bytes, std::align_val_t{chunk_align()}));
-      auto* header = reinterpret_cast<ChunkHeader*>(raw);
-      header->next = chunks_;
-      chunks_ = header;
-      // relaxed: pure statistic; the chunk list itself is guarded by
-      // global_mu_, held here.
-      chunk_count_.fetch_add(1, std::memory_order_relaxed);
-      unsigned char* slots = raw + header_span();
-      for (std::size_t i = 0; i < chunk_nodes_; ++i) {
-        chain.push(static_cast<void*>(slots + i * slot_size()));
-      }
+    const std::size_t bytes = header_span() + kChunkNodes * slot_size();
+    auto* raw = static_cast<unsigned char*>(
+        ::operator new(bytes, std::align_val_t{chunk_align()}));
+    auto* header = reinterpret_cast<ChunkHeader*>(raw);
+    header->next = chunks_;
+    chunks_ = header;
+    // relaxed: pure statistic; the chunk list itself is guarded by
+    // global_mu_, held here.
+    chunk_count_.fetch_add(1, std::memory_order_relaxed);
+    unsigned char* slots = raw + header_span();
+    for (std::size_t i = 0; i < kChunkNodes; ++i) {
+      overflow_.push(static_cast<void*>(slots + i * slot_size()));
     }
-    return chain;
   }
 
-  /// Restocks `s`'s locked list with up to one chunk of nodes.
-  void refill(Shard& s) {
-    // Empty shard observed, chunk not yet acquired: racing recyclers may
-    // repopulate the shard meanwhile (the caller's retry loop re-checks).
-    PWSS_SCHED_POINT("node_pool.refill.locked");
-    FreeChain chain = acquire_chunk();
-    std::lock_guard<SpinLock> lk(s.lock);
-    chain.tail_->next = s.head;
-    s.head = chain.head_;
-    s.count += chain.count_;
-  }
-
-  /// Restocks the calling owner's private list: first drains whatever
-  /// non-owner threads parked on the shard's locked list (that memory is
-  /// closest — same shard, likely same cache domain), then falls back to
-  /// the spine / a fresh chunk. Caller must own `s`.
+  /// Restocks the calling owner's empty private list with up to one
+  /// chunk's worth of nodes off the spine, growing it first if it is
+  /// empty; a spine of at most a chunk moves whole in one splice. Caller
+  /// must own `s`.
   void refill_private(Shard& s) {
-    // Private list just observed empty; foreign recyclers may be pushing
-    // to the shard's locked list at this very moment.
+    // Private list just observed empty; other threads may be at the spine.
     PWSS_SCHED_POINT("node_pool.refill_private");
+    FreeChain chain;
     {
-      std::lock_guard<SpinLock> lk(s.lock);
-      if (s.head != nullptr) {
-        std::size_t moved = 0;
-        while (s.head != nullptr && moved < chunk_nodes_) {
-          FreeLink* p = s.head;
-          s.head = p->next;
-          --s.count;
-          p->next = s.priv_head;
-          s.priv_head = p;
-          ++moved;
-        }
-        // relaxed: single-writer counter (this owner; see Shard).
-        s.priv_count.store(
-            s.priv_count.load(std::memory_order_relaxed) + moved,
-            std::memory_order_relaxed);
-        return;
+      std::lock_guard<SpinLock> lk(global_mu_);
+      if (overflow_.head_ == nullptr) grow_spine();
+      if (overflow_.count_ <= kChunkNodes) {
+        chain = std::exchange(overflow_, FreeChain{});
+      } else {
+        while (chain.count_ < kChunkNodes) chain.push(overflow_.pop());
       }
     }
-    FreeChain chain = acquire_chunk();
+    splice_private(s, chain);
+  }
+
+  /// Splices `chain` onto the calling owner's private list and returns
+  /// the list's new length. Caller must own `s`.
+  static std::size_t splice_private(Shard& s, FreeChain& chain) noexcept {
     chain.tail_->next = s.priv_head;
     s.priv_head = chain.head_;
-    // relaxed: single-writer counter (this owner; see Shard).
-    s.priv_count.store(
-        s.priv_count.load(std::memory_order_relaxed) + chain.count_,
-        std::memory_order_relaxed);
+    // relaxed: single-writer counter (this owner; see Shard); atomicity
+    // exists only for cross-thread stats reads, which are approximate.
+    const std::size_t n =
+        s.priv_count.load(std::memory_order_relaxed) + chain.count_;
+    s.priv_count.store(n, std::memory_order_relaxed);
+    return n;
   }
 
   /// Moves a chunk's worth of nodes from the calling owner's private list
-  /// to the overflow spine (the private-path analogue of maybe_spill).
-  /// Caller must own `s`.
+  /// to the overflow spine. Caller must own `s`.
   void spill_private(Shard& s) noexcept {
     // Shard over its cap: a chunk's worth of private nodes is about to
     // move to the spine (private accounting shrinks before the splice).
@@ -622,18 +516,18 @@ class NodePool {
     FreeChain spill;
     // relaxed (both): single-writer counter (this owner; see Shard).
     std::size_t n = s.priv_count.load(std::memory_order_relaxed);
-    for (std::size_t i = 0; i < chunk_nodes_ && s.priv_head != nullptr; ++i) {
+    for (std::size_t i = 0; i < kChunkNodes && s.priv_head != nullptr; ++i) {
       FreeLink* p = s.priv_head;
       s.priv_head = p->next;
       --n;
       spill.push(static_cast<void*>(p));
     }
     s.priv_count.store(n, std::memory_order_relaxed);
-    flush_spill(spill);
+    std::lock_guard<SpinLock> lk(global_mu_);
+    splice_into_overflow(spill);
   }
 
   sched::Scheduler* scheduler_;
-  std::size_t chunk_nodes_;
   std::vector<Shard> shards_;  // [0] = external threads, [1+i] = worker i
 
   mutable SpinLock global_mu_;      // guards overflow_ and chunks_

@@ -317,11 +317,12 @@ TEST(InterleaveExplorer, DedicatedLockHandoff) {
 
 // ---- scenario 4: NodePool ownership and refill -------------------------------
 //
-// External (non-worker) threads all map to the pool's last shard, so the
-// owner-claim CAS ("node_pool.owner.claim") and the locked alloc/free
-// paths race continuously; cross-thread frees push traffic through the
-// shard lists and overflow spine ("node_pool.refill.locked",
-// "node_pool.spill_private"). The conservation validator runs after join.
+// External (non-worker) threads all map to the pool's shard 0, so the
+// owner-claim CAS ("node_pool.owner.claim") and the non-owners' spine
+// alloc/free path race continuously with the owner's refills and spills
+// ("node_pool.refill_private", "node_pool.spill_private"); cross-thread
+// frees move nodes between the two. The conservation validator runs after
+// join.
 std::string node_pool_scenario(std::uint64_t seed) {
   struct Node {
     std::uint64_t payload[2];
@@ -738,7 +739,6 @@ TEST(InterleaveExplorer, ZInstrumentedPointsWereExercised) {
            "dedicated_lock.acquire.park",
            "dedicated_lock.release.scan",
            "node_pool.owner.claim",
-           "node_pool.refill.locked",
            "node_pool.refill_private",
            "segment.promote",
            "segment.demote",

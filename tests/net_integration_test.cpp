@@ -269,7 +269,6 @@ TEST(NetBackpressure, ConnectionWindowShedsOnWireWithZeroProtocolErrors) {
 TEST(NetBackpressure, AdmissionControlShedsThroughTheWire) {
   driver::Options opts;
   opts.max_in_flight = 1;
-  opts.admission = driver::AdmissionPolicy::kReject;
   auto driver = driver::make_driver<K, V>("m1", opts);
   net::ServerConfig cfg;
   cfg.tcp_addr = "127.0.0.1:0";

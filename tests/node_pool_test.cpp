@@ -338,10 +338,10 @@ TEST(NodePool, SegmentTransfersAreChunkNeutralWhenWarm) {
 // Without a scheduler every thread maps to shard 0, so this pins the
 // claim protocol's sharing case: the first thread to touch the shard owns
 // its private list (lock-free fast path) while every other thread funnels
-// through the same shard's locked shared list — concurrently. Accounting
-// must balance across both paths, and TSan must see no race between the
-// owner's plain priv_head accesses and the foreigners' locked traffic
-// (they only meet under the shard lock inside refill_private/spill).
+// through the overflow spine — concurrently. Accounting must balance
+// across both paths, and TSan must see no race between the owner's plain
+// priv_head accesses and the foreigners' spine traffic (they only meet
+// under the spine lock inside refill_private/spill_private).
 TEST(NodePool, ForeignThreadsShareShardWithOwnerFastPath) {
   util::NodePool<std::pair<int, int>> pool;
   // Claim shard 0 for this thread before any contender exists.
@@ -385,7 +385,7 @@ TEST(NodePool, ForeignThreadsShareShardWithOwnerFastPath) {
   for (auto& th : threads) th.join();
   const auto st = pool.stats();
   EXPECT_EQ(st.node_allocs, st.node_frees)
-      << "owner-private and locked-shared accounting must agree";
+      << "owner-private and spine accounting must agree";
   EXPECT_EQ(pool.live_nodes(), 0u);
   EXPECT_GE(st.node_allocs, static_cast<std::uint64_t>(kOps));
 }

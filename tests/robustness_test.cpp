@@ -1,8 +1,8 @@
 // Tests for the overload-robustness layer (DESIGN.md "Overload & fault
-// model"): admission control (bounded in-flight window, reject vs
-// bounded-block), op deadlines and cancellation (terminal-status
-// exactness, quiescence-counter conservation), the retry/backoff helper,
-// and the seeded schedule-point fault injector.
+// model"): admission control (a bounded in-flight window that sheds when
+// full), op deadlines and cancellation (terminal-status exactness,
+// quiescence-counter conservation), the retry/backoff helper, and the
+// seeded schedule-point fault injector.
 //
 // The fault-injection suites GTEST_SKIP in ordinary builds (the sites
 // compile to `false`); CI's sites job rebuilds with -DPWSS_SITES=ON and
@@ -198,10 +198,9 @@ TEST(Cancel, QuiescenceCountersConservedUnderConcurrentCancelAndQuiesce) {
 
 // ---- admission control -------------------------------------------------------
 
-TEST(Admission, RejectPolicyShedsWithOverloadedAndWindowNeverOverfills) {
+TEST(Admission, FullWindowShedsWithOverloadedAndNeverOverfills) {
   driver::Options opts = two_workers();
   opts.max_in_flight = 4;
-  opts.admission = driver::AdmissionPolicy::kReject;
   auto d = driver::make_driver<std::uint64_t, std::uint64_t>("m1", opts);
 
   constexpr std::size_t kOps = 2000;
@@ -231,58 +230,23 @@ TEST(Admission, RejectPolicyShedsWithOverloadedAndWindowNeverOverfills) {
   EXPECT_EQ(d->validate(), "");
 }
 
-TEST(Admission, BlockPolicyCompletesEveryOpWithinTheWindow) {
-  driver::Options opts = two_workers();
-  opts.max_in_flight = 2;
-  opts.admission = driver::AdmissionPolicy::kBlock;
-  auto d = driver::make_driver<std::uint64_t, std::uint64_t>("m1", opts);
-
-  // Four clients against a window of two: submitters park instead of
-  // shedding, so every op executes exactly once.
-  constexpr int kClients = 4;
-  constexpr std::uint64_t kPerClient = 300;
-  std::vector<std::thread> clients;
-  std::atomic<std::uint64_t> inserted{0};
-  for (int c = 0; c < kClients; ++c) {
-    clients.emplace_back([&, c] {
-      for (std::uint64_t i = 0; i < kPerClient; ++i) {
-        const std::uint64_t key =
-            static_cast<std::uint64_t>(c) * kPerClient + i;
-        if (d->insert(key, key)) inserted.fetch_add(1);
-      }
-    });
-  }
-  for (auto& th : clients) th.join();
-  EXPECT_EQ(inserted.load(), kClients * kPerClient);
-  EXPECT_EQ(d->size(), kClients * kPerClient);
-  EXPECT_EQ(d->admission().in_flight(), 0u);
-  EXPECT_EQ(d->validate(), "");
-}
-
-TEST(Admission, BlockPolicyHonoursDeadlines) {
-  // Controller-level determinism: hold the only slot ourselves, then park
-  // on a deadline that passes while we wait — the bounded block must give
-  // up with kExpired instead of parking forever.
-  driver::AdmissionController ctl(
-      driver::AdmissionConfig{1, driver::AdmissionPolicy::kBlock});
-  ASSERT_EQ(ctl.try_admit(0), driver::Admit::kAdmitted);
-  EXPECT_EQ(ctl.in_flight(), 1u);
-
-  const std::uint64_t deadline =
-      core::deadline_after(std::chrono::milliseconds(5));
-  EXPECT_EQ(ctl.try_admit(deadline), driver::Admit::kExpired);
-  EXPECT_GE(core::now_ns(), deadline);  // it actually waited the window out
-
-  // An already-expired deadline outranks even a free window.
-  ctl.release();
+TEST(Admission, ExpiredDeadlineOutranksAFreeWindow) {
+  // Controller-level determinism: an already-expired deadline is never
+  // admitted, even to a free window, while a live one sheds only when the
+  // window is full.
+  driver::AdmissionController ctl(driver::AdmissionConfig{1});
   EXPECT_EQ(ctl.try_admit(1), driver::Admit::kExpired);
+  EXPECT_EQ(ctl.in_flight(), 0u);
+  ASSERT_EQ(ctl.try_admit(0), driver::Admit::kAdmitted);
+  EXPECT_EQ(ctl.try_admit(core::deadline_after(std::chrono::seconds(10))),
+            driver::Admit::kShed);
+  ctl.release();
   EXPECT_EQ(ctl.in_flight(), 0u);
 
   // And through the driver: an expired deadline on the blocking path
   // surfaces kTimedOut without executing.
   driver::Options opts = two_workers();
   opts.max_in_flight = 1;
-  opts.admission = driver::AdmissionPolicy::kBlock;
   auto d = driver::make_driver<std::uint64_t, std::uint64_t>("m1", opts);
   const auto r = d->run_blocking(IntOp::search(1).with_deadline(1));
   EXPECT_EQ(r.status, core::ResultStatus::kTimedOut);

@@ -4,6 +4,7 @@
 
 #include <atomic>
 #include <bit>
+#include <chrono>
 #include <cstring>
 #include <functional>
 #include <memory>
@@ -394,29 +395,85 @@ TEST(Scheduler, ParallelForActuallyUsesMultipleWorkers) {
   EXPECT_GT(std::popcount(worker_mask.load()), 1);
 }
 
+// Waits up to ~10 s of wall clock for `done`; false on timeout.
+template <typename Pred>
+bool wait_until(Pred done) {
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (!done()) {
+    if (std::chrono::steady_clock::now() > deadline) return false;
+    std::this_thread::yield();
+  }
+  return true;
+}
+
+// Deterministic form of the weak-priority rule: with every worker held by
+// a gated spinner and low tasks queued ahead, freeing one high-preferring
+// worker must run the queued high task there before any low task starts.
 TEST(Scheduler, HighPriorityTasksRunUnderLoad) {
-  sched::Scheduler s(4);
-  std::atomic<bool> stop{false};
-  std::atomic<int> low_running{0};
-  // Saturate with low-priority spinners.
-  for (int i = 0; i < 16; ++i) {
+  constexpr int kWorkers = 4;
+  constexpr int kLows = 8;
+  std::atomic<bool> gate[kWorkers] = {};
+  std::atomic<std::size_t> spinner_slot[kWorkers] = {};
+  std::atomic<int> spinners_running{0};
+  std::atomic<int> lows_started{0};
+  std::atomic<int> lows_done{0};
+  std::atomic<int> lows_started_before_high{-1};
+  std::atomic<std::size_t> high_slot{0};
+
+  // Declared after the state its tasks touch (so it drains and joins
+  // first) and before the guard that opens every gate on any exit.
+  sched::Scheduler s(kWorkers);
+  struct OpenGates {
+    std::atomic<bool>* gates;
+    ~OpenGates() {
+      for (int i = 0; i < kWorkers; ++i) gates[i].store(true);
+    }
+  } open_gates{gate};
+
+  // One spinner per worker: a spinner never yields its worker back, so
+  // four of them land on four distinct workers.
+  for (int i = 0; i < kWorkers; ++i) {
     s.spawn(
-        [&] {
-          low_running.fetch_add(1);
-          while (!stop.load()) std::this_thread::yield();
+        [&, i] {
+          spinner_slot[i].store(s.worker_slot());
+          spinners_running.fetch_add(1);
+          while (!gate[i].load()) std::this_thread::yield();
         },
         sched::Priority::kLow);
   }
-  while (low_running.load() < 2) std::this_thread::yield();
-  std::atomic<bool> high_ran{false};
-  s.spawn([&] { high_ran = true; }, sched::Priority::kHigh);
-  // A high-preferring worker must pick it up even with low spam pending.
-  for (int i = 0; i < 10000 && !high_ran.load(); ++i) {
-    std::this_thread::yield();
+  ASSERT_TRUE(wait_until([&] { return spinners_running.load() == kWorkers; }));
+
+  for (int i = 0; i < kLows; ++i) {
+    s.spawn(
+        [&] {
+          lows_started.fetch_add(1);
+          lows_done.fetch_add(1);
+        },
+        sched::Priority::kLow);
   }
-  stop = true;
-  while (low_running.load() < 16) std::this_thread::yield();
-  EXPECT_TRUE(high_ran.load());
+  s.spawn(
+      [&] {
+        lows_started_before_high.store(lows_started.load());
+        high_slot.store(s.worker_slot());
+      },
+      sched::Priority::kHigh);
+
+  // Workers 0..1 (slots 1..2) prefer the high queue; free one of them.
+  int freed = -1;
+  for (int i = 0; i < kWorkers; ++i) {
+    const std::size_t slot = spinner_slot[i].load();
+    if (slot == 1 || slot == 2) freed = i;
+  }
+  ASSERT_NE(freed, -1) << "no spinner landed on a high-preferring worker";
+  gate[freed].store(true);
+  ASSERT_TRUE(wait_until([&] { return high_slot.load() != 0; }));
+  EXPECT_EQ(high_slot.load(), spinner_slot[freed].load());
+  EXPECT_EQ(lows_started_before_high.load(), 0)
+      << "a queued low task started before the high one";
+
+  for (int i = 0; i < kWorkers; ++i) gate[i].store(true);
+  EXPECT_TRUE(wait_until([&] { return lows_done.load() == kLows; }));
 }
 
 TEST(Scheduler, ResumeSinkIntegratesWithDedicatedLock) {
