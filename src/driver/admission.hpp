@@ -3,12 +3,12 @@
 // outstanding-op window the network serving layer's backpressure rides on
 // (ROADMAP item 1).
 //
-// A Driver owns one AdmissionController; every asynchronous submission
-// and every blocking per-op call passes its accept/shed decision before
-// the backend sees the op. A full window sheds immediately with
-// kOverloaded; the caller decides whether to retry with backoff, drop, or
-// surface the error. It never parks the submitter: under the server one
-// reactor thread submits for every connection.
+// Every BackendDriver owns one AdmissionController; every asynchronous
+// submission and every blocking per-op call passes its accept/shed
+// decision before the backend sees the op. A full window sheds
+// immediately with kOverloaded; the caller decides whether to retry with
+// backoff, drop, or surface the error. It never parks the submitter:
+// under the server one reactor thread submits for every connection.
 //
 // The window is one shared atomic counter: admit is a CAS-increment,
 // release a fetch_sub fired by the ticket's on_release hook on the
@@ -16,10 +16,10 @@
 // waiter wakes). max_in_flight == 0 disables the window entirely
 // — no counting, no hook, zero cost on the default path.
 //
-// ShardedDriver deliberately runs its own controller DISABLED and lets
-// every shard driver enforce its own window: shedding is per-shard, so
-// one hot shard rejects its overflow while the others keep accepting —
-// the hot-key groundwork for ROADMAP item 3.
+// ShardedDriver owns no controller: each shard is a BackendDriver with
+// its own window, so shedding is per shard — one hot shard rejects its
+// overflow while the others keep accepting (the hot-key groundwork for
+// ROADMAP item 3).
 
 #include <atomic>
 #include <cstddef>
@@ -29,24 +29,20 @@
 
 namespace pwss::driver {
 
-struct AdmissionConfig {
-  /// Maximum admitted-but-not-yet-completed ops; 0 = unbounded (the
-  /// controller is inert: no counting, no release hooks).
-  std::size_t max_in_flight = 0;
-};
-
 /// Per-submit verdict. kExpired outranks the window: an op whose
 /// deadline already passed is never admitted, even to an empty window.
 enum class Admit : std::uint8_t { kAdmitted, kShed, kExpired };
 
 class AdmissionController {
  public:
-  AdmissionController() = default;
-  explicit AdmissionController(AdmissionConfig cfg) : cfg_(cfg) {}
+  /// `max_in_flight`: admitted-but-not-yet-completed ops allowed at once;
+  /// 0 = unbounded (no window counting, no release hooks).
+  explicit AdmissionController(std::size_t max_in_flight)
+      : max_in_flight_(max_in_flight) {}
   AdmissionController(const AdmissionController&) = delete;
   AdmissionController& operator=(const AdmissionController&) = delete;
 
-  bool bounded() const noexcept { return cfg_.max_in_flight != 0; }
+  bool bounded() const noexcept { return max_in_flight_ != 0; }
 
   /// Admitted ops currently holding a window slot (0 when unbounded).
   std::size_t in_flight() const noexcept {
@@ -60,7 +56,7 @@ class AdmissionController {
     return count(try_admit_impl(deadline_ns));
   }
 
-  // ---- lifetime counters (Driver::stats()) -----------------------------------
+  // ---- lifetime counters (BackendDriver::stats()) ---------------------------
   // Relaxed totals of every verdict this controller handed out. On the
   // unbounded default path only admitted_ ticks (one relaxed increment);
   // the bounded paths were already contended-atomic.
@@ -77,7 +73,7 @@ class AdmissionController {
 
   /// Frees one window slot. No-op when unbounded.
   void release() noexcept {
-    if (cfg_.max_in_flight != 0) {
+    if (max_in_flight_ != 0) {
       window_.fetch_sub(1, std::memory_order_release);
     }
   }
@@ -92,9 +88,9 @@ class AdmissionController {
     if (deadline_ns != 0 && core::now_ns() >= deadline_ns) {
       return Admit::kExpired;
     }
-    if (cfg_.max_in_flight == 0) return Admit::kAdmitted;
+    if (max_in_flight_ == 0) return Admit::kAdmitted;
     std::size_t cur = window_.load(std::memory_order_relaxed);
-    while (cur < cfg_.max_in_flight) {
+    while (cur < max_in_flight_) {
       if (window_.compare_exchange_weak(cur, cur + 1,
                                         std::memory_order_acq_rel,
                                         std::memory_order_relaxed)) {
@@ -119,7 +115,7 @@ class AdmissionController {
     return verdict;
   }
 
-  AdmissionConfig cfg_{};
+  const std::size_t max_in_flight_;
   std::atomic<std::size_t> window_{0};
   std::atomic<std::uint64_t> admitted_{0};
   std::atomic<std::uint64_t> shed_{0};

@@ -272,19 +272,16 @@ CliOptions parse(int argc, char** argv,
   return cli;
 }
 
-/// Prints a counter snapshot (--stats) to stderr so it never mixes with
-/// result output on stdout: one line per kStatsFields line, the
-/// durability and net lines only when that layer is on. The snapshot is
-/// a parameter so callers that fold in extra counters
-/// (net::Server::add_stats) print one line set.
+/// Prints the driver's counter snapshot (--stats) to stderr so it never
+/// mixes with result output on stdout: one line per kStatsFields line,
+/// the durability line only when a WAL is armed.
 template <typename K, typename V>
-void print_stats(const Driver<K, V>& driver, const DriverStats& s) {
-  const bool shown[] = {true, s.durable, s.serving};
+void print_stats(const Driver<K, V>& driver) {
+  const DriverStats s = driver.stats();
+  const bool shown[] = {true, s.durable};
   const char* const prefix[] = {"", s.read_only ? "durable read_only=1 "
-                                                : "durable read_only=0 ",
-                                "net "};
-  for (const auto line : {StatsField::kAdmission, StatsField::kDurability,
-                          StatsField::kNet}) {
+                                                : "durable read_only=0 "};
+  for (const auto line : {StatsField::kAdmission, StatsField::kDurability}) {
     if (!shown[line]) continue;
     std::string out = "stats[" + driver.name() + "]: " + prefix[line];
     for (const StatsField& f : kStatsFields) {
@@ -294,11 +291,6 @@ void print_stats(const Driver<K, V>& driver, const DriverStats& s) {
     out.pop_back();
     std::fprintf(stderr, "%s\n", out.c_str());
   }
-}
-
-template <typename K, typename V>
-void print_stats(const Driver<K, V>& driver) {
-  print_stats(driver, driver.stats());
 }
 
 /// Post-workload epilogue for --stats/--validate: prints the counter

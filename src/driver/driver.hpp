@@ -17,14 +17,16 @@
 // class puts the backend behind core::AsyncMap (m0, m1, splay, avl,
 // iacono), the backend's own submit (m2), or the calling thread (locked).
 //
-// Every backend executes the full protocol, ordered kinds included. The
-// submit forms pass admission control (driver/admission.hpp: bounded
-// in-flight window, shed or bounded-block on overflow); the blocking
-// conveniences are submit + wait on a stack ticket, retried on transient
-// kOverloaded via driver/retry.hpp backoff. With durability armed,
+// Driver<K, V> is the interface: submit(op, ticket), run(ops, out) and
+// step(op) are its virtuals, and the one blocking retry loop
+// (run_blocking) is built on submit. Every backend executes the full
+// protocol, ordered kinds included. BackendDriver runs the per-op path: its
+// submit passes admission control (driver/admission.hpp: a bounded
+// in-flight window that sheds on overflow), and with durability armed its
 // submit, step and run log their mutations through the one write-ahead
-// sequence (write_ahead) before the backend sees them. BackendDriver
-// implements the do_submit/do_run/do_step virtuals per wiring.
+// sequence (write_ahead) before the backend sees them. The blocking
+// conveniences are submit + wait on a stack ticket, retried on transient
+// kOverloaded via driver/retry.hpp backoff.
 //
 // The bulk path must not race with concurrent blocking callers on
 // AsyncMap-wrapped backends (it quiesces the front end, then batches
@@ -103,26 +105,16 @@ struct DriverStats {
   std::uint64_t recovered_entries = 0;  ///< snapshot entries restored
   std::uint64_t torn_tail_truncations = 0;
   std::uint64_t checkpoints = 0;
-  // network serving layer (src/net/server.hpp; folded in by
-  // net::Server::add_stats() — zero and unprinted when not serving)
-  bool serving = false;               ///< a net::Server reported counters
-  std::uint64_t net_accepted = 0;     ///< connections accepted (lifetime)
-  std::uint64_t net_active = 0;       ///< connections currently open
-  std::uint64_t net_frames_in = 0;    ///< verified frames parsed
-  std::uint64_t net_frames_out = 0;   ///< frames written (responses etc.)
-  std::uint64_t net_protocol_errors = 0;  ///< connections refused for cause
-  std::uint64_t net_shed_on_wire = 0;     ///< kOverloaded at the conn window
-  std::uint64_t net_accept_failures = 0;  ///< accept(2) errors (incl. injected)
 
   /// Sums every counter and ORs the flags (shard folding).
   DriverStats& operator+=(const DriverStats& o);
 };
 
 /// One DriverStats counter: the name --stats prints it under, the line it
-/// belongs to (durability and net lines print only when that layer is
-/// on), and the member.
+/// belongs to (the durability line prints only when a WAL is armed), and
+/// the member.
 struct StatsField {
-  enum Line : std::uint8_t { kAdmission, kDurability, kNet };
+  enum Line : std::uint8_t { kAdmission, kDurability };
   const char* name;
   Line line;
   std::uint64_t DriverStats::*counter;
@@ -142,27 +134,13 @@ inline constexpr StatsField kStatsFields[] = {
     {"torn_tails", StatsField::kDurability,
      &DriverStats::torn_tail_truncations},
     {"checkpoints", StatsField::kDurability, &DriverStats::checkpoints},
-    {"accepted", StatsField::kNet, &DriverStats::net_accepted},
-    {"active", StatsField::kNet, &DriverStats::net_active},
-    {"frames_in", StatsField::kNet, &DriverStats::net_frames_in},
-    {"frames_out", StatsField::kNet, &DriverStats::net_frames_out},
-    {"protocol_errors", StatsField::kNet, &DriverStats::net_protocol_errors},
-    {"shed_on_wire", StatsField::kNet, &DriverStats::net_shed_on_wire},
-    {"accept_failures", StatsField::kNet, &DriverStats::net_accept_failures},
 };
 
 inline DriverStats& DriverStats::operator+=(const DriverStats& o) {
   for (const StatsField& f : kStatsFields) this->*f.counter += o.*f.counter;
   durable = durable || o.durable;
   read_only = read_only || o.read_only;
-  serving = serving || o.serving;
   return *this;
-}
-
-/// The admission window a single (non-sharded) driver enforces for the
-/// given options.
-inline AdmissionConfig admission_config(const Options& opts) {
-  return AdmissionConfig{opts.max_in_flight};
 }
 
 /// Type-erased handle to a wired backend. Obtained from BackendRegistry.
@@ -189,7 +167,7 @@ class Driver : public core::MapCalls<Driver<K, V>, K, V> {
     for (;;) {
       // A kOverloaded op never executed, so each attempt submits a copy.
       Ticket ticket;
-      submit_admitted(core::Op<K, V>(op), &ticket);
+      submit(core::Op<K, V>(op), &ticket);
       core::Result<V, K> r = ticket.wait();
       if (r.status != core::ResultStatus::kOverloaded ||
           !backoff.next(op.deadline_ns)) {
@@ -201,19 +179,14 @@ class Driver : public core::MapCalls<Driver<K, V>, K, V> {
 
   // ---- asynchronous submission ---------------------------------------------
   // The async forms never throw for refusals: the contract is completion
-  // delivery, so a shed window and an expired deadline surface as a
-  // ticket completed with the matching terminal error status
-  // (kOverloaded / kTimedOut).
+  // delivery, so a shed window, an expired deadline and a read-only store
+  // surface as a ticket completed with the matching terminal error status
+  // (kOverloaded / kTimedOut / kReadOnly).
 
   /// Lowest-level form: the caller owns the completion token (stack or
   /// arena; zero allocation). The ticket must stay alive until fulfilled.
-  void submit(core::Op<K, V> op, Ticket* ticket) {
-    submit_admitted(std::move(op), ticket);
-  }
+  virtual void submit(core::Op<K, V> op, Ticket* ticket) = 0;
   using core::MapCalls<Driver, K, V>::submit;
-
-  /// The admission window this driver enforces (inert when unbounded).
-  const AdmissionController& admission() const noexcept { return admission_; }
 
   // ---- bulk path -----------------------------------------------------------
 
@@ -233,26 +206,15 @@ class Driver : public core::MapCalls<Driver<K, V>, K, V> {
   /// and covered by ONE group commit (the batch-cut-boundary fsync);
   /// in read-only degraded mode the batch splits — reads execute,
   /// mutation slots complete with kReadOnly.
-  void run(const std::vector<core::Op<K, V>>& ops,
-           std::vector<core::Result<V, K>>& out) {
-    if (!write_ahead(ops, [&] { do_run(ops, out); })) {
-      run_read_only_split(ops, out);
-    }
-  }
+  virtual void run(const std::vector<core::Op<K, V>>& ops,
+                   std::vector<core::Result<V, K>>& out) = 0;
 
   /// Single-owner sequential fast path: executes one operation
   /// synchronously on the calling thread, bypassing the async front end
   /// where the backend allows it. Must not race with concurrent callers.
   /// Benchmarks use this to measure per-op structure cost without
   /// batching overhead.
-  core::Result<V, K> step(core::Op<K, V> op) {
-    core::Result<V, K> r;
-    if (!write_ahead(std::span<const core::Op<K, V>>(&op, 1),
-                     [&] { r = do_step(std::move(op)); })) {
-      r = core::Result<V, K>::error(core::ResultStatus::kReadOnly);
-    }
-    return r;
-  }
+  virtual core::Result<V, K> step(core::Op<K, V> op) = 0;
 
   /// Segment index (recency depth) currently holding `key` for
   /// working-set backends; nullopt for absent keys and for non-adjusting
@@ -289,29 +251,7 @@ class Driver : public core::MapCalls<Driver<K, V>, K, V> {
   /// refuses to serve rather than serving a state the validators
   /// cannot certify. kOff is a no-op. Throws std::invalid_argument for
   /// K/V the file formats cannot serialize (non-trivially-copyable).
-  virtual void open_durability(const Options& opts) {
-    if (opts.durability == store::DurabilityMode::kOff) return;
-    if constexpr (!store::kSerializable<K, V>) {
-      throw std::invalid_argument(
-          "durability requires trivially copyable key/value types");
-    } else {
-      durability_ = std::make_unique<store::Durability<K, V>>(
-          opts.durability_dir, opts.durability);
-      store::RecoveredState<K, V> rec = durability_->recover();
-      std::vector<core::Result<V, K>> scratch;
-      store::replay_into(rec, [&](const std::vector<core::Op<K, V>>& batch) {
-        do_run(batch, scratch);
-      });
-      quiesce();
-      const std::string err = validate();
-      if (!err.empty()) {
-        durability_.reset();
-        throw store::StoreError("recovery validation failed (" +
-                                opts.durability_dir + "): " + err);
-      }
-      durability_->arm();
-    }
-  }
+  virtual void open_durability(const Options& opts) = 0;
 
   /// Compaction: quiesces, drains the sorted contents, writes a fresh
   /// snapshot, and rotates the WAL — under the writer gate, so the
@@ -319,21 +259,7 @@ class Driver : public core::MapCalls<Driver<K, V>, K, V> {
   /// success, else the failure description (the driver is then in
   /// sticky read-only mode). Throws std::logic_error with durability
   /// off — checkpointing without a WAL to rotate is a caller bug.
-  virtual std::string checkpoint() {
-    if (!durability_) {
-      throw std::logic_error(
-          "checkpoint() requires durability (Options::durability != kOff)");
-    }
-    std::unique_lock<std::shared_mutex> gate(store_gate_);
-    quiesce();
-    const std::vector<std::pair<K, V>> entries = export_sorted();
-    try {
-      durability_->checkpoint(entries);
-    } catch (const store::StoreError& e) {
-      return e.what();
-    }
-    return {};
-  }
+  virtual std::string checkpoint() = 0;
 
   /// The full contents as sorted (key, value) pairs (quiesces first) —
   /// the export surface the checkpoint writer serializes.
@@ -342,54 +268,84 @@ class Driver : public core::MapCalls<Driver<K, V>, K, V> {
   /// True once the driver degraded to sticky read-only mode (a
   /// persistence failure with durability armed). Mutations shed
   /// kReadOnly; reads keep serving.
-  virtual bool read_only() const noexcept {
-    return durability_ != nullptr && durability_->read_only();
-  }
+  virtual bool read_only() const noexcept = 0;
 
   /// Counter snapshot: admission/retry and durability observability.
-  virtual DriverStats stats() const {
-    DriverStats s;
-    s.admitted = admission_.admitted_total();
-    s.shed = admission_.shed_total();
-    s.timed_out = admission_.expired_total();
-    s.retries = retries_.load(std::memory_order_relaxed);
-    s.in_flight = admission_.in_flight();
-    if (durability_) {
-      const store::DurabilityCounters c = durability_->counters();
-      s.durable = true;
-      s.read_only = c.read_only;
-      s.wal_appends = c.wal_appends;
-      s.wal_fsyncs = c.wal_fsyncs;
-      s.recovered_ops = c.recovered_ops;
-      s.recovered_entries = c.recovered_entries;
-      s.torn_tail_truncations = c.torn_tail_truncations;
-      s.checkpoints = c.checkpoints;
-    }
-    return s;
-  }
+  virtual DriverStats stats() const = 0;
 
  protected:
-  explicit Driver(std::string name, AdmissionConfig admission = {})
-      : name_(std::move(name)), admission_(admission) {}
+  explicit Driver(std::string name) : name_(std::move(name)) {}
 
-  /// True when mutations must be WAL-logged (durability recovered,
-  /// validated, and armed). One pointer test on the kOff default path.
-  bool durable() const noexcept {
-    return durability_ != nullptr && durability_->armed();
+  /// Backoff retries taken by run_blocking on this driver.
+  std::uint64_t retries() const noexcept {
+    return retries_.load(std::memory_order_relaxed);
   }
 
-  virtual void do_submit(core::Op<K, V> op, Ticket* ticket) = 0;
-  virtual void do_run(const std::vector<core::Op<K, V>>& ops,
-                      std::vector<core::Result<V, K>>& out) = 0;
-  virtual core::Result<V, K> do_step(core::Op<K, V> op) = 0;
-
  private:
-  /// Shared body of the submit forms and the blocking path: the deadline
-  /// screen and the admission decision, each delivered as a completed
-  /// ticket. An admitted op arms the ticket's release hook first, so the
-  /// window slot frees on whichever thread fulfills it — a kReadOnly shed
-  /// from write_ahead included.
-  void submit_admitted(core::Op<K, V> op, Ticket* ticket) {
+  std::string name_;
+  std::atomic<std::uint64_t> retries_{0};
+};
+
+namespace detail {
+
+/// Owned-or-shared scheduler wiring: owns a pool sized by Options::workers
+/// unless Options::scheduler supplies an external one (which must then
+/// outlive the driver); `wanted == false` leaves it empty (schedulerless).
+/// Declare it before the backend/front-end member so an owned pool dies
+/// last.
+struct SchedulerHandle {
+  explicit SchedulerHandle(const Options& opts, bool wanted = true)
+      : owned(wanted && !opts.scheduler
+                  ? std::make_unique<sched::Scheduler>(opts.workers)
+                  : nullptr),
+        ptr(wanted && opts.scheduler ? opts.scheduler : owned.get()) {}
+
+  std::unique_ptr<sched::Scheduler> owned;
+  sched::Scheduler* ptr;
+};
+
+}  // namespace detail
+
+/// The front end a BackendDriver puts in front of its backend. Chosen on
+/// the registry's add() lines.
+enum class Wiring {
+  /// core::AsyncMap's implicit batching (Section 4 / Appendix A.1):
+  /// blocking callers feed the parallel buffer, a scheduler worker drives
+  /// cut batches through the backend (m0, m1, and the sequential
+  /// baselines). run() quiesces the front end, then batches directly.
+  kAsyncMap,
+  /// The backend's own thread-safe submit/quiesce surface (M2's pipeline
+  /// front end, Section 7); the driver only supplies the scheduler.
+  kNative,
+  /// The calling thread: point ops go straight into a backend that
+  /// serializes internally (the locked baseline). No scheduler.
+  kCaller,
+};
+
+/// A MapBackend wired behind one front end: the driver that runs the
+/// per-op path — the admission window, the write-ahead sequence and the
+/// durability layer. Only submission, the bulk and sequential paths, and
+/// scheduler ownership depend on the wiring.
+template <typename K, typename V, typename B, Wiring W>
+  requires core::MapBackend<B, K, V>
+class BackendDriver final : public Driver<K, V> {
+ public:
+  using typename Driver<K, V>::Ticket;
+  using Driver<K, V>::submit;
+  using Driver<K, V>::run;
+
+  BackendDriver(std::string name, const Options& opts)
+      : Driver<K, V>(std::move(name)),
+        admission_(opts.max_in_flight),
+        scheduler_(opts, W != Wiring::kCaller),
+        front_(make_front(scheduler_.ptr)) {}
+
+  /// The deadline screen and the admission decision, each delivered as a
+  /// completed ticket, then the write-ahead and the front end. An
+  /// admitted op arms the ticket's release hook first, so the window
+  /// slot frees on whichever thread fulfills it — a kReadOnly shed from
+  /// write_ahead included.
+  void submit(core::Op<K, V> op, Ticket* ticket) override {
     switch (admission_.try_admit(op.deadline_ns)) {
       case Admit::kExpired:
         ticket->fulfill(
@@ -408,10 +364,162 @@ class Driver : public core::MapCalls<Driver<K, V>, K, V> {
     }
     // Enqueued under the gate: once checkpoint() holds the gate
     // exclusively and quiesces, every logged op is fully applied.
-    if (!write_ahead(std::span<const core::Op<K, V>>(&op, 1),
-                     [&] { do_submit(std::move(op), ticket); })) {
+    if (!write_ahead(std::span<const core::Op<K, V>>(&op, 1), [&] {
+          if constexpr (W == Wiring::kCaller) {
+            // No async front end: execute inline and fulfill on the
+            // calling thread (completion runs here).
+            ticket->fulfill(front_.run_blocking(std::move(op)));
+          } else {
+            front_.submit(std::move(op), ticket);
+          }
+        })) {
       ticket->fulfill(core::Result<V, K>::error(core::ResultStatus::kReadOnly));
     }
+  }
+
+  void run(const std::vector<core::Op<K, V>>& ops,
+           std::vector<core::Result<V, K>>& out) override {
+    if (!write_ahead(ops, [&] { execute(ops, out); })) {
+      run_read_only_split(ops, out);
+    }
+  }
+
+  core::Result<V, K> step(core::Op<K, V> op) override {
+    core::Result<V, K> r;
+    if (!write_ahead(std::span<const core::Op<K, V>>(&op, 1), [&] {
+          // The native backend's own front end IS its sequential path;
+          // the others run the op on the quiesced backend directly.
+          B& b = W == Wiring::kNative ? map() : backend();
+          r = b.run_blocking(std::move(op));
+        })) {
+      r = core::Result<V, K>::error(core::ResultStatus::kReadOnly);
+    }
+    return r;
+  }
+
+  std::optional<std::size_t> depth_of(const K& key) override {
+    B& b = backend();
+    if constexpr (core::HasRecencyDepth<B, K>) {
+      return b.segment_of(key);
+    } else {
+      return std::nullopt;
+    }
+  }
+
+  void quiesce() override {
+    if constexpr (W != Wiring::kCaller) front_.quiesce();
+  }
+  std::size_t size() override { return backend().size(); }
+  std::string validate() override { return backend().validate(); }
+  std::vector<std::pair<K, V>> export_sorted() override {
+    std::vector<std::pair<K, V>> out;
+    backend().export_entries(out);
+    return out;
+  }
+  sched::Scheduler* scheduler() noexcept override { return scheduler_.ptr; }
+
+  void open_durability(const Options& opts) override {
+    if (opts.durability == store::DurabilityMode::kOff) return;
+    if constexpr (!store::kSerializable<K, V>) {
+      throw std::invalid_argument(
+          "durability requires trivially copyable key/value types");
+    } else {
+      durability_ = std::make_unique<store::Durability<K, V>>(
+          opts.durability_dir, opts.durability);
+      store::RecoveredState<K, V> rec = durability_->recover();
+      std::vector<core::Result<V, K>> scratch;
+      store::replay_into(rec, [&](const std::vector<core::Op<K, V>>& batch) {
+        execute(batch, scratch);
+      });
+      quiesce();
+      const std::string err = validate();
+      if (!err.empty()) {
+        durability_.reset();
+        throw store::StoreError("recovery validation failed (" +
+                                opts.durability_dir + "): " + err);
+      }
+      durability_->arm();
+    }
+  }
+
+  std::string checkpoint() override {
+    if (!durability_) {
+      throw std::logic_error(
+          "checkpoint() requires durability (Options::durability != kOff)");
+    }
+    std::unique_lock<std::shared_mutex> gate(store_gate_);
+    quiesce();
+    const std::vector<std::pair<K, V>> entries = export_sorted();
+    try {
+      durability_->checkpoint(entries);
+    } catch (const store::StoreError& e) {
+      return e.what();
+    }
+    return {};
+  }
+
+  bool read_only() const noexcept override {
+    return durability_ != nullptr && durability_->read_only();
+  }
+
+  DriverStats stats() const override {
+    DriverStats s;
+    s.admitted = admission_.admitted_total();
+    s.shed = admission_.shed_total();
+    s.timed_out = admission_.expired_total();
+    s.retries = this->retries();
+    s.in_flight = admission_.in_flight();
+    if (durability_) {
+      const store::DurabilityCounters c = durability_->counters();
+      s.durable = true;
+      s.read_only = c.read_only;
+      s.wal_appends = c.wal_appends;
+      s.wal_fsyncs = c.wal_fsyncs;
+      s.recovered_ops = c.recovered_ops;
+      s.recovered_entries = c.recovered_entries;
+      s.torn_tail_truncations = c.torn_tail_truncations;
+      s.checkpoints = c.checkpoints;
+    }
+    return s;
+  }
+
+  /// The wrapped backend (quiesces first); safe to use directly only
+  /// while no other caller is active.
+  B& backend() {
+    quiesce();
+    return map();
+  }
+
+ private:
+  using Front = std::conditional_t<W == Wiring::kAsyncMap,
+                                   core::AsyncMap<K, V, B>, B>;
+
+  static Front make_front(sched::Scheduler* s) {
+    if constexpr (W == Wiring::kNative) {
+      return Front(*s);
+    } else if constexpr (W == Wiring::kCaller) {
+      return Front();
+    } else if constexpr (std::constructible_from<B, sched::Scheduler*>) {
+      return Front(B(s), *s);
+    } else {
+      return Front(B(), *s);
+    }
+  }
+
+  B& map() {
+    if constexpr (W == Wiring::kAsyncMap) {
+      return front_.map();
+    } else {
+      return front_;
+    }
+  }
+
+  /// One batch straight into the backend, no logging: the bulk path's
+  /// body, recovery replay and the read-only split's read batch.
+  void execute(const std::vector<core::Op<K, V>>& ops,
+               std::vector<core::Result<V, K>>& out) {
+    if constexpr (W == Wiring::kAsyncMap) front_.quiesce();
+    map().execute_batch(std::span<const core::Op<K, V>>(ops), out);
   }
 
   /// The write-ahead sequence, the one place it lives: read-only screen,
@@ -428,7 +536,9 @@ class Driver : public core::MapCalls<Driver<K, V>, K, V> {
   /// durable; shed ⇒ not executed here.
   template <typename Exec>
   bool write_ahead(std::span<const core::Op<K, V>> ops, Exec&& exec) {
-    if (!durable() || !has_mutation(ops)) {
+    // One pointer test on the kOff default path; replay runs before
+    // arm(), so it is never logged.
+    if (!durability_ || !durability_->armed() || !has_mutation(ops)) {
       exec();
       return true;
     }
@@ -469,13 +579,16 @@ class Driver : public core::MapCalls<Driver<K, V>, K, V> {
     }
     if (reads.empty()) return;
     std::vector<core::Result<V, K>> read_results;
-    do_run(reads, read_results);
+    execute(reads, read_results);
     for (std::size_t j = 0; j < origin.size(); ++j) {
       out[origin[j]] = std::move(read_results[j]);
     }
   }
 
-  std::string name_;
+  // Declaration order is destruction-order-critical: the front end (and
+  // the backend inside it) must die before the scheduler its drive loop
+  // and forks run on, and before the admission window its tickets'
+  // release hooks point at.
   AdmissionController admission_;
   /// Null when durability is off (the default) — every hot-path check
   /// is then one pointer test. The refusing stub type for K/V the file
@@ -486,137 +599,6 @@ class Driver : public core::MapCalls<Driver<K, V>, K, V> {
   /// takes it exclusively so the exported contents match the logged
   /// prefix exactly. Untouched when durability is off.
   std::shared_mutex store_gate_;
-  std::atomic<std::uint64_t> retries_{0};
-};
-
-namespace detail {
-
-/// Owned-or-shared scheduler wiring: owns a pool sized by Options::workers
-/// unless Options::scheduler supplies an external one (which must then
-/// outlive the driver); `wanted == false` leaves it empty (schedulerless).
-/// Declare it before the backend/front-end member so an owned pool dies
-/// last.
-struct SchedulerHandle {
-  explicit SchedulerHandle(const Options& opts, bool wanted = true)
-      : owned(wanted && !opts.scheduler
-                  ? std::make_unique<sched::Scheduler>(opts.workers)
-                  : nullptr),
-        ptr(wanted && opts.scheduler ? opts.scheduler : owned.get()) {}
-
-  std::unique_ptr<sched::Scheduler> owned;
-  sched::Scheduler* ptr;
-};
-
-}  // namespace detail
-
-/// The front end a BackendDriver puts in front of its backend. Chosen on
-/// the registry's add() lines.
-enum class Wiring {
-  /// core::AsyncMap's implicit batching (Section 4 / Appendix A.1):
-  /// blocking callers feed the parallel buffer, a scheduler worker drives
-  /// cut batches through the backend (m0, m1, and the sequential
-  /// baselines). run() quiesces the front end, then batches directly.
-  kAsyncMap,
-  /// The backend's own thread-safe submit/quiesce surface (M2's pipeline
-  /// front end, Section 7); the driver only supplies the scheduler.
-  kNative,
-  /// The calling thread: point ops go straight into a backend that
-  /// serializes internally (the locked baseline). No scheduler.
-  kCaller,
-};
-
-/// A MapBackend wired behind one front end. Only submission, the bulk and
-/// sequential paths, and scheduler ownership depend on the wiring.
-template <typename K, typename V, typename B, Wiring W>
-  requires core::MapBackend<B, K, V>
-class BackendDriver final : public Driver<K, V> {
- public:
-  using typename Driver<K, V>::Ticket;
-
-  BackendDriver(std::string name, const Options& opts)
-      : Driver<K, V>(std::move(name), admission_config(opts)),
-        scheduler_(opts, W != Wiring::kCaller),
-        front_(make_front(scheduler_.ptr)) {}
-
-  std::optional<std::size_t> depth_of(const K& key) override {
-    B& b = backend();
-    if constexpr (core::HasRecencyDepth<B, K>) {
-      return b.segment_of(key);
-    } else {
-      return std::nullopt;
-    }
-  }
-
-  void quiesce() override {
-    if constexpr (W != Wiring::kCaller) front_.quiesce();
-  }
-  std::size_t size() override { return backend().size(); }
-  std::string validate() override { return backend().validate(); }
-  std::vector<std::pair<K, V>> export_sorted() override {
-    std::vector<std::pair<K, V>> out;
-    backend().export_entries(out);
-    return out;
-  }
-  sched::Scheduler* scheduler() noexcept override { return scheduler_.ptr; }
-
-  /// The wrapped backend (quiesces first); safe to use directly only
-  /// while no other caller is active.
-  B& backend() {
-    quiesce();
-    return map();
-  }
-
- protected:
-  void do_submit(core::Op<K, V> op, Ticket* ticket) override {
-    if constexpr (W == Wiring::kCaller) {
-      // No async front end: execute inline and fulfill on the calling
-      // thread (the submission API stays uniform; completion runs here).
-      ticket->fulfill(front_.run_blocking(std::move(op)));
-    } else {
-      front_.submit(std::move(op), ticket);
-    }
-  }
-
-  void do_run(const std::vector<core::Op<K, V>>& ops,
-              std::vector<core::Result<V, K>>& out) override {
-    if constexpr (W == Wiring::kAsyncMap) front_.quiesce();
-    map().execute_batch(std::span<const core::Op<K, V>>(ops), out);
-  }
-
-  core::Result<V, K> do_step(core::Op<K, V> op) override {
-    // The native backend's own front end IS its sequential path; the
-    // others run the op on the quiesced backend directly.
-    B& b = W == Wiring::kNative ? map() : backend();
-    return b.run_blocking(std::move(op));
-  }
-
- private:
-  using Front = std::conditional_t<W == Wiring::kAsyncMap,
-                                   core::AsyncMap<K, V, B>, B>;
-
-  static Front make_front(sched::Scheduler* s) {
-    if constexpr (W == Wiring::kNative) {
-      return Front(*s);
-    } else if constexpr (W == Wiring::kCaller) {
-      return Front();
-    } else if constexpr (std::constructible_from<B, sched::Scheduler*>) {
-      return Front(B(s), *s);
-    } else {
-      return Front(B(), *s);
-    }
-  }
-
-  B& map() {
-    if constexpr (W == Wiring::kAsyncMap) {
-      return front_.map();
-    } else {
-      return front_;
-    }
-  }
-
-  // Declaration order is destruction-order-critical: the front end (and
-  // the backend inside it) must die before the scheduler its drive loop
-  // and forks run on.
   detail::SchedulerHandle scheduler_;
   Front front_;
 };

@@ -20,6 +20,14 @@
 //   * size()/validate()/quiesce() aggregate across shards; depth_of() routes
 //     to the shard holding the key.
 //
+// The sharded driver holds no admission window and no durability layer of
+// its own: every path routes through the shards' public submit/run/step,
+// so admission, write-ahead logging, group commit and read-only shedding
+// all happen inside the shard that owns the key. stats() is this driver's
+// blocking-path retries plus the sum over its shards — a point op is
+// admitted once (by its shard), an ordered query once per shard it
+// scatters to.
+//
 // Like the AsyncMap-wrapped drivers, the bulk path must not race with
 // concurrent blocking callers on shards whose wiring forbids it (each
 // inner run() quiesces its own shard first).
@@ -119,6 +127,8 @@ template <typename K, typename V>
 class ShardedDriver final : public Driver<K, V> {
  public:
   using typename Driver<K, V>::Ticket;
+  using Driver<K, V>::submit;
+  using Driver<K, V>::run;
   using ShardFactory =
       std::function<std::unique_ptr<Driver<K, V>>(const Options&)>;
 
@@ -127,10 +137,9 @@ class ShardedDriver final : public Driver<K, V> {
   /// caller's Options::scheduler when supplied, else a pool this driver
   /// owns. An owned pool is dropped again when no shard wired itself to
   /// it (e.g. sharded:locked, whose shards are schedulerless).
-  /// The outer driver's own admission controller stays DISABLED (default
-  /// AdmissionConfig): Options::max_in_flight rides the inner Options
-  /// copy into every shard, so the window is enforced per shard and one
-  /// hot shard sheds its overflow without starving the rest.
+  /// Options::max_in_flight rides the inner Options copy into every
+  /// shard, so the window is enforced per shard and one hot shard sheds
+  /// its overflow without starving the rest.
   ShardedDriver(std::string name, const Options& opts, ShardFactory make_shard)
       : Driver<K, V>(std::move(name)), scheduler_(opts) {
     const unsigned count = opts.shards == 0 ? kDefaultShards : opts.shards;
@@ -195,10 +204,7 @@ class ShardedDriver final : public Driver<K, V> {
 
   /// Per-shard durability: each shard recovers from and logs to its own
   /// subdirectory (keys are hash-partitioned, so the shard stores hold
-  /// disjoint key sets). The outer driver's durability layer stays null
-  /// — scatter paths route through the shards' PUBLIC run/submit/step,
-  /// so write-ahead logging, group commit, and read-only shedding all
-  /// happen inside the shard that owns the key.
+  /// disjoint key sets).
   void open_durability(const Options& opts) override {
     if (opts.durability == store::DurabilityMode::kOff) return;
     store::ensure_dir(opts.durability_dir);
@@ -249,14 +255,14 @@ class ShardedDriver final : public Driver<K, V> {
   }
 
   DriverStats stats() const override {
-    DriverStats total = Driver<K, V>::stats();  // outer retries/admission
+    DriverStats total;
+    total.retries = this->retries();
     for (const auto& s : shards_) total += s->stats();
     return total;
   }
 
- protected:
-  void do_run(const std::vector<core::Op<K, V>>& ops,
-              std::vector<core::Result<V, K>>& out) override {
+  void run(const std::vector<core::Op<K, V>>& ops,
+           std::vector<core::Result<V, K>>& out) override {
     out.clear();
     out.resize(ops.size());
     // One phase == the whole batch when no ordered kinds are present,
@@ -269,7 +275,7 @@ class ShardedDriver final : public Driver<K, V> {
         });
   }
 
-  core::Result<V, K> do_step(core::Op<K, V> op) override {
+  core::Result<V, K> step(core::Op<K, V> op) override {
     if (core::is_ordered(op.type)) {
       // Single-owner path: consult every shard synchronously and reduce.
       std::vector<core::Result<V, K>> answers;
@@ -280,7 +286,7 @@ class ShardedDriver final : public Driver<K, V> {
     return shards_[shard_of(op.key)]->step(std::move(op));
   }
 
-  void do_submit(core::Op<K, V> op, Ticket* ticket) override {
+  void submit(core::Op<K, V> op, Ticket* ticket) override {
     if (!core::is_ordered(op.type)) {
       shards_[shard_of(op.key)]->submit(std::move(op), ticket);
       return;
@@ -425,7 +431,7 @@ class ShardedDriver final : public Driver<K, V> {
                          std::vector<core::Result<V, K>>& out) {
     std::vector<core::OpTicket<V, K>> tickets(end - begin);
     for (std::size_t i = begin; i < end; ++i) {
-      do_submit(ops[i], &tickets[i - begin]);
+      submit(ops[i], &tickets[i - begin]);
     }
     for (std::size_t i = begin; i < end; ++i) {
       out[i] = tickets[i - begin].wait();

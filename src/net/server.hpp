@@ -71,7 +71,7 @@ struct ServerConfig {
   std::size_t pipeline_window = 64;
 };
 
-/// Wire-side counters (Driver::stats() carries them via add_stats()).
+/// Wire-side counters (pwss_serve --stats prints them as its net line).
 struct NetStats {
   std::uint64_t connections_accepted = 0;
   std::uint64_t connections_active = 0;
@@ -80,22 +80,6 @@ struct NetStats {
   std::uint64_t protocol_errors = 0;  ///< connections refused for cause
   std::uint64_t shed_on_wire = 0;     ///< kOverloaded answered at the window
   std::uint64_t accept_failures = 0;  ///< accept(2) errors (incl. injected)
-};
-
-/// Each NetStats counter paired with the DriverStats counter that
-/// Server::add_stats() folds it into.
-inline constexpr std::pair<std::uint64_t NetStats::*,
-                           std::uint64_t driver::DriverStats::*>
-    kNetStatsFolds[] = {
-        {&NetStats::connections_accepted, &driver::DriverStats::net_accepted},
-        {&NetStats::connections_active, &driver::DriverStats::net_active},
-        {&NetStats::frames_in, &driver::DriverStats::net_frames_in},
-        {&NetStats::frames_out, &driver::DriverStats::net_frames_out},
-        {&NetStats::protocol_errors,
-         &driver::DriverStats::net_protocol_errors},
-        {&NetStats::shed_on_wire, &driver::DriverStats::net_shed_on_wire},
-        {&NetStats::accept_failures,
-         &driver::DriverStats::net_accept_failures},
 };
 
 class Server {
@@ -159,15 +143,6 @@ class Server {
     return s;
   }
 
-  /// Folds the wire counters into a driver stats snapshot — the serve
-  /// CLI's `--stats` line shows admission, durability, and wire totals
-  /// in one place.
-  void add_stats(driver::DriverStats& s) const {
-    const NetStats n = stats();
-    s.serving = true;
-    for (const auto& [from, to] : kNetStatsFolds) s.*to += n.*from;
-  }
-
  private:
   struct Conn;
 
@@ -205,7 +180,6 @@ class Server {
     std::vector<std::uint8_t> outbuf;
     std::size_t outpos = 0;    ///< bytes of outbuf already written
     bool io_open = true;       ///< false once the fd may no longer be used
-    bool flush_inline = true;  ///< completions may write the socket
     std::vector<std::unique_ptr<NetTicket>> ticket_pool;
     std::vector<NetTicket*> free_tickets;
     /// True when outbuf holds unwritten bytes (mirror of state under wmu
@@ -465,7 +439,7 @@ class Server {
   /// Partial writes (including injected ones) leave the residue for the
   /// next POLLOUT round.
   void try_flush_locked(Conn& c) {
-    if (!c.io_open || !c.flush_inline) {
+    if (!c.io_open) {
       c.want_write.store(c.outpos < c.outbuf.size(),
                          std::memory_order_release);
       return;

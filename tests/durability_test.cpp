@@ -655,11 +655,11 @@ TEST(DriverDurability, DegradedDriverShedsEverySubmitFormAndStep) {
     core::OpTicket<V, K> ticket;
     drv->submit(IntOp::upsert(7, 51), &ticket);
     EXPECT_EQ(ticket.wait().status, core::ResultStatus::kReadOnly) << backend;
-    EXPECT_EQ(drv->admission().in_flight(), 0u) << backend;
+    EXPECT_EQ(drv->stats().in_flight, 0u) << backend;
 
     auto future = drv->submit(IntOp::upsert(7, 52));
     EXPECT_EQ(future.get().status, core::ResultStatus::kReadOnly) << backend;
-    EXPECT_EQ(drv->admission().in_flight(), 0u) << backend;
+    EXPECT_EQ(drv->stats().in_flight, 0u) << backend;
 
     std::atomic<bool> called{false};
     core::ResultStatus seen = core::ResultStatus::kInserted;
@@ -669,7 +669,7 @@ TEST(DriverDurability, DegradedDriverShedsEverySubmitFormAndStep) {
     });
     ASSERT_TRUE(called.load(std::memory_order_acquire)) << backend;
     EXPECT_EQ(seen, core::ResultStatus::kReadOnly) << backend;
-    EXPECT_EQ(drv->admission().in_flight(), 0u) << backend;
+    EXPECT_EQ(drv->stats().in_flight, 0u) << backend;
 
     EXPECT_EQ(drv->step(IntOp::upsert(7, 53)).status,
               core::ResultStatus::kReadOnly)
@@ -677,7 +677,7 @@ TEST(DriverDurability, DegradedDriverShedsEverySubmitFormAndStep) {
 
     EXPECT_EQ(drv->stats().wal_appends, appends) << backend;
     EXPECT_EQ(drv->search(7), std::uint64_t{7}) << backend;
-    EXPECT_EQ(drv->admission().in_flight(), 0u) << backend;
+    EXPECT_EQ(drv->stats().in_flight, 0u) << backend;
     EXPECT_EQ(drv->validate(), "") << backend;
   }
 }

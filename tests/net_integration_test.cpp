@@ -518,10 +518,6 @@ TEST(NetFaults, AcceptFailureKeepsServing) {
   EXPECT_GE(stats.accept_failures, 1u);
   EXPECT_EQ(stats.protocol_errors, 0u);
   EXPECT_EQ(server.stats().connections_active, 0u);
-  // --stats surfaces it: the driver snapshot with the wire counters folded in.
-  driver::DriverStats folded = driver->stats();
-  server.add_stats(folded);
-  EXPECT_GE(folded.net_accept_failures, 1u);
 }
 
 }  // namespace

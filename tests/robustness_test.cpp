@@ -23,6 +23,7 @@
 #include "driver/admission.hpp"
 #include "driver/registry.hpp"
 #include "driver/retry.hpp"
+#include "driver/sharded.hpp"
 #include "sched/scheduler.hpp"
 #include "util/node_pool.hpp"
 #include "util/rng.hpp"
@@ -191,7 +192,7 @@ TEST(Cancel, QuiescenceCountersConservedUnderConcurrentCancelAndQuiesce) {
             << name << ": op not terminal after quiesce()";
       }
     }
-    EXPECT_EQ(d->admission().in_flight(), 0u) << name;
+    EXPECT_EQ(d->stats().in_flight, 0u) << name;
     EXPECT_EQ(d->validate(), "") << name;
   }
 }
@@ -208,7 +209,7 @@ TEST(Admission, FullWindowShedsWithOverloadedAndNeverOverfills) {
   std::size_t max_seen = 0;
   for (std::size_t i = 0; i < kOps; ++i) {
     d->submit(IntOp::upsert(i % 64, i), &tickets[i]);
-    max_seen = std::max(max_seen, d->admission().in_flight());
+    max_seen = std::max(max_seen, d->stats().in_flight);
   }
   d->quiesce();
 
@@ -226,7 +227,7 @@ TEST(Admission, FullWindowShedsWithOverloadedAndNeverOverfills) {
   EXPECT_EQ(accepted + shed, kOps);
   EXPECT_GT(accepted, 0u);  // a window of 4 still makes progress
   EXPECT_LE(max_seen, opts.max_in_flight);
-  EXPECT_EQ(d->admission().in_flight(), 0u);
+  EXPECT_EQ(d->stats().in_flight, 0u);
   EXPECT_EQ(d->validate(), "");
 }
 
@@ -234,7 +235,7 @@ TEST(Admission, ExpiredDeadlineOutranksAFreeWindow) {
   // Controller-level determinism: an already-expired deadline is never
   // admitted, even to a free window, while a live one sheds only when the
   // window is full.
-  driver::AdmissionController ctl(driver::AdmissionConfig{1});
+  driver::AdmissionController ctl(1);
   EXPECT_EQ(ctl.try_admit(1), driver::Admit::kExpired);
   EXPECT_EQ(ctl.in_flight(), 0u);
   ASSERT_EQ(ctl.try_admit(0), driver::Admit::kAdmitted);
@@ -250,7 +251,7 @@ TEST(Admission, ExpiredDeadlineOutranksAFreeWindow) {
   auto d = driver::make_driver<std::uint64_t, std::uint64_t>("m1", opts);
   const auto r = d->run_blocking(IntOp::search(1).with_deadline(1));
   EXPECT_EQ(r.status, core::ResultStatus::kTimedOut);
-  EXPECT_EQ(d->admission().in_flight(), 0u);
+  EXPECT_EQ(d->stats().in_flight, 0u);
 }
 
 TEST(Admission, ShardedDriversShedPerShard) {
@@ -260,13 +261,19 @@ TEST(Admission, ShardedDriversShedPerShard) {
   auto d =
       driver::make_driver<std::uint64_t, std::uint64_t>("sharded:m1", opts);
 
-  // The outer controller stays inert (the window belongs to the shards).
-  EXPECT_FALSE(d->admission().bounded());
-
+  // The window belongs to the shards: each one enforces its own 8, and
+  // the sharded driver's counters are the shards' sums.
+  auto& sd =
+      dynamic_cast<driver::ShardedDriver<std::uint64_t, std::uint64_t>&>(*d);
   constexpr std::size_t kOps = 4000;
   std::vector<IntTicket> tickets(kOps);
+  std::uint64_t max_shard_window = 0;
   for (std::size_t i = 0; i < kOps; ++i) {
     d->submit(IntOp::upsert(i, i), &tickets[i]);
+    for (std::size_t s = 0; s < sd.shard_count(); ++s) {
+      max_shard_window =
+          std::max(max_shard_window, sd.shard(s).stats().in_flight);
+    }
   }
   d->quiesce();
   std::size_t accepted = 0;
@@ -275,6 +282,12 @@ TEST(Admission, ShardedDriversShedPerShard) {
     if (!ticket.result.is_error()) ++accepted;
   }
   EXPECT_GT(accepted, 0u);
+  EXPECT_LE(max_shard_window, opts.max_in_flight);
+  const driver::DriverStats stats = d->stats();
+  EXPECT_GT(stats.shed, 0u);
+  EXPECT_EQ(stats.admitted, accepted);
+  EXPECT_EQ(stats.shed, kOps - accepted);
+  EXPECT_EQ(stats.in_flight, 0u);
   // Distinct upsert keys: each accepted op inserted its own key, so the
   // conservation size() == #accepted is exact even with per-shard sheds.
   EXPECT_EQ(d->size(), accepted);
@@ -475,7 +488,7 @@ TEST_F(FaultInjectTest, SeededSweepEveryOpTerminalStructureClean) {
       }
       ASSERT_EQ(d->size(), inserted) << name << " seed " << seed;
       ASSERT_EQ(d->validate(), "") << name << " seed " << seed;
-      ASSERT_EQ(d->admission().in_flight(), 0u) << name << " seed " << seed;
+      ASSERT_EQ(d->stats().in_flight, 0u) << name << " seed " << seed;
     }
   }
 }

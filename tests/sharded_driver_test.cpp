@@ -170,6 +170,41 @@ TEST(ShardedDriverTest, DepthOfRoutesToOwningShard) {
   EXPECT_FALSE(d->depth_of(999999).has_value());
 }
 
+// ---- counters: the shards' sums, each op counted where it is admitted -------
+
+TEST(ShardedDriverTest, StatsCountEachPointOpOnce) {
+  // A point op is admitted once, by the shard that owns its key; an
+  // ordered query scatters, so every shard admits (or times out) its own
+  // sub-query.
+  constexpr std::uint64_t kShards = 4;
+  constexpr std::uint64_t kPoint = 1000;
+  constexpr std::uint64_t kOrdered = 10;
+  for (const char* name : {"sharded:m1", "sharded:m2"}) {
+    auto d = driver::make_driver<std::uint64_t, std::uint64_t>(
+        name, sharded_opts(kShards));
+    for (std::uint64_t k = 0; k < kPoint; ++k) ASSERT_TRUE(d->insert(k, k));
+    EXPECT_EQ(d->stats().admitted, kPoint) << name;
+
+    for (std::uint64_t q = 0; q < kOrdered; ++q) {
+      ASSERT_TRUE(d->predecessor(q * 100 + 50).has_value()) << name;
+    }
+    EXPECT_EQ(d->stats().admitted, kPoint + kOrdered * kShards) << name;
+
+    EXPECT_EQ(d->run_blocking(IntOp::search(1).with_deadline(1)).status,
+              core::ResultStatus::kTimedOut)
+        << name;
+    EXPECT_EQ(d->run_blocking(IntOp::predecessor(1).with_deadline(1)).status,
+              core::ResultStatus::kTimedOut)
+        << name;
+    const driver::DriverStats s = d->stats();
+    EXPECT_EQ(s.admitted, kPoint + kOrdered * kShards) << name;
+    EXPECT_EQ(s.timed_out, 1 + kShards) << name;
+    EXPECT_EQ(s.shed, 0u) << name;
+    EXPECT_EQ(s.retries, 0u) << name;
+    EXPECT_EQ(s.in_flight, 0u) << name;
+  }
+}
+
 // ---- bulk path: scatter -> parallel execute -> submission-order gather ------
 
 TEST(ShardedDriverTest, BulkRunMatchesM0Reference) {

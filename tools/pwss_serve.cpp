@@ -11,9 +11,11 @@
 // how scripts and CI get a free port race-free), then serves until
 // SIGINT/SIGTERM. Shutdown is graceful: listeners close, in-flight ops
 // complete, responses flush, and only then does the process exit —
-// with --stats printing the combined driver + wire counter snapshot,
-// and --validate running the deep validators on the final state.
+// with --validate running the deep validators on the final state and
+// --stats printing the driver's counter lines, then the wire counters
+// (net::Server::stats()) as one more line.
 
+#include <cinttypes>
 #include <csignal>
 #include <cstdio>
 #include <cstdint>
@@ -74,20 +76,17 @@ int main(int argc, char** argv) {
                sig);
   server.stop();
 
-  pwss::driver::DriverStats stats = driver->stats();
-  server.add_stats(stats);
-  int rc = 0;
-  if (cli.validate) {
-    driver->quiesce();
-    const std::string report = driver->validate();
-    if (!report.empty()) {
-      std::fprintf(stderr, "validate[%s]: %s\n", driver->name().c_str(),
-                   report.c_str());
-      rc = 1;
-    } else {
-      std::fprintf(stderr, "validate[%s]: ok\n", driver->name().c_str());
-    }
+  const int rc = pwss::driver::finish(cli, *driver);
+  if (cli.print_stats) {
+    const pwss::net::NetStats n = server.stats();
+    std::fprintf(stderr,
+                 "stats[%s]: net accepted=%" PRIu64 " active=%" PRIu64
+                 " frames_in=%" PRIu64 " frames_out=%" PRIu64
+                 " protocol_errors=%" PRIu64 " shed_on_wire=%" PRIu64
+                 " accept_failures=%" PRIu64 "\n",
+                 driver->name().c_str(), n.connections_accepted,
+                 n.connections_active, n.frames_in, n.frames_out,
+                 n.protocol_errors, n.shed_on_wire, n.accept_failures);
   }
-  if (cli.print_stats) pwss::driver::print_stats(*driver, stats);
   return rc;
 }
