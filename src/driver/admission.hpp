@@ -1,7 +1,7 @@
 #pragma once
 // Admission control (DESIGN.md "Overload & fault model") — the bounded
 // outstanding-op window the network serving layer's backpressure rides on
-// (ROADMAP item 1).
+// (DESIGN.md "Network serving layer").
 //
 // Every BackendDriver owns one AdmissionController; every asynchronous
 // submission and every blocking per-op call passes its accept/shed
@@ -18,8 +18,8 @@
 //
 // ShardedDriver owns no controller: each shard is a BackendDriver with
 // its own window, so shedding is per shard — one hot shard rejects its
-// overflow while the others keep accepting (the hot-key groundwork for
-// ROADMAP item 3).
+// overflow while the others keep accepting (DESIGN.md "Overload & fault
+// model").
 
 #include <atomic>
 #include <cstddef>

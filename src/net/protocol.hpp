@@ -388,7 +388,9 @@ constexpr std::string_view to_string(ProtoError e) noexcept {
 /// Incremental frame extractor over a connection's receive buffer: bytes
 /// arrive in arbitrary chunks (TCP guarantees nothing about boundaries),
 /// next() peels one complete verified payload at a time and reports the
-/// first protocol error it proves. The buffer is compacted lazily.
+/// first protocol error it proves. The buffer is compacted lazily: only
+/// when next() runs out of complete frames, so draining one read moves
+/// its partial tail once instead of the whole unread rest per frame.
 class FrameReader {
  public:
   void feed(const void* data, std::size_t len) {
@@ -401,8 +403,7 @@ class FrameReader {
   /// are needed or an error was detected (check error()).
   std::optional<std::string_view> next() {
     if (err_ != ProtoError::kNone) return std::nullopt;
-    compact();
-    if (buf_.size() - pos_ < kFrameHeaderBytes) return std::nullopt;
+    if (buf_.size() - pos_ < kFrameHeaderBytes) return need_more();
     std::uint32_t len = 0;
     std::uint32_t crc = 0;
     std::memcpy(&len, buf_.data() + pos_, sizeof(len));
@@ -411,7 +412,7 @@ class FrameReader {
       err_ = ProtoError::kOversized;
       return std::nullopt;
     }
-    if (buf_.size() - pos_ - kFrameHeaderBytes < len) return std::nullopt;
+    if (buf_.size() - pos_ - kFrameHeaderBytes < len) return need_more();
     const char* payload =
         reinterpret_cast<const char*>(buf_.data() + pos_ + kFrameHeaderBytes);
     if (store::crc32(payload, len) != crc) {
@@ -427,11 +428,12 @@ class FrameReader {
   std::size_t buffered() const noexcept { return buf_.size() - pos_; }
 
  private:
-  void compact() {
-    if (pos_ == 0) return;
+  /// The consumed prefix goes once no complete frame is left to return.
+  std::nullopt_t need_more() {
     buf_.erase(buf_.begin(),
                buf_.begin() + static_cast<std::ptrdiff_t>(pos_));
     pos_ = 0;
+    return std::nullopt;
   }
 
   std::vector<std::uint8_t> buf_;

@@ -1,6 +1,6 @@
 #pragma once
 // net::Server — the TCP + Unix-domain-socket serving layer over a
-// driver::Driver (DESIGN.md "Network serving layer", ROADMAP item 1).
+// driver::Driver (DESIGN.md "Network serving layer").
 //
 // One poll(2) reactor thread owns every socket: it accepts connections,
 // runs the hello/welcome handshake, parses request frames, and submits

@@ -1,10 +1,11 @@
 // Tests for the driver layer: BackendRegistry lookup/extension, Driver's
-// scheduler-lifetime ownership, and bulk-vs-blocking result equivalence
-// across every registered backend.
+// scheduler-lifetime ownership, independent batch arenas, the bulk path
+// alongside blocking callers, and the futures/ticket/completion forms.
+// Every driver's run, step and blocking calls are also checked against the
+// oracle by the harness in property_test.
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <filesystem>
 #include <map>
 #include <memory>
 #include <optional>
@@ -16,7 +17,6 @@
 #include "core/future.hpp"
 #include "core/m1_map.hpp"
 #include "driver/registry.hpp"
-#include "store/durability.hpp"
 #include "test_util.hpp"
 #include "util/rng.hpp"
 
@@ -120,10 +120,6 @@ TEST(Driver, DestructionQuiescesInFlightWork) {
   }
 }
 
-// ---- bulk vs blocking equivalence across backends ---------------------------
-
-class DriverBackendTest : public ::testing::TestWithParam<const char*> {};
-
 std::vector<IntOp> scripted_ops(std::uint64_t seed, std::size_t count,
                                 bool with_ordered = false) {
   return testutil::scripted_ops<std::uint64_t, std::uint64_t>(
@@ -188,42 +184,6 @@ TEST(Driver, BatchArenasIndependentAcrossInstances) {
   EXPECT_EQ(b->size(), ref_b.size());
   EXPECT_EQ(c->size(), ref_c.size());
 }
-
-TEST_P(DriverBackendTest, BulkAndBlockingAgreeWithReference) {
-  const char* name = GetParam();
-  driver::Options opts;
-  opts.workers = 2;
-  auto bulk = driver::make_driver<std::uint64_t, std::uint64_t>(name, opts);
-  auto blocking =
-      driver::make_driver<std::uint64_t, std::uint64_t>(name, opts);
-  std::map<std::uint64_t, std::uint64_t> ref;
-
-  // Every backend gets the full v2 op set, ordered kinds included.
-  for (std::uint64_t round = 0; round < 6; ++round) {
-    const auto ops = scripted_ops(round * 31 + 5, 300, /*with_ordered=*/true);
-    const auto got = bulk->run(ops);
-    ASSERT_EQ(got.size(), ops.size());
-    for (std::size_t i = 0; i < ops.size(); ++i) {
-      const auto want = reference_apply(ref, ops[i]);
-      testutil::expect_result_eq(got[i], want, name, i);
-      // The blocking per-op path must produce the identical result.
-      ASSERT_NO_FATAL_FAILURE(
-          testutil::expect_call_matches(*blocking, ops[i], want, name, i));
-    }
-    ASSERT_EQ(bulk->size(), ref.size()) << name;
-    ASSERT_EQ(blocking->size(), ref.size()) << name;
-  }
-  EXPECT_EQ(bulk->validate(), "") << name;
-  EXPECT_EQ(blocking->validate(), "") << name;
-}
-
-INSTANTIATE_TEST_SUITE_P(AllBackends, DriverBackendTest,
-                         ::testing::Values("m0", "m1", "m2", "iacono",
-                                           "splay", "avl", "locked",
-                                           "sharded:m1", "sharded:splay"),
-                         [](const auto& info) {
-                           return testutil::gtest_safe(info.param);
-                         });
 
 // ---- run() alongside blocking callers ---------------------------------------
 
@@ -290,35 +250,6 @@ INSTANTIATE_TEST_SUITE_P(MixingWirings, DriverMixedTest,
 
 class DriverSubmitTest : public ::testing::TestWithParam<const char*> {};
 
-TEST_P(DriverSubmitTest, OneThreadOverlapsManyOutstandingOps) {
-  // The acceptance demo for the futures API: ONE thread submits the whole
-  // script without waiting, holding every future; only then are results
-  // collected. With one blocking thread per op this would need kOps
-  // threads — here outstanding ops exceed submitting threads by 1024x.
-  const char* name = GetParam();
-  driver::Options opts;
-  opts.workers = 2;
-  auto d = driver::make_driver<std::uint64_t, std::uint64_t>(name, opts);
-  std::map<std::uint64_t, std::uint64_t> ref;
-  constexpr std::size_t kOps = 1024;
-  const auto ops = scripted_ops(77, kOps, /*with_ordered=*/false);
-
-  std::vector<core::Future<std::uint64_t>> futures;
-  futures.reserve(kOps);
-  for (const auto& op : ops) futures.push_back(d->submit(op));
-
-  // All ops are in flight (or already done) — nothing has been waited on.
-  ASSERT_EQ(futures.size(), kOps);
-  for (std::size_t i = 0; i < kOps; ++i) {
-    const auto want = reference_apply(ref, ops[i]);
-    // Point ops on the same key keep submission order per key, so the
-    // sequential oracle is exact even through the async front end.
-    testutil::expect_result_eq(futures[i].get(), want, name, i);
-  }
-  ASSERT_EQ(d->size(), ref.size()) << name;
-  EXPECT_EQ(d->validate(), "") << name;
-}
-
 TEST_P(DriverSubmitTest, TicketSubmissionAndCompletionCallbacks) {
   const char* name = GetParam();
   driver::Options opts;
@@ -365,48 +296,6 @@ INSTANTIATE_TEST_SUITE_P(AllWirings, DriverSubmitTest,
                          [](const auto& info) {
                            return testutil::gtest_safe(info.param);
                          });
-
-// Differential fuzz that crosses a full checkpoint→restart boundary at
-// the midpoint: the driver snapshots + rotates its WAL, is destroyed,
-// and a new driver recovers from the same directory while the std::map
-// oracle carries straight across. Every post-restart result is checked
-// against the oracle, so recovery dropping, duplicating, or reordering
-// even one op diverges immediately.
-TEST(Driver, DifferentialFuzzAcrossCheckpointRestart) {
-  for (const std::string name : {"m1", "sharded:m1"}) {
-    char tmpl[] = "/tmp/pwss-driver-ckpt-XXXXXX";
-    ASSERT_NE(::mkdtemp(tmpl), nullptr);
-    driver::Options opts;
-    opts.workers = 2;
-    opts.durability = store::DurabilityMode::kSync;
-    opts.durability_dir = std::string(tmpl) + "/store";
-
-    std::map<std::uint64_t, std::uint64_t> ref;
-    util::Xoshiro256 rng(99);
-    auto d = driver::make_driver<std::uint64_t, std::uint64_t>(name, opts);
-    for (int round = 0; round < 40; ++round) {
-      if (round == 20) {
-        ASSERT_EQ(d->checkpoint(), "") << name;
-        d.reset();
-        d = driver::make_driver<std::uint64_t, std::uint64_t>(name, opts);
-        ASSERT_EQ(d->validate(), "") << name;
-        ASSERT_GT(d->stats().recovered_entries, 0u) << name;
-      }
-      const auto ops = scripted_ops(500 + round, 1 + rng.bounded(60));
-      const auto got = d->run(ops);
-      ASSERT_EQ(got.size(), ops.size()) << name;
-      for (std::size_t i = 0; i < ops.size(); ++i) {
-        const auto want = reference_apply(ref, ops[i]);
-        testutil::expect_result_eq(got[i], want, name.c_str(), i);
-      }
-    }
-    d->quiesce();
-    ASSERT_EQ(d->size(), ref.size()) << name;
-    EXPECT_EQ(d->validate(), "") << name;
-    d.reset();
-    std::filesystem::remove_all(tmpl);
-  }
-}
 
 TEST(Driver, ShardedOrderedQueriesScatterGather) {
   // Keys deliberately straddle shard boundaries: predecessor/successor

@@ -41,28 +41,7 @@ using IntWalReader = store::WalReader<K, V>;
 using IntSnapWriter = store::SnapshotWriter<K, V>;
 using IntSnapReader = store::SnapshotReader<K, V>;
 
-/// mkdtemp scratch directory, recursively removed at scope exit.
-class ScratchDir {
- public:
-  ScratchDir() {
-    std::string tmpl = ::testing::TempDir() + "pwss-durability-XXXXXX";
-    tmpl.push_back('\0');
-    char* got = ::mkdtemp(tmpl.data());
-    EXPECT_NE(got, nullptr);
-    path_ = got == nullptr ? "." : got;
-  }
-  ~ScratchDir() {
-    std::error_code ec;
-    std::filesystem::remove_all(path_, ec);
-  }
-  const std::string& path() const { return path_; }
-  std::string file(const std::string& name) const {
-    return path_ + "/" + name;
-  }
-
- private:
-  std::string path_;
-};
+using testutil::ScratchDir;
 
 std::vector<char> read_file(const std::string& path) {
   store::Fd fd(path, O_RDONLY);
@@ -439,9 +418,6 @@ TEST(Recovery, SnapshotPlusWalSuffixReplaysIdempotently) {
 
 // ---- driver wiring: restart round trips --------------------------------------
 
-const char* const kDurableBackends[] = {"m0", "m1", "m2", "sharded:m1",
-                                        "locked"};
-
 driver::Options durable_opts(const std::string& dir,
                              store::DurabilityMode mode) {
   driver::Options o;
@@ -468,63 +444,6 @@ void expect_matches_oracle(driver::Driver<K, V>& drv,
   std::map<K, V> got;
   for (const auto& [k, v] : drv.export_sorted()) got[k] = v;
   EXPECT_EQ(got, oracle) << what;
-}
-
-TEST(DriverDurability, SyncRoundTripAcrossRestartEveryBackend) {
-  for (const std::string backend : kDurableBackends) {
-    ScratchDir d;
-    const auto opts =
-        durable_opts(d.file("store"), store::DurabilityMode::kSync);
-    std::map<K, V> oracle;
-    {
-      auto drv = driver::make_driver<K, V>(backend, opts);
-      oracle = run_scripted(*drv, 11, 400);
-      const auto s = drv->stats();
-      EXPECT_TRUE(s.durable) << backend;
-      EXPECT_GT(s.wal_appends, 0u) << backend;
-      EXPECT_GT(s.wal_fsyncs, 0u) << backend;
-    }
-    auto drv = driver::make_driver<K, V>(backend, opts);
-    expect_matches_oracle(*drv, oracle, backend.c_str());
-    EXPECT_GT(drv->stats().recovered_ops, 0u) << backend;
-  }
-}
-
-TEST(DriverDurability, CheckpointCompactsAndRecoverySeesBothHalves) {
-  for (const std::string backend : kDurableBackends) {
-    ScratchDir d;
-    const auto opts =
-        durable_opts(d.file("store"), store::DurabilityMode::kSync);
-    std::map<K, V> oracle;
-    {
-      auto drv = driver::make_driver<K, V>(backend, opts);
-      oracle = run_scripted(*drv, 21, 300);
-      EXPECT_EQ(drv->checkpoint(), "") << backend;
-      oracle = run_scripted(*drv, 22, 300, std::move(oracle));
-      EXPECT_GT(drv->stats().checkpoints, 0u) << backend;
-    }
-    auto drv = driver::make_driver<K, V>(backend, opts);
-    expect_matches_oracle(*drv, oracle, backend.c_str());
-    const auto s = drv->stats();
-    // Both recovery sources contributed: the snapshot's entries and the
-    // post-checkpoint WAL suffix.
-    EXPECT_GT(s.recovered_entries, 0u) << backend;
-    EXPECT_GT(s.recovered_ops, 0u) << backend;
-  }
-}
-
-TEST(DriverDurability, AsyncModeRecoversAfterCleanClose) {
-  ScratchDir d;
-  const auto opts =
-      durable_opts(d.file("store"), store::DurabilityMode::kAsync);
-  std::map<K, V> oracle;
-  {
-    auto drv = driver::make_driver<K, V>("m1", opts);
-    oracle = run_scripted(*drv, 31, 500);
-    // Async promises little mid-run, but close() flushes and fsyncs.
-  }
-  auto drv = driver::make_driver<K, V>("m1", opts);
-  expect_matches_oracle(*drv, oracle, "m1/async");
 }
 
 TEST(DriverDurability, OffModeWritesNothingAndReportsNotDurable) {

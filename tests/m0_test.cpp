@@ -4,12 +4,10 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
-#include <map>
 #include <vector>
 
 #include "core/m0_map.hpp"
 #include "util/rng.hpp"
-#include "util/workload.hpp"
 
 namespace pwss {
 namespace {
@@ -86,42 +84,6 @@ TEST(M0, EraseRepairsWithMostRecentOfNextSegment) {
     if (i % 25 == 0) { ASSERT_EQ(m.validate(), "") << "i=" << i; }
   }
   EXPECT_EQ(m.size(), 150u);
-  EXPECT_EQ(m.validate(), "");
-}
-
-TEST(M0, DifferentialAgainstStdMap) {
-  util::Xoshiro256 rng(101);
-  M0Map<int, int> m;
-  std::map<int, int> ref;
-  for (int step = 0; step < 30000; ++step) {
-    const int key = static_cast<int>(rng.bounded(500));
-    switch (rng.bounded(4)) {
-      case 0:
-      case 3: {
-        const int val = static_cast<int>(rng.bounded(1000));
-        EXPECT_EQ(m.insert(key, val), ref.find(key) == ref.end());
-        ref[key] = val;
-        break;
-      }
-      case 1: {
-        auto removed = m.erase(key);
-        auto it = ref.find(key);
-        ASSERT_EQ(removed.has_value(), it != ref.end());
-        if (it != ref.end()) {
-          EXPECT_EQ(*removed, it->second);
-          ref.erase(it);
-        }
-        break;
-      }
-      default: {
-        auto v = m.search(key);
-        auto it = ref.find(key);
-        ASSERT_EQ(v.has_value(), it != ref.end()) << "key " << key;
-        if (v) { EXPECT_EQ(*v, it->second); }
-      }
-    }
-    ASSERT_EQ(m.size(), ref.size());
-  }
   EXPECT_EQ(m.validate(), "");
 }
 

@@ -7,7 +7,6 @@
 
 #include <atomic>
 #include <chrono>
-#include <filesystem>
 #include <map>
 #include <memory>
 #include <string>
@@ -17,7 +16,6 @@
 
 #include "core/m2_map.hpp"
 #include "sched/scheduler.hpp"
-#include "store/snapshot.hpp"
 #include "test_util.hpp"
 #include "util/rng.hpp"
 
@@ -31,15 +29,7 @@ using core::Result;
 using core::ResultStatus;
 using IntOp = Op<int, int>;
 
-std::vector<Result<int>> reference_results(std::map<int, int>& ref,
-                                           const std::vector<IntOp>& ops) {
-  std::vector<Result<int>> out;
-  out.reserve(ops.size());
-  for (const auto& op : ops) {
-    out.push_back(testutil::reference_apply(ref, op));
-  }
-  return out;
-}
+using testutil::reference_results;
 
 /// Submits every op through M2Map::submit — the pipeline path whatever the
 /// backlog — then waits for each result, in submission order.
@@ -132,75 +122,6 @@ TEST(M2, DeleteEverything) {
   EXPECT_EQ(m.validate(), "");
 }
 
-TEST(M2, DifferentialBatchesAgainstStdMap) {
-  sched::Scheduler scheduler(4);
-  M2Map<int, int> m(scheduler);
-  std::map<int, int> ref;
-  util::Xoshiro256 rng(77);
-  for (int round = 0; round < 40; ++round) {
-    const std::size_t b = 1 + rng.bounded(300);
-    // Full protocol-v2 op set: execute_batch slices point/ordered phases,
-    // so the submission-order oracle is exact even through the pipeline.
-    const std::vector<IntOp> batch = testutil::scripted_ops<int, int>(
-        rng.bounded(1u << 30), b, 400, /*with_ordered=*/true);
-    const auto got = m.execute_batch(batch);
-    const auto want = reference_results(ref, batch);
-    ASSERT_EQ(got.size(), want.size());
-    for (std::size_t i = 0; i < got.size(); ++i) {
-      testutil::expect_result_eq(got[i], want[i], "round", i);
-    }
-    m.quiesce();
-    ASSERT_EQ(m.size(), ref.size()) << "round " << round;
-    ASSERT_EQ(m.validate(), "") << "round " << round;
-  }
-}
-
-// Differential fuzz crossing a snapshot→rebuild boundary mid-run: the
-// pipeline is quiesced, its contents round-trip through the store
-// layer's checksummed snapshot format, and a fresh M2 is bulk-rebuilt
-// from the loaded entries while the std::map oracle carries across
-// untouched.
-TEST(M2, DifferentialFuzzAcrossSnapshotBoundary) {
-  sched::Scheduler scheduler(4);
-  auto m = std::make_unique<M2Map<int, int>>(scheduler);
-  std::map<int, int> ref;
-  util::Xoshiro256 rng(78);
-  char tmpl[] = "/tmp/pwss-m2-snap-XXXXXX";
-  ASSERT_NE(::mkdtemp(tmpl), nullptr);
-  const std::string snap = std::string(tmpl) + "/snapshot";
-  for (int round = 0; round < 30; ++round) {
-    if (round == 15) {
-      m->quiesce();
-      std::vector<std::pair<int, int>> entries;
-      m->export_entries(entries);
-      store::SnapshotWriter<int, int>::write(snap, round, entries);
-      const auto loaded = store::SnapshotReader<int, int>::load(snap);
-      m = std::make_unique<M2Map<int, int>>(scheduler);
-      std::vector<IntOp> rebuild;
-      rebuild.reserve(loaded.entries.size());
-      for (const auto& [k, v] : loaded.entries) {
-        rebuild.push_back(IntOp::insert(k, v));
-      }
-      m->execute_batch(rebuild);
-      m->quiesce();
-      ASSERT_EQ(m->size(), ref.size());
-      ASSERT_EQ(m->validate(), "");
-    }
-    const std::size_t b = 1 + rng.bounded(300);
-    const std::vector<IntOp> batch = testutil::scripted_ops<int, int>(
-        rng.bounded(1u << 30), b, 400, /*with_ordered=*/true);
-    const auto got = m->execute_batch(batch);
-    const auto want = reference_results(ref, batch);
-    ASSERT_EQ(got.size(), want.size());
-    for (std::size_t i = 0; i < got.size(); ++i) {
-      testutil::expect_result_eq(got[i], want[i], "snap round", i);
-    }
-  }
-  m->quiesce();
-  EXPECT_EQ(m->validate(), "");
-  std::filesystem::remove_all(tmpl);
-}
-
 TEST(M2, RepeatedAccessPromotesTowardFront) {
   sched::Scheduler scheduler(4);
   M2Map<int, int> m(scheduler);
@@ -286,41 +207,6 @@ TEST(M2, ConcurrentClientsSharedHotKeys) {
   EXPECT_LE(m.size(), 64u);
   EXPECT_EQ(m.validate(), "");
   EXPECT_EQ(m.filter_occupancy(), 0u);
-}
-
-TEST(M2, ManyRoundsStaysSound) {
-  sched::Scheduler scheduler(4);
-  M2Map<int, int> m(scheduler, 2);  // tiny p: small bunches, deep pipeline use
-  std::map<int, int> ref;
-  util::Xoshiro256 rng(5);
-  for (int round = 0; round < 150; ++round) {
-    std::vector<IntOp> batch;
-    const std::size_t b = 1 + rng.bounded(20);
-    for (std::size_t i = 0; i < b; ++i) {
-      const int key = static_cast<int>(rng.bounded(128));
-      switch (rng.bounded(3)) {
-        case 0: batch.push_back(IntOp::insert(key, round)); break;
-        case 1: batch.push_back(IntOp::erase(key)); break;
-        default: batch.push_back(IntOp::search(key));
-      }
-    }
-    const auto got = m.execute_batch(batch);
-    const auto want = reference_results(ref, batch);
-    for (std::size_t i = 0; i < got.size(); ++i) {
-      ASSERT_EQ(got[i].success(), want[i].success()) << round << ":" << i;
-      ASSERT_EQ(got[i].value, want[i].value) << round << ":" << i;
-    }
-    // Deep-validate the whole pipeline (segments, filter, pool domain)
-    // periodically; the validator needs quiescence, so don't pay that
-    // barrier every round.
-    if (round % 25 == 24) {
-      m.quiesce();
-      ASSERT_EQ(m.validate(), "") << "round " << round;
-    }
-  }
-  m.quiesce();
-  EXPECT_EQ(m.size(), ref.size());
-  EXPECT_EQ(m.validate(), "");
 }
 
 // Loads 2^14 keys through M2Map::submit in 4,096-op backlogs (submit_all:

@@ -1,17 +1,16 @@
-// Client <-> server integration suite for the network serving layer:
-// the differential oracle workload over the wire (loopback TCP and Unix
-// socket) across backends, terminal statuses round-tripped from a live
-// server, backpressure (connection window + admission control) shed as
+// Client <-> server integration suite for the network serving layer: two
+// pipelined connections at once (loopback TCP and Unix socket) across
+// backends, terminal statuses round-tripped from a live server,
+// backpressure (connection window + admission control) shed as
 // kOverloaded with zero protocol errors, graceful shutdown draining
 // every in-flight ticket, and the durability restart round-trip
-// (checkpoint, kill server, reboot, reconnect, verify).
+// (checkpoint, kill server, reboot, reconnect, verify). The single-client
+// oracle workload over the wire, Client::run and every per-op call, is
+// the harness's (property_test).
 //
-// Oracle exactness mirrors tests/driver_test.cpp DriverSubmitTest: point
-// ops pipelined from one connection keep per-key submission order through
-// every wiring (the reactor submits frames in arrival order), so the
-// sequential std::map oracle is exact. The ordered kinds do not commute
-// with point mutations under sharded scatter/gather, so they run at
-// window 1 (one op in flight) where the oracle is exact for them too.
+// Point ops pipelined from one connection keep per-key submission order
+// through every wiring (the reactor submits frames in arrival order), so
+// the sequential std::map oracle is exact for them.
 
 #include <gtest/gtest.h>
 #include <unistd.h>
@@ -19,8 +18,6 @@
 #include <atomic>
 #include <cstdint>
 #include <cstdlib>
-#include <filesystem>
-#include <future>
 #include <map>
 #include <memory>
 #include <optional>
@@ -46,29 +43,7 @@ using net::WireResult;
 using K = std::uint64_t;
 using V = std::uint64_t;
 
-/// mkdtemp scratch directory, recursively removed at scope exit. Also
-/// provides the Unix-socket path (socket files live fine in tmp).
-class ScratchDir {
- public:
-  ScratchDir() {
-    std::string tmpl = ::testing::TempDir() + "pwss-net-XXXXXX";
-    tmpl.push_back('\0');
-    char* got = ::mkdtemp(tmpl.data());
-    EXPECT_NE(got, nullptr);
-    path_ = got == nullptr ? "." : got;
-  }
-  ~ScratchDir() {
-    std::error_code ec;
-    std::filesystem::remove_all(path_, ec);
-  }
-  const std::string& path() const { return path_; }
-  std::string file(const std::string& name) const {
-    return path_ + "/" + name;
-  }
-
- private:
-  std::string path_;
-};
+using testutil::ScratchDir;
 
 struct WireCase {
   std::string backend;
@@ -106,81 +81,13 @@ class NetWireTest : public ::testing::TestWithParam<WireCase> {
   std::unique_ptr<net::Server> server_;
 };
 
-// The differential oracle workload over the wire: pipelined point ops
-// (exact against the sequential oracle), then the ordered kinds at
-// window 1.
-TEST_P(NetWireTest, OracleWorkloadOverTheWire) {
-  net::Client client = dial();
-  EXPECT_EQ(client.backend(), GetParam().backend);
-
-  std::map<K, V> oracle;
-  const auto point_ops =
-      testutil::scripted_ops<K, V>(0xA11CE, 2048, 512, /*with_ordered=*/false);
-  std::vector<WireResult> results;
-  client.run(point_ops, results);
-  ASSERT_EQ(results.size(), point_ops.size());
-  for (std::size_t i = 0; i < point_ops.size(); ++i) {
-    const WireResult want = testutil::reference_apply(oracle, point_ops[i]);
-    testutil::expect_result_eq(results[i], want, "wire", i);
-  }
-
-  const auto ordered_ops =
-      testutil::scripted_ops<K, V>(0x02D3, 256, 512, /*with_ordered=*/true);
-  for (std::size_t i = 0; i < ordered_ops.size(); ++i) {
-    const WireResult got = client.run_blocking(ordered_ops[i]);
-    const WireResult want = testutil::reference_apply(oracle, ordered_ops[i]);
-    testutil::expect_result_eq(got, want, "wire-ordered", i);
-  }
-
-  client.close();
-  server_->stop();
-  EXPECT_EQ(server_->stats().protocol_errors, 0u);
-  EXPECT_EQ(driver_->validate(), "");
-  // Server-side state equals the oracle's (size; spot keys).
-  EXPECT_EQ(driver_->size(), oracle.size());
-  for (const auto& [key, value] : oracle) {
-    EXPECT_EQ(driver_->search(key), std::optional<V>(value));
-  }
-}
-
-// The client's share of the driver's call surface (core::MapCalls): every
-// blocking per-op call, upsert and the ordered kinds included, then one
-// Future submit and one completion submit, each against the oracle.
-TEST_P(NetWireTest, PerOpCallsAgreeWithReference) {
-  net::Client client = dial();
-  std::map<K, V> oracle;
-  const auto ops =
-      testutil::scripted_ops<K, V>(0xCA11, 300, 128, /*with_ordered=*/true);
-  ASSERT_NO_FATAL_FAILURE(
-      testutil::expect_calls_match_reference(client, oracle, ops, "wire"));
-
-  const WireOp future_op = WireOp::predecessor(64);
-  core::Future<V, K> future = client.submit(future_op);
-  testutil::expect_result_eq(future.get(),
-                             testutil::reference_apply(oracle, future_op),
-                             "future", 0);
-
-  const WireOp callback_op = WireOp::upsert(7, 77);
-  std::promise<WireResult> delivered;
-  client.submit(callback_op,
-                [&](WireResult&& r) { delivered.set_value(std::move(r)); });
-  testutil::expect_result_eq(delivered.get_future().get(),
-                             testutil::reference_apply(oracle, callback_op),
-                             "completion", 0);
-
-  client.close();
-  server_->stop();
-  EXPECT_EQ(server_->stats().protocol_errors, 0u);
-  EXPECT_EQ(driver_->size(), oracle.size());
-  EXPECT_EQ(driver_->validate(), "");
-}
-
 // Two concurrent client connections, disjoint key ranges: both oracles
 // exact, no crosstalk, stats add up.
 TEST_P(NetWireTest, TwoConnectionsServeIndependently) {
   std::atomic<bool> failed{false};
   auto worker = [&](std::uint64_t seed, K base) {
     net::Client client = dial();
+    if (client.backend() != GetParam().backend) failed.store(true);
     auto ops = testutil::scripted_ops<K, V>(seed, 1024, 256, false);
     for (auto& op : ops) op.key += base;  // disjoint ranges
     std::map<K, V> shifted;

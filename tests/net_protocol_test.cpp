@@ -222,6 +222,40 @@ TEST(FrameReaderTest, TruncatedFrameWaitsWithoutError) {
   EXPECT_TRUE(reader.next().has_value());
 }
 
+// A multi-KiB read ending mid-frame: draining it yields every whole frame
+// in order and leaves exactly the partial tail buffered; the remainder
+// completes the torn frame.
+TEST(FrameReaderTest, ChunkEndingMidFrameDrainsThenCompletes) {
+  constexpr std::uint64_t kFrames = 200;
+  std::vector<std::uint8_t> buf;
+  for (std::uint64_t id = 0; id < kFrames; ++id) {
+    net::Request r;
+    r.req_id = id;
+    r.key = id * 3;
+    net::encode_request(buf, r);
+  }
+  const std::size_t frame_bytes = buf.size() / kFrames;
+  const std::size_t cut = buf.size() - frame_bytes / 2;
+  ASSERT_GT(cut, 4096u);
+  FrameReader reader;
+  reader.feed(buf.data(), cut);
+  std::uint64_t next_id = 0;
+  while (const auto payload = reader.next()) {
+    const auto req = net::decode_request(*payload);
+    ASSERT_TRUE(req.has_value());
+    EXPECT_EQ(req->req_id, next_id++);
+  }
+  EXPECT_EQ(next_id, kFrames - 1);
+  EXPECT_EQ(reader.buffered(), cut - (kFrames - 1) * frame_bytes);
+  reader.feed(buf.data() + cut, buf.size() - cut);
+  const auto last = reader.next();
+  ASSERT_TRUE(last.has_value());
+  EXPECT_EQ(net::decode_request(*last)->req_id, kFrames - 1);
+  EXPECT_FALSE(reader.next().has_value());
+  EXPECT_EQ(reader.buffered(), 0u);
+  EXPECT_EQ(reader.error(), ProtoError::kNone);
+}
+
 TEST(FrameReaderTest, CorruptPayloadIsBadCrc) {
   std::vector<std::uint8_t> buf;
   net::encode_hello(buf);

@@ -12,11 +12,9 @@
 #include <thread>
 #include <vector>
 
-#include "core/m0_map.hpp"
 #include "driver/registry.hpp"
 #include "driver/sharded.hpp"
 #include "sched/scheduler.hpp"
-#include "test_util.hpp"
 #include "util/rng.hpp"
 
 namespace pwss {
@@ -207,30 +205,6 @@ TEST(ShardedDriverTest, StatsCountEachPointOpOnce) {
 
 // ---- bulk path: scatter -> parallel execute -> submission-order gather ------
 
-TEST(ShardedDriverTest, BulkRunMatchesM0Reference) {
-  for (const char* name : {"sharded:m1", "sharded:avl", "sharded:m2"}) {
-    auto map =
-        driver::make_driver<std::uint64_t, std::uint64_t>(name, sharded_opts(4));
-    core::M0Map<std::uint64_t, std::uint64_t> ref;
-    util::Xoshiro256 rng(77);
-    for (int round = 0; round < 20; ++round) {
-      // Full v2 op set: ordered kinds in a sharded bulk run exercise the
-      // phase slicing plus the scatter/gather reduce across shards.
-      const std::size_t b = 1 + rng.bounded(300);
-      const auto batch = testutil::scripted_ops<std::uint64_t, std::uint64_t>(
-          rng.bounded(1u << 30), b, 250, /*with_ordered=*/true);
-      const auto want = ref.execute_batch(batch);
-      const auto got = map->run(batch);
-      ASSERT_EQ(got.size(), want.size()) << name;
-      for (std::size_t i = 0; i < got.size(); ++i) {
-        testutil::expect_result_eq(got[i], want[i], name, i);
-      }
-      ASSERT_EQ(map->size(), ref.size()) << name << " round " << round;
-    }
-    EXPECT_EQ(map->validate(), "") << name;
-  }
-}
-
 TEST(ShardedDriverTest, BulkPreservesPerKeyProgramOrder) {
   auto map = driver::make_driver<std::uint64_t, std::uint64_t>(
       "sharded:m1", sharded_opts(4));
@@ -313,41 +287,6 @@ TEST(ShardedDriverTest, ConcurrentClientsConvergeAndAggregate) {
     ASSERT_EQ(*got, value) << "key " << key;
   }
   EXPECT_EQ(map->validate(), "");
-}
-
-TEST(ShardedDriverTest, ShardCountSweepReachesTheSameState) {
-  util::Xoshiro256 rng(404);
-  std::vector<IntOp> script;
-  for (int i = 0; i < 2500; ++i) {
-    const std::uint64_t key = rng.bounded(400);
-    switch (rng.bounded(3)) {
-      case 0:
-        script.push_back(IntOp::insert(key, static_cast<std::uint64_t>(i)));
-        break;
-      case 1: script.push_back(IntOp::erase(key)); break;
-      default: script.push_back(IntOp::search(key));
-    }
-  }
-  std::map<std::uint64_t, std::uint64_t> ref;
-  for (const auto& op : script) {
-    if (op.type == core::OpType::kInsert) {
-      ref[op.key] = op.value;
-    } else if (op.type == core::OpType::kErase) {
-      ref.erase(op.key);
-    }
-  }
-  for (const unsigned shards : {1u, 2u, 3u, 8u}) {
-    auto map = driver::make_driver<std::uint64_t, std::uint64_t>(
-        "sharded:m1", sharded_opts(shards));
-    map->run(script);
-    ASSERT_EQ(map->size(), ref.size()) << shards << " shards";
-    for (const auto& [key, value] : ref) {
-      const auto got = map->search(key);
-      ASSERT_TRUE(got.has_value()) << shards << " shards, key " << key;
-      ASSERT_EQ(*got, value) << shards << " shards, key " << key;
-    }
-    EXPECT_EQ(map->validate(), "") << shards << " shards";
-  }
 }
 
 }  // namespace

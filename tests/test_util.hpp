@@ -6,6 +6,8 @@
 #include <algorithm>
 #include <cstddef>
 #include <cstdint>
+#include <cstdlib>
+#include <filesystem>
 #include <map>
 #include <string>
 #include <utility>
@@ -25,6 +27,31 @@ inline std::string gtest_safe(std::string name) {
   }
   return name;
 }
+
+/// mkdtemp scratch directory under gtest's temp dir, recursively removed
+/// at scope exit. Socket files live there too.
+class ScratchDir {
+ public:
+  ScratchDir() {
+    std::string tmpl = ::testing::TempDir() + "pwss-XXXXXX";
+    char* got = ::mkdtemp(tmpl.data());
+    EXPECT_NE(got, nullptr);
+    path_ = got == nullptr ? "." : got;
+  }
+  ~ScratchDir() {
+    std::error_code ec;
+    std::filesystem::remove_all(path_, ec);
+  }
+  ScratchDir(const ScratchDir&) = delete;
+  ScratchDir& operator=(const ScratchDir&) = delete;
+  const std::string& path() const { return path_; }
+  std::string file(const std::string& name) const {
+    return path_ + "/" + name;
+  }
+
+ private:
+  std::string path_;
+};
 
 /// Sequential protocol-v2 oracle: applies one Op to a std::map in
 /// submission order, with lower_bound/upper_bound realizing the ordered
@@ -92,6 +119,15 @@ core::Result<V, K> reference_apply(std::map<K, V>& ref,
   return r;
 }
 
+/// reference_apply over a batch: the oracle's results in submission order.
+template <typename K, typename V>
+std::vector<core::Result<V, K>> reference_results(
+    std::map<K, V>& ref, const std::vector<core::Op<K, V>>& ops) {
+  std::vector<core::Result<V, K>> out;
+  for (const auto& op : ops) out.push_back(reference_apply(ref, op));
+  return out;
+}
+
 /// Full-surface comparison of one backend result against the oracle's.
 template <typename K, typename V>
 void expect_result_eq(const core::Result<V, K>& got,
@@ -102,64 +138,6 @@ void expect_result_eq(const core::Result<V, K>& got,
   ASSERT_EQ(got.value, want.value) << what << " op " << i;
   ASSERT_EQ(got.matched_key, want.matched_key) << what << " op " << i;
   ASSERT_EQ(got.count, want.count) << what << " op " << i;
-}
-
-/// Runs `op` through the per-op call of `map` that matches its kind
-/// (search, insert, upsert, erase, predecessor, successor, range_count)
-/// and checks that call's return value against the oracle's result `want`
-/// for the same op. `map` is anything with the core::MapCalls surface: a
-/// map, a front end, a driver or a wire client.
-template <typename Map, typename K, typename V>
-void expect_call_matches(Map& map, const core::Op<K, V>& op,
-                         const core::Result<V, K>& want, const char* what,
-                         std::size_t i) {
-  switch (op.type) {
-    case core::OpType::kSearch:
-      ASSERT_EQ(map.search(op.key), want.value) << what << " op " << i;
-      break;
-    case core::OpType::kInsert:
-      ASSERT_EQ(map.insert(op.key, op.value),
-                want.status == core::ResultStatus::kInserted)
-          << what << " op " << i;
-      break;
-    case core::OpType::kUpsert:
-      ASSERT_EQ(map.upsert(op.key, op.value), want.status)
-          << what << " op " << i;
-      break;
-    case core::OpType::kErase:
-      ASSERT_EQ(map.erase(op.key), want.value) << what << " op " << i;
-      break;
-    case core::OpType::kPredecessor:
-    case core::OpType::kSuccessor: {
-      const auto hit = op.type == core::OpType::kPredecessor
-                           ? map.predecessor(op.key)
-                           : map.successor(op.key);
-      if (want.status == core::ResultStatus::kFound) {
-        ASSERT_TRUE(hit.has_value()) << what << " op " << i;
-        ASSERT_EQ(hit->first, want.matched_key) << what << " op " << i;
-        ASSERT_EQ(hit->second, want.value) << what << " op " << i;
-      } else {
-        ASSERT_FALSE(hit.has_value()) << what << " op " << i;
-      }
-      break;
-    }
-    case core::OpType::kRangeCount:
-      ASSERT_EQ(map.range_count(op.key, op.key2), want.count)
-          << what << " op " << i;
-      break;
-  }
-}
-
-/// Runs each of `ops` through expect_call_matches, one call at a time,
-/// against the sequential oracle `ref`, which it advances.
-template <typename Map, typename K, typename V>
-void expect_calls_match_reference(Map& map, std::map<K, V>& ref,
-                                  const std::vector<core::Op<K, V>>& ops,
-                                  const char* what) {
-  for (std::size_t i = 0; i < ops.size(); ++i) {
-    const core::Result<V, K> want = reference_apply(ref, ops[i]);
-    ASSERT_NO_FATAL_FAILURE(expect_call_matches(map, ops[i], want, what, i));
-  }
 }
 
 /// Deterministic mixed-op script over a bounded key universe. With
