@@ -49,7 +49,10 @@ struct GroupOp {
   K key;
   util::SmallVec<PendingOp<K, V, Target>, 1> ops;
 
-  /// Arrival sequence within the batch (used to order fresh insertions).
+  /// The group's rank in its cut's key order (coalesce_sorted_into numbers
+  /// groups after the cut is sorted). M2 orders a cut's arrivals at the
+  /// front of a segment by it: the first slab's hits and the final slab's
+  /// finished items.
   std::size_t seq = 0;
 
   // M2 bookkeeping: a deletion that already succeeded in an earlier segment
@@ -99,7 +102,7 @@ std::optional<V> resolve_ops(std::optional<V> initial,
 }
 
 /// Coalesces a key-sorted batch (per-key program order preserved — the
-/// caller's sort is stable) into `groups`, numbering them by arrival order.
+/// caller's sort is stable) into `groups`, numbering them in key order.
 /// `sorted`'s elements are consumed; `groups` is cleared first, so a
 /// caller-owned buffer keeps its capacity across batches.
 template <typename K, typename V, typename Target>

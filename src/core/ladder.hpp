@@ -97,15 +97,18 @@ void export_ladder(std::span<const Segment<K, V>> segs,
 /// S[k], so an empty segment or an empty window costs two binary searches
 /// and no probe. A group that finds its item gets `resolve(g, value)`,
 /// which returns the group's final value or nullopt for a net deletion;
-/// surviving items shift to the front of S[k-1] (S[0] stays put), keeping
-/// their S[k] recency order. Found groups are compacted out of `pending`
-/// in place — except net deletions when `keep_deletions` is set (M2's
-/// tagged deletions, which flow on) — so it stays key-sorted.
-template <typename K, typename V, typename Group, typename Resolve>
+/// surviving items shift to the front of S[k-1] (S[0] stays put) in access
+/// order: `rank(g)` is the group's place in the batch, and a larger rank
+/// lands nearer the front (DESIGN.md "The order of a sweep's hits"). Found
+/// groups are compacted out of `pending` in place — except net deletions
+/// when `keep_deletions` is set (M2's tagged deletions, which flow on) —
+/// so it stays key-sorted.
+template <typename K, typename V, typename Group, typename Rank,
+          typename Resolve>
 void sweep_segment(std::span<Segment<K, V>> segs, std::size_t k,
                    std::vector<Group>& pending, bool keep_deletions,
                    SweepScratch<K, V>& sc, const tree::ParCtx& ctx,
-                   Resolve&& resolve) {
+                   Rank&& rank, Resolve&& resolve) {
   const auto [least, greatest] = segs[k].key_bounds();
   if (least == nullptr) return;
   const auto lo = std::lower_bound(
@@ -126,6 +129,7 @@ void sweep_segment(std::span<Segment<K, V>> segs, std::size_t k,
       auto& item = sc.found[fi++];
       if (std::optional<V> fin = resolve(*g, std::move(item.value))) {
         item.value = std::move(*fin);
+        item.stamp = rank(*g);
         sc.promote.push_back(std::move(item));
         continue;
       }
@@ -508,9 +512,14 @@ std::size_t walk_point_phase(std::vector<Segment<K, V>>& segs,
       // entry lines are never fetched for a mispredicted target.
       if (k + 1 < live) segs[k + 1].prefetch();
       // Found groups resolve here and leave sc.pending; a net deletion
-      // leaves its item removed.
+      // leaves its item removed. Hits link in the order of each group's
+      // last access.
       sweep_segment<K, V>(ladder, k, sc.pending, /*keep_deletions=*/false, sc,
-                          ctx, [&](const IndexGroup<K>& g, V value) {
+                          ctx,
+                          [&](const IndexGroup<K>& g) {
+                            return std::uint64_t{tagged[g.end - 1].target};
+                          },
+                          [&](const IndexGroup<K>& g, V value) {
                             if (probes != nullptr) {
                               probes->note_hit(k, g.end - g.begin);
                             }

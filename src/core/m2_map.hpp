@@ -643,8 +643,11 @@ class M2Map : public MapCalls<M2Map<K, V>, K, V> {
       }
       return fin;
     };
-    sweep_segment<K, V>(segs_, k, pending, /*keep_deletions=*/true,
-                        iface_scratch_, par_ctx(), resolve);
+    // Hits link in key order, by seq, as the final slab's finish_group
+    // links its arrivals.
+    sweep_segment<K, V>(
+        segs_, k, pending, /*keep_deletions=*/true, iface_scratch_, par_ctx(),
+        [](const Group& g) { return std::uint64_t{g.seq}; }, resolve);
     restore_prefix_capacity<K, V>(std::span(segs_).first(m_), k,
                                   iface_scratch_, par_ctx());
   }

@@ -661,18 +661,22 @@ TEST(Segment, KeyBoundsFlatAndTree) {
   EXPECT_EQ(*hi, 2 * n);
 }
 
-// One group on a key, optionally a net deletion.
+// One group on a key, optionally a net deletion; `rank` is its access
+// order (a larger rank links nearer the front).
 struct SweepGroup {
   int key;
   bool erase = false;
+  std::uint64_t rank = 0;
 };
 
+// Groups in key order, ranked in key order.
 std::vector<SweepGroup> groups_on(std::initializer_list<int> keys,
                                   std::initializer_list<int> erased = {}) {
   std::vector<SweepGroup> out;
   for (int k : keys) {
-    out.push_back({k, std::find(erased.begin(), erased.end(), k) !=
-                          erased.end()});
+    out.push_back({k,
+                   std::find(erased.begin(), erased.end(), k) != erased.end(),
+                   out.size()});
   }
   return out;
 }
@@ -690,6 +694,7 @@ std::vector<int> sweep(std::vector<Seg>& segs, std::size_t k,
   std::vector<int> resolved;
   core::sweep_segment<int, int>(
       segs, k, pending, keep_deletions, sc, {},
+      [](const SweepGroup& g) { return g.rank; },
       [&](SweepGroup& g, int value) -> std::optional<int> {
         EXPECT_EQ(value, g.key * 10);
         resolved.push_back(g.key);
