@@ -36,8 +36,10 @@
 
 namespace pwss::core {
 
-/// One item of a segment: the key, its value, and its per-segment recency
-/// stamp (larger = more recent). Shared by both segment representations.
+/// One item of a segment: the key, its value, and a recency stamp (larger =
+/// more recent). Shared by both segment representations: a flat segment
+/// stores the stamp; a tree segment reads an arriving batch's stamps only
+/// as an order and keeps that order in its recency list.
 template <typename K, typename V>
 struct SegmentItem {
   K key;
@@ -301,16 +303,6 @@ class FlatSegment {
            entries_[i].second);
     }
     clear();
-  }
-
-  /// Appends an item known to sort after every present key (used when
-  /// demoting a tree walked in key order).
-  void append_sorted(const K& key, const V& value, std::uint64_t stamp) {
-    assert(keys_.size() < kFlatSegmentMax);
-    assert(keys_.empty() || keys_.back() < key);
-    ensure_capacity();
-    keys_.push_back(key);
-    entries_.emplace_back(value, stamp);
   }
 
   /// Deep representation check with a precise failure description:

@@ -71,9 +71,7 @@ std::optional<std::size_t> depth_of(std::span<const Segment<K, V>> segs,
 /// Visits every (key, value) on the ladder, segment by segment.
 template <typename K, typename V, typename Fn>
 void for_each_entry(std::span<const Segment<K, V>> segs, Fn&& fn) {
-  for (const auto& seg : segs) {
-    seg.for_each([&](const K& k, const V& v, std::uint64_t) { fn(k, v); });
-  }
+  for (const auto& seg : segs) seg.for_each(fn);
 }
 
 /// The export walk behind export_entries (store/snapshot.hpp's checkpoint

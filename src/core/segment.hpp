@@ -4,15 +4,13 @@
 // 2^(2^k); the recency order across the whole structure is the
 // concatenation of segments (most recent first within each).
 //
-// Recency within a segment is represented by a 64-bit stamp: larger stamp
-// = more recent. Stamps are strictly *per-segment*: the abstract list R of
-// Lemma 6 orders items by segment first and recency within the segment
-// second, and M0/M2's localized promotion means an item's arrival position
-// (front or back of the destination segment) is NOT a function of its
-// global access time. Every arrival is therefore restamped by the
-// destination segment: front arrivals above the current maximum, back
-// arrivals below the current minimum, preserving the relative order of a
-// batch of arrivals.
+// Recency is strictly *per-segment*: the abstract list R of Lemma 6 orders
+// items by segment first and recency within the segment second, and
+// M0/M2's localized promotion means an item's arrival position (front or
+// back of the destination segment) is NOT a function of its global access
+// time. Every arrival therefore joins an end of its destination segment,
+// and a batch of arrivals keeps its relative order, given by the items'
+// incoming stamps (SegmentItem::stamp, larger = more recent).
 //
 // A segment has TWO physical representations behind one logical API:
 //
@@ -20,32 +18,42 @@
 //    arrays, branchless binary-search probes, memmove point edits, merge
 //    batch edits. This is where S[0]/S[1]/S[2] (2+4+16 items) live, which
 //    is where working-set-friendly workloads resolve almost every probe.
-//  * tree  (larger): ONE JTree mapping key -> SegmentEntry (value, stamp,
-//    newer, older). The two links thread a doubly linked recency list
-//    through the tree's nodes, most recent at head_, least recent at
-//    tail_ — the paper's leaf-to-leaf direct pointers. A node keeps its
-//    address across split and join, so batch tree work never disturbs the
-//    list. Every arrival is linked at an end (insert_front*/insert_back*
-//    restamp), so the list stays in stamp order without an ordered splice.
-//    Every removal is one JTree::multi_extract descent, by key batch, by
-//    the c keys at one end of the list, or by one key; the segment then
-//    unlinks each detached node from the list before releasing it.
+//    Each item keeps a 64-bit stamp: arrivals are restamped above the
+//    current maximum (front) or below the current minimum (back).
+//  * tree  (larger): ONE JTree mapping key -> SegmentEntry (value, newer,
+//    older); a u64 node is 56 B. The two links thread a doubly linked
+//    recency list through the tree's nodes, most recent at head_, least
+//    recent at tail_ — the paper's leaf-to-leaf direct pointers — and the
+//    list is the only record of the order: nodes hold no stamp. A node
+//    keeps its address across split and join, so batch tree work never
+//    disturbs the list. Every arrival is linked at an end
+//    (insert_front*/insert_back*), in the order of its incoming stamp, so
+//    the list needs no ordered splice. Every removal is one
+//    JTree::multi_extract descent, by key batch, by the c keys at one end
+//    of the list, or by one key; the segment then unlinks each detached
+//    node from the list before releasing it. Items taken from an end carry
+//    their rank there as their stamp, so the next segment links them in
+//    the same order; items taken by key carry stamp 0, and the caller
+//    orders them (a sweep ranks its hits by access).
 //
 // Dispatch rules: a segment starts flat; an insert that would push it past
 // kFlatSegmentMax first *promotes* (bulk-builds the tree from the already
 // key-sorted arrays, drawing nodes from the segment's pool domain, and
-// links the list in stamp order); an extract that brings a tree segment
-// down to kFlatSegmentDemote (= kFlatSegmentMax/2, hysteresis so a segment
-// oscillating at the boundary doesn't thrash) *demotes* back, bulk-
-// recycling every node in one pool splice. The stamp generator survives
+// links the list in the order of the drained stamps); an extract that
+// brings a tree segment down to kFlatSegmentDemote (= kFlatSegmentMax/2,
+// hysteresis so a segment oscillating at the boundary doesn't thrash)
+// *demotes* back, stamping the items along the list, then bulk-recycling
+// every node in one pool splice. The stamp generator survives
 // representation changes, so recency semantics never notice.
 
 #include <algorithm>
+#include <array>
 #include <cassert>
 #include <cstdint>
 #include <optional>
 #include <span>
 #include <string>
+#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -113,20 +121,20 @@ struct SegmentEntry;
 template <typename K, typename V>
 using SegmentTree = tree::JTree<K, SegmentEntry<K, V>>;
 
-/// Payload of one tree-segment node: the value, its recency stamp, and the
-/// node's neighbours in the segment's recency list (null at the ends).
+/// Payload of one tree-segment node: the value and the node's neighbours
+/// in the segment's recency list (null at the ends). The list alone
+/// orders the segment by recency.
 template <typename K, typename V>
 struct SegmentEntry {
   using Link = typename SegmentTree<K, V>::Handle;
   V value;
-  std::uint64_t stamp;
   Link newer = nullptr;  // toward the most recent end
   Link older = nullptr;  // toward the least recent end
 };
 
-// A u64 entry's node is 64 B (DESIGN.md "Cache-conscious core"): a field
+// A u64 entry's node is 56 B (DESIGN.md "Cache-conscious core"): a field
 // added later fails here rather than grow every loaded key.
-static_assert(SegmentTree<std::uint64_t, std::uint64_t>::node_bytes() == 64);
+static_assert(SegmentTree<std::uint64_t, std::uint64_t>::node_bytes() == 56);
 
 /// One node-pool domain for a map instance: every tree-represented segment
 /// of the instance allocates its nodes from `node_pool`. Sharing the domain
@@ -155,6 +163,7 @@ template <typename K, typename V>
 struct SegmentScratch {
   using Link = typename SegmentTree<K, V>::Handle;
   std::vector<K> keys;
+  std::vector<std::pair<K, std::uint64_t>> ranked;  // (key, recency rank)
   std::vector<std::pair<K, SegmentEntry<K, V>>> key_entries;
   std::vector<Link> nodes;     // parallel to the batch's keys / key_entries
   std::vector<Link> by_stamp;  // new nodes in recency order
@@ -301,7 +310,9 @@ class Segment {
 
   /// Removes every present key from `keys` (sorted, distinct); appends the
   /// removed items to `out` sorted by key. `out` is cleared first, so a
-  /// caller-owned buffer keeps its capacity across batches.
+  /// caller-owned buffer keeps its capacity across batches. The items'
+  /// stamps carry no order from a tree segment (0): a caller that inserts
+  /// them elsewhere sets the order it wants.
   void extract_by_keys(std::span<const K> keys, std::vector<Item>& out,
                        const tree::ParCtx& ctx = {},
                        SegmentScratch<K, V>* s = nullptr) {
@@ -314,29 +325,55 @@ class Segment {
     extract_keys(keys, out, ctx, s ? *s : local);
   }
 
-  /// Removes the `c` least-recent items into `out` (cleared), sorted by key.
+  /// Removes the `c` least-recent items into `out` (cleared), sorted by key,
+  /// their stamps in their recency order (larger = more recent).
   void extract_least_recent(std::size_t c, std::vector<Item>& out,
                             const tree::ParCtx& ctx = {},
                             SegmentScratch<K, V>* s = nullptr) {
     extract_end(c, /*least=*/true, out, ctx, s);
   }
 
-  /// Removes the `c` most-recent items into `out` (cleared), sorted by key.
+  /// Removes the `c` most-recent items into `out` (cleared), sorted by key,
+  /// their stamps in their recency order (larger = more recent).
   void extract_most_recent(std::size_t c, std::vector<Item>& out,
                            const tree::ParCtx& ctx = {},
                            SegmentScratch<K, V>* s = nullptr) {
     extract_end(c, /*least=*/false, out, ctx, s);
   }
 
-  /// In-order (by key) visit of (key, value, stamp).
+  /// In-order (by key) visit of (key, value).
   template <typename Fn>
   void for_each(Fn&& fn) const {
     if (!is_tree_) {
-      flat_.for_each(fn);
+      flat_.for_each([&](const K& k, const V& v, std::uint64_t) { fn(k, v); });
       return;
     }
-    tree_.for_each(
-        [&](const K& k, const Entry& e) { fn(k, e.value, e.stamp); });
+    tree_.for_each([&](const K& k, const Entry& e) { fn(k, e.value); });
+  }
+
+  /// Visit of (key, value) from the most to the least recent item: the
+  /// recency list, or the flat stamps sorted.
+  template <typename Fn>
+  void for_each_recent(Fn&& fn) const {
+    if (is_tree_) {
+      for (Link x = head_; x != nullptr; x = entry(x).older) {
+        fn(Tree::key_of(x), entry(x).value);
+      }
+      return;
+    }
+    std::array<std::tuple<std::uint64_t, const K*, const V*>, kFlatSegmentMax>
+        by_stamp;
+    std::size_t n = 0;
+    flat_.for_each([&](const K& k, const V& v, std::uint64_t stamp) {
+      by_stamp[n++] = {stamp, &k, &v};
+    });
+    std::sort(by_stamp.begin(), by_stamp.begin() + n,
+              [](const auto& a, const auto& b) {
+                return std::get<0>(a) > std::get<0>(b);
+              });
+    for (std::size_t i = 0; i < n; ++i) {
+      fn(*std::get<1>(by_stamp[i]), *std::get<2>(by_stamp[i]));
+    }
   }
 
   /// Deep representation check with a precise failure description.
@@ -344,10 +381,10 @@ class Segment {
   /// distinct. Tree: the tree's own invariants, the demotion hysteresis
   /// (an unpinned tree segment at or below kFlatSegmentDemote should have
   /// demoted on the mutation that shrank it), and the recency list: null
-  /// ends, newer/older links that mirror each other, stamps strictly
-  /// falling from head_ to tail_, every list node the tree's node for its
-  /// key, and exactly size() nodes — the walk stops at that budget, so a
-  /// cycle is reported instead of hanging. Empty string = OK.
+  /// ends, newer/older links that mirror each other, every list node the
+  /// tree's node for its key, and exactly size() nodes — the walk stops at
+  /// that budget, so a cycle is reported instead of hanging. Empty string
+  /// = OK.
   std::string validate() const {
     util::Validator v("segment: ");
     if (!v.require(!pin_tree_ || is_tree_,
@@ -397,9 +434,6 @@ class Segment {
                      " items (cycle or stray node)") ||
           !v.require(entry(x).newer == prev, "recency links disagree at key ",
                      k, ": its newer link is not the node before it") ||
-          !v.require(prev == nullptr || entry(x).stamp < entry(prev).stamp,
-                     "stamps not strictly falling along the recency list at "
-                     "key ", k) ||
           !v.require(tree_.find_node(k) == x, "recency list node with key ",
                      k, " is not the tree's node for that key")) {
         return std::move(v).take();
@@ -455,7 +489,7 @@ class Segment {
       promote(nullptr);
     }
     const std::pair<K, Entry> kv{std::move(item.key),
-                                 Entry{std::move(item.value), item.stamp}};
+                                 Entry{std::move(item.value)}};
     Link n = nullptr;
     [[maybe_unused]] const std::size_t before = tree_.size();
     tree_.multi_insert(std::span(&kv, 1), {}, std::span(&n, 1));
@@ -467,7 +501,7 @@ class Segment {
   /// side is one multi_insert that reports each item's node; the list side
   /// links those nodes at that end in stamp order. restamp() hands a batch
   /// consecutive stamps, so a stamp's offset from the batch's least is the
-  /// node's place in that order.
+  /// node's place in that order; the node keeps no stamp.
   void insert_batch(std::span<Item> items, bool front,
                     const tree::ParCtx& ctx, SegmentScratch<K, V>* s) {
     if (items.empty()) return;
@@ -491,8 +525,7 @@ class Segment {
     std::uint64_t least = items[0].stamp;
     for (auto& it : items) {
       least = std::min(least, it.stamp);
-      sc.key_entries.emplace_back(it.key,
-                                  Entry{std::move(it.value), it.stamp});
+      sc.key_entries.emplace_back(it.key, Entry{std::move(it.value)});
     }
     sc.nodes.resize(items.size());
     [[maybe_unused]] const std::size_t before = tree_.size();
@@ -524,7 +557,9 @@ class Segment {
   /// Removes the `c` items at one end of the recency order into `out`
   /// (cleared), sorted by key. A tree segment collects the keys of c nodes
   /// from that end of its list — an O(c) sequential walk (DESIGN.md,
-  /// Section-8 simplification 6) — and extracts them as a key batch.
+  /// Section-8 simplification 6) — with each key's rank among them (0 =
+  /// least recent), extracts them as a key batch, and stamps each item
+  /// with its rank.
   void extract_end(std::size_t c, bool least, std::vector<Item>& out,
                    const tree::ParCtx& ctx, SegmentScratch<K, V>* s) {
     out.clear();
@@ -534,15 +569,20 @@ class Segment {
     }
     SegmentScratch<K, V> local;
     SegmentScratch<K, V>& sc = s ? *s : local;
-    sc.keys.clear();
+    c = std::min(c, size());
+    sc.ranked.clear();
     Link n = least ? tail_ : head_;
-    for (c = std::min(c, size()); c > 0; --c) {
-      sc.keys.push_back(Tree::key_of(n));
+    for (std::size_t i = 0; i < c; ++i) {
+      sc.ranked.emplace_back(Tree::key_of(n), least ? i : c - 1 - i);
       n = least ? entry(n).newer : entry(n).older;
     }
-    std::sort(sc.keys.begin(), sc.keys.end());
+    std::sort(sc.ranked.begin(), sc.ranked.end(),
+              [](const auto& a, const auto& b) { return a.first < b.first; });
+    sc.keys.clear();
+    for (const auto& kr : sc.ranked) sc.keys.push_back(kr.first);
     extract_keys(sc.keys, out, ctx, sc);
-    assert(out.size() == sc.keys.size() && "listed key missing from the tree");
+    assert(out.size() == c && "listed key missing from the tree");
+    for (std::size_t i = 0; i < c; ++i) out[i].stamp = sc.ranked[i].second;
   }
 
   /// Appends the items of every present key of `keys` (sorted, distinct)
@@ -558,11 +598,11 @@ class Segment {
     maybe_demote();
   }
 
-  /// Unlinks a detached node, moves its item out and releases the node.
+  /// Unlinks a detached node, moves its item out (stamp 0: the node keeps
+  /// none) and releases the node.
   Item take(Link n) {
     unlink(n);
-    Entry& e = entry(n);
-    Item out{Tree::key_of(n), std::move(e.value), e.stamp};
+    Item out{Tree::key_of(n), std::move(entry(n).value), 0};
     tree_.release(n);
     return out;
   }
@@ -571,8 +611,9 @@ class Segment {
 
   /// Flat → tree: bulk-builds the tree from the key-sorted flat arrays
   /// (multi_insert into an empty tree is the O(n) balanced build, nodes
-  /// drawn from the segment's pool domain), then links the list in stamp
-  /// order — one sort of at most kFlatSegmentMax nodes.
+  /// drawn from the segment's pool domain), then links the list in the
+  /// order of the drained stamps — one sort of at most kFlatSegmentMax
+  /// (stamp, position) pairs.
   void promote(SegmentScratch<K, V>* s) {
     assert(!is_tree_);
     // Representation change in flight: flat arrays about to drain into a
@@ -581,23 +622,26 @@ class Segment {
     SegmentScratch<K, V> local;
     SegmentScratch<K, V>& sc = s ? *s : local;
     sc.key_entries.clear();
+    std::array<std::pair<std::uint64_t, std::size_t>, kFlatSegmentMax> by_stamp;
     flat_.drain_sorted([&](K&& k, V&& value, std::uint64_t stamp) {
-      sc.key_entries.emplace_back(std::move(k),
-                                  Entry{std::move(value), stamp});
+      by_stamp[sc.key_entries.size()] = {stamp, sc.key_entries.size()};
+      sc.key_entries.emplace_back(std::move(k), Entry{std::move(value)});
     });
-    sc.nodes.resize(sc.key_entries.size());
+    const std::size_t n = sc.key_entries.size();
+    sc.nodes.resize(n);
     tree_.multi_insert(sc.key_entries, {}, sc.nodes);
-    std::sort(sc.nodes.begin(), sc.nodes.end(), [](Link a, Link b) {
-      return entry(a).stamp < entry(b).stamp;
-    });
-    for (const Link n : sc.nodes) link_front(n);
+    std::sort(by_stamp.begin(), by_stamp.begin() + n);
+    for (std::size_t i = 0; i < n; ++i) {
+      link_front(sc.nodes[by_stamp[i].second]);
+    }
     is_tree_ = true;
   }
 
   /// Tree → flat once the segment shrinks to the demotion bound (half the
-  /// flat capacity — hysteresis against representation thrash). The
-  /// tree's in-order walk refills the flat arrays already sorted, then the
-  /// tree bulk-recycles its nodes in one pool splice.
+  /// flat capacity — hysteresis against representation thrash). A walk
+  /// from tail_ to head_ inserts each item into the flat arrays with a
+  /// fresh front stamp (at most kFlatSegmentDemote point inserts), then
+  /// the tree bulk-recycles its nodes in one pool splice.
   void maybe_demote() {
     if (!is_tree_ || pin_tree_) return;
     if (tree_.size() > kFlatSegmentDemote) return;
@@ -605,9 +649,9 @@ class Segment {
     // into the flat arrays, then the tree bulk-recycles its nodes.
     PWSS_SCHED_POINT("segment.demote");
     flat_.clear();
-    tree_.for_each([&](const K& k, const Entry& e) {
-      flat_.append_sorted(k, e.value, e.stamp);
-    });
+    for (Link x = tail_; x != nullptr; x = entry(x).newer) {
+      flat_.insert({Tree::key_of(x), entry(x).value, stamps_.fresh_front()});
+    }
     tree_.clear();
     head_ = tail_ = nullptr;
     is_tree_ = false;

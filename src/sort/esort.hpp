@@ -92,8 +92,9 @@ std::vector<std::size_t> esort(const std::vector<T>& input,
   for (const auto& seg : dict.segments()) {
     std::vector<Tagged> seg_items;
     seg_items.reserve(seg.size());
-    seg.for_each([&](const Key& k, const Positions& pos,
-                     std::uint64_t) { seg_items.emplace_back(k, &pos); });
+    seg.for_each([&](const Key& k, const Positions& pos) {
+      seg_items.emplace_back(k, &pos);
+    });
     if (merged.empty()) {
       merged = std::move(seg_items);
       continue;

@@ -183,6 +183,15 @@ struct Oracle {
     }
     return best->first;
   }
+  /// Every key, most recent first.
+  std::vector<std::uint64_t> recent() const {
+    std::vector<std::pair<std::int64_t, std::uint64_t>> order;
+    for (const auto& [k, ve] : items) order.emplace_back(ve.second, k);
+    std::sort(order.rbegin(), order.rend());
+    std::vector<std::uint64_t> keys;
+    for (const auto& entry : order) keys.push_back(entry.second);
+    return keys;
+  }
   /// The `c` least (or most) recent keys, in key order.
   std::vector<std::uint64_t> recency_end(std::size_t c, bool least) const {
     std::vector<std::pair<std::int64_t, std::uint64_t>> order;
@@ -197,6 +206,14 @@ struct Oracle {
     return keys;
   }
 };
+
+// A segment's keys, most recent first (Segment::for_each_recent).
+std::vector<std::uint64_t> recent_keys(const Seg& seg) {
+  std::vector<std::uint64_t> keys;
+  seg.for_each_recent(
+      [&](const std::uint64_t& k, const std::uint64_t&) { keys.push_back(k); });
+  return keys;
+}
 
 // Drives the same random operation mix through a default (flat-capable)
 // segment, a pinned-tree segment, and the oracle, with sizes oscillating
@@ -385,9 +402,13 @@ TEST(FlatSegmentFuzz, DifferentialAgainstPinnedTreeAndOracle) {
     if (!was_flat && flat_seg.is_flat()) ++demotes_seen;
     was_flat = flat_seg.is_flat();
     // Deep checks every step: the recency-list walk in validate() is what
-    // pins a missed unlink to the operation that caused it.
+    // pins a missed unlink to the operation that caused it, and the full
+    // recency order of both representations must be the oracle's.
     ASSERT_EQ(flat_seg.validate(), "") << "step " << step;
     ASSERT_EQ(tree_seg.validate(), "") << "step " << step;
+    const std::vector<std::uint64_t> want = oracle.recent();
+    ASSERT_EQ(recent_keys(flat_seg), want) << "step " << step;
+    ASSERT_EQ(recent_keys(tree_seg), want) << "step " << step;
   }
 
   // The mix must actually have crossed the boundary both ways, or the
@@ -397,8 +418,7 @@ TEST(FlatSegmentFuzz, DifferentialAgainstPinnedTreeAndOracle) {
 
   // Final full-content agreement, in key order.
   std::vector<std::uint64_t> keys_a;
-  flat_seg.for_each([&](const std::uint64_t& k, const std::uint64_t& v,
-                        std::uint64_t) {
+  flat_seg.for_each([&](const std::uint64_t& k, const std::uint64_t& v) {
     keys_a.push_back(k);
     EXPECT_EQ(oracle.items.at(k).first, v);
   });

@@ -246,6 +246,130 @@ TEST(Segment, RandomizedRecencyOrderMatchesModel) {
   EXPECT_EQ(s.validate(), "");
 }
 
+// A segment's keys, most recent first.
+std::vector<int> recent_keys(const Seg& s) {
+  std::vector<int> out;
+  s.for_each_recent([&](const int& k, const int&) { out.push_back(k); });
+  return out;
+}
+
+// Fills `s` by front and back point inserts in a seeded order and returns
+// its keys most recent first.
+std::vector<int> fill_shuffled(Seg& s, int first_key, int n,
+                               std::uint64_t seed) {
+  util::Xoshiro256 rng(seed);
+  std::deque<int> model;
+  for (int i = 0; i < n; ++i) {
+    const int key = first_key + static_cast<int>((i * 37) % n);
+    if (rng.bounded(2) == 0) {
+      s.insert_front({key, key, 0});
+      model.push_front(key);
+    } else {
+      s.insert_back({key, key, 0});
+      model.push_back(key);
+    }
+  }
+  return {model.begin(), model.end()};
+}
+
+// A tree segment keeps its recency order only in its list. Items taken
+// from either end of one pinned tree segment and inserted at either end
+// of another keep their exact relative order: extract_end stamps each
+// item with its rank at that end.
+TEST(Segment, TreeToTreeTransfersKeepListOrder) {
+  for (const bool least : {true, false}) {
+    for (const bool front : {true, false}) {
+      SCOPED_TRACE(::testing::Message() << "least " << least << ", front "
+                                        << front);
+      Seg src, dst;
+      src.debug_force_tree();
+      dst.debug_force_tree();
+      std::vector<int> src_order = fill_shuffled(src, 0, 150, 11);
+      const std::vector<int> dst_order = fill_shuffled(dst, 1000, 90, 12);
+      constexpr std::size_t c = 61;
+      constexpr auto cd = static_cast<std::ptrdiff_t>(c);
+      std::vector<Item> moved;
+      if (least) {
+        src.extract_least_recent(c, moved);
+      } else {
+        src.extract_most_recent(c, moved);
+      }
+      ASSERT_EQ(moved.size(), c);
+      // The moved keys, most recent first, and what stays behind.
+      const auto cut = least ? src_order.end() - cd : src_order.begin() + cd;
+      std::vector<int> taken = least ? std::vector<int>(cut, src_order.end())
+                                     : std::vector<int>(src_order.begin(), cut);
+      least ? src_order.erase(cut, src_order.end())
+            : src_order.erase(src_order.begin(), cut);
+      EXPECT_EQ(recent_keys(src), src_order);
+      if (front) {
+        dst.insert_front_batch(std::span<Item>(moved));
+      } else {
+        dst.insert_back_batch(std::span<Item>(moved));
+      }
+      std::vector<int> want = front ? taken : dst_order;
+      const std::vector<int>& rest = front ? dst_order : taken;
+      want.insert(want.end(), rest.begin(), rest.end());
+      EXPECT_EQ(recent_keys(dst), want);
+      EXPECT_EQ(src.validate(), "");
+      EXPECT_EQ(dst.validate(), "");
+    }
+  }
+}
+
+// Promotion orders the new list by the flat stamps; demotion stamps the
+// flat items along the list. A promote, demote, promote round trip keeps
+// the recency order at every stage.
+TEST(Segment, PromoteDemotePromoteKeepsListOrder) {
+  Seg s;
+  std::vector<int> model = fill_shuffled(s, 0, 60, 3);
+  ASSERT_TRUE(s.is_flat());
+  EXPECT_EQ(recent_keys(s), model);
+  // Promote: a front batch pushes the segment past kFlatSegmentMax.
+  std::vector<Item> batch;
+  for (int k = 100; k < 120; ++k) {
+    batch.push_back({k, k, static_cast<std::uint64_t>((k * 7) % 20)});
+  }
+  std::vector<int> arrivals(20);
+  for (const Item& it : batch) arrivals[19 - it.stamp] = it.key;
+  s.insert_front_batch(std::span<Item>(batch));
+  ASSERT_FALSE(s.is_flat());
+  model.insert(model.begin(), arrivals.begin(), arrivals.end());
+  EXPECT_EQ(recent_keys(s), model);
+  ASSERT_EQ(s.validate(), "");
+  // Demote: one key batch takes the even keys (40 stay, still a tree),
+  // a second takes keys from the middle of the order until 30 are left.
+  std::vector<int> keys;
+  std::vector<Item> out;
+  for (int k = 0; k < 120; k += 2) keys.push_back(k);
+  s.extract_by_keys(keys, out);
+  std::erase_if(model, [](int k) { return k % 2 == 0; });
+  ASSERT_FALSE(s.is_flat());
+  keys.clear();
+  while (model.size() > 30) {
+    keys.push_back(model[model.size() / 2]);
+    model.erase(model.begin() + static_cast<std::ptrdiff_t>(model.size() / 2));
+  }
+  std::sort(keys.begin(), keys.end());
+  s.extract_by_keys(keys, out);
+  ASSERT_TRUE(s.is_flat());
+  EXPECT_EQ(recent_keys(s), model);
+  ASSERT_EQ(s.validate(), "");
+  // Promote again, by point inserts at both ends.
+  for (int k = 200; k < 240; ++k) {
+    if (k % 3 == 0) {
+      s.insert_back({k, k, 0});
+      model.push_back(k);
+    } else {
+      s.insert_front({k, k, 0});
+      model.insert(model.begin(), k);
+    }
+  }
+  ASSERT_FALSE(s.is_flat());
+  EXPECT_EQ(recent_keys(s), model);
+  EXPECT_EQ(s.validate(), "");
+}
+
 // Every tree-side removal (key windows, recency batches, point extracts)
 // against a recency model, on a pooled tree segment whose batch work runs
 // on a 2-worker scheduler with grain 4, so multi_extract really forks
@@ -371,16 +495,8 @@ TEST(Segment, ForkedTreeRemovalsMatchRecencyModel) {
     ASSERT_EQ(s.size(), model.size()) << "step " << step;
     ASSERT_EQ(pools.node_pool.live_nodes(), s.size())
         << "a detached node was not released, step " << step;
-    std::vector<std::pair<std::uint64_t, int>> by_stamp;
-    s.for_each([&](const int& k, const int&, std::uint64_t stamp) {
-      by_stamp.emplace_back(stamp, k);
-    });
-    std::sort(by_stamp.rbegin(), by_stamp.rend());
-    ASSERT_EQ(by_stamp.size(), model.size());
-    for (std::size_t i = 0; i < model.size(); ++i) {
-      ASSERT_EQ(by_stamp[i].second, model[i])
-          << "recency position " << i << ", step " << step;
-    }
+    ASSERT_EQ(recent_keys(s), std::vector<int>(model.begin(), model.end()))
+        << "step " << step;
   }
   EXPECT_EQ(pools.node_pool.validate(), "");
 }
@@ -409,13 +525,10 @@ std::vector<Seg> make_ladder(const std::vector<std::size_t>& sizes,
 std::vector<int> recency_list(const std::vector<Seg>& segs) {
   std::vector<int> out;
   for (const auto& seg : segs) {
-    std::vector<std::pair<std::uint64_t, int>> by_stamp;
-    seg.for_each([&](const int& k, const int& v, std::uint64_t stamp) {
+    seg.for_each_recent([&](const int& k, const int& v) {
       EXPECT_EQ(v, k * 10) << "value lost its key";
-      by_stamp.emplace_back(stamp, k);
+      out.push_back(k);
     });
-    std::sort(by_stamp.rbegin(), by_stamp.rend());
-    for (const auto& entry : by_stamp) out.push_back(entry.second);
   }
   return out;
 }
@@ -771,6 +884,34 @@ TEST(Ladder, SweepEmptyAndOneItemSegments) {
     EXPECT_EQ(sizes_of(pair), (std::vector<std::size_t>{3, 0}));
     EXPECT_EQ(depth(pair, 2), 0u);
     for (const auto& seg : pair) EXPECT_EQ(seg.validate(), "");
+  }
+}
+
+// A sweep links its hits at the front of S[k-1] in the caller's rank
+// order, not in their S[k] order, flat and tree, for two rank orders that
+// are each other's reverse (S[k]'s order is neither).
+TEST(Ladder, SweepLinksHitsInCallerOrder) {
+  for (const bool tree : {false, true}) {
+    for (const bool reversed : {false, true}) {
+      SCOPED_TRACE(::testing::Message() << (tree ? "tree" : "flat")
+                                        << (reversed ? ", reversed" : ""));
+      auto segs = make_ladder({2, 4, 16}, tree);
+      const std::vector<int> s1_before = recent_keys(segs[1]);
+      core::SweepScratch<int, int> sc;
+      auto pending = groups_on({7, 9, 12, 18, 30});
+      // Ranks: 9 > 18 > 7 > 12 (30 misses), or the reverse.
+      const std::uint64_t ranks[] = {2, 4, 1, 3, 0};
+      for (std::size_t i = 0; i < pending.size(); ++i) {
+        pending[i].rank = reversed ? 10 - ranks[i] : ranks[i];
+      }
+      EXPECT_EQ(sweep(segs, 2, pending, false, sc),
+                (std::vector<int>{7, 9, 12, 18}));
+      std::vector<int> want = reversed ? std::vector<int>{12, 7, 18, 9}
+                                       : std::vector<int>{9, 18, 7, 12};
+      want.insert(want.end(), s1_before.begin(), s1_before.end());
+      EXPECT_EQ(recent_keys(segs[1]), want);
+      for (const auto& seg : segs) EXPECT_EQ(seg.validate(), "");
+    }
   }
 }
 

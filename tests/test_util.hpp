@@ -268,8 +268,8 @@ inline std::vector<core::Op<int, int>> ordered_batch_with_duplicates(
 
 /// Extends an FNV-1a hash chain with one ladder's logical state: for each
 /// segment in order, its index and size, then its keys from most to least
-/// recent, which fixes each key's recency position. Stamps themselves are
-/// left out, so only the order they encode is pinned.
+/// recent (Segment::for_each_recent), which fixes each key's recency
+/// position.
 template <typename Segments>
 std::uint64_t chain_ladder_state(std::uint64_t chain, const Segments& segs) {
   auto mix = [&chain](std::uint64_t x) {
@@ -278,16 +278,12 @@ std::uint64_t chain_ladder_state(std::uint64_t chain, const Segments& segs) {
       chain *= 0x100000001b3ULL;
     }
   };
-  std::vector<std::pair<std::uint64_t, std::uint64_t>> by_stamp;
   for (std::size_t k = 0; k < segs.size(); ++k) {
-    by_stamp.clear();
-    segs[k].for_each([&](const auto& key, const auto&, std::uint64_t stamp) {
-      by_stamp.emplace_back(stamp, static_cast<std::uint64_t>(key));
-    });
-    std::sort(by_stamp.rbegin(), by_stamp.rend());
     mix(k);
-    mix(by_stamp.size());
-    for (const auto& [stamp, key] : by_stamp) mix(key);
+    mix(segs[k].size());
+    segs[k].for_each_recent([&](const auto& key, const auto&) {
+      mix(static_cast<std::uint64_t>(key));
+    });
   }
   return chain;
 }
