@@ -14,9 +14,16 @@
 // test-and-set spinlock: a submitter contends only with the flusher and
 // with same-slot threads (slot = hashed thread id), matching the QRMW
 // model's per-cell FIFO queue behaviour.
+//
+// flush() appends straight onto the consumer's queue (core::FrontEnd's
+// feed) and has one caller at a time, the consumer's single runner: under
+// each slot lock it only swaps the slot's vector with a flusher-owned
+// spare, and it moves the items out after unlocking, so no vector on
+// either side gives up its capacity.
 
 #include <atomic>
 #include <cstddef>
+#include <iterator>
 #include <string>
 #include <thread>
 #include <vector>
@@ -69,35 +76,32 @@ class ParallelBuffer {
     return pending_.load(std::memory_order_acquire);
   }
 
-  /// Swaps out every sub-buffer and concatenates: O(p + b). Items submitted
+  /// Appends every sub-buffer's items to `out`: O(p + b). Items submitted
   /// concurrently with a flush land in this batch or the next (the paper's
-  /// guarantee).
-  std::vector<T> flush() {
-    std::vector<T> out;
+  /// guarantee); each slot's items keep their submission order. Single
+  /// flusher: one thread at a time calls flush(), as every consumer's
+  /// single runner does; submitters may run alongside.
+  void flush(std::vector<T>& out) {
     for (auto& slot : slots_) {
-      std::vector<T> taken;
       slot.lock_spin();
-      taken.swap(slot.items);
+      // O(1) under the lock: trade the slot's items for the flusher's
+      // empty spare, so both vectors keep their capacity. An empty slot
+      // keeps its own.
+      if (!slot.items.empty()) spare_.swap(slot.items);
       // Items taken, debit not yet applied — still under the slot lock,
       // so no submitter can observe a deficit.
       PWSS_SCHED_POINT("parallel_buffer.flush.debit");
       // Debit under the same lock that credited: per slot, subs are
       // serialized after the adds for the items taken, so pending_ is
       // always >= the true buffered count and never wraps.
-      if (!taken.empty()) {
-        pending_.fetch_sub(taken.size(), std::memory_order_release);
+      if (!spare_.empty()) {
+        pending_.fetch_sub(spare_.size(), std::memory_order_release);
       }
       slot.lock.unlock();
-      if (!taken.empty()) {
-        if (out.empty()) {
-          out = std::move(taken);
-        } else {
-          out.insert(out.end(), std::make_move_iterator(taken.begin()),
-                     std::make_move_iterator(taken.end()));
-        }
-      }
+      out.insert(out.end(), std::make_move_iterator(spare_.begin()),
+                 std::make_move_iterator(spare_.end()));
+      spare_.clear();
     }
-    return out;
   }
 
   /// Deep credit-conservation check: locks every slot (so no submit or
@@ -132,6 +136,7 @@ class ParallelBuffer {
   };
 
   std::vector<Slot> slots_;
+  std::vector<T> spare_;  // the flusher's swap partner; empty between flushes
   std::atomic<std::size_t> pending_{0};
 };
 

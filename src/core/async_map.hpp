@@ -3,16 +3,18 @@
 // wrapped around a batched map (M1Map, or M0Map for a sequential-combining
 // baseline). Client threads call search/insert/erase as blocking black-box
 // operations, exactly the programming model the paper targets; the runtime
-// glue (parallel buffer -> feed buffer of p^2 bunches -> cut batches of
-// ceil(log n / p) bunches -> execute_batch) happens behind the scenes on
-// the scheduler's workers. Its submission side (FrontEnd) and the cut's
-// terminal-status screen (screen_cut) are M2Map's interface's too.
+// glue (parallel buffer -> one FIFO feed -> cut batches of ceil(log n / p)
+// bunches of p^2 ops -> execute_batch) happens behind the scenes on the
+// scheduler's workers, each cut landing in a buffer the drive loop reuses.
+// Its submission side (FrontEnd) and the cut's terminal-status screen
+// (screen_cut) are M2Map's interface's too.
 
 #include <atomic>
+#include <bit>
 #include <cstddef>
+#include <iterator>
 #include <vector>
 
-#include "buffer/feed_buffer.hpp"
 #include "buffer/parallel_buffer.hpp"
 #include "core/backend.hpp"
 #include "core/future.hpp"
@@ -24,17 +26,29 @@
 
 namespace pwss::core {
 
+/// The cut rule (Section 6.1): a cut batch takes ceil(log2(n) / p) bunches
+/// of p^2 ops from a map holding n keys, at least one. M1 and M2 both cut
+/// by it. Requires p >= 1.
+inline std::size_t cut_bunches(std::size_t n, unsigned p) {
+  // ceil(log2 n), taken as 1 below n = 2 so that every cut is non-empty.
+  const std::size_t log2n =
+      n < 2 ? 1 : static_cast<std::size_t>(std::bit_width(n - 1));
+  return (log2n + p - 1) / p;
+}
+
 /// The submission side of the implicit-batching front end, shared by
 /// AsyncMap and M2Map's interface: the parallel buffer (Appendix A.1), the
-/// feed buffer of p^2 bunches, the cut (Section 6.1) and the in-flight
-/// count quiesce() waits on. cut() is for the owner's single runner.
+/// feed (Section 6.1's buffer of p^2 bunches, kept as one FIFO queue: every
+/// bunch but the last is full, so k bunches are always the queue's first
+/// k·p^2 ops), the cut and the in-flight count quiesce() waits on. cut()
+/// is for the owner's single runner.
 template <typename K, typename V>
 class FrontEnd {
  public:
   using Ticket = OpTicket<V, K>*;
   using POp = PendingOp<K, V, Ticket>;
 
-  explicit FrontEnd(std::size_t bunch) : feed_(bunch) {}
+  explicit FrontEnd(std::size_t bunch) : bunch_(bunch ? bunch : 1) {}
 
   /// Claims, then publishes. False when the buffer refused the op (an
   /// injected fault or a future bounded-capacity policy): the claim is
@@ -62,15 +76,34 @@ class FrontEnd {
 
   /// True while ops wait in the parallel buffer or the feed.
   bool pending() const noexcept {
-    return input_.pending() > 0 || !feed_.empty();
+    return input_.pending() > 0 || head_ != feed_.size();
   }
 
-  /// Flushes the parallel buffer into the feed and cuts up to `bunches`
-  /// bunches off its front as one batch, in arrival order.
-  std::vector<POp> cut(std::size_t bunches) {
-    std::vector<POp> in = input_.flush();
-    if (!in.empty()) feed_.append(std::move(in));
-    return feed_.take_bunches(bunches);
+  /// Flushes the parallel buffer onto the feed and moves its first
+  /// min(bunches·p^2, queued) ops into `out` (cleared first), in arrival
+  /// order. `bunches` = ~0 takes everything. Every buffer keeps its
+  /// capacity, so a steady runner that reuses `out` allocates nothing.
+  void cut(std::size_t bunches, std::vector<POp>& out) {
+    input_.flush(feed_);
+    const std::size_t queued = feed_.size() - head_;
+    // bunches·p^2 >= queued, tested without the multiply overflowing.
+    const std::size_t take =
+        bunches > queued / bunch_ ? queued : bunches * bunch_;
+    const auto first = feed_.begin() + static_cast<std::ptrdiff_t>(head_);
+    const auto last = first + static_cast<std::ptrdiff_t>(take);
+    out.clear();
+    out.insert(out.end(), std::make_move_iterator(first),
+               std::make_move_iterator(last));
+    head_ += take;
+    if (head_ == feed_.size()) {
+      feed_.clear();
+      head_ = 0;
+    } else if (head_ >= feed_.size() - head_) {
+      // Compact once the taken prefix outweighs the rest: each shifted op
+      // is paid for by a taken one, so every op costs O(1) amortized.
+      feed_.erase(feed_.begin(), last);
+      head_ = 0;
+    }
   }
 
   /// Ops claimed but not yet debited; exact only when quiescent. Never
@@ -85,7 +118,9 @@ class FrontEnd {
 
  private:
   buffer::ParallelBuffer<POp> input_;
-  buffer::FeedBuffer<POp> feed_;
+  std::size_t bunch_;
+  std::vector<POp> feed_;  // the runner's FIFO; ops before head_ are taken
+  std::size_t head_ = 0;
   std::atomic<std::size_t> in_flight_{0};
 };
 
@@ -181,8 +216,8 @@ class AsyncMap : public MapCalls<AsyncMap<K, V, MapT>, K, V> {
   }
 
   void process_one_cut_batch() {
-    std::vector<PendingOp<K, V, Ticket>> batch =
-        front_.cut(buffer::cut_bunches(map_.size(), p_));
+    std::vector<PendingOp<K, V, Ticket>>& batch = cut_scratch_;
+    front_.cut(cut_bunches(map_.size(), p_), batch);
     if (batch.empty()) return;
     // Screened-out ops still count toward the debit below: every claimed
     // op debits exactly once, fulfilled or not, so quiescence stays
@@ -194,8 +229,8 @@ class AsyncMap : public MapCalls<AsyncMap<K, V, MapT>, K, V> {
         [] { return PWSS_FAULT_POINT("async_map.batch.pool_reserve"); });
     if (!batch.empty()) {
       // The scratch buffers are safe to reuse: the gate guarantees one
-      // drive owner, so steady-state cut batches recycle both the staged
-      // ops and the results capacity.
+      // drive owner, so steady-state cut batches recycle the cut, the
+      // staged ops and the results capacity.
       ops_scratch_.clear();
       ops_scratch_.reserve(batch.size());
       for (auto& op : batch) {
@@ -220,7 +255,8 @@ class AsyncMap : public MapCalls<AsyncMap<K, V, MapT>, K, V> {
   unsigned p_;
   FrontEnd<K, V> front_;
   sync::AsyncGate gate_;
-  std::vector<Op<K, V>> ops_scratch_;       // drive-loop batch staging
+  std::vector<PendingOp<K, V, Ticket>> cut_scratch_;  // drive-loop cut
+  std::vector<Op<K, V>> ops_scratch_;          // drive-loop batch staging
   std::vector<Result<V, K>> results_scratch_;  // drive-loop results reuse
 };
 

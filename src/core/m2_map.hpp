@@ -3,7 +3,7 @@
 //
 // Structure (Figure 2):
 //
-//   input -> feed buffer --cut batch--> [sort_chunk+Combine]
+//   input -> feed (one FIFO) --cut batch--> [sort_chunk+Combine]
 //         -> FIRST SLAB  S[0..m-1]   (m = ceil(log log 2p^2) + 1)
 //         -> FILTER  (admission bound = one cut; one in-flight group per key)
 //         -> FINAL SLAB  S[m] -> S[m+1] -> ... -> S[l]   (pipelined)
@@ -11,7 +11,7 @@
 // The interface (an asynchronous activation) is ready iff input is pending
 // and the filter holds at most one cut's worth of keys (or, while a bulk
 // request waits, iff the filter has drained). Each run cuts
-// M1's ceil(log n / p) p^2-sized bunches (buffer::cut_bunches), so a deep
+// M1's ceil(log n / p) p^2-sized bunches (core::cut_bunches), so a deep
 // backlog moves ~p log n keys per stage run instead of p^2; with no backlog
 // the cut is the single bunch that is waiting. It screens, sorts and
 // combines the cut, sweeps the first slab like M1 (successful
@@ -19,7 +19,8 @@
 // continue; everything else continues), then — holding the neighbour-lock
 // B[0] shared with S[m] and the front-lock FL[0] — processes S[m-1], passes
 // the unfinished groups through the filter and hands them to S[m]. The
-// submit, the input and feed buffers and the cut are AsyncMap's FrontEnd.
+// submit, the parallel buffer, the feed and the cut are AsyncMap's
+// FrontEnd; every cut lands in one interface-owned buffer.
 //
 // Final-slab segments are pipeline stages. Stage k runs under its two
 // neighbour-locks; finished items are shifted to the front of S[m'] with
@@ -44,8 +45,8 @@
 // bulk request, not a stream of submits. The interface stops cutting,
 // waits for the filter to drain, takes the full lock chain of the global
 // ordered read, and runs M1's walk (walk_point_phase) over S[0..m+terminal]
-// — the ops still waiting in input/feed first, then the request — before
-// answering parked ordered queries and releasing. The walk writes each
+// — the ops still queued in the front end first, then the request —
+// before answering parked ordered queries and releasing. The walk writes each
 // result straight into the caller's buffer and publishes one completion
 // latch per request; tickets serve only short and ordered phases. Bulk ops
 // get M1's bounds; submitted ops (wire, blocking calls) keep the pipeline's.
@@ -77,7 +78,6 @@
 #include <utility>
 #include <vector>
 
-#include "buffer/feed_buffer.hpp"
 #include "core/async_map.hpp"
 #include "core/backend.hpp"
 #include "core/group.hpp"
@@ -377,7 +377,7 @@ class M2Map : public MapCalls<M2Map<K, V>, K, V> {
   /// stage m+1 next repairs it; the cap keeps S[m] within Lemma 16's
   /// 3·2^(2^m). Only p = 1 (S[m] = S[1], capacity 4) ever reaches it.
   std::size_t cut_bunches() const {
-    return std::min(buffer::cut_bunches(size(), p_), max_cut_bunches_);
+    return std::min(core::cut_bunches(size(), p_), max_cut_bunches_);
   }
   bool filter_has_room() const {
     return filter_size_.load(std::memory_order_acquire) <=
@@ -412,9 +412,10 @@ class M2Map : public MapCalls<M2Map<K, V>, K, V> {
       return;
     }
 
-    // Step 1: flush the parallel buffer into the feed buffer; cut
-    // ceil(log n / p) bunches as the batch.
-    std::vector<POp> batch = front_.cut(cut_bunches());
+    // Step 1: flush the parallel buffer into the feed; cut ceil(log n / p)
+    // bunches as the batch.
+    std::vector<POp>& batch = cut_batch_;
+    front_.cut(cut_bunches(), batch);
     assert(ordered_batch_.empty());
     admit(batch, [](Ticket t) { return t; }, emit_fn());
 
@@ -562,7 +563,8 @@ class M2Map : public MapCalls<M2Map<K, V>, K, V> {
       bulk_batch_.swap(bulk_);
       bulk_pending_.store(false, std::memory_order_release);
     }
-    const std::vector<POp> early = front_.cut(~std::size_t{0});  // every bunch
+    std::vector<POp>& early = cut_batch_;
+    front_.cut(~std::size_t{0}, early);  // everything queued
     std::size_t live = m_ + terminal_.load(std::memory_order_acquire) + 1;
     auto emit = emit_fn();
     live = bulk_walk(
@@ -996,11 +998,13 @@ class M2Map : public MapCalls<M2Map<K, V>, K, V> {
   FrontEnd<K, V> front_;
   sync::AsyncGate interface_gate_;
 
-  // Parked ordered queries of the current tick, the bulk requests a bulk
-  // tick serves, the interface's walk arena (the first-slab sweep uses
-  // its SweepScratch half) and its cut sort's buffers — owned by the
+  // The current cut (a tick's batch or a bulk tick's early ops), parked
+  // ordered queries of the current tick, the bulk requests a bulk tick
+  // serves, the interface's walk arena (the first-slab sweep uses its
+  // SweepScratch half) and its cut sort's buffers — owned by the
   // interface (single-owner via its gate), so the lock-chain hop closures
   // stay small and every buffer reuses capacity across ticks.
+  std::vector<POp> cut_batch_;
   std::vector<POp> ordered_batch_;
   std::vector<BulkRequest> bulk_batch_;
   bool bulk_tick_ = false;

@@ -85,8 +85,8 @@ struct Options {
 };
 
 /// Counter snapshot for one driver (aggregated across shards by
-/// ShardedDriver::stats()): the PR-8 admission/retry machinery plus the
-/// durability layer, finally observable. Printed by the CLI at exit
+/// ShardedDriver::stats()): the admission/retry machinery plus the
+/// durability layer. Printed by the CLI at exit
 /// (--stats) and asserted by the robustness tests. Every counter has a
 /// row in kStatsFields below; folding and printing walk that table.
 struct DriverStats {

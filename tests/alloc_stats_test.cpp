@@ -7,7 +7,9 @@
 //   * repeated M1 execute_batch calls allocate strictly less once the
 //     per-instance BatchScratch arena is warm;
 //   * M2's steady-state per-op allocation count stays bounded (printed for
-//     the perf trajectory; see BENCH_baseline.json / PR notes).
+//     the perf trajectory; see BENCH_baseline.json / PR notes);
+//   * the shared front end's steady submit/cut/debit cycles allocate
+//     nothing.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -22,6 +24,7 @@
 #include <thread>
 #include <vector>
 
+#include "core/async_map.hpp"
 #include "core/m1_map.hpp"
 #include "core/m2_map.hpp"
 #include "core/segment.hpp"
@@ -380,6 +383,38 @@ TEST(AllocStats, DriverRunReusesResultsBuffer) {
   ASSERT_EQ(fresh.size(), out.size());
   EXPECT_LT(reuse_allocs, fresh_allocs)
       << "run(ops, out) must reuse the results buffer across batches";
+}
+
+TEST(AllocStats, FrontEndSteadyCutsAllocateNothing) {
+  // The submission side both front ends share, at the shape of n = 2^20,
+  // p = 2: bunches of 4 ops, 10-bunch cuts. Each cycle submits k ops, cuts
+  // them into the runner's reused buffer and debits them. Once warm, the
+  // parallel buffer's slot and the flusher's spare, the feed and the cut
+  // buffer all keep their capacity, so no cycle touches the heap.
+  using Key = std::uint64_t;
+  core::FrontEnd<Key, Key> fe(4);
+  std::vector<core::OpTicket<Key, Key>> tickets(40);
+  std::vector<core::FrontEnd<Key, Key>::POp> cut;
+  auto cycle = [&](std::size_t k) {
+    for (std::size_t i = 0; i < k; ++i) {
+      fe.submit(core::Op<Key, Key>::search(i), &tickets[i]);
+    }
+    fe.cut(10, cut);
+    fe.debit(cut.size());
+  };
+  for (const std::size_t k : {1u, 8u, 40u}) {
+    for (int i = 0; i < 100; ++i) cycle(k);
+    constexpr int kCycles = 10000;
+    const std::uint64_t before = alloc_count();
+    for (int i = 0; i < kCycles; ++i) cycle(k);
+    const std::uint64_t allocs = alloc_count() - before;
+    std::printf("[allocs] front end, %zu-op cuts: %.2f allocations/cut\n",
+                k, static_cast<double>(allocs) / kCycles);
+    EXPECT_EQ(allocs, 0u) << k << "-op cuts: a buffer gave up its capacity";
+    EXPECT_EQ(cut.size(), k);
+  }
+  EXPECT_EQ(fe.in_flight(), 0u);
+  EXPECT_FALSE(fe.pending());
 }
 
 TEST(AllocStats, M2SteadyStateOpAllocationsBounded) {

@@ -1,13 +1,15 @@
-// Tests for the implicit-batching plumbing: parallel buffer (A.1), feed
-// buffer of bunches (Section 6.1), AsyncGate, and the AsyncMap front end.
+// Tests for the implicit-batching plumbing: parallel buffer (A.1), the
+// front end's FIFO feed and its cut (Section 6.1), AsyncGate, and the
+// AsyncMap front end.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <deque>
 #include <set>
 #include <thread>
 #include <vector>
 
-#include "buffer/feed_buffer.hpp"
 #include "buffer/parallel_buffer.hpp"
 #include "core/async_map.hpp"
 #include "core/m1_map.hpp"
@@ -21,7 +23,8 @@ TEST(ParallelBuffer, SubmitFlushRoundTrip) {
   buffer::ParallelBuffer<int> buf(4);
   for (int i = 0; i < 100; ++i) ASSERT_TRUE(buf.submit(i));
   EXPECT_EQ(buf.pending(), 100u);
-  auto out = buf.flush();
+  std::vector<int> out;
+  buf.flush(out);
   EXPECT_EQ(out.size(), 100u);
   EXPECT_EQ(buf.pending(), 0u);
   std::set<int> s(out.begin(), out.end());
@@ -30,13 +33,29 @@ TEST(ParallelBuffer, SubmitFlushRoundTrip) {
 
 TEST(ParallelBuffer, FlushEmpty) {
   buffer::ParallelBuffer<int> buf(2);
-  EXPECT_TRUE(buf.flush().empty());
+  std::vector<int> out;
+  buf.flush(out);
+  EXPECT_TRUE(out.empty());
+}
+
+TEST(ParallelBuffer, FlushAppendsAfterExistingContents) {
+  buffer::ParallelBuffer<int> buf(4);
+  std::vector<int> out = {-2, -1};
+  for (int i = 0; i < 10; ++i) ASSERT_TRUE(buf.submit(i));
+  buf.flush(out);
+  ASSERT_EQ(out.size(), 12u);
+  EXPECT_EQ(out[0], -2);
+  EXPECT_EQ(out[1], -1);
+  for (int i = 0; i < 10; ++i) EXPECT_EQ(out[static_cast<size_t>(i) + 2], i);
+  buf.flush(out);  // nothing buffered: nothing appended
+  EXPECT_EQ(out.size(), 12u);
 }
 
 TEST(ParallelBuffer, SameThreadOrderPreserved) {
   buffer::ParallelBuffer<int> buf(4);
   for (int i = 0; i < 50; ++i) ASSERT_TRUE(buf.submit(i));
-  const auto out = buf.flush();
+  std::vector<int> out;
+  buf.flush(out);
   // All from one thread => one slot => order preserved.
   ASSERT_EQ(out.size(), 50u);
   for (int i = 0; i < 50; ++i) EXPECT_EQ(out[static_cast<size_t>(i)], i);
@@ -48,10 +67,15 @@ TEST(ParallelBuffer, ConcurrentSubmittersLoseNothing) {
   std::atomic<std::size_t> flushed{0};
   std::atomic<bool> done{false};
   std::thread flusher([&] {
+    std::vector<std::uint64_t> out;
     while (!done.load() || buf.pending() > 0) {
-      flushed.fetch_add(buf.flush().size());
+      out.clear();
+      buf.flush(out);
+      flushed.fetch_add(out.size());
     }
-    flushed.fetch_add(buf.flush().size());
+    out.clear();
+    buf.flush(out);
+    flushed.fetch_add(out.size());
   });
   std::vector<std::thread> threads;
   for (int t = 0; t < kThreads; ++t) {
@@ -68,155 +92,195 @@ TEST(ParallelBuffer, ConcurrentSubmittersLoseNothing) {
   EXPECT_EQ(buf.validate(), "");
 }
 
-TEST(FeedBuffer, CutsIntoBunches) {
-  buffer::FeedBuffer<int> feed(10);
-  std::vector<int> input(25);
-  for (int i = 0; i < 25; ++i) input[static_cast<size_t>(i)] = i;
-  feed.append(std::move(input));
-  EXPECT_EQ(feed.size(), 25u);
-  EXPECT_EQ(feed.bunch_count(), 3u);  // 10 + 10 + 5
-}
+// FrontEnd's feed is one FIFO: a cut of k bunches is its first
+// min(k * bunch, queued) ops in arrival order.
+using IntFrontEnd = core::FrontEnd<int, int>;
+using IntTicket = core::OpTicket<int, int>;
 
-TEST(FeedBuffer, TopsUpLastBunchFirst) {
-  buffer::FeedBuffer<int> feed(10);
-  feed.append({1, 2, 3});             // bunch: [3]
-  EXPECT_EQ(feed.bunch_count(), 1u);
-  feed.append({4, 5, 6, 7, 8, 9, 10, 11, 12});  // fills to 10, then [2]
-  EXPECT_EQ(feed.bunch_count(), 2u);
-  auto first = feed.take_bunches(1);
-  EXPECT_EQ(first.size(), 10u);
-  EXPECT_EQ(first[0], 1);
-  auto second = feed.take_bunches(1);
-  EXPECT_EQ(second.size(), 2u);
-  EXPECT_TRUE(feed.empty());
-}
-
-TEST(FeedBuffer, TakeMoreThanAvailable) {
-  buffer::FeedBuffer<int> feed(4);
-  feed.append({1, 2, 3, 4, 5});
-  auto out = feed.take_bunches(10);
-  EXPECT_EQ(out.size(), 5u);
-  EXPECT_TRUE(feed.empty());
-  EXPECT_TRUE(feed.take_bunches(1).empty());
-}
-
-TEST(FeedBuffer, FifoAcrossBunches) {
-  buffer::FeedBuffer<int> feed(3);
-  feed.append({0, 1, 2, 3, 4, 5, 6, 7});
-  auto all = feed.take_bunches(3);
-  ASSERT_EQ(all.size(), 8u);
-  for (int i = 0; i < 8; ++i) EXPECT_EQ(all[static_cast<size_t>(i)], i);
-}
-
-TEST(FeedBuffer, TopUpAccumulatesAcrossManySmallAppends) {
-  buffer::FeedBuffer<int> feed(5);
-  // Five 1-element appends must coalesce into ONE bunch, not five.
-  for (int i = 0; i < 5; ++i) {
-    feed.append({i});
-    EXPECT_EQ(feed.bunch_count(), 1u) << "after append " << i;
-    EXPECT_EQ(feed.size(), static_cast<std::size_t>(i) + 1);
+/// Submits keys [from, to) from the calling thread, each on its own
+/// ticket (a front end only touches a ticket when it refuses the op).
+void submit_keys(IntFrontEnd& fe, std::deque<IntTicket>& tickets, int from,
+                 int to) {
+  for (int k = from; k < to; ++k) {
+    fe.submit(core::Op<int, int>::search(k), &tickets.emplace_back());
   }
-  // The sixth element starts a fresh bunch.
-  feed.append({5});
-  EXPECT_EQ(feed.bunch_count(), 2u);
-  auto first = feed.take_bunches(1);
-  ASSERT_EQ(first.size(), 5u);
-  for (int i = 0; i < 5; ++i) EXPECT_EQ(first[static_cast<size_t>(i)], i);
-  EXPECT_EQ(feed.take_bunches(1), std::vector<int>{5});
 }
 
-TEST(FeedBuffer, ExactlyFullLastBunchTakesNoTopUp) {
-  buffer::FeedBuffer<int> feed(4);
-  feed.append({0, 1, 2, 3});  // exactly one full bunch
-  EXPECT_EQ(feed.bunch_count(), 1u);
-  feed.append({4, 5});  // no room in the last bunch: a fresh one
-  EXPECT_EQ(feed.bunch_count(), 2u);
-  EXPECT_EQ(feed.take_bunches(1).size(), 4u);
-  EXPECT_EQ(feed.take_bunches(1).size(), 2u);
+std::vector<int> keys_of(const std::vector<IntFrontEnd::POp>& cut) {
+  std::vector<int> keys;
+  for (const auto& op : cut) keys.push_back(op.key);
+  return keys;
 }
 
-TEST(FeedBuffer, AppendEmptyInputIsANoOp) {
-  buffer::FeedBuffer<int> feed(3);
-  feed.append({});
-  EXPECT_TRUE(feed.empty());
-  EXPECT_EQ(feed.size(), 0u);
-  EXPECT_EQ(feed.bunch_count(), 0u);
-  feed.append({1, 2});
-  feed.append({});
-  EXPECT_EQ(feed.size(), 2u);
-  EXPECT_EQ(feed.bunch_count(), 1u);
+std::vector<int> iota_keys(int from, int to) {
+  std::vector<int> keys;
+  for (int k = from; k < to; ++k) keys.push_back(k);
+  return keys;
 }
 
-TEST(FeedBuffer, TakeZeroBunchesLeavesEverything) {
-  buffer::FeedBuffer<int> feed(3);
-  feed.append({1, 2, 3, 4});
-  EXPECT_TRUE(feed.take_bunches(0).empty());
-  EXPECT_EQ(feed.size(), 4u);
-  EXPECT_EQ(feed.bunch_count(), 2u);
+TEST(FrontEnd, CutTakesBunchPrefixInArrivalOrderAcrossFlushes) {
+  IntFrontEnd fe(4);
+  std::deque<IntTicket> tickets;
+  std::vector<IntFrontEnd::POp> cut;
+  submit_keys(fe, tickets, 0, 3);
+  fe.cut(0, cut);  // flushes 0..2 into the feed, takes nothing
+  EXPECT_TRUE(cut.empty());
+  submit_keys(fe, tickets, 3, 10);
+  fe.cut(1, cut);
+  EXPECT_EQ(keys_of(cut), iota_keys(0, 4));
+  submit_keys(fe, tickets, 10, 21);
+  fe.cut(2, cut);  // ops from three flushes
+  EXPECT_EQ(keys_of(cut), iota_keys(4, 12));
+  fe.cut(5, cut);  // five bunches asked, two and a bit queued
+  EXPECT_EQ(keys_of(cut), iota_keys(12, 21));
+  EXPECT_FALSE(fe.pending());
+  fe.cut(1, cut);
+  EXPECT_TRUE(cut.empty());
+  fe.debit(21);
 }
 
-TEST(FeedBuffer, TotalAccountingSurvivesMixedTakeAndAppend) {
-  buffer::FeedBuffer<int> feed(4);
-  feed.append({0, 1, 2, 3, 4, 5});  // bunches [4][2], total 6
-  EXPECT_EQ(feed.size(), 6u);
-  auto front = feed.take_bunches(1);  // removes [4]
-  EXPECT_EQ(front.size(), 4u);
-  EXPECT_EQ(feed.size(), 2u);
-  // The partial [2] bunch is now the LAST bunch; a new append tops it up
-  // (take must not have corrupted the top-up invariant).
-  feed.append({6, 7, 8});  // [2+2][1]
-  EXPECT_EQ(feed.size(), 5u);
-  EXPECT_EQ(feed.bunch_count(), 2u);
-  auto second = feed.take_bunches(1);
-  ASSERT_EQ(second.size(), 4u);
-  EXPECT_EQ(second, (std::vector<int>{4, 5, 6, 7}));
-  EXPECT_EQ(feed.size(), 1u);
-  auto rest = feed.take_bunches(5);
-  EXPECT_EQ(rest, std::vector<int>{8});
-  EXPECT_EQ(feed.size(), 0u);
-  EXPECT_TRUE(feed.empty());
-  // Draining to empty and re-appending starts fresh bunches.
-  feed.append({9});
-  EXPECT_EQ(feed.size(), 1u);
-  EXPECT_EQ(feed.bunch_count(), 1u);
-  EXPECT_EQ(feed.validate(), "");
+TEST(FrontEnd, ZeroBunchCutTakesNothing) {
+  IntFrontEnd fe(3);
+  std::deque<IntTicket> tickets;
+  std::vector<IntFrontEnd::POp> cut;
+  submit_keys(fe, tickets, 0, 5);
+  fe.cut(1, cut);
+  EXPECT_EQ(keys_of(cut), iota_keys(0, 3));
+  fe.cut(0, cut);
+  EXPECT_TRUE(cut.empty()) << "the out buffer is cleared first";
+  EXPECT_TRUE(fe.pending());
+  fe.cut(1, cut);
+  EXPECT_EQ(keys_of(cut), iota_keys(3, 5));
+  EXPECT_FALSE(fe.pending());
+  fe.debit(5);
 }
 
-TEST(FeedBuffer, CutBunchesIsCeilLogNOverP) {
-  // Tiny maps still cut one bunch.
-  EXPECT_EQ(buffer::cut_bunches(0, 2), 1u);
-  EXPECT_EQ(buffer::cut_bunches(1, 2), 1u);
-  EXPECT_EQ(buffer::cut_bunches(2, 2), 1u);
-  EXPECT_EQ(buffer::cut_bunches(2, 1), 1u);
-  // ceil(log2 n) rounds up between powers of two.
-  EXPECT_EQ(buffer::cut_bunches(3, 1), 2u);
-  EXPECT_EQ(buffer::cut_bunches(5, 1), 3u);
-  const std::size_t n = std::size_t{1} << 20;
-  EXPECT_EQ(buffer::cut_bunches(n, 1), 20u);
-  EXPECT_EQ(buffer::cut_bunches(n, 2), 10u);
-  EXPECT_EQ(buffer::cut_bunches(n, 4), 5u);
-  EXPECT_EQ(buffer::cut_bunches(n, 3), 7u);
-  EXPECT_EQ(buffer::cut_bunches(n + 1, 2), 11u);
-  // p larger than log2 n: one bunch.
-  EXPECT_EQ(buffer::cut_bunches(n, 64), 1u);
+TEST(FrontEnd, CutEverythingTakesEverything) {
+  // ~0 bunches of p^2 ops: the multiply would overflow, the cut must not.
+  for (const std::size_t bunch : {std::size_t{1}, std::size_t{16},
+                                  std::size_t{1} << 40}) {
+    IntFrontEnd fe(bunch);
+    std::deque<IntTicket> tickets;
+    std::vector<IntFrontEnd::POp> cut;
+    submit_keys(fe, tickets, 0, 100);
+    fe.cut(~std::size_t{0}, cut);
+    EXPECT_EQ(keys_of(cut), iota_keys(0, 100)) << "bunch " << bunch;
+    submit_keys(fe, tickets, 100, 110);
+    fe.cut(~std::size_t{0} / 2, cut);
+    EXPECT_EQ(keys_of(cut), iota_keys(100, 110)) << "bunch " << bunch;
+    EXPECT_FALSE(fe.pending());
+    fe.debit(110);
+  }
 }
 
-TEST(FeedBuffer, ValidatorTracksMixedChurn) {
-  // The credit-conservation validator must hold through an arbitrary
-  // append/take interleaving, not just the scripted one above.
-  buffer::FeedBuffer<int> feed(8);
+TEST(FrontEnd, PendingAndInFlightExactAtQuiescence) {
+  IntFrontEnd fe(4);
+  std::deque<IntTicket> tickets;
+  std::vector<IntFrontEnd::POp> cut;
+  EXPECT_FALSE(fe.pending());
+  EXPECT_EQ(fe.in_flight(), 0u);
+  submit_keys(fe, tickets, 0, 10);
+  EXPECT_TRUE(fe.pending());
+  EXPECT_EQ(fe.in_flight(), 10u) << "claimed on submit";
+  fe.cut(1, cut);
+  EXPECT_EQ(cut.size(), 4u);
+  EXPECT_EQ(fe.in_flight(), 10u) << "a cut op stays in flight until debited";
+  fe.debit(cut.size());
+  EXPECT_EQ(fe.in_flight(), 6u);
+  EXPECT_TRUE(fe.pending()) << "six ops still queued in the feed";
+  fe.cut(2, cut);
+  EXPECT_EQ(cut.size(), 6u);
+  EXPECT_FALSE(fe.pending());
+  fe.debit(cut.size());
+  EXPECT_EQ(fe.in_flight(), 0u);
+}
+
+TEST(FrontEnd, RandomChurnMatchesAFifoModel) {
+  // Random submits and cuts of random size against a deque: every cut is
+  // the model's prefix, through the feed's drain resets and compactions.
+  IntFrontEnd fe(4);
+  std::deque<IntTicket> tickets;
+  std::deque<int> model;
+  std::vector<IntFrontEnd::POp> cut;
   util::Xoshiro256 rng(99);
   int next = 0;
-  for (int step = 0; step < 400; ++step) {
+  for (int step = 0; step < 2000; ++step) {
     if (rng.bounded(2) == 0) {
-      std::vector<int> in(rng.bounded(20));
-      for (auto& x : in) x = next++;
-      feed.append(std::move(in));
+      const int n = static_cast<int>(rng.bounded(20));
+      submit_keys(fe, tickets, next, next + n);
+      for (int k = next; k < next + n; ++k) model.push_back(k);
+      next += n;
     } else {
-      (void)feed.take_bunches(rng.bounded(4));
+      const std::size_t bunches = rng.bounded(4);
+      fe.cut(bunches, cut);
+      const std::size_t take = std::min(bunches * 4, model.size());
+      ASSERT_EQ(cut.size(), take) << "step " << step;
+      for (std::size_t i = 0; i < take; ++i) {
+        ASSERT_EQ(cut[i].key, model.front()) << "step " << step;
+        model.pop_front();
+      }
+      fe.debit(take);
     }
-    ASSERT_EQ(feed.validate(), "") << "step " << step;
+    ASSERT_EQ(fe.pending(), !model.empty()) << "step " << step;
+    ASSERT_EQ(fe.in_flight(), model.size()) << "step " << step;
   }
+}
+
+TEST(FrontEnd, ManySubmittersKeepEachThreadsOrder) {
+  // One runner cuts while submitters publish: every op arrives exactly
+  // once, and each thread's ops arrive in its submission order.
+  IntFrontEnd fe(4);
+  constexpr int kThreads = 4, kPer = 5000;
+  std::vector<std::deque<IntTicket>> tickets(kThreads);
+  std::atomic<int> finished{0};
+  std::vector<int> seen;
+  std::thread runner([&] {
+    std::vector<IntFrontEnd::POp> cut;
+    util::Xoshiro256 rng(7);
+    while (finished.load(std::memory_order_acquire) < kThreads ||
+           fe.pending()) {
+      fe.cut(rng.bounded(4), cut);
+      for (const auto& op : cut) seen.push_back(op.key);
+      fe.debit(cut.size());
+    }
+  });
+  std::vector<std::thread> submitters;
+  for (int t = 0; t < kThreads; ++t) {
+    submitters.emplace_back([&, t] {
+      submit_keys(fe, tickets[static_cast<std::size_t>(t)], t * kPer,
+                  (t + 1) * kPer);
+      finished.fetch_add(1, std::memory_order_release);
+    });
+  }
+  for (auto& th : submitters) th.join();
+  runner.join();
+  ASSERT_EQ(seen.size(), static_cast<std::size_t>(kThreads) * kPer);
+  std::vector<int> last(kThreads, -1);
+  for (const int k : seen) {
+    const int t = k / kPer;
+    ASSERT_GT(k, last[static_cast<std::size_t>(t)]) << "thread " << t;
+    last[static_cast<std::size_t>(t)] = k;
+  }
+  EXPECT_EQ(fe.in_flight(), 0u);
+}
+
+TEST(FrontEnd, CutBunchesIsCeilLogNOverP) {
+  // Tiny maps still cut one bunch.
+  EXPECT_EQ(core::cut_bunches(0, 2), 1u);
+  EXPECT_EQ(core::cut_bunches(1, 2), 1u);
+  EXPECT_EQ(core::cut_bunches(2, 2), 1u);
+  EXPECT_EQ(core::cut_bunches(2, 1), 1u);
+  // ceil(log2 n) rounds up between powers of two.
+  EXPECT_EQ(core::cut_bunches(3, 1), 2u);
+  EXPECT_EQ(core::cut_bunches(5, 1), 3u);
+  const std::size_t n = std::size_t{1} << 20;
+  EXPECT_EQ(core::cut_bunches(n, 1), 20u);
+  EXPECT_EQ(core::cut_bunches(n, 2), 10u);
+  EXPECT_EQ(core::cut_bunches(n, 4), 5u);
+  EXPECT_EQ(core::cut_bunches(n, 3), 7u);
+  EXPECT_EQ(core::cut_bunches(n + 1, 2), 11u);
+  // p larger than log2 n: one bunch.
+  EXPECT_EQ(core::cut_bunches(n, 64), 1u);
 }
 
 TEST(AsyncGate, BeginFinishSingleOwner) {

@@ -202,9 +202,15 @@ std::string parallel_buffer_scenario(std::uint64_t seed) {
   std::mutex validator_mu;
 
   std::thread flusher([&] {
+    std::vector<std::uint64_t> out;
+    auto drain = [&] {
+      out.clear();
+      buf.flush(out);
+      drained.fetch_add(out.size(), std::memory_order_relaxed);
+    };
     std::uint64_t rounds = 0;
     while (!done.load(std::memory_order_acquire) || buf.pending() > 0) {
-      drained.fetch_add(buf.flush().size(), std::memory_order_relaxed);
+      drain();
       if (buf.pending() > kWrapBound) wrapped.store(true);
       if (++rounds % 16 == 0) {
         std::string err = buf.validate();
@@ -215,7 +221,7 @@ std::string parallel_buffer_scenario(std::uint64_t seed) {
       }
       std::this_thread::yield();
     }
-    drained.fetch_add(buf.flush().size(), std::memory_order_relaxed);
+    drain();
   });
 
   std::vector<std::thread> submitters;

@@ -78,13 +78,19 @@ TEST(QuiescenceStress, ParallelBufferPendingNeverWraps) {
   };
 
   std::thread flusher([&] {
+    std::vector<std::uint64_t> out;
+    auto drain = [&] {
+      out.clear();
+      buf.flush(out);
+      drained.fetch_add(out.size(), std::memory_order_relaxed);
+    };
     while (!done_submitting.load(std::memory_order_acquire) ||
            buf.pending() > 0) {
-      drained.fetch_add(buf.flush().size(), std::memory_order_relaxed);
+      drain();
       watch(buf.pending());
       std::this_thread::sleep_for(std::chrono::microseconds(50));
     }
-    drained.fetch_add(buf.flush().size(), std::memory_order_relaxed);
+    drain();
   });
 
   std::vector<std::thread> submitters;
