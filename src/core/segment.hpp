@@ -21,20 +21,21 @@
 //    Each item keeps a 64-bit stamp: arrivals are restamped above the
 //    current maximum (front) or below the current minimum (back).
 //  * tree  (larger): ONE JTree mapping key -> SegmentEntry (value, newer,
-//    older); a u64 node is 56 B. The two links thread a doubly linked
-//    recency list through the tree's nodes, most recent at head_, least
-//    recent at tail_ — the paper's leaf-to-leaf direct pointers — and the
-//    list is the only record of the order: nodes hold no stamp. A node
-//    keeps its address across split and join, so batch tree work never
-//    disturbs the list. Every arrival is linked at an end
-//    (insert_front*/insert_back*), in the order of its incoming stamp, so
-//    the list needs no ordered splice. Every removal is one
-//    JTree::multi_extract descent, by key batch, by the c keys at one end
-//    of the list, or by one key; the segment then unlinks each detached
-//    node from the list before releasing it. Items taken from an end carry
-//    their rank there as their stamp, so the next segment links them in
-//    the same order; items taken by key carry stamp 0, and the caller
-//    orders them (a sweep ranks its hits by access).
+//    older); a u64 node is 48 B: key, two child words that also carry the
+//    tree's height and subtree size, value, newer, older. The two links
+//    thread a doubly linked recency list through the tree's nodes, most
+//    recent at head_, least recent at tail_ — the paper's leaf-to-leaf
+//    direct pointers — and the list is the only record of the order:
+//    nodes hold no stamp. A node keeps its address across split and
+//    join, so batch tree work never disturbs the list. Every arrival is
+//    linked at an end (insert_front*/insert_back*), in the order of its
+//    incoming stamp, so the list needs no ordered splice. Every removal is
+//    one JTree::multi_extract descent, by key batch, by the c keys at one
+//    end of the list, or by one key; the segment then unlinks each
+//    detached node from the list before releasing it. Items taken from an
+//    end carry their rank there as their stamp, so the next segment links
+//    them in the same order; items taken by key carry stamp 0, and the
+//    caller orders them (a sweep ranks its hits by access).
 //
 // Dispatch rules: a segment starts flat; an insert that would push it past
 // kFlatSegmentMax first *promotes* (bulk-builds the tree from the already
@@ -132,9 +133,11 @@ struct SegmentEntry {
   Link older = nullptr;  // toward the least recent end
 };
 
-// A u64 entry's node is 56 B (DESIGN.md "Cache-conscious core"): a field
-// added later fails here rather than grow every loaded key.
-static_assert(SegmentTree<std::uint64_t, std::uint64_t>::node_bytes() == 56);
+// A u64 entry's node is 48 B (DESIGN.md "Cache-conscious core"), and the
+// bare u64 -> u64 node the AVL baseline uses is 32 B: a field added later
+// fails here rather than grow every loaded key.
+static_assert(SegmentTree<std::uint64_t, std::uint64_t>::node_bytes() == 48);
+static_assert(tree::JTree<std::uint64_t, std::uint64_t>::node_bytes() == 32);
 
 /// One node-pool domain for a map instance: every tree-represented segment
 /// of the instance allocates its nodes from `node_pool`. Sharing the domain

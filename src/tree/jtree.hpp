@@ -46,6 +46,13 @@
 #include "util/prefetch.hpp"
 #include "util/validate.hpp"
 
+// Node tags its child pointers (see JTree::Node): the layout needs 8-byte
+// aligned nodes at 48-bit user-space addresses.
+#if !defined(__x86_64__) && !defined(__aarch64__)
+#error "tree/jtree.hpp packs node fields into pointer bits: x86-64/AArch64 only"
+#endif
+static_assert(sizeof(void*) == 8, "tree/jtree.hpp needs 64-bit pointers");
+
 namespace pwss::tree {
 
 /// Parallelism context for batch operations. A null scheduler (or a batch
@@ -117,9 +124,9 @@ class JTree {
     Node* n = root_;
     while (n) {
       if (cmp_(key, n->key)) {
-        n = n->left;
+        n = n->left();
       } else if (cmp_(n->key, key)) {
-        n = n->right;
+        n = n->right();
       } else {
         return n;
       }
@@ -170,9 +177,9 @@ class JTree {
     while (n) {
       if (cmp_(n->key, key)) {
         best = n;  // n->key < key: candidate; better ones are to the right
-        n = n->right;
+        n = n->right();
       } else {
-        n = n->left;
+        n = n->left();
       }
     }
     if (!best) return {nullptr, nullptr};
@@ -187,9 +194,9 @@ class JTree {
     while (n) {
       if (cmp_(key, n->key)) {
         best = n;  // n->key > key: candidate; better ones are to the left
-        n = n->left;
+        n = n->left();
       } else {
-        n = n->right;
+        n = n->right();
       }
     }
     if (!best) return {nullptr, nullptr};
@@ -201,17 +208,25 @@ class JTree {
   std::pair<const K*, const K*> key_bounds() const noexcept {
     if (root_ == nullptr) return {nullptr, nullptr};
     const Node* lo = root_;
-    while (lo->left != nullptr) lo = lo->left;
+    while (lo->left() != nullptr) lo = lo->left();
     const Node* hi = root_;
-    while (hi->right != nullptr) hi = hi->right;
+    while (hi->right() != nullptr) hi = hi->right();
     return {&lo->key, &hi->key};
   }
 
-  /// Number of keys in the inclusive range [lo, hi] (0 when hi < lo):
-  /// two rank descents plus one membership probe, O(log n).
+  /// Number of keys in the inclusive range [lo, hi] (0 when hi < lo): one
+  /// descent counts the keys <= hi, rank(lo) those < lo. O(log n).
   std::size_t range_count(const K& lo, const K& hi) const {
     if (cmp_(hi, lo)) return 0;
-    const std::size_t le_hi = rank(hi) + (find(hi) != nullptr ? 1 : 0);
+    std::size_t le_hi = 0;
+    for (const Node* n = root_; n != nullptr;) {
+      if (cmp_(hi, n->key)) {
+        n = n->left();
+      } else {
+        le_hi += node_size(n->left()) + 1;
+        n = n->right();
+      }
+    }
     return le_hi - rank(lo);
   }
 
@@ -223,12 +238,12 @@ class JTree {
     const Node* n = root_;
     while (n) {
       if (cmp_(key, n->key)) {
-        n = n->left;
+        n = n->left();
       } else if (cmp_(n->key, key)) {
-        r += node_size(n->left) + 1;
-        n = n->right;
+        r += node_size(n->left()) + 1;
+        n = n->right();
       } else {
-        return r + node_size(n->left);
+        return r + node_size(n->left());
       }
     }
     return r;
@@ -305,16 +320,64 @@ class JTree {
   }
 
  private:
-  /// The descent reads key, left and right, so they lead; height (low 8
-  /// bits) and subtree size (high 56 bits) share one word.
+  /// Key, then the two child words the descent reads, then the value: a
+  /// u64 -> u64 node is 32 B. The node's own AVL height (6 bits) and
+  /// subtree size (32 bits) ride in its child words' spare bits: a node is
+  /// 8-aligned, so a child pointer's low 3 bits are zero, and a user-space
+  /// address on x86-64 and AArch64 fits in 48 bits, so its high 16 are
+  /// zero too. The left word holds height bits 0-2 (low) and size bits
+  /// 0-15 (high), the right word height bits 3-5 and size bits 16-31.
+  /// Every child read masks the tag off, set_left/set_right keep it, and
+  /// set_meta rewrites it.
   struct Node {
-    Node(const K& k, V v)
-        : key(k), value(std::move(v)) {}
+    static constexpr std::uintptr_t kTagBits = 0xffff'0000'0000'0007u;
+    static constexpr int kHeightBits = 3;  // per word
+    static constexpr int kSizeShift = 48;
+    static constexpr std::uint64_t kMaxSize = 0xffff'ffffu;
+
+    Node(const K& k, V v) : key(k), value(std::move(v)) {}
+
+    Node* left() const noexcept { return untag(left_word); }
+    Node* right() const noexcept { return untag(right_word); }
+    void set_left(Node* p) noexcept {
+      left_word = (left_word & kTagBits) | addr(p);
+    }
+    void set_right(Node* p) noexcept {
+      right_word = (right_word & kTagBits) | addr(p);
+    }
+    /// Both children to null; the tag stays until the next set_meta.
+    void unlink() noexcept {
+      left_word &= kTagBits;
+      right_word &= kTagBits;
+    }
+
+    int height() const noexcept {
+      return static_cast<int>((left_word & 7) |
+                              ((right_word & 7) << kHeightBits));
+    }
+    std::size_t size() const noexcept {
+      return static_cast<std::size_t>((left_word >> kSizeShift) |
+                                      ((right_word >> kSizeShift) << 16));
+    }
+    void set_meta(std::uint64_t height, std::uint64_t size) noexcept {
+      left_word =
+          (left_word & ~kTagBits) | (height & 7) | (size << kSizeShift);
+      right_word = (right_word & ~kTagBits) | (height >> kHeightBits) |
+                   ((size >> 16) << kSizeShift);
+    }
+
+    static std::uintptr_t addr(const Node* p) noexcept {
+      return reinterpret_cast<std::uintptr_t>(p);
+    }
+    static Node* untag(std::uintptr_t w) noexcept {
+      return reinterpret_cast<Node*>(w & ~kTagBits);
+    }
+
     K key;
-    Node* left = nullptr;
-    Node* right = nullptr;
+    // Read through left()/right(); a fresh node has height 1 and size 1.
+    std::uintptr_t left_word = (std::uintptr_t{1} << kSizeShift) | 1;
+    std::uintptr_t right_word = 0;
     V value;
-    std::uint64_t meta = (1u << 8) | 1u;
   };
 
   // ---- node lifecycle (pooled when a pool is bound) ----------------------
@@ -322,7 +385,10 @@ class JTree {
   template <typename VV>
   Node* create_node(const K& key, VV&& value) {
     if (pool_ != nullptr) return pool_->create(key, std::forward<VV>(value));
-    return new Node(key, std::forward<VV>(value));
+    Node* n = new Node(key, std::forward<VV>(value));
+    assert((Node::addr(n) & Node::kTagBits) == 0 &&
+           "node address overlaps the child words' tag bits");
+    return n;
   }
 
   void dispose_node(Node* n) noexcept {
@@ -339,13 +405,13 @@ class JTree {
   template <typename Dispose>
   static void flatten_dispose(Node* t, Dispose dispose) noexcept {
     while (t != nullptr) {
-      if (t->left != nullptr) {
-        Node* l = t->left;
-        t->left = l->right;
-        l->right = t;
+      if (t->left() != nullptr) {
+        Node* l = t->left();
+        t->set_left(l->right());
+        l->set_right(t);
         t = l;
       } else {
-        Node* r = t->right;
+        Node* r = t->right();
         dispose(t);
         t = r;
       }
@@ -353,32 +419,36 @@ class JTree {
   }
 
   static int node_height(const Node* n) noexcept {
-    return n ? static_cast<int>(n->meta & 0xff) : 0;
+    return n ? n->height() : 0;
   }
   static std::size_t node_size(const Node* n) noexcept {
-    return n ? static_cast<std::size_t>(n->meta >> 8) : 0;
+    return n ? n->size() : 0;
   }
 
+  /// A subtree past 2^32 - 1 nodes would overflow the size field: M1's
+  /// S[5] reaches it only past ~4.3 G keys (unreachable in practice;
+  /// asserted). Height stays far below 63 at that size.
   static Node* update(Node* n) noexcept {
-    const std::uint64_t height =
-        1 + std::max(node_height(n->left), node_height(n->right));
-    const std::uint64_t size = 1 + node_size(n->left) + node_size(n->right);
-    assert(size < (std::uint64_t{1} << 56) && "subtree size overflows 56 bits");
-    n->meta = (size << 8) | height;
+    const Node* l = n->left();
+    const Node* r = n->right();
+    const std::uint64_t height = 1 + std::max(node_height(l), node_height(r));
+    const std::uint64_t size = 1 + node_size(l) + node_size(r);
+    assert(size <= Node::kMaxSize && "subtree size overflows 32 bits");
+    n->set_meta(height, size);
     return n;
   }
 
   static Node* rotate_left(Node* n) noexcept {
-    Node* r = n->right;
-    n->right = r->left;
-    r->left = update(n);
+    Node* r = n->right();
+    n->set_right(r->left());
+    r->set_left(update(n));
     return update(r);
   }
 
   static Node* rotate_right(Node* n) noexcept {
-    Node* l = n->left;
-    n->left = l->right;
-    l->right = update(n);
+    Node* l = n->left();
+    n->set_left(l->right());
+    l->set_right(update(n));
     return update(l);
   }
 
@@ -387,47 +457,51 @@ class JTree {
   static Node* join(Node* l, Node* m, Node* r) noexcept {
     if (node_height(l) > node_height(r) + 1) return join_right(l, m, r);
     if (node_height(r) > node_height(l) + 1) return join_left(l, m, r);
-    m->left = l;
-    m->right = r;
+    m->set_left(l);
+    m->set_right(r);
     return update(m);
   }
 
   static Node* join_right(Node* l, Node* m, Node* r) noexcept {
     // height(l) > height(r) + 1: descend l's right spine.
-    if (node_height(l->right) <= node_height(r) + 1) {
-      m->left = l->right;
-      m->right = r;
-      l->right = update(m);
+    if (node_height(l->right()) <= node_height(r) + 1) {
+      m->set_left(l->right());
+      m->set_right(r);
+      l->set_right(update(m));
       update(l);
-      if (node_height(l->right) > node_height(l->left) + 1) {
-        l->right = rotate_right(l->right);
+      if (node_height(l->right()) > node_height(l->left()) + 1) {
+        l->set_right(rotate_right(l->right()));
         update(l);
         return rotate_left(l);
       }
       return l;
     }
-    l->right = join_right(l->right, m, r);
+    l->set_right(join_right(l->right(), m, r));
     update(l);
-    if (node_height(l->right) > node_height(l->left) + 1) return rotate_left(l);
+    if (node_height(l->right()) > node_height(l->left()) + 1) {
+      return rotate_left(l);
+    }
     return l;
   }
 
   static Node* join_left(Node* l, Node* m, Node* r) noexcept {
-    if (node_height(r->left) <= node_height(l) + 1) {
-      m->left = l;
-      m->right = r->left;
-      r->left = update(m);
+    if (node_height(r->left()) <= node_height(l) + 1) {
+      m->set_left(l);
+      m->set_right(r->left());
+      r->set_left(update(m));
       update(r);
-      if (node_height(r->left) > node_height(r->right) + 1) {
-        r->left = rotate_left(r->left);
+      if (node_height(r->left()) > node_height(r->right()) + 1) {
+        r->set_left(rotate_left(r->left()));
         update(r);
         return rotate_right(r);
       }
       return r;
     }
-    r->left = join_left(l, m, r->left);
+    r->set_left(join_left(l, m, r->left()));
     update(r);
-    if (node_height(r->left) > node_height(r->right) + 1) return rotate_right(r);
+    if (node_height(r->left()) > node_height(r->right()) + 1) {
+      return rotate_right(r);
+    }
     return r;
   }
 
@@ -441,14 +515,14 @@ class JTree {
 
   /// Detaches the in-order last node of t. Returns {rest, last}.
   static std::pair<Node*, Node*> split_last(Node* t) noexcept {
-    if (!t->right) {
-      Node* rest = t->left;
-      t->left = nullptr;
+    if (!t->right()) {
+      Node* rest = t->left();
+      t->set_left(nullptr);
       return {rest, t};
     }
-    auto [rest, last] = split_last(t->right);
-    t->right = nullptr;
-    return {join(t->left, t, rest), last};
+    auto [rest, last] = split_last(t->right());
+    t->set_right(nullptr);
+    return {join(t->left(), t, rest), last};
   }
 
   struct SplitResult {
@@ -460,20 +534,20 @@ class JTree {
   SplitResult split(Node* t, const K& key) const {
     if (!t) return {nullptr, nullptr, nullptr};
     if (cmp_(key, t->key)) {
-      auto [l, m, r] = split(t->left, key);
-      Node* right_tree = t->right;
-      t->left = t->right = nullptr;
+      auto [l, m, r] = split(t->left(), key);
+      Node* right_tree = t->right();
+      t->unlink();
       return {l, m, join(r, t, right_tree)};
     }
     if (cmp_(t->key, key)) {
-      auto [l, m, r] = split(t->right, key);
-      Node* left_tree = t->left;
-      t->left = t->right = nullptr;
+      auto [l, m, r] = split(t->right(), key);
+      Node* left_tree = t->left();
+      t->unlink();
       return {join(left_tree, t, l), m, r};
     }
-    Node* l = t->left;
-    Node* r = t->right;
-    t->left = t->right = nullptr;
+    Node* l = t->left();
+    Node* r = t->right();
+    t->unlink();
     return {l, t, r};
   }
 
@@ -528,8 +602,8 @@ class JTree {
     const std::size_t skip = lo + (hit ? 1 : 0);
     const std::span<const K> left = keys.first(lo);
     const std::span<const K> right = keys.subspan(skip);
-    Node* l = t->left;
-    Node* r = t->right;
+    Node* l = t->left();
+    Node* r = t->right();
     std::size_t gone_l = 0;
     std::size_t gone_r = 0;
     if (ctx.scheduler && left.size() > ctx.grain &&
@@ -546,7 +620,7 @@ class JTree {
     }
     if (hit) {
       out[lo] = t;
-      t->left = t->right = nullptr;
+      t->unlink();
       t = join2(l, r);
     } else if (gone_l + gone_r != 0) {
       t = join(l, t, r);
@@ -569,15 +643,16 @@ class JTree {
       const bool left = cmp_(key, n->key);
       if (!left && !cmp_(n->key, key)) break;
       path[depth++] = n;
-      n = left ? n->left : n->right;
+      n = left ? n->left() : n->right();
     }
     if (n == nullptr) return nullptr;
-    Node* sub = join2(n->left, n->right);
-    n->left = n->right = nullptr;
+    Node* sub = join2(n->left(), n->right());
+    n->unlink();
     Node* child = n;
     while (depth > 0) {
       Node* p = path[--depth];
-      sub = p->left == child ? join(sub, p, p->right) : join(p->left, p, sub);
+      sub = p->left() == child ? join(sub, p, p->right())
+                               : join(p->left(), p, sub);
       child = p;
     }
     t = sub;
@@ -590,18 +665,18 @@ class JTree {
     const std::size_t mid = items.size() / 2;
     Node* n = create_node(items[mid].first, items[mid].second);
     if (nodes) nodes[mid] = n;
-    n->left = build_balanced(items.subspan(0, mid), nodes);
-    n->right = build_balanced(items.subspan(mid + 1),
-                              nodes ? nodes + mid + 1 : nullptr);
+    n->set_left(build_balanced(items.subspan(0, mid), nodes));
+    n->set_right(build_balanced(items.subspan(mid + 1),
+                                nodes ? nodes + mid + 1 : nullptr));
     return update(n);
   }
 
   template <typename Fn>
   static void for_each_rec(const Node* t, Fn& fn) {
     if (!t) return;
-    for_each_rec(t->left, fn);
+    for_each_rec(t->left(), fn);
     fn(t->key, t->value);
-    for_each_rec(t->right, fn);
+    for_each_rec(t->right(), fn);
   }
 
   /// Iterative teardown; with a pool the subtree goes back as ONE spliced
@@ -640,25 +715,26 @@ class JTree {
       return;
     }
     const int want_h =
-        1 + std::max(node_height(t->left), node_height(t->right));
+        1 + std::max(node_height(t->left()), node_height(t->right()));
     if (!v.require(node_height(t) == want_h, "height field wrong at key ",
                    t->key, ": stored ", node_height(t), ", children imply ",
                    want_h)) {
       return;
     }
-    const std::size_t want_n = 1 + node_size(t->left) + node_size(t->right);
+    const std::size_t want_n =
+        1 + node_size(t->left()) + node_size(t->right());
     if (!v.require(node_size(t) == want_n, "size field wrong at key ", t->key,
                    ": stored ", node_size(t), ", children imply ", want_n)) {
       return;
     }
-    const int skew = node_height(t->left) - node_height(t->right);
+    const int skew = node_height(t->left()) - node_height(t->right());
     if (!v.require(skew >= -1 && skew <= 1, "AVL balance violated at key ",
-                   t->key, ": left height ", node_height(t->left),
-                   " vs right height ", node_height(t->right))) {
+                   t->key, ": left height ", node_height(t->left()),
+                   " vs right height ", node_height(t->right()))) {
       return;
     }
-    validate_rec(t->left, lo, &t->key, v, budget);
-    validate_rec(t->right, &t->key, hi, v, budget);
+    validate_rec(t->left(), lo, &t->key, v, budget);
+    validate_rec(t->right(), &t->key, hi, v, budget);
   }
 
   void assert_sorted_pairs(

@@ -469,6 +469,17 @@ class NodePool {
     // global_mu_, held here.
     chunk_count_.fetch_add(1, std::memory_order_relaxed);
     unsigned char* slots = raw + header_span();
+    // A T that keeps tags in its pointers' spare bits names them (JTree's
+    // node): the first and last slots bound every slot's address, and the
+    // stride keeps the first one's alignment.
+    if constexpr (requires { T::kTagBits; }) {
+      [[maybe_unused]] const auto tagged = [](const unsigned char* p) {
+        return (reinterpret_cast<std::uintptr_t>(p) & T::kTagBits) != 0;
+      };
+      assert(!tagged(slots) &&
+             !tagged(slots + (kChunkNodes - 1) * slot_size()) &&
+             "chunk address overlaps the node's tag bits");
+    }
     for (std::size_t i = 0; i < kChunkNodes; ++i) {
       overflow_.push(static_cast<void*>(slots + i * slot_size()));
     }

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <map>
 #include <optional>
 #include <set>
@@ -218,6 +219,102 @@ TEST(JTree, OneKeyExtractWalksItsPathOnce) {
   }
   EXPECT_EQ(t.size(), left);
   EXPECT_EQ(t.validate(), "");
+}
+
+using U64Tree = tree::JTree<std::uint64_t, std::uint64_t>;
+
+// Checks t against the oracle after one step: structure, size, and rank and
+// range_count at 17 strided keys (present and absent) and at the ends.
+void expect_matches(const U64Tree& t, const std::set<std::uint64_t>& oracle,
+                    const std::string& step) {
+  SCOPED_TRACE(step);
+  ASSERT_EQ(t.validate(), "");
+  ASSERT_EQ(t.size(), oracle.size());
+  const std::vector<std::uint64_t> sorted(oracle.begin(), oracle.end());
+  const auto below = [&sorted](std::uint64_t k) {
+    return static_cast<std::size_t>(
+        std::lower_bound(sorted.begin(), sorted.end(), k) - sorted.begin());
+  };
+  const std::uint64_t top = sorted.empty() ? 0 : sorted.back() + 2;
+  for (std::uint64_t q = 0; q <= top; q += top / 16 + 1) {
+    EXPECT_EQ(t.rank(q), below(q)) << "key " << q;
+    EXPECT_EQ(t.rank(q + 1), below(q + 1)) << "key " << q + 1;
+    const std::uint64_t hi = q + top / 5;
+    EXPECT_EQ(t.range_count(q, hi), below(hi + 1) - below(q))
+        << "range [" << q << ", " << hi << "]";
+  }
+  EXPECT_EQ(t.range_count(0, top), oracle.size());
+}
+
+TEST(JTree, PackedSizeFieldAcrossItsWordSplit) {
+  // A subtree size keeps bits 0-15 in the left child word and bits 16-31 in
+  // the right one. S[4] holds exactly 2^16 keys, so trees at 2^16 - 1,
+  // 2^16 and 2^16 + 1 keys move the root's size across the split as keys
+  // come and go; 2^20 keys put every level of the split in one tree.
+  // Even keys 0, 2, ... are loaded; odd keys are absent.
+  for (const std::uint64_t n : {(1u << 16) - 1, 1u << 16, (1u << 16) + 1,
+                                1u << 20}) {
+    SCOPED_TRACE(n);
+    U64Tree::Pool pool;
+    U64Tree t(&pool);
+    std::set<std::uint64_t> oracle;
+    std::vector<std::pair<std::uint64_t, std::uint64_t>> items;
+    for (std::uint64_t i = 0; i < n; ++i) items.emplace_back(2 * i, i);
+    t.multi_insert(items);
+    for (const auto& kv : items) oracle.insert(kv.first);
+    expect_matches(t, oracle, "multi_insert");
+
+    // Every fifth present key, each beside an absent odd one.
+    std::vector<std::uint64_t> keys;
+    for (std::uint64_t i = 0; i < n; i += 5) {
+      keys.push_back(2 * i);
+      keys.push_back(2 * i + 1);
+    }
+    std::vector<U64Tree::Handle> out(keys.size());
+    t.multi_extract(keys, out);
+    std::vector<std::pair<std::uint64_t, std::uint64_t>> back;
+    for (std::size_t i = 0; i < keys.size(); ++i) {
+      ASSERT_EQ(out[i] != nullptr, keys[i] % 2 == 0) << "key " << keys[i];
+      if (out[i] == nullptr) continue;
+      back.emplace_back(keys[i], U64Tree::value_of(out[i]));
+      oracle.erase(keys[i]);
+      t.release(out[i]);
+    }
+    expect_matches(t, oracle, "multi_extract");
+
+    // The greatest key (gone already when n - 1 is a multiple of 5), the
+    // least remaining one and a middle one.
+    for (const std::uint64_t k :
+         {2 * (n - 1), std::uint64_t{2}, n & ~std::uint64_t{1}}) {
+      const bool present = oracle.erase(k) == 1;
+      ASSERT_EQ(t.erase(k).has_value(), present) << "key " << k;
+      if (present) back.emplace_back(k, k / 2);
+    }
+    expect_matches(t, oracle, "erase");
+
+    std::sort(back.begin(), back.end());
+    t.multi_insert(back);
+    for (const auto& kv : back) oracle.insert(kv.first);
+    expect_matches(t, oracle, "re-insert");
+    ASSERT_EQ(t.size(), n);
+
+    // One key over n and back, by point and by batch.
+    const std::uint64_t odd = n | 1u;
+    ASSERT_TRUE(t.insert(odd, 0));
+    oracle.insert(odd);
+    expect_matches(t, oracle, "insert past n");
+    U64Tree::Handle gone = nullptr;
+    t.multi_extract(std::span(&odd, 1), std::span(&gone, 1));
+    ASSERT_NE(gone, nullptr);
+    t.release(gone);
+    oracle.erase(odd);
+    expect_matches(t, oracle, "extract back to n");
+    ASSERT_TRUE(t.erase(0).has_value());
+    oracle.erase(0);
+    expect_matches(t, oracle, "erase below n");
+    t.clear();
+    EXPECT_EQ(pool.live_nodes(), 0u);
+  }
 }
 
 TEST(JTree, ToVectorInKeyOrder) {
